@@ -293,7 +293,8 @@ def _run(args) -> Tuple[int, Dict, List[str]]:
 
     if cmd == "haagerup":
         if args.action == "verify":
-            rep = cuntz.verify_haagerup_relations()
+            tol = cuntz.RESIDUAL_TOL if args.tolerance is None else args.tolerance
+            rep = cuntz.verify_haagerup_relations(tol=tol)
             doc = {
                 "relations": [
                     {"name": c.name, "residual": _jfloat(c.residual),

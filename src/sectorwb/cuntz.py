@@ -3,11 +3,20 @@
 Expressions are finite complex-linear combinations of words in the four
 isometries S0, T0, T1, T2 and their adjoints.  The rule X^* Y = delta_{XY} 1
 for generators X, Y pushes every adjoint to the right, reducing each word
-to the shape u v^* with u, v plain generator strings; products of such
-words telescope through the middle adjoint block.  Those shapes still span
-the algebra redundantly, since completeness makes the four length-one
+to the shape u v^* with u, v plain generator strings.  Those shapes still
+span the algebra redundantly, since completeness makes the four length-one
 projections sum to 1, so normalization additionally expands junction
 T2 T2^* pairs to reach a genuine linear basis.
+
+Internally an element is a dict from pairs (u, v) of generator-index
+tuples to coefficients, with no pair where u and v both end in T2.  The
+product of two pairs telescopes through the middle block v1^* u2: when v1
+is a prefix of u2 it is (u1 + rest of u2, v2), when u2 is a prefix of v1
+it is (u1, v2 + rest of v1), and otherwise it is 0.  rho uses
+rho(u v^*) = rho(u) rho(v)^*: the v belonging to one u are summed on their
+prefix trie in Horner form, sum_g rho(g) (sum over the subtree below g),
+and then the u likewise, so each generator image multiplies once per trie
+edge.  The public CuntzExpr keeps atom words as keys.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -22,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .scalar import QuadExt, eps_abs
 
@@ -30,6 +39,9 @@ GEN_NAMES = ("S0", "T0", "T1", "T2")
 
 Atom = Tuple[int, bool]  # (generator index 0..3, adjoint flag)
 Word = Tuple[Atom, ...]
+Gens = Tuple[int, ...]  # generator indices of a plain word
+Pair = Tuple[Gens, Gens]  # (u, v) standing for u v^*
+Terms = Dict[Pair, complex]
 
 RESIDUAL_TOL = 1e-9
 
@@ -125,75 +137,101 @@ def gens() -> Tuple[CuntzExpr, CuntzExpr, CuntzExpr, CuntzExpr]:
     return tuple(gen_expr(i) for i in range(4))
 
 
-def _reduce_word(word: Word) -> Optional[Word]:
-    """Apply X^* Y = delta_{XY} until no adjoint sits left of a non-adjoint.
+def _split(word: Word) -> Optional[Pair]:
+    """Reduce an atom word to its pair (u, v) in one pass, or None when an
+    orthogonality delta kills it.
 
-    Returns the reduced word, or None when an orthogonality delta kills it.
+    Adjoint atoms wait on a stack; a plain atom cancels the adjoint on top
+    of it (X^* Y = delta_{XY}) or, when none waits, extends u.
     """
-    atoms = list(word)
-    i = 0
-    while i < len(atoms) - 1:
-        (g1, a1), (g2, a2) = atoms[i], atoms[i + 1]
-        if a1 and not a2:
-            if g1 != g2:
-                return None
-            del atoms[i:i + 2]
-            i = max(0, i - 1)
-        else:
-            i += 1
-    return tuple(atoms)
-
-
-def _junction(word: Word) -> int:
-    """Index of the first adjoint atom (== len(word) when there is none)."""
-    for pos, (_, adj) in enumerate(word):
+    u: List[int] = []
+    stack: List[int] = []
+    for g, adj in word:
         if adj:
-            return pos
-    return len(word)
-
-
-def _eliminate_completeness(terms: Dict[Word, complex]) -> Dict[Word, complex]:
-    """Expand in the standard linear basis of the Cuntz algebra.
-
-    The words u v^* only span the algebra redundantly: completeness says
-    1 = S0 S0^* + sum_i T_i T_i^*, so any word with a T2 T2^* pair at the
-    junction rewrites as u' v'^* minus the S0/T0/T1 counterparts.  After
-    eliminating those junction pairs the remaining words are linearly
-    independent, which is what makes residuals meaningful.
-    """
-    work = dict(terms)
-    done: Dict[Word, complex] = {}
-    while work:
-        w, c = work.popitem()
-        if c == 0:
-            continue
-        j = _junction(w)
-        if 0 < j < len(w) and w[j - 1] == (3, False) and w[j] == (3, True):
-            head, tail = w[:j - 1], w[j + 1:]
-            base = head + tail
-            work[base] = work.get(base, 0j) + c
-            for x in range(3):
-                nw = head + ((x, False), (x, True)) + tail
-                work[nw] = work.get(nw, 0j) - c
+            stack.append(g)
+        elif stack:
+            if stack.pop() != g:
+                return None
         else:
-            done[w] = done.get(w, 0j) + c
-    return done
+            u.append(g)
+    return tuple(u), tuple(reversed(stack))
+
+
+def _add_pair(out: Terms, u: Gens, v: Gens, c: complex) -> None:
+    """Accumulate c u v^* into out, expanding junction T2 T2^* pairs.
+
+    The pairs u v^* only span the algebra redundantly: completeness says
+    1 = S0 S0^* + sum_i T_i T_i^*, so u' T2 T2^* v'^* equals u' v'^* minus
+    its S0/T0/T1 counterparts.  Repeating that until u and v no longer both
+    end in T2 leaves linearly independent pairs, which is what makes
+    residuals meaningful.
+    """
+    while u and v and u[-1] == 3 and v[-1] == 3:
+        u, v = u[:-1], v[:-1]
+        for x in range(3):
+            key = (u + (x,), v + (x,))
+            out[key] = out.get(key, 0j) - c
+    key = (u, v)
+    out[key] = out.get(key, 0j) + c
+
+
+def _pairs(e: CuntzExpr) -> Terms:
+    out: Terms = {}
+    for w, c in e._terms.items():
+        p = _split(w)
+        if p is not None:
+            _add_pair(out, p[0], p[1], c)
+    return out
+
+
+_PLAIN = tuple((g, False) for g in range(4))
+_STARRED = tuple((g, True) for g in range(4))
+
+
+def _atoms(u: Gens, v: Gens) -> Word:
+    return tuple(map(_PLAIN.__getitem__, u)) + tuple(map(_STARRED.__getitem__, reversed(v)))
+
+
+def _expr(terms: Terms) -> CuntzExpr:
+    return CuntzExpr({_atoms(u, v): c for (u, v), c in terms.items()})
+
+
+def _mul_into(out: Terms, a: Terms, b: Terms) -> None:
+    """Accumulate the product of normal forms a b into out, telescoping each
+    middle block v1^* u2."""
+    rows = [(u2, len(u2), v2, c2) for (u2, v2), c2 in b.items()]
+    for (u1, v1), c1 in a.items():
+        n = len(v1)
+        for u2, m, v2, c2 in rows:
+            if n < m:
+                if u2[:n] != v1:
+                    continue
+                key = (u1 + u2[n:], v2)
+            elif n > m:
+                if v1[:m] != u2:
+                    continue
+                key = (u1, v2 + v1[m:])
+            else:
+                # only here can both sides end in T2; see _add_pair
+                if u2 == v1:
+                    _add_pair(out, u1, v2, c1 * c2)
+                continue
+            out[key] = out.get(key, 0j) + c1 * c2
+
+
+def _adjoint(a: Terms) -> Terms:
+    return {(v, u): c.conjugate() for (u, v), c in a.items()}
 
 
 def normalize(e: CuntzExpr) -> CuntzExpr:
     """Rewrite into the standard linear basis; idempotent, linear,
     compatible with the adjoint.
 
-    Two stages: the delta rule X^* Y = delta_{XY} pushes every adjoint to
-    the right, giving words u v^*; then junction T2 T2^* pairs are expanded
-    through completeness so each element has a unique representation.
+    Each word is split into its pair u v^* by the delta rule, and junction
+    T2 T2^* pairs are expanded through completeness so each element has a
+    unique representation.
     """
-    out: Dict[Word, complex] = {}
-    for w, c in e.terms.items():
-        r = _reduce_word(w)
-        if r is not None:
-            out[r] = out.get(r, 0j) + c
-    return CuntzExpr(_eliminate_completeness(out))
+    return _expr(_pairs(e))
 
 
 def residual(e: CuntzExpr) -> float:
@@ -211,20 +249,13 @@ class CuntzWord:
 
     @classmethod
     def from_atoms(cls, word: Word) -> "CuntzWord":
-        split = len(word)
-        for pos, (_, adj) in enumerate(word):
-            if adj:
-                split = pos
-                break
-        if any(not adj for _, adj in word[split:]):
+        pair = _split(word)
+        if pair is None or cls(*pair).atoms() != word:
             raise ValueError("word is not in normal form")
-        u = tuple(g for g, _ in word[:split])
-        v = tuple(g for g, _ in reversed(word[split:]))
-        return cls(u, v)
+        return cls(*pair)
 
     def atoms(self) -> Word:
-        return tuple((g, False) for g in self.u) + tuple(
-            (g, True) for g in reversed(self.v))
+        return _atoms(self.u, self.v)
 
     def __str__(self) -> str:
         parts = [GEN_NAMES[g] for g in self.u]
@@ -444,23 +475,45 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
     return img
 
 
-_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, CuntzExpr]] = {}
+_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, Terms]] = {}
+
+
+def _rho_sum(items: List[Tuple[Gens, Terms]], depth: int, img: Dict[int, Terms]) -> Terms:
+    """Sum of rho(w[depth:]) X over items (w, X), in Horner form on the trie.
+
+    Items whose word ends at depth contribute X; the rest are grouped by
+    their next generator g and contribute rho(g) times the sum one level
+    deeper, so each image multiplies once per trie edge.
+    """
+    out: Terms = {}
+    children: Dict[int, List[Tuple[Gens, Terms]]] = {}
+    for w, x in items:
+        if len(w) == depth:
+            for key, c in x.items():
+                out[key] = out.get(key, 0j) + c
+        else:
+            children.setdefault(w[depth], []).append((w, x))
+    for g, sub in children.items():
+        _mul_into(out, img[g], _rho_sum(sub, depth + 1, img))
+    return out
 
 
 def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> CuntzExpr:
-    """Apply rho homomorphically (adjoint-compatibly) and normalize."""
+    """Apply rho homomorphically (adjoint-compatibly) and normalize.
+
+    rho(u v^*) = rho(u) rho(v)^*: for each u the sum over v of
+    conj(c_uv) rho(v) is evaluated on the trie of the v, its adjoint Z_u is
+    formed, and then the sum over u of rho(u) Z_u on the trie of the u.
+    """
     c = constants or _default_constants()
     if c not in _IMAGE_CACHE:
-        _IMAGE_CACHE[c] = rho_images(c)
+        _IMAGE_CACHE[c] = {g: _pairs(x) for g, x in rho_images(c).items()}
     img = _IMAGE_CACHE[c]
-    out = zero()
-    for w, coeff in e.terms.items():
-        acc = one()
-        for g, adj in w:
-            factor = img[g].adjoint() if adj else img[g]
-            acc = normalize(acc * factor)
-        out = out + acc.scale(coeff)
-    return normalize(out)
+    by_u: Dict[Gens, List[Tuple[Gens, Terms]]] = {}
+    for (u, v), coeff in _pairs(e).items():
+        by_u.setdefault(u, []).append((v, {((), ()): coeff.conjugate()}))
+    items = [(u, _adjoint(_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
+    return _expr(_rho_sum(items, 0, img))
 
 
 def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:

@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Three families:
+Nothing here imports sectorwb.  Four families:
 
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
@@ -8,7 +8,9 @@ Nothing here imports sectorwb.  Three families:
   * group representation rings derived from character tables of explicit
     permutation matrices, for cross-checking the stored fusion tables;
   * a right-multiplication-matrix evaluator for fusion words, for
-    cross-checking decompose().
+    cross-checking decompose();
+  * an atom-by-atom rewriting engine for the Cuntz algebra O4, for
+    cross-checking normalize() and rho_apply().
 """
 
 import cmath
@@ -212,3 +214,86 @@ def word_multiplicities(ring, word):
     for lab in word[1:]:
         vec = right_mat(lab) @ vec
     return {lab: int(vec[pos[lab]]) for lab in labels if vec[pos[lab]]}
+
+
+# ---------------------------------------------------------------------------
+# Cuntz words, rewritten atom by atom
+#
+# An expression is a dict mapping words (tuples of (generator, adjoint)
+# atoms) to complex coefficients.  Words are rewritten in place by
+# X^* Y = delta_{XY}; junction T2 T2^* pairs are then expanded through
+# 1 = S0 S0^* + T0 T0^* + T1 T1^* + T2 T2^*.
+
+
+def cuntz_reduce_word(word):
+    """Cancel adjacent X^* Y pairs until none is left; None when one is killed."""
+    atoms = list(word)
+    i = 0
+    while i < len(atoms) - 1:
+        (g1, a1), (g2, a2) = atoms[i], atoms[i + 1]
+        if a1 and not a2:
+            if g1 != g2:
+                return None
+            del atoms[i:i + 2]
+            i = max(0, i - 1)
+        else:
+            i += 1
+    return tuple(atoms)
+
+
+def _cuntz_eliminate_completeness(terms):
+    work = dict(terms)
+    done = {}
+    while work:
+        w, c = work.popitem()
+        if c == 0:
+            continue
+        j = next((pos for pos, (_, adj) in enumerate(w) if adj), len(w))
+        if 0 < j < len(w) and w[j - 1] == (3, False) and w[j] == (3, True):
+            head, tail = w[:j - 1], w[j + 1:]
+            work[head + tail] = work.get(head + tail, 0j) + c
+            for x in range(3):
+                nw = head + ((x, False), (x, True)) + tail
+                work[nw] = work.get(nw, 0j) - c
+        else:
+            done[w] = done.get(w, 0j) + c
+    return done
+
+
+def cuntz_normalize(terms):
+    """Coefficients of an expression in the basis of words u v^* without a
+    T2 T2^* junction."""
+    out = {}
+    for w, c in terms.items():
+        r = cuntz_reduce_word(w)
+        if r is not None:
+            out[r] = out.get(r, 0j) + c
+    return _cuntz_eliminate_completeness(out)
+
+
+def _cuntz_adjoint(terms):
+    return {tuple((g, not adj) for g, adj in reversed(w)): c.conjugate()
+            for w, c in terms.items()}
+
+
+def _cuntz_mul(x, y):
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            out[w1 + w2] = out.get(w1 + w2, 0j) + c1 * c2
+    return out
+
+
+def cuntz_rho(terms, images):
+    """Apply the endomorphism with generator images {g: expression}: multiply
+    the image (or its adjoint) of each atom in turn, normalizing after each
+    factor."""
+    out = {}
+    for w, coeff in terms.items():
+        acc = {(): 1.0 + 0j}
+        for g, adj in w:
+            factor = _cuntz_adjoint(images[g]) if adj else images[g]
+            acc = cuntz_normalize(_cuntz_mul(acc, factor))
+        for v, c in acc.items():
+            out[v] = out.get(v, 0j) + coeff * c
+    return cuntz_normalize(out)

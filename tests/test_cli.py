@@ -91,6 +91,22 @@ def test_haagerup_verify(capsys):
     assert "isometry_relations" in out
 
 
+def test_haagerup_verify_honours_tolerance(capsys):
+    try:
+        # residuals of a few 1e-16 fail a tolerance of 1e-30
+        assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "FAILURES present" in out
+        assert main(["--json", "--tolerance", "1e-30", "haagerup", "verify"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["tolerance"] == 1e-30
+        assert not doc["results"]["all_pass"]
+    finally:
+        os.environ.pop("SWB_TOLERANCE", None)
+    assert main(["--json", "haagerup", "verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 1e-9
+
+
 def test_cuntz_normalize(capsys):
     assert main(["cuntz", "normalize", "T0^*T0 + S0^*T1"]) == 0
     assert capsys.readouterr().out.strip() == "1"

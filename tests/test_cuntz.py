@@ -1,11 +1,14 @@
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+import _oracles
 from sectorwb.cuntz import (
     CuntzExpr,
     CuntzSyntaxError,
+    CuntzWord,
     alpha_apply,
     gen_expr,
     gens,
@@ -17,6 +20,7 @@ from sectorwb.cuntz import (
     render_expr,
     residual,
     rho_apply,
+    rho_images,
     solve_qsystem,
     verify_haagerup_relations,
     zero,
@@ -53,6 +57,18 @@ def test_normalize_fixes_nothing_on_basis_words():
 def test_residual_of_exact_relation():
     lhs = sum((g * g.adjoint() for g in gens()), zero())
     assert residual(lhs - one()) == 0.0
+
+
+def test_cuntz_word_from_atoms():
+    w = CuntzWord.from_atoms(((1, False), (3, False), (2, True), (0, True)))
+    assert (w.u, w.v) == ((1, 3), (0, 2))
+    assert CuntzWord.from_atoms(w.atoms()) == w
+    assert str(CuntzWord.from_atoms(())) == "1"
+    for bad in (((1, True), (1, False)),            # cancels to the empty word
+                ((1, True), (2, False)),            # killed by a delta
+                ((0, False), (1, True), (2, False))):
+        with pytest.raises(ValueError, match="not in normal form"):
+            CuntzWord.from_atoms(bad)
 
 
 def test_render_and_parse_round_trip():
@@ -124,6 +140,13 @@ def test_alpha_has_order_three():
     assert alpha_apply(S0) == S0
 
 
+def test_rho_cubed_intertwined_by_s0():
+    # S0 intertwines id and rho^2, so rho^3(x) S0 = S0 rho(x)
+    for x in gens():
+        lhs = rho_apply(rho_apply(rho_apply(x))) * S0
+        assert residual(lhs - S0 * rho_apply(x)) < 1e-12
+
+
 def test_transposed_alpha_breaks_exchange():
     swapped = verify_haagerup_relations(
         alpha=lambda e: permute_t(e, (1, 0, 2)))
@@ -175,3 +198,37 @@ def test_rho_multiplicative_on_words(w, cut):
     y = CuntzExpr({w[cut:]: 1.0})
     whole = rho_apply(CuntzExpr({w: 1.0}))
     assert residual(whole - rho_apply(x) * rho_apply(y)) <= 1e-9
+
+
+# differential tests against the atom-by-atom engine in _oracles
+
+_IMAGES = {g: x.terms for g, x in rho_images().items()}
+
+
+def _max_diff(e, ref):
+    """Largest coefficient difference, with absent terms read as 0."""
+    got = e.terms
+    return max((abs(got.get(w, 0j) - ref.get(w, 0j)) for w in set(got) | set(ref)),
+               default=0.0)
+
+
+@lru_cache(maxsize=None)
+def _oracle_rho2(w):
+    return _oracles.cuntz_rho(_oracles.cuntz_rho({w: 1.0 + 0j}, _IMAGES), _IMAGES)
+
+
+@given(exprs)
+def test_normalize_matches_oracle(e):
+    assert _max_diff(normalize(e), _oracles.cuntz_normalize(e.terms)) <= 1e-12
+
+
+@given(st.dictionaries(words.filter(lambda w: len(w) <= 3), coeffs, max_size=3)
+       .map(CuntzExpr))
+def test_rho_matches_oracle(e):
+    assert _max_diff(rho_apply(e), _oracles.cuntz_rho(e.terms, _IMAGES)) <= 1e-12
+
+
+@given(words.filter(lambda w: len(w) <= 2), coeffs)
+def test_rho_squared_matches_oracle(w, c):
+    ref = {v: c * x for v, x in _oracle_rho2(w).items()}
+    assert _max_diff(rho_apply(rho_apply(CuntzExpr({w: c}))), ref) <= 1e-12
