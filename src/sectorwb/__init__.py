@@ -9,7 +9,6 @@ from .scalar import QuadExt, approx_eq, eps_abs, quad, quad_eval
 from .fusion import (
     ExprSyntaxError,
     FusionRing,
-    PFConvergenceError,
     RingStructureError,
     SectorExpr,
     check_multiplicity_bound,
@@ -61,6 +60,7 @@ from .cuntz import (
     CuntzSyntaxError,
     CuntzWord,
     HaagerupConstants,
+    QSystemError,
     QSystemSolution,
     RelationCheck,
     VerificationReport,
@@ -94,10 +94,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuadExt", "approx_eq", "eps_abs", "quad", "quad_eval",
-    "ExprSyntaxError", "FusionRing", "PFConvergenceError",
-    "RingStructureError", "SectorExpr", "check_multiplicity_bound",
-    "decompose", "hom_dim", "parse_sector_expr", "pf_dimensions",
-    "validate_ring",
+    "ExprSyntaxError", "FusionRing", "RingStructureError", "SectorExpr",
+    "check_multiplicity_bound", "decompose", "hom_dim", "parse_sector_expr",
+    "pf_dimensions", "validate_ring",
     "CatalogEntry", "ENTRIES", "RingFormatError", "RingValidationError",
     "builtin", "builtin_keys", "load", "ring_from_dict", "ring_to_dict",
     "save",
@@ -108,9 +107,10 @@ __all__ = [
     "alpha_induction_spectrum", "asymptotic_spectrum", "branching_rule",
     "ghj_spectrum", "monodromy_ratio", "q6j", "su2k_modular",
     "CuntzExpr", "CuntzSyntaxError", "CuntzWord", "HaagerupConstants",
-    "QSystemSolution", "RelationCheck", "VerificationReport", "alpha_apply",
-    "haagerup_constants", "normalize", "parse", "permute_t", "render_expr",
-    "residual", "rho_apply", "solve_qsystem", "verify_haagerup_relations",
+    "QSystemError", "QSystemSolution", "RelationCheck", "VerificationReport",
+    "alpha_apply", "haagerup_constants", "normalize", "parse", "permute_t",
+    "render_expr", "residual", "rho_apply", "solve_qsystem",
+    "verify_haagerup_relations",
     "ClassIVRecord", "CheckResult", "CheckRow", "QuadCase", "case_by_id",
     "class_iv_record", "classification_table", "e8aff_regression",
     "render_results", "run_all", "run_exclusion_checks",

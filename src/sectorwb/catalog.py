@@ -8,8 +8,8 @@ Shipped rings (label conventions are fixed so CLI expressions stay stable):
 * ``e6_even``: even sectors of the E6 subfactor: 1, a, e with a an order-2
   automorphism and d(e) = 1+sqrt(3).
 * ``s4_rep``: unitary dual of the symmetric group S4: 1, a (sign), e2
-  (2-dim), e (standard 3-dim), ae (their product); derived from explicit
-  character products (see scripts/derive_rep_rings.py).
+  (2-dim), e (standard 3-dim), ae (their product); the tables match the
+  character products of explicit permutation matrices in tests/_oracles.py.
 * ``a4_rep``: unitary dual of the alternating group A4: 1, w, w2 (cubic
   characters), v (3-dim); same derivation route.
 * ``d6aff_even``: even sectors of the affine-D6 subfactor: Klein four-group
@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .fusion import FusionRing, RingStructureError, validate_ring
+from .fusion import FusionRing, validate_ring
 
 
 class RingFormatError(ValueError):
@@ -263,10 +263,7 @@ def ring_from_dict(doc: dict) -> FusionRing:
         if not isinstance(row, dict):
             raise RingFormatError(f"tensor[{key!r}] must be an object label->multiplicity")
         tensor[(parts[0], parts[1])] = row
-    try:
-        return FusionRing(doc["name"], tuple(doc["labels"]), doc["unit"], dual, tensor)
-    except RingStructureError:
-        raise
+    return FusionRing(doc["name"], tuple(doc["labels"]), doc["unit"], dual, tensor)
 
 
 def load(path: str) -> FusionRing:

@@ -307,8 +307,9 @@ def _run(args) -> Tuple[int, Dict, List[str]]:
                     f"{'ok' if c.passed else 'FAIL'}" for c in rep.checks]
             text.append("all relations hold" if rep.all_pass else "FAILURES present")
             return (0 if rep.all_pass else 1), {**doc, "_residuals": residuals}, text
-        sols = cuntz.solve_qsystem()
-        doc = {"solutions": []}
+        tol = cuntz.RESIDUAL_TOL if args.tolerance is None else args.tolerance
+        sols = cuntz.solve_qsystem(tol=tol)
+        doc = {"solutions": [], "tolerance": tol}
         text = []
         for i, s in enumerate(sols, 1):
             doc["solutions"].append({
@@ -352,11 +353,12 @@ def _run(args) -> Tuple[int, Dict, List[str]]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_tolerance = os.environ.get(_ENV_TOLERANCE)
     if args.tolerance is not None:
         os.environ[_ENV_TOLERANCE] = repr(args.tolerance)
     try:
         code, doc, text = _run(args)
-    except catalog.RingValidationError as exc:
+    except (catalog.RingValidationError, cuntz.QSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (fusion.ExprSyntaxError, cuntz.CuntzSyntaxError,
@@ -364,6 +366,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             wzw.SixJDomainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved_tolerance is None:
+            os.environ.pop(_ENV_TOLERANCE, None)
+        else:
+            os.environ[_ENV_TOLERANCE] = saved_tolerance
 
     residuals = doc.pop("_residuals", {})
     inputs = {k: v for k, v in vars(args).items()

@@ -46,6 +46,10 @@ Terms = Dict[Pair, complex]
 RESIDUAL_TOL = 1e-9
 
 
+class QSystemError(ArithmeticError):
+    """The Q-system coefficients miss their equations by at least the tolerance."""
+
+
 class CuntzSyntaxError(ValueError):
     """Raised for malformed expression text; carries the offset."""
 
@@ -660,12 +664,14 @@ def _qsystem_residuals(a: complex, b: complex, c: HaagerupConstants) -> Dict[str
 
 def solve_qsystem(
     constants: Optional[HaagerupConstants] = None,
+    tol: float = RESIDUAL_TOL,
 ) -> Tuple[QSystemSolution, QSystemSolution]:
     """Solve the four scalar equations; exactly two solutions, (a,b) and (-a,-b).
 
     b^2 = -(d-1)^2 / ((B+d) sqrt(d)) and a = -(B+1) b / (d-1)^{3/2}; the
     solutions satisfy |a|^2 = 1/d and |b|^2 = (d-1)/d, so |a|^2+|b|^2 = 1.
-    Residuals beyond tolerance signal corrupted constants and raise.
+    A residual or norm defect of at least ``tol`` raises QSystemError: the
+    constants are corrupted, or ``tol`` is below the rounding error.
     """
     c = constants or _default_constants()
     d = c.d
@@ -677,9 +683,9 @@ def solve_qsystem(
         ai, bi = sign * a, sign * b
         res = _qsystem_residuals(ai, bi, c)
         sol = QSystemSolution(ai, bi, res)
-        if max(res.values()) >= RESIDUAL_TOL or abs(sol.norm_sq - 1) >= RESIDUAL_TOL:
-            raise ArithmeticError(
-                "the coefficient system is inconsistent; constants are corrupted "
+        if max(res.values()) >= tol or abs(sol.norm_sq - 1) >= tol:
+            raise QSystemError(
+                f"the coefficient system is not solved within tolerance {tol!r} "
                 f"(residuals {res}, |a|^2+|b|^2 = {sol.norm_sq})"
             )
         out.append(sol)

@@ -3,13 +3,19 @@ built on them (validation, Perron-Frobenius dimensions, decomposition of
 formal words, hom-space dimensions).
 
 A fusion ring here is purely combinatorial: an ordered label set with a unit,
-a dual involution, and a tensor table N(i,j,k) of nonnegative integers.  The
+a dual involution, and a tensor table N(i,j,k) of nonnegative integers, held
+both as sparse rows and as a dense integer array built once per ring.  The
 four axiom families checked by :func:`validate_ring`:
 
 * unit:        N(1,j,k) = N(j,1,k) = delta_{jk}
 * duality:     N(i,j,1) = delta_{j, dual(i)},  dual(dual(i)) = i, dual(1) = 1
 * Frobenius:   N(i,j,k) = N(dual(i),k,j) = N(k,dual(j),i)
 * associativity: sum_m N(i,j,m) N(m,k,l) = sum_m N(j,k,m) N(i,m,l)
+
+The first three are array identities on the dense tensor; associativity is a
+batch of small matrix products per label.  :func:`pf_dimensions` takes the
+Perron vector of sum_i M_i from one symmetric eigen-solve, which presumes a
+ring that passes :func:`validate_ring`.
 
 Sector expressions ("t2*r*r + 2*r") are formal nonnegative-integer
 combinations of words of labels; :func:`decompose` reduces them to
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +36,15 @@ from .scalar import eps_abs
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_']+$")
 
-PF_TOL = 1e-12
-PF_MAX_ITER = 100_000
+# matrix products of multiplicities are exact in float64 below this bound
+_FLOAT_EXACT = 2 ** 53
+_INT64_MAX = 2 ** 63 - 1
+# Associativity products run in blocks of j of about this many entries
+# (128 KB in float64): whole-label temporaries raised the peak memory of a
+# stream of 41-label rings by megabytes for no measurable speed.  Blocks
+# keep at least 8 rows of j, so large rings still get matrix products.
+_BLOCK_ENTRIES = 1 << 14
+_MIN_BLOCK_ROWS = 8
 
 # a decomposition: label -> multiplicity (absent = 0)
 MultVector = Dict[str, int]
@@ -48,20 +62,13 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-class PFConvergenceError(ArithmeticError):
-    """Power iteration failed to converge; carries the iteration count."""
-
-    def __init__(self, iterations: int):
-        super().__init__(f"power iteration did not converge after {iterations} iterations")
-        self.iterations = iterations
-
-
 @dataclass(frozen=True, eq=False)
 class FusionRing:
     """Immutable fusion-ring data.
 
     ``tensor`` maps (i, j) to {k: N(i,j,k)} with only positive entries stored;
     ``dual`` is total after construction (identity entries filled in).
+    ``N`` is the same table as a dense array, built on first use.
     """
 
     name: str
@@ -69,6 +76,7 @@ class FusionRing:
     unit: str
     dual: Mapping[str, str]
     tensor: Mapping[Tuple[str, str], Mapping[str, int]]
+    _pos: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -87,17 +95,20 @@ class FusionRing:
                 raise RingStructureError(f"dual entry {a!r}->{b!r} uses unknown label")
         for lab in labels:
             dual.setdefault(lab, lab)
+        pos = {lab: x for x, lab in enumerate(labels)}
         tensor: Dict[Tuple[str, str], Dict[str, int]] = {}
         for key, row in dict(self.tensor).items():
             i, j = key
-            if i not in labels or j not in labels:
+            if i not in pos or j not in pos:
                 raise RingStructureError(f"tensor key ({i!r},{j!r}) uses unknown label")
             clean = {}
             for k, n in row.items():
-                if k not in labels:
+                if k not in pos:
                     raise RingStructureError(f"tensor value label {k!r} unknown in ({i},{j})")
                 if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                     raise RingStructureError(f"multiplicity N({i},{j},{k})={n!r} is not a nonnegative integer")
+                if n > _INT64_MAX:
+                    raise RingStructureError(f"multiplicity N({i},{j},{k})={n} does not fit in 64 bits")
                 if n > 0:
                     clean[k] = n
             if clean:
@@ -105,23 +116,31 @@ class FusionRing:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "_pos", pos)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        """The table as a read-only int64 array indexed by label position,
+        built on first use: ``N[index(i), index(j), index(k)] = N(i,j,k)``."""
+        pos, size = self._pos, len(self.labels)
+        flat = [(pos[i] * size + pos[j]) * size + pos[k]
+                for (i, j), row in self.tensor.items() for k in row]
+        dense = np.zeros(size ** 3, dtype=np.int64)
+        dense[flat] = [n for row in self.tensor.values() for n in row.values()]
+        dense.flags.writeable = False
+        return dense.reshape(size, size, size)
 
     # -- access -------------------------------------------------------------
 
     def n(self, i: str, j: str, k: str) -> int:
-        return self.tensor.get((i, j), {}).get(k, 0)
+        return int(self.N[self._pos[i], self._pos[j], self._pos[k]])
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        return self._pos[label]
 
     def fusion_matrix(self, i: str) -> np.ndarray:
         """Left multiplication by i: M[k, j] = N(i, j, k)."""
-        n = len(self.labels)
-        mat = np.zeros((n, n), dtype=np.int64)
-        for jx, j in enumerate(self.labels):
-            for k, mult in self.tensor.get((i, j), {}).items():
-                mat[self.index(k), jx] = mult
-        return mat
+        return self.N[self._pos[i]].T.copy()
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
@@ -195,137 +214,107 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> SectorExpr:
 
 
 def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
-    """Check the four axiom families; returns one message per violation."""
+    """Check the four axiom families; returns one message per violation.
+
+    Violations are found as array masks over ``ring.N`` and reported in label
+    order, unit before duality before Frobenius before associativity, with at
+    most one associativity report per pair (i, j).
+    """
     out: List[str] = []
     labels = ring.labels
     unit = ring.unit
+    N = ring.N
+    n = len(labels)
+    u = ring.index(unit)
+    d = np.array([ring.index(ring.dual[lab]) for lab in labels])
+    eye = np.eye(n, dtype=np.int64)
 
     def report(msg: str) -> bool:
         out.append(msg)
         return len(out) >= max_reports
 
-    for j in labels:
-        for k in labels:
-            want = 1 if j == k else 0
-            if ring.n(unit, j, k) != want:
-                if report(f"unit: N({unit},{j},{k})={ring.n(unit, j, k)} != {want}"):
-                    return out
-            if ring.n(j, unit, k) != want:
-                if report(f"unit: N({j},{unit},{k})={ring.n(j, unit, k)} != {want}"):
-                    return out
+    left, right = N[u], N[:, u]
+    for jx, kx in np.argwhere((left != eye) | (right != eye)):
+        j, k, want = labels[jx], labels[kx], eye[jx, kx]
+        if left[jx, kx] != want:
+            if report(f"unit: N({unit},{j},{k})={left[jx, kx]} != {want}"):
+                return out
+        if right[jx, kx] != want:
+            if report(f"unit: N({j},{unit},{k})={right[jx, kx]} != {want}"):
+                return out
 
     if ring.dual[unit] != unit:
         report(f"duality: dual({unit})={ring.dual[unit]} != {unit}")
-    for i in labels:
-        if ring.dual[ring.dual[i]] != i:
+    to_unit = N[:, :, u]
+    expected = eye[d]  # [i, j] = 1 iff j = dual(i)
+    bad = to_unit != expected
+    not_involution = d[d] != np.arange(n)
+    for ix in np.flatnonzero(not_involution | bad.any(axis=1)):
+        i = labels[ix]
+        if not_involution[ix]:
             if report(f"duality: dual(dual({i}))={ring.dual[ring.dual[i]]} != {i}"):
                 return out
-        for j in labels:
-            want = 1 if j == ring.dual[i] else 0
-            if ring.n(i, j, unit) != want:
-                if report(f"duality: N({i},{j},{unit})={ring.n(i, j, unit)} != {want}"):
+        for jx in np.flatnonzero(bad[ix]):
+            if report(f"duality: N({i},{labels[jx]},{unit})={to_unit[ix, jx]} != {expected[ix, jx]}"):
+                return out
+
+    for ix in range(n):
+        row = N[ix]
+        swap_ij = N[d[ix]].T  # [j, k] = N(dual(i), k, j)
+        swap_jk = N[:, d, ix].T  # [j, k] = N(k, dual(j), i)
+        for jx, kx in np.argwhere((row != swap_ij) | (row != swap_jk)):
+            i, j, k = labels[ix], labels[jx], labels[kx]
+            if row[jx, kx] != swap_ij[jx, kx]:
+                if report(
+                    f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
+                    f"N({ring.dual[i]},{k},{j})={swap_ij[jx, kx]}"
+                ):
+                    return out
+            if row[jx, kx] != swap_jk[jx, kx]:
+                if report(
+                    f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
+                    f"N({k},{ring.dual[j]},{i})={swap_jk[jx, kx]}"
+                ):
                     return out
 
-    for i in labels:
-        for j in labels:
-            for k in labels:
-                n = ring.n(i, j, k)
-                if n != ring.n(ring.dual[i], k, j):
-                    if report(
-                        f"frobenius: N({i},{j},{k})={n} != "
-                        f"N({ring.dual[i]},{k},{j})={ring.n(ring.dual[i], k, j)}"
-                    ):
-                        return out
-                if n != ring.n(k, ring.dual[j], i):
-                    if report(
-                        f"frobenius: N({i},{j},{k})={n} != "
-                        f"N({k},{ring.dual[j]},{i})={ring.n(k, ring.dual[j], i)}"
-                    ):
-                        return out
-
-    mats = {i: ring.fusion_matrix(i) for i in labels}
-    for i in labels:
-        for j in labels:
-            lhs = sum(ring.n(i, j, m) * mats[m] for m in labels)
-            if isinstance(lhs, int):  # all coefficients zero
-                lhs = np.zeros_like(mats[i])
-            rhs = mats[i] @ mats[j]
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)
-                l_ix, k_ix = bad[0]
-                k, l = labels[k_ix], labels[l_ix]
+    # Sums of n products of multiplicities: float64 takes the BLAS path and
+    # is exact below 2**53, int64 is exact up to its own overflow.
+    exact = np.float64 if n * int(N.max()) ** 2 < _FLOAT_EXACT else np.int64
+    A = N.astype(exact)
+    by_k = A.transpose(1, 0, 2)  # [k, m, l] = N(m, k, l)
+    step = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // (n * n))
+    for ix in range(n):
+        for j0 in range(0, n, step):
+            # [j, k, l] for a block of j: sum_m N(i,j,m) N(m,k,l) against
+            # sum_x N(j,k,x) N(i,x,l), each a batch of small matrix products
+            lhs = np.matmul(A[ix, j0:j0 + step], by_k).transpose(1, 0, 2)
+            rhs = np.matmul(A[j0:j0 + step], A[ix])
+            bad = lhs != rhs
+            for jx in np.flatnonzero(bad.any(axis=(1, 2))):
+                l_ix, k_ix = np.argwhere(bad[jx].T)[0]
+                i, j, k, l = labels[ix], labels[j0 + jx], labels[k_ix], labels[l_ix]
                 if report(
-                    f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={lhs[l_ix, k_ix]}"
-                    f" != sum_m N({j},{k},m)N({i},m,{l})={rhs[l_ix, k_ix]}"
+                    f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={int(lhs[jx, k_ix, l_ix])}"
+                    f" != sum_m N({j},{k},m)N({i},m,{l})={int(rhs[jx, k_ix, l_ix])}"
                 ):
                     return out
     return out
 
 
-def _strongly_connected(mat: np.ndarray) -> bool:
-    n = mat.shape[0]
-    adj = mat > 0
-
-    def reach(start: int, forward: bool) -> set:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            row = adj[:, v] if forward else adj[v, :]
-            for w in np.nonzero(row)[0]:
-                if w not in seen:
-                    seen.add(int(w))
-                    stack.append(int(w))
-        return seen
-
-    return len(reach(0, True)) == n and len(reach(0, False)) == n
-
-
-def _power_iterate(mat: np.ndarray) -> float:
-    """PF eigenvalue by power iteration on mat + I (kills periodicity)."""
-    n = mat.shape[0]
-    m = mat.astype(float)
-    v = np.ones(n) / np.sqrt(n)
-    for it in range(PF_MAX_ITER):
-        w = m @ v + v
-        w /= np.linalg.norm(w)
-        if np.max(np.abs(w - v)) < PF_TOL:
-            v = w
-            return float(v @ (m @ v))
-        v = w
-    raise PFConvergenceError(PF_MAX_ITER)
-
-
 def pf_dimensions(ring: FusionRing) -> Dict[str, float]:
     """Perron-Frobenius dimension of every label.
 
-    Each label's left-multiplication matrix is power-iterated directly; labels
-    whose matrix is reducible fall back to the global matrix sum(M_i), whose
-    PF eigenvector (normalized at the unit) is exactly the dimension vector.
+    The dimension vector d satisfies M_i d = d_i d for every left
+    multiplication matrix M_i, so it is the Perron vector of sum_i M_i,
+    normalized at the unit.  On a ring that passes :func:`validate_ring`,
+    Frobenius reciprocity makes that sum symmetric and rigidity makes it
+    entrywise positive, so one symmetric eigen-solve gives d and its Perron
+    eigenvalue is simple (EGNO, Tensor Categories, 3.3).  Other rings get no
+    meaningful answer.
     """
-    mats = {i: ring.fusion_matrix(i) for i in ring.labels}
-    global_vec = None
-    out: Dict[str, float] = {}
-    for i in ring.labels:
-        if _strongly_connected(mats[i]):
-            out[i] = _power_iterate(mats[i])
-            continue
-        if global_vec is None:
-            total = sum(mats.values()).astype(float).T
-            n = total.shape[0]
-            v = np.ones(n) / np.sqrt(n)
-            for it in range(PF_MAX_ITER):
-                w = total @ v + v
-                w /= np.linalg.norm(w)
-                if np.max(np.abs(w - v)) < PF_TOL:
-                    v = w
-                    break
-                v = w
-            else:
-                raise PFConvergenceError(PF_MAX_ITER)
-            global_vec = v / v[ring.index(ring.unit)]
-        out[i] = float(global_vec[ring.index(i)])
-    return out
+    _, vecs = np.linalg.eigh(ring.N.sum(axis=0).astype(float))
+    perron = vecs[:, -1]
+    return dict(zip(ring.labels, (perron / perron[ring.index(ring.unit)]).tolist()))
 
 
 def _as_expr(ring: FusionRing, e) -> SectorExpr:

@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Four families:
+Nothing here imports sectorwb.  Five families:
 
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
@@ -10,7 +10,10 @@ Nothing here imports sectorwb.  Four families:
   * a right-multiplication-matrix evaluator for fusion words, for
     cross-checking decompose();
   * an atom-by-atom rewriting engine for the Cuntz algebra O4, for
-    cross-checking normalize() and rho_apply().
+    cross-checking normalize() and rho_apply();
+  * an entry-by-entry fusion-axiom validator and a power-iteration
+    PF-dimension solver, for cross-checking validate_ring() and
+    pf_dimensions().
 """
 
 import cmath
@@ -297,3 +300,152 @@ def cuntz_rho(terms, images):
         for v, c in acc.items():
             out[v] = out.get(v, 0j) + coeff * c
     return cuntz_normalize(out)
+
+
+# ---------------------------------------------------------------------------
+# fusion-ring axioms and PF dimensions, label by label
+#
+# The loop validator and the power iteration that validate_ring() and
+# pf_dimensions() replaced.  Ring access goes through the public ``tensor``
+# mapping only, so the dense tensor under test is not used.
+
+PF_TOL = 1e-12
+PF_MAX_ITER = 100_000
+
+
+def _ring_n(ring, i, j, k):
+    return ring.tensor.get((i, j), {}).get(k, 0)
+
+
+def _left_matrix(ring, i):
+    """Left multiplication by i: M[k, j] = N(i, j, k)."""
+    labels = list(ring.labels)
+    pos = {lab: x for x, lab in enumerate(labels)}
+    mat = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for jx, j in enumerate(labels):
+        for k, mult in ring.tensor.get((i, j), {}).items():
+            mat[pos[k], jx] = mult
+    return mat
+
+
+def validate_ring_loops(ring, max_reports=50):
+    """The four axiom families checked entry by entry, in label order."""
+    out = []
+    labels = ring.labels
+    unit = ring.unit
+
+    def n(i, j, k):
+        return _ring_n(ring, i, j, k)
+
+    def report(msg):
+        out.append(msg)
+        return len(out) >= max_reports
+
+    for j in labels:
+        for k in labels:
+            want = 1 if j == k else 0
+            if n(unit, j, k) != want:
+                if report(f"unit: N({unit},{j},{k})={n(unit, j, k)} != {want}"):
+                    return out
+            if n(j, unit, k) != want:
+                if report(f"unit: N({j},{unit},{k})={n(j, unit, k)} != {want}"):
+                    return out
+
+    if ring.dual[unit] != unit:
+        report(f"duality: dual({unit})={ring.dual[unit]} != {unit}")
+    for i in labels:
+        if ring.dual[ring.dual[i]] != i:
+            if report(f"duality: dual(dual({i}))={ring.dual[ring.dual[i]]} != {i}"):
+                return out
+        for j in labels:
+            want = 1 if j == ring.dual[i] else 0
+            if n(i, j, unit) != want:
+                if report(f"duality: N({i},{j},{unit})={n(i, j, unit)} != {want}"):
+                    return out
+
+    for i in labels:
+        for j in labels:
+            for k in labels:
+                v = n(i, j, k)
+                if v != n(ring.dual[i], k, j):
+                    if report(
+                        f"frobenius: N({i},{j},{k})={v} != "
+                        f"N({ring.dual[i]},{k},{j})={n(ring.dual[i], k, j)}"
+                    ):
+                        return out
+                if v != n(k, ring.dual[j], i):
+                    if report(
+                        f"frobenius: N({i},{j},{k})={v} != "
+                        f"N({k},{ring.dual[j]},{i})={n(k, ring.dual[j], i)}"
+                    ):
+                        return out
+
+    mats = {i: _left_matrix(ring, i) for i in labels}
+    for i in labels:
+        for j in labels:
+            lhs = sum(n(i, j, m) * mats[m] for m in labels)
+            if isinstance(lhs, int):  # all coefficients zero
+                lhs = np.zeros_like(mats[i])
+            rhs = mats[i] @ mats[j]
+            if not np.array_equal(lhs, rhs):
+                bad = np.argwhere(lhs != rhs)
+                l_ix, k_ix = bad[0]
+                k, l = labels[k_ix], labels[l_ix]
+                if report(
+                    f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={lhs[l_ix, k_ix]}"
+                    f" != sum_m N({j},{k},m)N({i},m,{l})={rhs[l_ix, k_ix]}"
+                ):
+                    return out
+    return out
+
+
+def _strongly_connected(mat):
+    n = mat.shape[0]
+    adj = mat > 0
+
+    def reach(start, forward):
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            row = adj[:, v] if forward else adj[v, :]
+            for w in np.nonzero(row)[0]:
+                if w not in seen:
+                    seen.add(int(w))
+                    stack.append(int(w))
+        return seen
+
+    return len(reach(0, True)) == n and len(reach(0, False)) == n
+
+
+def _power_vector(mat):
+    """Unit PF eigenvector by power iteration on mat + I (kills periodicity)."""
+    n = mat.shape[0]
+    m = mat.astype(float)
+    v = np.ones(n) / np.sqrt(n)
+    for _ in range(PF_MAX_ITER):
+        w = m @ v + v
+        w /= np.linalg.norm(w)
+        if np.max(np.abs(w - v)) < PF_TOL:
+            return w
+        v = w
+    raise ArithmeticError(f"power iteration did not converge after {PF_MAX_ITER} iterations")
+
+
+def pf_dimensions_power(ring):
+    """PF dimensions by power iteration: each strongly connected label's own
+    matrix gives its Rayleigh quotient; the others read the PF vector of
+    sum_i M_i, normalized at the unit."""
+    mats = {i: _left_matrix(ring, i) for i in ring.labels}
+    global_vec = None
+    out = {}
+    for i in ring.labels:
+        if _strongly_connected(mats[i]):
+            v = _power_vector(mats[i])
+            out[i] = float(v @ (mats[i].astype(float) @ v))
+            continue
+        if global_vec is None:
+            v = _power_vector(sum(mats.values()).T)
+            global_vec = v / v[ring.labels.index(ring.unit)]
+        out[i] = float(global_vec[ring.labels.index(i)])
+    return out

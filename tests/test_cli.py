@@ -7,6 +7,8 @@ import pytest
 from sectorwb import catalog
 from sectorwb.cli import main
 
+import _oracles
+
 
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
@@ -92,17 +94,14 @@ def test_haagerup_verify(capsys):
 
 
 def test_haagerup_verify_honours_tolerance(capsys):
-    try:
-        # residuals of a few 1e-16 fail a tolerance of 1e-30
-        assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "FAILURES present" in out
-        assert main(["--json", "--tolerance", "1e-30", "haagerup", "verify"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["results"]["tolerance"] == 1e-30
-        assert not doc["results"]["all_pass"]
-    finally:
-        os.environ.pop("SWB_TOLERANCE", None)
+    # residuals of a few 1e-16 fail a tolerance of 1e-30
+    assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "FAILURES present" in out
+    assert main(["--json", "--tolerance", "1e-30", "haagerup", "verify"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["tolerance"] == 1e-30
+    assert not doc["results"]["all_pass"]
     assert main(["--json", "haagerup", "verify"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 1e-9
 
@@ -122,16 +121,56 @@ def test_out_writes_file(tmp_path, capsys):
 
 
 def test_tolerance_flag_reaches_library(capsys):
-    try:
-        # |s| = 1.2 violates the default bound but passes at tolerance 0.5
-        assert main(["angle", "candidates", "--d", "3", "--s", "1.2"]) == 2
-        assert main(["--tolerance", "0.5",
-                     "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
-    finally:
-        os.environ.pop("SWB_TOLERANCE", None)
+    # |s| = 1.2 violates the default bound but passes at tolerance 0.5
+    assert main(["angle", "candidates", "--d", "3", "--s", "1.2"]) == 2
+    assert main(["--tolerance", "0.5",
+                 "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
+
+
+def test_tolerance_flag_leaves_environment_unchanged(monkeypatch, capsys):
+    monkeypatch.delenv("SWB_TOLERANCE", raising=False)
+    assert main(["--tolerance", "0.5",
+                 "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
+    assert "SWB_TOLERANCE" not in os.environ
+    monkeypatch.setenv("SWB_TOLERANCE", "1e-6")
+    assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
+    assert main(["--tolerance", "1e-3", "cuntz", "normalize", "T0*"]) == 2
+    assert os.environ["SWB_TOLERANCE"] == "1e-6"
+
+
+def test_haagerup_qsystem_honours_tolerance(capsys):
+    assert main(["--json", "haagerup", "qsystem"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["results"]) == {"solutions", "tolerance"}
+    assert doc["results"]["tolerance"] == 1e-9
+    # residuals of a few 1e-16 fail a tolerance of 1e-30: an error line, no traceback
+    for extra in ([], ["--json"]):
+        assert main(extra + ["--tolerance", "1e-30", "haagerup", "qsystem"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "1e-30" in captured.err
 
 
 def test_dims_su2(capsys):
     assert main(["dims", "su2", "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "l1" in out and "1.41421356237" in out
+
+
+def test_dims_text_of_catalog_rings_matches_power_iteration(capsys):
+    for entry in catalog.ENTRIES:
+        if entry.parametrized:
+            continue
+        dims = _oracles.pf_dimensions_power(catalog.builtin(entry.key))
+        assert main(["dims", entry.key]) == 0
+        assert capsys.readouterr().out == "".join(f"{lab}: {d:.12g}\n" for lab, d in dims.items())
+
+
+def test_dims_su2_text_is_the_closed_form(capsys):
+    # Every printed line for levels 1-60 is the 12-digit rounding of
+    # sin((i+1)q)/sin(q), q = pi/(k+2): no 12-digit output is closer.
+    for k in range(1, 61):
+        assert main(["dims", "su2", "--k", str(k)]) == 0
+        q = math.pi / (k + 2)
+        assert capsys.readouterr().out == "".join(
+            f"l{i}: {math.sin((i + 1) * q) / math.sin(q):.12g}\n" for i in range(k + 1))

@@ -76,13 +76,15 @@ def test_pf_dimensions_ising():
 
 
 def test_pf_dimensions_su2_formula():
-    for k in range(1, 9):
-        ring = catalog.builtin("su2", k)
+    for k in list(range(1, 9)) + [40, 60, 120]:
+        # the Verlinde tables straight from the builder: validating 121
+        # labels takes seconds and is not what this test is about
+        ring = catalog._su2(k)
         dims = pf_dimensions(ring)
         q = math.pi / (k + 2)
         for i in range(k + 1):
             assert dims[f"l{i}"] == pytest.approx(
-                math.sin((i + 1) * q) / math.sin(q), abs=1e-9)
+                math.sin((i + 1) * q) / math.sin(q), rel=1e-13, abs=0)
 
 
 def test_pf_dimensions_reducible_ring():
@@ -94,6 +96,100 @@ def test_pf_dimensions_reducible_ring():
                       tensor=tensor)
     dims = pf_dimensions(ring)
     assert dims == {"1": pytest.approx(1.0), "g": pytest.approx(1.0)}
+
+
+def test_multiplicity_must_fit_64_bits():
+    tensor = _unit_rows(("1", "x"), "1")
+    tensor[("x", "x")] = {"1": 1, "x": 2 ** 63}
+    with pytest.raises(RingStructureError, match="64 bits"):
+        FusionRing(name="huge", labels=("1", "x"), unit="1", dual={}, tensor=tensor)
+
+
+def test_dense_tensor_matches_rows():
+    ring = catalog.builtin("a4_rep")
+    for i in ring.labels:
+        for j in ring.labels:
+            for k in ring.labels:
+                assert ring.N[ring.index(i), ring.index(j), ring.index(k)] == \
+                    ring.tensor.get((i, j), {}).get(k, 0) == ring.n(i, j, k)
+        assert (ring.fusion_matrix(i) == _oracles._left_matrix(ring, i)).all()
+    with pytest.raises(ValueError):
+        ring.N[0, 0, 0] = 7
+
+
+def _zn(n):
+    labels = tuple(f"g{i}" for i in range(n))
+    tensor = {(labels[i], labels[j]): {labels[(i + j) % n]: 1}
+              for i in range(n) for j in range(n)}
+    dual = {labels[i]: labels[-i % n] for i in range(n)}
+    return FusionRing(f"z{n}", labels, "g0", dual, tensor)
+
+
+def _tambara_yamagami(n):
+    """TY(Z/n): the group Z/n plus m with g*m = m*g = m, m*m = sum of g."""
+    group = _zn(n)
+    tensor = {key: dict(row) for key, row in group.tensor.items()}
+    for g in group.labels:
+        tensor[(g, "m")] = {"m": 1}
+        tensor[("m", g)] = {"m": 1}
+    tensor[("m", "m")] = {g: 1 for g in group.labels}
+    return FusionRing(f"ty_z{n}", group.labels + ("m",), "g0", group.dual, tensor)
+
+
+@st.composite
+def _corrupted_rings(draw):
+    """su2, Z/n, TY and catalog rings with up to three corruptions: a
+    multiplicity raised or lowered by one, raised past 2**27 (so that exact
+    matrix products need int64), or the duals of two labels swapped."""
+    family = draw(st.sampled_from(("su2", "zn", "ty", "catalog")))
+    if family == "su2":
+        ring = catalog.builtin("su2", draw(st.integers(1, 6)))
+    elif family == "zn":
+        ring = _zn(draw(st.integers(1, 7)))
+    elif family == "ty":
+        ring = _tambara_yamagami(draw(st.integers(1, 5)))
+    else:
+        ring = catalog.builtin(draw(st.sampled_from(
+            [e.key for e in catalog.ENTRIES if not e.parametrized])))
+    labels = ring.labels
+    tensor = {key: dict(row) for key, row in ring.tensor.items()}
+    dual = dict(ring.dual)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("up", "down", "big", "dual")))
+        if kind == "dual":
+            a, b = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+            dual[a], dual[b] = dual[b], dual[a]
+            continue
+        if kind == "down":
+            nonzero = sorted((i, j, k) for (i, j), row in tensor.items()
+                             for k, v in row.items() if v)
+            if not nonzero:
+                continue
+            i, j, k = draw(st.sampled_from(nonzero))
+        else:
+            i, j, k = (draw(st.sampled_from(labels)) for _ in range(3))
+        row = tensor.setdefault((i, j), {})
+        row[k] = row.get(k, 0) + {"up": 1, "down": -1, "big": 2 ** 27 + 1}[kind]
+    return FusionRing(ring.name, labels, ring.unit, dual, tensor)
+
+
+@given(_corrupted_rings())
+def test_validate_matches_loop_oracle(ring):
+    for max_reports in (1, 3, 50):
+        assert validate_ring(ring, max_reports) == \
+            _oracles.validate_ring_loops(ring, max_reports)
+
+
+def test_validate_reports_dual_of_unit_past_the_limit():
+    # the dual(unit) report does not stop the scan, so the first duality
+    # violation after it still lands in a one-report list
+    tensor = _unit_rows(("1", "x"), "1")
+    tensor[("x", "x")] = {"1": 1}
+    bad = FusionRing(name="bad", labels=("1", "x"), unit="1",
+                     dual={"1": "x", "x": "1"}, tensor=tensor)
+    report = validate_ring(bad, max_reports=1)
+    assert report == _oracles.validate_ring_loops(bad, max_reports=1)
+    assert report[0] == "duality: dual(1)=x != 1" and len(report) == 2
 
 
 def test_parse_and_decompose():
