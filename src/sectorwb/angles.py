@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .scalar import eps_abs, quad_eval
+from .scalar import eps_abs
 
 _DEDUP = 1e-9
 
@@ -22,11 +22,6 @@ HYPOTHESES_NOTE = (
     "hypotheses assumed: irreducible quadrilateral with the supertransitivity "
     "the formula requires; not checked from the numeric inputs"
 )
-
-
-def _real(x) -> float:
-    """Accept float, int, Fraction or QuadExt inputs."""
-    return quad_eval(x)
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ class AngleSpectrum:
     def from_cosines(cls, cosines: Iterable[float], commuting: bool = False) -> "AngleSpectrum":
         kept = []
         for c in cosines:
-            c = _real(c)
+            c = float(c)
             if c >= 1.0 - _DEDUP or abs(c) <= _DEDUP:
                 continue
             kept.append(math.acos(min(1.0, max(-1.0, c))))
@@ -73,8 +68,8 @@ class QuadIndexData:
     mp: float
 
     def __post_init__(self):
-        object.__setattr__(self, "pn", _real(self.pn))
-        object.__setattr__(self, "mp", _real(self.mp))
+        object.__setattr__(self, "pn", float(self.pn))
+        object.__setattr__(self, "mp", float(self.mp))
         if not (self.pn > 1 and self.mp > 1):
             raise ValueError("indices must both exceed 1")
 
@@ -87,8 +82,8 @@ class InnerData:
     s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "d_sigma", _real(self.d_sigma))
-        object.__setattr__(self, "s", _real(self.s))
+        object.__setattr__(self, "d_sigma", float(self.d_sigma))
+        object.__setattr__(self, "s", float(self.s))
         if not self.d_sigma > 1:
             raise ValueError("d_sigma must exceed 1")
         if abs(self.s) > 1 + eps_abs():
@@ -177,7 +172,7 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
 
 def angle_bound(pn) -> float:
     """Largest possible angle arccos(1/(pn-1)) in the 3-supertransitive case."""
-    val = _real(pn)
+    val = float(pn)
     if val <= 2:
         raise ValueError("pn must exceed 2 for the bound to be a cosine")
     return math.acos(1.0 / (val - 1.0))

@@ -71,11 +71,6 @@ def _su2(k: int) -> FusionRing:
     return FusionRing(f"su2_{k}", labels, "l0", {}, tensor)
 
 
-def _group_like(name, labels, unit, dual, products) -> FusionRing:
-    tensor = {(i, j): dict(row) for (i, j), row in products.items()}
-    return FusionRing(name, labels, unit, dual, tensor)
-
-
 def _d6_even() -> FusionRing:
     L = ("1", "r", "r1", "r2")
     P = {}
@@ -91,7 +86,7 @@ def _d6_even() -> FusionRing:
     P[("r2", "r2")] = {"1": 1, "r2": 1}
     P[("r1", "r2")] = {"r": 1}
     P[("r2", "r1")] = {"r": 1}
-    return _group_like("d6_even", L, "1", {}, P)
+    return FusionRing("d6_even", L, "1", {}, P)
 
 
 def _e6_even() -> FusionRing:
@@ -104,7 +99,7 @@ def _e6_even() -> FusionRing:
     P[("a", "e")] = {"e": 1}
     P[("e", "a")] = {"e": 1}
     P[("e", "e")] = {"1": 1, "a": 1, "e": 2}
-    return _group_like("e6_even", L, "1", {}, P)
+    return FusionRing("e6_even", L, "1", {}, P)
 
 
 def _s4_rep() -> FusionRing:
@@ -130,7 +125,7 @@ def _s4_rep() -> FusionRing:
     P[("e", "ae")] = {"a": 1, "e2": 1, "e": 1, "ae": 1}
     P[("ae", "e")] = {"a": 1, "e2": 1, "e": 1, "ae": 1}
     P[("ae", "ae")] = {"1": 1, "e2": 1, "e": 1, "ae": 1}
-    return _group_like("s4_rep", L, "1", {}, P)
+    return FusionRing("s4_rep", L, "1", {}, P)
 
 
 def _a4_rep() -> FusionRing:
@@ -148,7 +143,7 @@ def _a4_rep() -> FusionRing:
     P[("w2", "v")] = {"v": 1}
     P[("v", "w2")] = {"v": 1}
     P[("v", "v")] = {"1": 1, "w": 1, "w2": 1, "v": 2}
-    return _group_like("a4_rep", L, "1", {"w": "w2", "w2": "w"}, P)
+    return FusionRing("a4_rep", L, "1", {"w": "w2", "w2": "w"}, P)
 
 
 def _d6aff_even() -> FusionRing:
@@ -162,7 +157,7 @@ def _d6aff_even() -> FusionRing:
         P[(g, "x")] = {"x": 1}
         P[("x", g)] = {"x": 1}
     P[("x", "x")] = {"1": 1, "t": 1, "tq": 1, "tp": 1}
-    return _group_like("d6aff_even", L, "1", {}, P)
+    return FusionRing("d6aff_even", L, "1", {}, P)
 
 
 def _haagerup_even() -> FusionRing:
@@ -185,7 +180,7 @@ def _haagerup_even() -> FusionRing:
             P[(tpow(i), trefl(j))] = {trefl(i + j): 1}
             P[(trefl(i), tpow(j))] = {trefl(i - j): 1}
             P[(trefl(i), trefl(j))] = {tpow(i - j): 1, "r": 1, "tr": 1, "t2r": 1}
-    return _group_like("haagerup_even", L, "1", {"t": "t2", "t2": "t"}, P)
+    return FusionRing("haagerup_even", L, "1", {"t": "t2", "t2": "t"}, P)
 
 
 _BUILDERS = {

@@ -27,6 +27,17 @@ _PF_TOL = 1e-9
 _ANGLE_TOL = 1e-12
 
 
+def tolerances(tol: Optional[float] = None) -> Dict[str, float]:
+    """The absolute tolerances a check applies: ``{"angle", "pf"}``.
+
+    ``None`` keeps the defaults (1e-12 on angles, cosines and defining
+    polynomials, 1e-9 on Perron-Frobenius dimensions); a value replaces both.
+    """
+    if tol is None:
+        return {"angle": _ANGLE_TOL, "pf": _PF_TOL}
+    return {"angle": tol, "pf": tol}
+
+
 @dataclass(frozen=True)
 class PFLink:
     """One Perron-Frobenius consistency link between a case and a catalog ring.
@@ -187,9 +198,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def verify_case(case: QuadCase) -> CheckResult:
+def verify_case(case: QuadCase, tol: Optional[float] = None) -> CheckResult:
     """Recheck one case: exact index relation, angle recomputation, defining
-    polynomials, and Perron-Frobenius links to catalog rings."""
+    polynomials, and Perron-Frobenius links to catalog rings.
+
+    ``tol=None`` compares angles and polynomials within 1e-12 and PF
+    dimensions within 1e-9; a value replaces both (see :func:`tolerances`).
+    """
+    tols = tolerances(tol)
+    angle_tol, pf_tol = tols["angle"], tols["pf"]
     rows: List[CheckRow] = []
 
     if case.relation == "mp = pn - 1":
@@ -206,28 +223,28 @@ def verify_case(case: QuadCase) -> CheckResult:
     cos_target = float(case.cos_exact)
     if case.angle_rule == "cocommuting":
         spec = angle_cocommuting(case.pn, case.mp)
-        ok = len(spec.angles) == 1 and abs(spec.angles[0] - case.angle) < _ANGLE_TOL
+        ok = len(spec.angles) == 1 and abs(spec.angles[0] - case.angle) < angle_tol
         recomputed = spec.angles[0] if spec.angles else float("nan")
     elif case.angle_rule == "bound":
         recomputed = angle_bound(case.pn)
-        ok = abs(recomputed - case.angle) < _ANGLE_TOL
+        ok = abs(recomputed - case.angle) < angle_tol
     else:
         recomputed = case.angle
         ok = True
-    cos_ok = abs(math.cos(case.angle) - cos_target) < _ANGLE_TOL
+    cos_ok = abs(math.cos(case.angle) - cos_target) < angle_tol
     rows.append(CheckRow(
         "angle_recomputation", ok and cos_ok,
         f"rule {case.angle_rule}: angle {_fmt(recomputed)} vs stored "
         f"{_fmt(case.angle)}; cos {_fmt(math.cos(case.angle))} vs exact "
         f"{_fmt(cos_target)}"))
 
-    rows.append(_polynomial_row(case))
+    rows.append(_polynomial_row(case, angle_tol))
 
     link_rows = []
     ok = True
     for link in case.pf_links:
         value, expected = link.evaluate()
-        good = abs(value - expected) < _PF_TOL
+        good = abs(value - expected) < pf_tol
         ok = ok and good
         link_rows.append(f"{link.note}: {_fmt(value)} vs {_fmt(expected)}")
     rows.append(CheckRow("pf_dimension_links", ok, "; ".join(link_rows)))
@@ -235,39 +252,44 @@ def verify_case(case: QuadCase) -> CheckResult:
     return CheckResult(case.case_id, tuple(rows))
 
 
-def _polynomial_row(case: QuadCase) -> CheckRow:
+def _polynomial_row(case: QuadCase, angle_tol: float) -> CheckRow:
     if case.case_id == "a7a7":
         d = case.pn - 1  # 1 + sqrt(2)
         ok = d * d == 2 * d + 1
-        numeric = abs(float(case.pn) - 4 * math.cos(math.pi / 8) ** 2) < _ANGLE_TOL
+        numeric = abs(float(case.pn) - 4 * math.cos(math.pi / 8) ** 2) < angle_tol
         return CheckRow(
             "exact_polynomials", ok and numeric,
             f"d = pn - 1 = {d} satisfies d^2 = 2d + 1 exactly; "
-            f"pn = 4cos^2(pi/8) within {_ANGLE_TOL}")
+            f"pn = 4cos^2(pi/8) within {angle_tol}")
     if case.case_id == "d6a4":
         phi = quad("1/2", "1/2", 5)
         ok = (phi * phi == phi + 1) and (case.mp == phi * phi) \
             and (case.pn == case.mp + 1)
-        numeric = abs(float(case.pn) - 4 * math.cos(math.pi / 10) ** 2) < _ANGLE_TOL
+        numeric = abs(float(case.pn) - 4 * math.cos(math.pi / 10) ** 2) < angle_tol
         return CheckRow(
             "exact_polynomials", ok and numeric,
             "mp = phi^2 with phi^2 = phi + 1 exactly; pn = mp + 1; "
-            f"pn = 4cos^2(pi/10) within {_ANGLE_TOL}")
+            f"pn = 4cos^2(pi/10) within {angle_tol}")
     ok = case.pn.is_integer and case.mp.is_integer
     return CheckRow("exact_polynomials", ok,
                     f"integer indices pn = {case.pn}, mp = {case.mp}")
 
 
-def run_all() -> List[CheckResult]:
-    return [verify_case(c) for c in classification_table()]
+def run_all(tol: Optional[float] = None) -> List[CheckResult]:
+    """Every case through :func:`verify_case`; ``tol`` as there."""
+    return [verify_case(c, tol) for c in classification_table()]
 
 
 # ---------------------------------------------------------------------------
 # exclusion arithmetic
 
 
-def run_exclusion_checks() -> List[CheckResult]:
-    """The four arithmetic exclusion facts, replayed on catalog data."""
+def run_exclusion_checks(tol: Optional[float] = None) -> List[CheckResult]:
+    """The four arithmetic exclusion facts, replayed on catalog data.
+
+    ``tol=None`` compares PF dimensions within 1e-9; a value replaces it.
+    """
+    pf_tol = tolerances(tol)["pf"]
     results = []
 
     ring = builtin("haagerup_even")
@@ -277,7 +299,7 @@ def run_exclusion_checks() -> List[CheckResult]:
     sq_ok = d * d == 3 * d + 1
     bound_ok = 1 + d == quad("5/2", "1/2", 13)
     pf = pf_dimensions(ring)
-    pf_ok = abs(pf["r"] - float(d)) < _PF_TOL
+    pf_ok = abs(pf["r"] - float(d)) < pf_tol
     results.append(CheckResult("class4_dimension_bound", (
         CheckRow("square_contains_three_reflections", contains,
                  f"r*r decomposes as {dec}"),
@@ -299,7 +321,7 @@ def run_exclusion_checks() -> List[CheckResult]:
         CheckRow("irrational_index_gap", not x.is_integer and
                  all(x != n for n in (2, 3, 4)),
                  f"pn - 1 = {x} is not an integer, no group case exists"),
-        CheckRow("pf_agreement", abs(pf_e6["e"] - float(x)) < _PF_TOL,
+        CheckRow("pf_agreement", abs(pf_e6["e"] - float(x)) < pf_tol,
                  f"PF dimension of e = {_fmt(pf_e6['e'])} matches 1 + sqrt(3)"),
     )))
 

@@ -334,15 +334,17 @@ def _run(args) -> Tuple[int, Dict, List[str]]:
         return 0, doc, [rendered]
 
     if cmd == "classify":
+        tol = args.tolerance
         if args.exclusions:
-            results = classify.run_exclusion_checks()
+            results = classify.run_exclusion_checks(tol)
         elif args.case:
-            results = [classify.verify_case(classify.case_by_id(args.case))]
+            results = [classify.verify_case(classify.case_by_id(args.case), tol)]
         else:
-            results = classify.run_all()
+            results = classify.run_all(tol)
         ok = all(r.passed for r in results)
         doc = {"cases": _check_rows_doc(results),
-               "passed": sum(r.passed for r in results), "total": len(results)}
+               "passed": sum(r.passed for r in results), "total": len(results),
+               "tolerance": classify.tolerances(tol)}
         text = classify.render_results(results).splitlines()
         text.append(f"{doc['passed']}/{doc['total']} passing")
         return (0 if ok else 1), doc, text

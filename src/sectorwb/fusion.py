@@ -28,11 +28,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .scalar import eps_abs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_']+$")
 
@@ -122,6 +123,8 @@ class FusionRing:
     def N(self) -> np.ndarray:
         """The table as a read-only int64 array indexed by label position,
         built on first use: ``N[index(i), index(j), index(k)] = N(i,j,k)``."""
+        import numpy as np
+
         pos, size = self._pos, len(self.labels)
         flat = [(pos[i] * size + pos[j]) * size + pos[k]
                 for (i, j), row in self.tensor.items() for k in row]
@@ -220,6 +223,8 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
     order, unit before duality before Frobenius before associativity, with at
     most one associativity report per pair (i, j).
     """
+    import numpy as np
+
     out: List[str] = []
     labels = ring.labels
     unit = ring.unit
@@ -312,6 +317,8 @@ def pf_dimensions(ring: FusionRing) -> Dict[str, float]:
     eigenvalue is simple (EGNO, Tensor Categories, 3.3).  Other rings get no
     meaningful answer.
     """
+    import numpy as np
+
     _, vecs = np.linalg.eigh(ring.N.sum(axis=0).astype(float))
     perron = vecs[:, -1]
     return dict(zip(ring.labels, (perron / perron[ring.index(ring.unit)]).tolist()))

@@ -247,6 +247,4 @@ def quad(a, b=0, m: int = 2) -> QuadExt:
 
 def quad_eval(x) -> float:
     """Evaluate a QuadExt (or any real scalar) as a float."""
-    if isinstance(x, QuadExt):
-        return float(x)
     return float(x)

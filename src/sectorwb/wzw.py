@@ -13,11 +13,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from .angles import AngleSpectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ class ModularData:
 
     def verlinde(self, i: int, j: int, l: int) -> float:
         """Fusion number N_ij^l = sum_m S_im S_jm S_lm / S_0m (real, near-integer)."""
+        import numpy as np
+
         S = self.S
         return float(np.sum(S[i] * S[j] * S[l] / S[0]))
 
@@ -38,6 +41,8 @@ def su2k_modular(k: int) -> ModularData:
     """S_ij = sqrt(2/(k+2)) sin((i+1)(j+1) pi/(k+2)) and d_i = S_0i/S_00."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("level k must be an integer >= 1")
+    import numpy as np
+
     n = k + 2
     idx = np.arange(1, k + 2, dtype=float)
     S = math.sqrt(2.0 / n) * np.sin(np.outer(idx, idx) * math.pi / n)
@@ -49,11 +54,18 @@ def monodromy_ratio(k: int, i0: int, j: int) -> float:
     """|S_00 S_{i0 j}| / (|S_{0 i0}| |S_{0 j}|), clipped into [0, 1].
 
     For i0 = 1 this collapses to |cos((j+1) pi/(k+2))| / |cos(pi/(k+2))|.
+    The four entries come from the :func:`su2k_modular` formula, evaluated
+    in the same order of operations, so no S-matrix is built.
     """
     if not (0 <= i0 <= k and 0 <= j <= k):
         raise ValueError("labels must satisfy 0 <= i0, j <= k")
-    S = su2k_modular(k).S
-    ratio = abs(S[0, 0] * S[i0, j]) / (abs(S[0, i0]) * abs(S[0, j]))
+    n = k + 2
+    scale = math.sqrt(2.0 / n)
+
+    def s(a: int, b: int) -> float:
+        return scale * math.sin(float((a + 1) * (b + 1)) * math.pi / n)
+
+    ratio = abs(s(0, 0) * s(i0, j)) / (abs(s(0, i0)) * abs(s(0, j)))
     return min(1.0, ratio)
 
 

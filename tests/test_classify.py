@@ -10,6 +10,7 @@ from sectorwb.classify import (
     render_results,
     run_all,
     run_exclusion_checks,
+    tolerances,
     verify_case,
 )
 
@@ -84,3 +85,14 @@ def test_render_is_deterministic():
     assert a == b
     assert a.startswith("a5a3: PASS")
     assert a.count("PASS") == 7
+
+
+def test_tolerance_argument():
+    assert tolerances() == {"angle": 1e-12, "pf": 1e-9}
+    assert tolerances(1e-30) == {"angle": 1e-30, "pf": 1e-30}
+    assert render_results(run_all(None)) == render_results(run_all())
+    # float dimensions and recomputed angles miss their exact values by
+    # rounding errors, far above 1e-30
+    assert not any(r.passed for r in run_all(1e-30))
+    # only the two PF agreement checks compare floats
+    assert [r.passed for r in run_exclusion_checks(1e-30)] == [False, True, False, True]

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +177,66 @@ def test_dims_su2_text_is_the_closed_form(capsys):
         q = math.pi / (k + 2)
         assert capsys.readouterr().out == "".join(
             f"l{i}: {math.sin((i + 1) * q) / math.sin(q):.12g}\n" for i in range(k + 1))
+
+
+def test_classify_honours_tolerance(capsys):
+    for which in (["--all"], ["--case", "a5a3"], ["--exclusions"]):
+        assert main(["--tolerance", "1e-30", "classify"] + which) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert main(["--json", "--tolerance", "1e-30", "classify"] + which) == 1
+        doc = json.loads(capsys.readouterr().out)["results"]
+        assert doc["tolerance"] == {"angle": 1e-30, "pf": 1e-30}
+        assert doc["passed"] < doc["total"]
+    assert main(["--json", "classify", "--case", "a5a3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == {
+        "angle": 1e-12, "pf": 1e-9}
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"]))
+def test_golden_output(record, capsys):
+    # every command of the README's CLI list, as text and as --json
+    assert main(record["argv"]) == record["code"]
+    assert capsys.readouterr().out == record["stdout"]
+
+
+LIGHT_COMMANDS = [
+    ["catalog", "list"],
+    ["angle", "cocommuting", "--pn", "3", "--mp", "2"],
+    ["angle", "group", "--g", "24", "--h", "6", "--k", "6", "--hk", "2"],
+    ["angle", "candidates", "--d", "4.3", "--s", "0.2"],
+    ["angle", "bound", "--pn", "3.41421356"],
+    ["wzw", "spectrum", "--k", "10", "--i0", "1", "--J", "0,6"],
+    ["wzw", "ghj", "--graph", "E6"],
+    ["wzw", "asymptotic", "--n", "7"],
+    ["wzw", "6j", "--m", "4", "--spins", "3,3/2,3/2,1,3/2,3/2"],
+    ["haagerup", "verify"],
+    ["haagerup", "qsystem"],
+    ["cuntz", "normalize", "T0^*T0 + S0^*T1"],
+]
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from sectorwb.cli import main
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen.append("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["dims", "su2", "--k", "4"]) == 0
+seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_light_commands_do_not_import_numpy():
+    # importing the CLI (hence every sectorwb module) and running the light
+    # commands leaves numpy unloaded; dims shows the probe can see it load
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(LIGHT_COMMANDS)],
+                          env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen == [False] * (1 + len(LIGHT_COMMANDS)) + [True], seen

@@ -54,6 +54,17 @@ def test_monodromy_ratio_clamped():
         monodromy_ratio(4, 1, 5)
 
 
+def test_monodromy_ratio_matches_s_matrix():
+    # the closed form reads the same four entries su2k_modular builds;
+    # relative, not bitwise: np.sin may differ from math.sin in the last bit
+    for k in range(1, 61):
+        S = su2k_modular(k).S
+        for i0 in range(k + 1):
+            for j in range(k + 1):
+                want = min(1.0, abs(S[0, 0] * S[i0, j]) / (abs(S[0, i0]) * abs(S[0, j])))
+                assert abs(monodromy_ratio(k, i0, j) - want) <= 1e-15 * want, (k, i0, j)
+
+
 def test_e6_spectrum():
     spec = ghj_spectrum("E6")
     assert len(spec.angles) == 1
