@@ -5,7 +5,7 @@ invariants for quadrilaterals of factors, SU(2) level-k modular data,
 and the Cuntz-algebra verification of the Haagerup Q-system.
 """
 
-from .scalar import QuadExt, approx_eq, eps_abs, quad, quad_eval
+from .scalar import QuadExt, approx_eq, quad, quad_eval
 from .fusion import (
     ExprSyntaxError,
     FusionRing,
@@ -93,7 +93,7 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadExt", "approx_eq", "eps_abs", "quad", "quad_eval",
+    "QuadExt", "approx_eq", "quad", "quad_eval",
     "ExprSyntaxError", "FusionRing", "RingStructureError", "SectorExpr",
     "check_multiplicity_bound", "decompose", "hom_dim", "parse_sector_expr",
     "pf_dimensions", "validate_ring",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .scalar import eps_abs
+from .scalar import EPS_ABS
 
 _DEDUP = 1e-9
 
@@ -70,13 +70,16 @@ class QuadIndexData:
     def __post_init__(self):
         object.__setattr__(self, "pn", float(self.pn))
         object.__setattr__(self, "mp", float(self.mp))
-        if not (self.pn > 1 and self.mp > 1):
-            raise ValueError("indices must both exceed 1")
+        if not (1 < self.pn < math.inf and 1 < self.mp < math.inf):
+            raise ValueError("indices must both be finite and exceed 1")
 
 
 @dataclass(frozen=True)
 class InnerData:
-    """Dimension d(sigma) and inner product <s_P, s_Q> of the coupling isometries."""
+    """Dimension d(sigma) and inner product <s_P, s_Q> of the coupling isometries.
+
+    |s| <= 1 is checked, within a tolerance, by the functions that take one.
+    """
 
     d_sigma: float
     s: float
@@ -84,10 +87,17 @@ class InnerData:
     def __post_init__(self):
         object.__setattr__(self, "d_sigma", float(self.d_sigma))
         object.__setattr__(self, "s", float(self.s))
-        if not self.d_sigma > 1:
-            raise ValueError("d_sigma must exceed 1")
-        if abs(self.s) > 1 + eps_abs():
-            raise ValueError("|s| must not exceed 1")
+        if not 1 < self.d_sigma < math.inf:
+            raise ValueError("d_sigma must be finite and exceed 1")
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
+
+
+def _inner(d_sigma, s, tol: Optional[float]) -> InnerData:
+    data = InnerData(d_sigma, s)
+    if abs(data.s) > 1 + (EPS_ABS if tol is None else tol):
+        raise ValueError("|s| must not exceed 1")
+    return data
 
 
 @dataclass(frozen=True)
@@ -103,26 +113,30 @@ class AngleCandidate:
     angle: Optional[float]
 
 
-def angle_cocommuting(pn, mp) -> AngleSpectrum:
+def angle_cocommuting(pn, mp, tol: Optional[float] = None) -> AngleSpectrum:
     """Angle of a cocommuting quadrilateral from its two indices.
 
     cos^2 = (pn - mp) / (mp * (pn - 1)); equal indices force the
-    commuting case instead of an angle.
+    commuting case instead of an angle.  Indices within ``tol`` (None:
+    1e-9) of each other count as equal.
     """
     q = QuadIndexData(pn, mp)
-    if q.pn < q.mp - eps_abs():
+    t = EPS_ABS if tol is None else tol
+    if q.pn < q.mp - t:
         raise ValueError("pn must be >= mp (cos^2 would be negative)")
-    if abs(q.pn - q.mp) <= eps_abs():
+    if abs(q.pn - q.mp) <= t:
         return AngleSpectrum((), commuting=True)
     cos2 = (q.pn - q.mp) / (q.mp * (q.pn - 1.0))
     return AngleSpectrum.from_cosines([math.sqrt(cos2)])
 
 
-def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
+def angle_group(g: int, h: int, k: int, hk: int,
+                tol: Optional[float] = None) -> AngleSpectrum:
     """Angle of a group-subgroup quadrilateral from the four group orders.
 
     Uses pn = [G:H] and mp = [H:H image in the intersection], which requires
-    |H| = |K| and the usual divisibility of orders.
+    |H| = |K| and the usual divisibility of orders; ``tol`` as in
+    :func:`angle_cocommuting`.
     """
     for name, val in (("g", g), ("h", h), ("k", k), ("hk", hk)):
         if not isinstance(val, int) or val < 1:
@@ -135,16 +149,18 @@ def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
     mp = h // hk
     if pn <= 1 or mp <= 1:
         raise ValueError("degenerate inclusion: both indices must exceed 1")
-    return angle_cocommuting(pn, mp)
+    return angle_cocommuting(pn, mp, tol)
 
 
-def angle_candidates(d_sigma, s) -> Tuple[AngleCandidate, AngleCandidate]:
+def angle_candidates(d_sigma, s,
+                     tol: Optional[float] = None) -> Tuple[AngleCandidate, AngleCandidate]:
     """Both candidate cosines allowed by the coupling quadratic.
 
     c± = (sqrt((d-1)^2 s^2 + 4 d) ± (d-1)|s|) / (2 d); the product of the
     two cosines is exactly 1/d.  Returned with the plus branch first.
+    |s| may exceed 1 by at most ``tol`` (None: 1e-9).
     """
-    data = InnerData(d_sigma, s)
+    data = _inner(d_sigma, s, tol)
     d = data.d_sigma
     root = math.sqrt((d - 1.0) ** 2 * data.s ** 2 + 4.0 * d)
     spread = (d - 1.0) * abs(data.s)
@@ -163,7 +179,7 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
     Vieta: sum = (d-1) s / d, product = -1/d; the absolute values of the
     roots coincide with the two candidate cosines.
     """
-    data = InnerData(d_sigma, s)
+    data = _inner(d_sigma, s, None)
     d = data.d_sigma
     b = (d - 1.0) * data.s / d
     disc = math.sqrt(b * b + 4.0 / d)
@@ -173,6 +189,6 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
 def angle_bound(pn) -> float:
     """Largest possible angle arccos(1/(pn-1)) in the 3-supertransitive case."""
     val = float(pn)
-    if val <= 2:
-        raise ValueError("pn must exceed 2 for the bound to be a cosine")
+    if not 2 < val < math.inf:
+        raise ValueError("pn must be finite and exceed 2 for the bound to be a cosine")
     return math.acos(1.0 / (val - 1.0))

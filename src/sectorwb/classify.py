@@ -18,12 +18,11 @@ from typing import Dict, List, Optional, Tuple
 from .angles import angle_bound, angle_cocommuting
 from .catalog import builtin
 from .fusion import decompose, hom_dim, pf_dimensions
-from .scalar import QuadExt, quad
+from .scalar import EPS_ABS, QuadExt, quad
 
 TAGS = ("I", "II", "III", "IV", "group-type", "D6affine")
 ANGLE_RULES = ("cocommuting", "bound", "stored")
 
-_PF_TOL = 1e-9
 _ANGLE_TOL = 1e-12
 
 
@@ -34,7 +33,7 @@ def tolerances(tol: Optional[float] = None) -> Dict[str, float]:
     polynomials, 1e-9 on Perron-Frobenius dimensions); a value replaces both.
     """
     if tol is None:
-        return {"angle": _ANGLE_TOL, "pf": _PF_TOL}
+        return {"angle": _ANGLE_TOL, "pf": EPS_ABS}
     return {"angle": tol, "pf": tol}
 
 
@@ -203,7 +202,8 @@ def verify_case(case: QuadCase, tol: Optional[float] = None) -> CheckResult:
     polynomials, and Perron-Frobenius links to catalog rings.
 
     ``tol=None`` compares angles and polynomials within 1e-12 and PF
-    dimensions within 1e-9; a value replaces both (see :func:`tolerances`).
+    dimensions within 1e-9; a value replaces both (see :func:`tolerances`)
+    and is also the equal-index tolerance of :func:`angle_cocommuting`.
     """
     tols = tolerances(tol)
     angle_tol, pf_tol = tols["angle"], tols["pf"]
@@ -222,7 +222,7 @@ def verify_case(case: QuadCase, tol: Optional[float] = None) -> CheckResult:
 
     cos_target = float(case.cos_exact)
     if case.angle_rule == "cocommuting":
-        spec = angle_cocommuting(case.pn, case.mp)
+        spec = angle_cocommuting(case.pn, case.mp, tol)
         ok = len(spec.angles) == 1 and abs(spec.angles[0] - case.angle) < angle_tol
         recomputed = spec.angles[0] if spec.angles else float("nan")
     elif case.angle_rule == "bound":

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalar import QuadExt, eps_abs
+from .scalar import EPS_ABS, QuadExt
 
 GEN_NAMES = ("S0", "T0", "T1", "T2")
 
@@ -42,8 +42,6 @@ Word = Tuple[Atom, ...]
 Gens = Tuple[int, ...]  # generator indices of a plain word
 Pair = Tuple[Gens, Gens]  # (u, v) standing for u v^*
 Terms = Dict[Pair, complex]
-
-RESIDUAL_TOL = 1e-9
 
 
 class QSystemError(ArithmeticError):
@@ -117,8 +115,8 @@ class CuntzExpr:
         return CuntzExpr(out)
 
     def prune(self, tol: Optional[float] = None) -> "CuntzExpr":
-        """Drop coefficients of modulus at most tol (default the global abs tolerance)."""
-        t = eps_abs() if tol is None else tol
+        """Drop coefficients of modulus at most tol (None: 1e-9)."""
+        t = EPS_ABS if tol is None else tol
         return CuntzExpr({w: c for w, c in self._terms.items() if abs(c) > t})
 
 
@@ -325,6 +323,9 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
                                     m.group("adj") is not None), m.start()))
         elif m.group("num"):
             val = float(m.group("num"))
+            if not math.isfinite(val):
+                raise CuntzSyntaxError(f"coefficient {m.group('num')} is not finite",
+                                       m.start("num"))
             tokens.append(("num", val * 1j if m.group("imag") else complex(val),
                            m.start()))
         else:
@@ -573,7 +574,7 @@ class VerificationReport:
 def verify_haagerup_relations(
     constants: Optional[HaagerupConstants] = None,
     alpha=None,
-    tol: float = RESIDUAL_TOL,
+    tol: Optional[float] = None,
 ) -> VerificationReport:
     """Check the five relation families defining the Haagerup endomorphism.
 
@@ -588,7 +589,9 @@ def verify_haagerup_relations(
     Residuals are max coefficient moduli after normalization.  Passing a
     replacement `alpha` (any map on expressions) runs the exchange check
     against that map instead; the default is the genuine automorphism.
+    A relation passes when its residual is below ``tol`` (None: 1e-9).
     """
+    tol = EPS_ABS if tol is None else tol
     c = constants or _default_constants()
     if alpha is None:
         alpha = alpha_apply
@@ -664,15 +667,17 @@ def _qsystem_residuals(a: complex, b: complex, c: HaagerupConstants) -> Dict[str
 
 def solve_qsystem(
     constants: Optional[HaagerupConstants] = None,
-    tol: float = RESIDUAL_TOL,
+    tol: Optional[float] = None,
 ) -> Tuple[QSystemSolution, QSystemSolution]:
     """Solve the four scalar equations; exactly two solutions, (a,b) and (-a,-b).
 
     b^2 = -(d-1)^2 / ((B+d) sqrt(d)) and a = -(B+1) b / (d-1)^{3/2}; the
     solutions satisfy |a|^2 = 1/d and |b|^2 = (d-1)/d, so |a|^2+|b|^2 = 1.
-    A residual or norm defect of at least ``tol`` raises QSystemError: the
-    constants are corrupted, or ``tol`` is below the rounding error.
+    A residual or norm defect of at least ``tol`` (None: 1e-9) raises
+    QSystemError: the constants are corrupted, or ``tol`` is below the
+    rounding error.
     """
+    tol = EPS_ABS if tol is None else tol
     c = constants or _default_constants()
     d = c.d
     b_sq = -((d - 1) ** 2) / ((c.B + d) * c.sqrt_d)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .scalar import eps_abs
+from .scalar import EPS_ABS
 
 if TYPE_CHECKING:
     import numpy as np
@@ -371,5 +371,4 @@ def hom_dim(ring: FusionRing, x, y) -> int:
 def check_multiplicity_bound(ring: FusionRing, decomposition: Mapping[str, int]) -> bool:
     """Every multiplicity n_i must satisfy n_i <= d(i) (within tolerance)."""
     dims = pf_dimensions(ring)
-    tol = eps_abs()
-    return all(n <= dims[lab] + tol for lab, n in decomposition.items())
+    return all(n <= dims[lab] + EPS_ABS for lab, n in decomposition.items())

@@ -18,7 +18,6 @@ sqrt(d) for d itself irrational are handled downstream in floating point.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -26,24 +25,9 @@ from numbers import Rational
 EPS_ABS = 1e-9
 EPS_REL = 1e-12
 
-_ENV_TOLERANCE = "SWB_TOLERANCE"
 
-
-def eps_abs() -> float:
-    """Absolute comparison tolerance; SWB_TOLERANCE overrides the default."""
-    raw = os.environ.get(_ENV_TOLERANCE)
-    if raw is None:
-        return EPS_ABS
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"invalid {_ENV_TOLERANCE} value: {raw!r}") from None
-
-
-def approx_eq(x, y, abs_tol: float | None = None, rel_tol: float = EPS_REL) -> bool:
+def approx_eq(x, y, abs_tol: float = EPS_ABS, rel_tol: float = EPS_REL) -> bool:
     """|x - y| <= max(abs_tol, rel_tol * max(|x|, |y|)), for real or complex."""
-    if abs_tol is None:
-        abs_tol = eps_abs()
     diff = abs(complex(x) - complex(y))
     return diff <= max(abs_tol, rel_tol * max(abs(complex(x)), abs(complex(y))))
 

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from sectorwb.angles import (
     AngleSpectrum,
     HYPOTHESES_NOTE,
+    InnerData,
+    QuadIndexData,
     angle_bound,
     angle_candidates,
     angle_cocommuting,
@@ -96,6 +98,36 @@ def test_spectrum_constructor_guards():
         AngleSpectrum((0.5, 0.5))
     assert AngleSpectrum.from_cosines([1.0, 0.5, 0.0]).angles == (
         pytest.approx(math.pi / 3),)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        QuadIndexData(bad, 2)
+    with pytest.raises(ValueError, match="finite"):
+        QuadIndexData(3, bad)
+    with pytest.raises(ValueError, match="finite"):
+        InnerData(bad, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        InnerData(3, bad)
+    with pytest.raises(ValueError, match="finite"):
+        angle_bound(bad)
+    with pytest.raises(ValueError, match="finite"):
+        angle_candidates(3, bad, tol=math.inf)
+
+
+def test_explicit_tolerance():
+    # the default 1e-9 separates; a loose tol merges close indices, admits |s| > 1
+    assert not angle_cocommuting(3, 2).commuting
+    assert angle_cocommuting(3, 2, tol=1.5).commuting
+    assert angle_group(24, 6, 6, 2, tol=1).commuting
+    assert angle_cocommuting(3 + 1e-12, 3).commuting
+    assert angle_cocommuting(3 + 1e-12, 3, tol=0.0).angles
+    with pytest.raises(ValueError, match="must not exceed 1"):
+        angle_candidates(3, 1.2)
+    assert angle_candidates(3, 1.2, tol=0.5)[1].cosine == pytest.approx(0.302376916857)
+    with pytest.raises(ValueError, match="must not exceed 1"):
+        t_inner_roots(3, 1.2)
 
 
 def test_hypotheses_note_is_exposed():

@@ -96,3 +96,8 @@ def test_tolerance_argument():
     assert not any(r.passed for r in run_all(1e-30))
     # only the two PF agreement checks compare floats
     assert [r.passed for r in run_exclusion_checks(1e-30)] == [False, True, False, True]
+    # tol is also the equal-index tolerance of the cocommuting formula: at
+    # 1.5, pn = 3 and mp = 2 count as equal, so no angle is recomputed
+    rows = {r.name: r for r in verify_case(case_by_id("a5a3"), 1.5).rows}
+    assert not rows["angle_recomputation"].passed and "angle nan" in rows["angle_recomputation"].detail
+    assert rows["pf_dimension_links"].passed

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -130,15 +131,16 @@ def test_tolerance_flag_reaches_library(capsys):
                  "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
 
 
-def test_tolerance_flag_leaves_environment_unchanged(monkeypatch, capsys):
-    monkeypatch.delenv("SWB_TOLERANCE", raising=False)
+def test_tolerance_flag_leaves_environment_unchanged(capsys):
+    # the tolerance reaches the library as an argument, never through os.environ
+    before = dict(os.environ)
     assert main(["--tolerance", "0.5",
                  "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
-    assert "SWB_TOLERANCE" not in os.environ
-    monkeypatch.setenv("SWB_TOLERANCE", "1e-6")
     assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
     assert main(["--tolerance", "1e-3", "cuntz", "normalize", "T0*"]) == 2
-    assert os.environ["SWB_TOLERANCE"] == "1e-6"
+    assert dict(os.environ) == before
+    src = Path(__file__).parents[1] / "src" / "sectorwb"
+    assert [f.name for f in sorted(src.glob("*.py")) if "os.environ" in f.read_text()] == []
 
 
 def test_haagerup_qsystem_honours_tolerance(capsys):
@@ -240,3 +242,87 @@ def test_light_commands_do_not_import_numpy():
                           env=env, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
     assert seen == [False] * (1 + len(LIGHT_COMMANDS)) + [True], seen
+
+
+
+COMMUTING = "commuting (empty angle spectrum)"
+
+
+@pytest.mark.parametrize("tol, argv, default, loose", [
+    # pn - mp = 1 is within 1.5 (and 1) of equal indices, which commute;
+    # |0.3| is within 0.5 of zero, so the term is pruned
+    ("1.5", ["angle", "cocommuting", "--pn", "3", "--mp", "2"],
+     "angle = 1.0471975512 rad", COMMUTING),
+    ("1", ["angle", "group", "--g", "24", "--h", "6", "--k", "6", "--hk", "2"],
+     "angle = 1.23095941734 rad", COMMUTING),
+    ("0.5", ["cuntz", "normalize", "0.3*T0 + T1"], "0.3*T0 + T1", "T1"),
+], ids=["cocommuting", "group", "normalize"])
+def test_tolerance_reaches_angle_and_cuntz(tol, argv, default, loose, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == default
+    assert main(["--tolerance", tol] + argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == loose
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "missing" / "x"), "catalog", "list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "missing" in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "nope"], "error: unknown catalog key 'nope'\n"),
+    (["classify", "--case", "nope"], "error: unknown case id 'nope'\n"),
+])
+def test_lookup_errors_are_printed_unquoted(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-30", "x"])
+def test_bad_tolerance_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--tolerance", value, "haagerup", "verify"])
+    assert exc.value.code == 2
+    assert "argument --tolerance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["haagerup", "verify", "--tolerance", value])
+    assert exc.value.code == 2
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    assert main(["--tolerance", "0", "cuntz", "normalize", "1e-20*T0 + T1"]) == 0
+    assert capsys.readouterr().out == "1e-20*T0 + T1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["angle", "candidates", "--d", "3", "--s", "nan"], "s must be finite"),
+    (["angle", "candidates", "--d", "inf", "--s", "0.5"], "d_sigma must be finite"),
+    (["angle", "bound", "--pn", "inf"], "pn must be finite"),
+    (["angle", "bound", "--pn", "nan"], "pn must be finite"),
+    (["angle", "cocommuting", "--pn", "inf", "--mp", "2"], "indices must both be finite"),
+    (["angle", "cocommuting", "--pn", "3", "--mp", "nan"], "indices must both be finite"),
+    (["cuntz", "normalize", "T1 + 1e400*T0"], "coefficient 1e400 is not finite (at position 5)"),
+])
+def test_non_finite_inputs_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def _readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return {tuple(shlex.split(line)[1:]) for line in block.splitlines()
+            if line.startswith("swb ")}
+
+
+def test_readme_commands_match_golden_records():
+    # every README command has a text and a --json golden record, and back
+    readme = _readme_commands()
+    assert readme
+    argvs = {tuple(r["argv"]) for r in GOLDEN}
+    assert argvs == readme | {argv + ("--json",) for argv in readme}

@@ -93,6 +93,16 @@ def test_parse_error_positions():
         parse("T0 T1")
 
 
+def test_non_finite_coefficient_is_a_syntax_error():
+    with pytest.raises(CuntzSyntaxError, match="not finite") as exc:
+        parse("T1 -  1e400*T0")
+    assert exc.value.position == 6
+    with pytest.raises(CuntzSyntaxError) as exc:
+        parse("2e999i")
+    assert exc.value.position == 0
+    assert parse("1e-400*T0") == parse("0*T0")
+
+
 def test_parse_coefficients():
     e = parse("2i*S0 + 3")
     assert e.terms[((0, False),)] == 2j

@@ -1,11 +1,10 @@
 import math
-import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sectorwb.scalar import QuadExt, approx_eq, eps_abs, quad, quad_eval
+from sectorwb.scalar import EPS_ABS, QuadExt, approx_eq, quad, quad_eval
 
 
 def test_basic_arithmetic():
@@ -54,13 +53,12 @@ def test_quad_eval_passthrough():
     assert quad_eval(quad(1, 1, 5)) == pytest.approx(1 + math.sqrt(5), abs=1e-15)
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("SWB_TOLERANCE", "0.5")
-    assert eps_abs() == 0.5
-    assert approx_eq(1.0, 1.3)
-    monkeypatch.delenv("SWB_TOLERANCE")
-    assert eps_abs() == 1e-9
+def test_approx_eq_abs_tol():
+    assert approx_eq(1.0, 1.3, abs_tol=0.5)
+    assert not approx_eq(1.0, 1.3, abs_tol=0.2)
+    assert EPS_ABS == 1e-9
     assert not approx_eq(1.0, 1.3)
+    assert approx_eq(0.0, 5e-10) and not approx_eq(0.0, 2e-9)
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
