@@ -5,7 +5,7 @@ invariants for quadrilaterals of factors, SU(2) level-k modular data,
 and the Cuntz-algebra verification of the Haagerup Q-system.
 """
 
-from .scalar import QuadExt, approx_eq, quad, quad_eval
+from .scalar import QuadExt, approx_eq, quad
 from .fusion import (
     ExprSyntaxError,
     FusionRing,
@@ -68,7 +68,6 @@ from .cuntz import (
     haagerup_constants,
     normalize,
     parse,
-    permute_t,
     render_expr,
     residual,
     rho_apply,
@@ -93,7 +92,7 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadExt", "approx_eq", "quad", "quad_eval",
+    "QuadExt", "approx_eq", "quad",
     "ExprSyntaxError", "FusionRing", "RingStructureError", "SectorExpr",
     "check_multiplicity_bound", "decompose", "hom_dim", "parse_sector_expr",
     "pf_dimensions", "validate_ring",
@@ -108,7 +107,7 @@ __all__ = [
     "ghj_spectrum", "monodromy_ratio", "q6j", "su2k_modular",
     "CuntzExpr", "CuntzSyntaxError", "CuntzWord", "HaagerupConstants",
     "QSystemError", "QSystemSolution", "RelationCheck", "VerificationReport",
-    "alpha_apply", "haagerup_constants", "normalize", "parse", "permute_t",
+    "alpha_apply", "haagerup_constants", "normalize", "parse",
     "render_expr", "residual", "rho_apply", "solve_qsystem",
     "verify_haagerup_relations",
     "ClassIVRecord", "CheckResult", "CheckRow", "QuadCase", "case_by_id",

@@ -164,7 +164,12 @@ def _wzw_asymptotic(args):
 
 
 def _wzw_6j(args):
-    spins = [Fraction(s) for s in args.spins.split(",")]
+    spins = []
+    for s in args.spins.split(","):
+        try:
+            spins.append(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"spin {s} is not a nonnegative half-integer") from None
     if len(spins) != 6:
         raise ValueError("exactly six spins are required")
     val = wzw.q6j(wzw.QSixJ(args.m, *spins))

@@ -275,8 +275,17 @@ def _format_coeff(c: complex) -> str:
 
 
 def render_expr(e: CuntzExpr, tol: Optional[float] = None) -> str:
-    """Deterministic text form of a normalized expression."""
-    n = normalize(e).prune(tol)
+    """Deterministic text form of a normalized expression.
+
+    A coefficient that overflowed to inf or nan while terms were summed
+    raises ValueError rather than being printed or pruned away.
+    """
+    n = normalize(e)
+    for w, c in n._terms.items():
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient of {CuntzWord.from_atoms(w)} "
+                             f"overflows to {_format_coeff(c)}")
+    n = n.prune(tol)
     if not n.terms:
         return "0"
     items = sorted(n.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -526,21 +535,6 @@ def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:
     out = {}
     for w, c in e.terms.items():
         out[tuple((g if g == 0 else _t(g - 1 + shift), adj) for g, adj in w)] = c
-    return CuntzExpr(out)
-
-
-def permute_t(e: CuntzExpr, perm: Tuple[int, int, int]) -> CuntzExpr:
-    """Relabel T_i -> T_{perm[i]} while fixing S0.
-
-    Exists for mutation experiments on the relation checks; note that every
-    cyclic shift satisfies the alpha-rho exchange relation identically, so
-    only non-cyclic permutations can break it.
-    """
-    if sorted(perm) != [0, 1, 2]:
-        raise ValueError("perm must be a permutation of (0, 1, 2)")
-    out = {}
-    for w, c in e.terms.items():
-        out[tuple((g if g == 0 else perm[g - 1] + 1, adj) for g, adj in w)] = c
     return CuntzExpr(out)
 
 

@@ -65,19 +65,27 @@ class QuadExt:
         if not _is_square_free(self.m):
             raise ValueError(f"radicand {self.m} is not square-free (or < 2)")
 
+    @classmethod
+    def _raw(cls, a: Fraction, b: Fraction, m: int) -> "QuadExt":
+        # results of arithmetic on validated values: a and b are already
+        # Fractions and m an already checked radicand, so skip the checks
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "m", m)
+        return x
+
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.b != 0 and self.b != 0 and other.m != self.m:
                 raise ValueError(f"mixed radicands {self.m} and {other.m}")
-            if other.b != 0 and self.b == 0:
-                return other
             if other.b == 0:
-                return QuadExt(other.a, Fraction(0), self.m)
+                return QuadExt._raw(other.a, Fraction(0), self.m)
             return other
         if isinstance(other, Rational):
-            return QuadExt(Fraction(other), Fraction(0), self.m)
+            return QuadExt._raw(Fraction(other), Fraction(0), self.m)
         return NotImplemented  # type: ignore[return-value]
 
     # -- field operations --------------------------------------------------
@@ -87,12 +95,12 @@ class QuadExt:
         if o is NotImplemented:
             return NotImplemented
         m = self.m if self.b != 0 else o.m
-        return QuadExt(self.a + o.a, self.b + o.b, m)
+        return QuadExt._raw(self.a + o.a, self.b + o.b, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.m)
+        return QuadExt._raw(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -108,7 +116,7 @@ class QuadExt:
         if o is NotImplemented:
             return NotImplemented
         m = self.m if self.b != 0 else o.m
-        return QuadExt(self.a * o.a + self.b * o.b * m, self.a * o.b + self.b * o.a, m)
+        return QuadExt._raw(self.a * o.a + self.b * o.b * m, self.a * o.b + self.b * o.a, m)
 
     __rmul__ = __mul__
 
@@ -122,7 +130,7 @@ class QuadExt:
                 raise ZeroDivisionError("division by zero")
             # a^2 = b^2 m with m square-free forces a = b = 0
             raise ZeroDivisionError("division by zero element")
-        return self * QuadExt(o.a / norm, -o.b / norm, o.m)
+        return self * QuadExt._raw(o.a / norm, -o.b / norm, o.m)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -133,7 +141,7 @@ class QuadExt:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = QuadExt(Fraction(1), Fraction(0), self.m)
+        out = QuadExt._raw(Fraction(1), Fraction(0), self.m)
         base = self
         for _ in range(n):
             out = out * base
@@ -143,7 +151,7 @@ class QuadExt:
 
     def conj(self) -> "QuadExt":
         """Galois conjugate a - b*sqrt(m)."""
-        return QuadExt(self.a, -self.b, self.m)
+        return QuadExt._raw(self.a, -self.b, self.m)
 
     @property
     def is_rational(self) -> bool:
@@ -174,7 +182,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             o = other
         elif isinstance(other, Rational):
-            o = QuadExt(Fraction(other), Fraction(0), self.m)
+            o = QuadExt._raw(Fraction(other), Fraction(0), self.m)
         else:
             return NotImplemented
         if self.b == 0 and o.b == 0:
@@ -228,7 +236,3 @@ def quad(a, b=0, m: int = 2) -> QuadExt:
 
     return QuadExt(conv(a), conv(b), m)
 
-
-def quad_eval(x) -> float:
-    """Evaluate a QuadExt (or any real scalar) as a float."""
-    return float(x)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, Tuple
@@ -46,6 +46,7 @@ def su2k_modular(k: int) -> ModularData:
     n = k + 2
     idx = np.arange(1, k + 2, dtype=float)
     S = math.sqrt(2.0 / n) * np.sin(np.outer(idx, idx) * math.pi / n)
+    S.flags.writeable = False
     d = tuple(float(x) for x in S[0] / S[0, 0])
     return ModularData(k, S, d)
 
@@ -166,7 +167,7 @@ class SixJDomainError(ValueError):
 
 def _half_int(x) -> Fraction:
     f = Fraction(x)
-    if f < 0 or (2 * f).denominator != 1:
+    if f.numerator < 0 or f.denominator > 2:
         raise ValueError(f"spin {x} is not a nonnegative half-integer")
     return f
 
@@ -182,12 +183,17 @@ class QSixJ:
     j3: Fraction
     j: Fraction
     j23: Fraction
+    _twice: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError("root-of-unity order m must be an integer >= 2")
+        twice = []
         for name in ("j1", "j2", "j12", "j3", "j", "j23"):
-            object.__setattr__(self, name, _half_int(getattr(self, name)))
+            f = _half_int(getattr(self, name))
+            object.__setattr__(self, name, f)
+            twice.append(f.numerator * (2 // f.denominator))
+        object.__setattr__(self, "_twice", tuple(twice))
 
     @property
     def spins(self) -> Tuple[Fraction, ...]:
@@ -212,16 +218,6 @@ def _qfact(n: int, M: int) -> float:
     return p
 
 
-def _admissible(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    return abs(a - b) <= c <= a + b and (a + b + c).denominator == 1
-
-
-def _delta(a: Fraction, b: Fraction, c: Fraction, M: int) -> float:
-    num = (_qfact(int(-a + b + c), M) * _qfact(int(a - b + c), M)
-           * _qfact(int(a + b - c), M))
-    return math.sqrt(num / _qfact(int(a + b + c + 1), M))
-
-
 def q6j(sym: QSixJ) -> complex:
     """Evaluate the symbol by the Racah single-sum formula.
 
@@ -230,17 +226,25 @@ def q6j(sym: QSixJ) -> complex:
     admissible level-(m-2) symbol inside the positive range; inadmissible
     triads give 0, and indices at or past the vanishing integer raise
     SixJDomainError.
+
+    Everything before the float sum runs on the twice-spins 2j, which the
+    constructor stores as ints: a triad (a, b, c) of twice-spins is
+    admissible when |a - b| <= c <= a + b and a + b + c is even, and every
+    factorial index is a half sum of twice-spins.
     """
-    j1, j2, j12, j3, j, j23 = sym.spins
-    triads = ((j1, j2, j12), (j1, j, j23), (j3, j2, j23), (j3, j, j12))
-    if not all(_admissible(*t) for t in triads):
-        return complex(0.0)
+    a1, a2, a12, a3, a, a23 = sym._twice
+    triads = ((a1, a2, a12), (a1, a, a23), (a3, a2, a23), (a3, a, a12))
+    for x, y, z in triads:
+        if not abs(x - y) <= z <= x + y or (x + y + z) & 1:
+            return complex(0.0)
     M = 2 * sym.m
-    T = [int(j1 + j2 + j12), int(j1 + j + j23), int(j3 + j2 + j23), int(j3 + j + j12)]
-    Q = [int(j1 + j2 + j3 + j), int(j2 + j12 + j + j23), int(j1 + j12 + j3 + j23)]
+    T = [(a1 + a2 + a12) // 2, (a1 + a + a23) // 2, (a3 + a2 + a23) // 2, (a3 + a + a12) // 2]
+    Q = [(a1 + a2 + a3 + a) // 2, (a2 + a12 + a + a23) // 2, (a1 + a12 + a3 + a23) // 2]
     pre = 1.0
-    for t in triads:
-        pre *= _delta(*t, M)
+    for x, y, z in triads:
+        num = (_qfact((-x + y + z) // 2, M) * _qfact((x - y + z) // 2, M)
+               * _qfact((x + y - z) // 2, M))
+        pre *= math.sqrt(num / _qfact((x + y + z) // 2 + 1, M))
     total = 0.0
     for t in range(max(T), min(Q) + 1):
         term = (-1) ** t * _qfact(t + 1, M)
@@ -249,6 +253,6 @@ def q6j(sym: QSixJ) -> complex:
         for Qi in Q:
             term /= _qfact(Qi - t, M)
         total += term
-    phase = (-1) ** int(j1 + j2 + j3 + j)
-    scale = math.sqrt(_qint(int(2 * j12 + 1), M) * _qint(int(2 * j23 + 1), M))
+    phase = (-1) ** Q[0]
+    scale = math.sqrt(_qint(a12 + 1, M) * _qint(a23 + 1, M))
     return complex(phase * scale * pre * total)

@@ -1,16 +1,19 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Five families:
+Nothing here imports sectorwb.  Six families:
 
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
     6j symbol in its classical limit;
+  * the Racah single sum on Fraction spins, which q6j() replaced with a
+    twice-spin kernel, for bit-for-bit cross-checking of q6j();
   * group representation rings derived from character tables of explicit
     permutation matrices, for cross-checking the stored fusion tables;
   * a right-multiplication-matrix evaluator for fusion words, for
     cross-checking decompose();
   * an atom-by-atom rewriting engine for the Cuntz algebra O4, for
-    cross-checking normalize() and rho_apply();
+    cross-checking normalize() and rho_apply(), and a generator relabelling
+    for mutation experiments on the Haagerup relation checks;
   * an entry-by-entry fusion-axiom validator and a power-iteration
     PF-dimension solver, for cross-checking validate_ring() and
     pf_dimensions().
@@ -19,6 +22,7 @@ Nothing here imports sectorwb.  Five families:
 import cmath
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -115,6 +119,78 @@ def recoupling_oracle(j1, j2, j12, j3, j, j23):
                           * cg(j2, m2, j3, m3, j23, m23)
                           * cg(j1, m1, j23, m23, j, m))
     return total
+
+
+# ---------------------------------------------------------------------------
+# quantum 6j-symbols on Fraction spins
+#
+# The evaluation q6j() used before its twice-spin kernel: every index is
+# built from Fraction spins.  The q-integers repeat the package's formula,
+# so the two must agree bit for bit.
+
+
+class SixJOracleDomainError(ValueError):
+    """A q-factorial index left the positive range of the truncation."""
+
+
+def _sixj_half_int(x):
+    f = Fraction(x)
+    if f < 0 or (2 * f).denominator != 1:
+        raise ValueError(f"spin {x} is not a nonnegative half-integer")
+    return f
+
+
+def _sixj_qint(x, M):
+    return math.sin(x * math.pi / M) / math.sin(math.pi / M)
+
+
+@lru_cache(maxsize=None)
+def _sixj_qfact(n, M):
+    if n < 0:
+        raise SixJOracleDomainError("q-factorial of a negative index")
+    if n >= M:
+        raise SixJOracleDomainError(f"q-factorial index {n} reaches [{M}]")
+    p = 1.0
+    for i in range(1, n + 1):
+        p *= _sixj_qint(i, M)
+    return p
+
+
+def _sixj_admissible(a, b, c):
+    return abs(a - b) <= c <= a + b and (a + b + c).denominator == 1
+
+
+def _sixj_delta(a, b, c, M):
+    num = (_sixj_qfact(int(-a + b + c), M) * _sixj_qfact(int(a - b + c), M)
+           * _sixj_qfact(int(a + b - c), M))
+    return math.sqrt(num / _sixj_qfact(int(a + b + c + 1), M))
+
+
+def q6j_oracle(m, *spins):
+    """{j1 j2 j12; j3 j j23} at q = e^{i pi / m} by the Racah single sum."""
+    if not isinstance(m, int) or m < 2:
+        raise ValueError("root-of-unity order m must be an integer >= 2")
+    j1, j2, j12, j3, j, j23 = (_sixj_half_int(x) for x in spins)
+    triads = ((j1, j2, j12), (j1, j, j23), (j3, j2, j23), (j3, j, j12))
+    if not all(_sixj_admissible(*t) for t in triads):
+        return complex(0.0)
+    M = 2 * m
+    T = [int(j1 + j2 + j12), int(j1 + j + j23), int(j3 + j2 + j23), int(j3 + j + j12)]
+    Q = [int(j1 + j2 + j3 + j), int(j2 + j12 + j + j23), int(j1 + j12 + j3 + j23)]
+    pre = 1.0
+    for t in triads:
+        pre *= _sixj_delta(*t, M)
+    total = 0.0
+    for t in range(max(T), min(Q) + 1):
+        term = (-1) ** t * _sixj_qfact(t + 1, M)
+        for Ti in T:
+            term /= _sixj_qfact(t - Ti, M)
+        for Qi in Q:
+            term /= _sixj_qfact(Qi - t, M)
+        total += term
+    phase = (-1) ** int(j1 + j2 + j3 + j)
+    scale = math.sqrt(_sixj_qint(int(2 * j12 + 1), M) * _sixj_qint(int(2 * j23 + 1), M))
+    return complex(phase * scale * pre * total)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +376,21 @@ def cuntz_rho(terms, images):
         for v, c in acc.items():
             out[v] = out.get(v, 0j) + coeff * c
     return cuntz_normalize(out)
+
+
+def permute_t(e, perm):
+    """Relabel T_i -> T_{perm[i]} while fixing S0, on any expression type
+    with a ``terms`` word mapping and a constructor taking one.
+
+    Every cyclic shift satisfies the alpha-rho exchange relation
+    identically, so only non-cyclic permutations can break it.
+    """
+    if sorted(perm) != [0, 1, 2]:
+        raise ValueError("perm must be a permutation of (0, 1, 2)")
+    out = {}
+    for w, c in e.terms.items():
+        out[tuple((g if g == 0 else perm[g - 1] + 1, adj) for g, adj in w)] = c
+    return type(e)(out)
 
 
 # ---------------------------------------------------------------------------

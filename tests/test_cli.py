@@ -305,6 +305,9 @@ def test_zero_tolerance_is_accepted(capsys):
     (["angle", "cocommuting", "--pn", "inf", "--mp", "2"], "indices must both be finite"),
     (["angle", "cocommuting", "--pn", "3", "--mp", "nan"], "indices must both be finite"),
     (["cuntz", "normalize", "T1 + 1e400*T0"], "coefficient 1e400 is not finite (at position 5)"),
+    (["cuntz", "normalize", "1e308*T0 + 1e308*T0"], "coefficient of T0 overflows to inf"),
+    (["cuntz", "normalize", "1e308*T0*T0^*T0 - 1e308*T0 - 1e308*T0"],
+     "coefficient of T0 overflows to -inf"),
 ])
 def test_non_finite_inputs_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2
@@ -326,3 +329,12 @@ def test_readme_commands_match_golden_records():
     assert readme
     argvs = {tuple(r["argv"]) for r in GOLDEN}
     assert argvs == readme | {argv + ("--json",) for argv in readme}
+
+
+@pytest.mark.parametrize("spins", ["1/0,1,1,1,1,1", "1/3,1,1,1,1,1"])
+def test_bad_spin_is_a_usage_error(spins, capsys):
+    bad = spins.split(",")[0]
+    assert main(["wzw", "6j", "--m", "4", "--spins", spins]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: spin {bad} is not a nonnegative half-integer\n"

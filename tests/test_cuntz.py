@@ -16,7 +16,6 @@ from sectorwb.cuntz import (
     normalize,
     one,
     parse,
-    permute_t,
     render_expr,
     residual,
     rho_apply,
@@ -103,6 +102,14 @@ def test_non_finite_coefficient_is_a_syntax_error():
     assert parse("1e-400*T0") == parse("0*T0")
 
 
+def test_overflowed_coefficient_is_not_rendered():
+    # inf would be printed, and nan (inf - inf) pruned away as if it were 0
+    for text, shown in (("1e308*T0 + 1e308*T0", "inf"),
+                        ("1e308*T0 + 1e308*T0 - 1e308*T0*T0^*T0 - 1e308*T0*T0^*T0", "nan")):
+        with pytest.raises(ValueError, match=f"coefficient of T0 overflows to {shown}$"):
+            render_expr(parse(text), 0.5)
+
+
 def test_parse_coefficients():
     e = parse("2i*S0 + 3")
     assert e.terms[((0, False),)] == 2j
@@ -159,7 +166,7 @@ def test_rho_cubed_intertwined_by_s0():
 
 def test_transposed_alpha_breaks_exchange():
     swapped = verify_haagerup_relations(
-        alpha=lambda e: permute_t(e, (1, 0, 2)))
+        alpha=lambda e: _oracles.permute_t(e, (1, 0, 2)))
     assert not swapped.all_pass
     assert swapped.residual_of("alpha_rho_commutation") > 1e-1
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sectorwb.scalar import EPS_ABS, QuadExt, approx_eq, quad, quad_eval
+from sectorwb.scalar import EPS_ABS, QuadExt, approx_eq, quad
 
 
 def test_basic_arithmetic():
@@ -42,15 +42,28 @@ def test_square_free_radicand_rejected():
         quad(1, 1, 0)
 
 
+def test_constructor_still_validates():
+    with pytest.raises(ValueError, match="not square-free"):
+        QuadExt(Fraction(1), Fraction(1), 4)
+    for a, b, m in ((0.5, 0, 2), (1, 1.5, 2), ("1/2", 0, 2)):
+        with pytest.raises(TypeError, match="rational component"):
+            QuadExt(a, b, m)
+    with pytest.raises(TypeError, match="radicand"):
+        QuadExt(1, 1, 2.0)
+
+
+def test_mixed_radicands_still_raise():
+    x, y = quad(1, 1, 2), quad(1, 1, 3)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y):
+        with pytest.raises(ValueError, match="mixed radicands 2 and 3"):
+            op()
+    # a rational value adopts the other operand's radicand
+    assert (quad(5, 0, 3) + x).m == 2 and (x * quad(2, 0, 3)).m == 2
+
+
 def test_mixed_radicand_comparisons():
     assert quad(0, 1, 2) != quad(0, 1, 3)
     assert quad(5, 0, 2) == quad(5, 0, 3) == 5
-
-
-def test_quad_eval_passthrough():
-    assert quad_eval(Fraction(1, 4)) == 0.25
-    assert quad_eval(2) == 2.0
-    assert quad_eval(quad(1, 1, 5)) == pytest.approx(1 + math.sqrt(5), abs=1e-15)
 
 
 def test_approx_eq_abs_tol():
@@ -82,3 +95,38 @@ def test_sign_matches_float(a, b, m):
         assert x > 0
     elif fx < -1e-7:
         assert x < 0
+
+
+def _rebuilt(z):
+    # the public constructor re-runs every check the arithmetic skips
+    assert type(z.a) is Fraction and type(z.b) is Fraction and type(z.m) is int
+    w = QuadExt(z.a, z.b, z.m)
+    assert (w.a, w.b, w.m) == (z.a, z.b, z.m)
+    return w
+
+
+@given(fracs, fracs, fracs, fracs, st.sampled_from([2, 3, 5, 7, 13]), st.integers(0, 4))
+def test_arithmetic_results_match_public_constructor(a1, b1, a2, b2, m, n):
+    x, y = quad(a1, b1, m), quad(a2, b2, m)
+    want = {
+        "add": (a1 + a2, b1 + b2), "sub": (a1 - a2, b1 - b2), "neg": (-a1, -b1),
+        "mul": (a1 * a2 + b1 * b2 * m, a1 * b2 + b1 * a2), "conj": (a1, -b1),
+        "radd": (a2 + a1, b1), "rsub": (a2 - a1, -b1), "rmul": (a2 * a1, a2 * b1),
+    }
+    got = {
+        "add": x + y, "sub": x - y, "neg": -x, "mul": x * y, "conj": x.conj(),
+        "radd": a2 + x, "rsub": a2 - x, "rmul": a2 * x,
+    }
+    for name, z in got.items():
+        assert (z.a, z.b, z.m) == (*want[name], m), name
+        assert _rebuilt(z) == z
+    power = x ** n
+    assert _rebuilt(power) == power and power.m == m
+    expected = quad(1, 0, m)
+    for _ in range(n):
+        expected = expected * x
+    assert power == expected
+    if y != 0:
+        for z in (x / y, a1 / y):
+            assert _rebuilt(z) == z and z.m == m
+        assert (x / y) * y == x and (a1 / y) * y == a1

@@ -139,6 +139,28 @@ def test_q6j_domain_errors():
         QSixJ(5, Fraction(1, 3), 0, 0, 0, 0, 0)
 
 
+def test_qsixj_spin_validation():
+    for bad in (Fraction(-1, 2), Fraction(1, 3)):
+        with pytest.raises(ValueError, match="not a nonnegative half-integer"):
+            QSixJ(5, 0, bad, 0, 0, 0, 0)
+    exact = QSixJ(5, 1, Fraction(1, 2), Fraction(3, 2), 1, Fraction(1, 2), Fraction(1, 2))
+    loose = QSixJ(5, 1, 0.5, "3/2", 1, "1/2", 0.5)
+    assert loose.spins == exact.spins
+    assert all(type(x) is Fraction for x in loose.spins)
+    assert loose == exact and hash(loose) == hash(exact)
+    assert repr(loose) == ("QSixJ(m=5, j1=Fraction(1, 1), j2=Fraction(1, 2), "
+                           "j12=Fraction(3, 2), j3=Fraction(1, 1), j=Fraction(1, 2), "
+                           "j23=Fraction(1, 2))")
+    assert q6j(loose) == q6j(exact) != 0
+
+
+def test_s_matrix_is_read_only():
+    S = su2k_modular(4).S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0
+
+
 def test_q6j_column_swap_symmetry():
     # swapping the first two columns (j1<->j2, j3<->j) preserves the value
     spins = [(1, 1, 1, 1, 1, 1),
