@@ -191,7 +191,10 @@ class QuadExt:
         return self.a == o.a and self.b == o.b and self.m == o.m
 
     def __hash__(self):
-        return hash((self.a, self.b, self.m if self.b != 0 else 0))
+        # a rational value equals its Fraction (and int), so it hashes alike
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.m))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)

@@ -471,7 +471,9 @@ def validate_ring_loops(ring, max_reports=50):
                     ):
                         return out
 
-    mats = {i: _left_matrix(ring, i) for i in labels}
+    # Python-int entries: sums of products of 64-bit multiplicities can
+    # leave int64's range
+    mats = {i: _left_matrix(ring, i).astype(object) for i in labels}
     for i in labels:
         for j in labels:
             lhs = sum(n(i, j, m) * mats[m] for m in labels)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from sectorwb.fusion import (
     ExprSyntaxError,
     FusionRing,
     RingStructureError,
+    _associativity_proved,
     check_multiplicity_bound,
     decompose,
     hom_dim,
@@ -77,9 +79,7 @@ def test_pf_dimensions_ising():
 
 def test_pf_dimensions_su2_formula():
     for k in list(range(1, 9)) + [40, 60, 120]:
-        # the Verlinde tables straight from the builder: validating 121
-        # labels takes seconds and is not what this test is about
-        ring = catalog._su2(k)
+        ring = catalog.builtin("su2", k)
         dims = pf_dimensions(ring)
         q = math.pi / (k + 2)
         for i in range(k + 1):
@@ -140,7 +140,9 @@ def _tambara_yamagami(n):
 def _corrupted_rings(draw):
     """su2, Z/n, TY and catalog rings with up to three corruptions: a
     multiplicity raised or lowered by one, raised past 2**27 (so that exact
-    matrix products need int64), or the duals of two labels swapped."""
+    matrix products need int64), N(i,j,k) and N(j,i,k) raised together (the
+    ring stays commutative, so the associativity certificate has to reject
+    it), or the duals of two labels swapped."""
     family = draw(st.sampled_from(("su2", "zn", "ty", "catalog")))
     if family == "su2":
         ring = catalog.builtin("su2", draw(st.integers(1, 6)))
@@ -155,10 +157,16 @@ def _corrupted_rings(draw):
     tensor = {key: dict(row) for key, row in ring.tensor.items()}
     dual = dict(ring.dual)
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(("up", "down", "big", "dual")))
+        kind = draw(st.sampled_from(("up", "down", "big", "dual", "both")))
         if kind == "dual":
             a, b = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
             dual[a], dual[b] = dual[b], dual[a]
+            continue
+        if kind == "both":
+            i, j, k = (draw(st.sampled_from(labels)) for _ in range(3))
+            for key in {(i, j), (j, i)}:
+                row = tensor.setdefault(key, {})
+                row[k] = row.get(k, 0) + 1
             continue
         if kind == "down":
             nonzero = sorted((i, j, k) for (i, j), row in tensor.items()
@@ -178,6 +186,122 @@ def test_validate_matches_loop_oracle(ring):
     for max_reports in (1, 3, 50):
         assert validate_ring(ring, max_reports) == \
             _oracles.validate_ring_loops(ring, max_reports)
+
+
+def _table(labels, products):
+    """A ring with the unit (first label) acting trivially on both sides and
+    the given other products; the axioms other than unit need not hold."""
+    tensor = _unit_rows(labels, labels[0])
+    tensor.update(products)
+    return FusionRing("table", labels, labels[0], {}, tensor)
+
+
+def _proved(ring):
+    return _associativity_proved(ring.N, ring.index(ring.unit))
+
+
+def test_validate_reports_int64_overflowing_sums_exactly():
+    # sums of products of multiplicities near 2**40 leave int64: the two
+    # sides of (x*x)*y = x*(x*y) at y are A^2 + 3A + 1 and 2A^2
+    A = 2 ** 40
+    ring = _table(("1", "x", "y"), {
+        ("x", "x"): {"1": 1, "x": A, "y": A},
+        ("x", "y"): {"x": A, "y": A},
+        ("y", "x"): {"x": A, "y": A},
+        ("y", "y"): {"1": 1, "x": A, "y": 3},
+    })
+    lo, hi = A * A + 3 * A + 1, 2 * A * A
+    assert (lo, hi) == (2 ** 80 + 3 * 2 ** 40 + 1, 2 ** 81)
+    want = [
+        f"associativity: sum_m N(x,x,m)N(m,y,y)={lo} != sum_m N(x,y,m)N(x,m,y)={hi}",
+        f"associativity: sum_m N(x,y,m)N(m,y,x)={hi} != sum_m N(y,y,m)N(x,m,x)={lo}",
+        f"associativity: sum_m N(y,x,m)N(m,x,y)={hi} != sum_m N(x,x,m)N(y,m,y)={lo}",
+        f"associativity: sum_m N(y,y,m)N(m,x,x)={lo} != sum_m N(y,x,m)N(y,m,x)={hi}",
+    ]
+    assert not _proved(ring)
+    for max_reports in (1, 3, 50):
+        assert validate_ring(ring, max_reports) == want[:max_reports]
+        assert _oracles.validate_ring_loops(ring, max_reports) == want[:max_reports]
+
+
+def test_certificate_rejects_noncommutative_rings():
+    assert not _proved(catalog.builtin("haagerup_even"))
+    # x*1 = 1 + x but 1*x = x: the left multiplications commute (L_1 = I)
+    # and the unit is cyclic, yet (x*1)*1 = 2*1 + x != x*(1*1)
+    tensor = {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+              ("x", "1"): {"1": 1, "x": 1}, ("x", "x"): {"x": 1}}
+    ring = FusionRing("lopsided", ("1", "x"), "1", {}, tensor)
+    assert not _proved(ring)
+    report = validate_ring(ring)
+    assert report == _oracles.validate_ring_loops(ring)
+    assert any(line.startswith("associativity:") for line in report)
+
+
+def test_certificate_rejects_commutative_nonassociative_tables():
+    # Z/3 with g1*g2 = g2*g1 = g0 + g1: commutative, not associative
+    ring = _table(("g0", "g1", "g2"), {
+        ("g1", "g1"): {"g2": 1}, ("g2", "g2"): {"g1": 1},
+        ("g1", "g2"): {"g0": 1, "g1": 1}, ("g2", "g1"): {"g0": 1, "g1": 1},
+    })
+    assert np.array_equal(ring.N, ring.N.transpose(1, 0, 2))
+    assert not _proved(ring)
+    report = validate_ring(ring)
+    assert report == _oracles.validate_ring_loops(ring)
+    assert any(line.startswith("associativity:") for line in report)
+
+
+def test_certificate_needs_a_cyclic_unit_vector():
+    # the zero table is associative, but X = 0 has no cyclic vector
+    zero = FusionRing("zero", ("1", "x"), "1", {}, {})
+    assert not _proved(zero)
+    # C + C with idempotents 1 and e: X = diag(1, 2) is cyclic, but the
+    # vector of "1" spans an invariant line
+    split = FusionRing("split", ("1", "e"), "1", {},
+                       {("1", "1"): {"1": 1}, ("e", "e"): {"e": 1}})
+    assert not _proved(split)
+    # the dual numbers 1, x with x*x = 0: associative, not semisimple, and
+    # 1 is cyclic for X = 1 + 2x, so the certificate applies
+    dual_numbers = FusionRing("dual_numbers", ("1", "x"), "1", {},
+                              {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+                               ("x", "1"): {"x": 1}})
+    assert _proved(dual_numbers)
+    for ring in (zero, split, dual_numbers):
+        assert not [line for line in _oracles.validate_ring_loops(ring)
+                    if line.startswith("associativity:")]
+
+
+def test_certificate_arithmetic_stays_exact():
+    # x*x = A*x is associative; the commutator sums reach about 4*A^2,
+    # which takes float64 at A = 2**20, int64 at 2**28 and is out of range
+    # at 2**31, where the n^5 check (on Python ints) has to decide
+    for A, proved in ((2 ** 20, True), (2 ** 28, True), (2 ** 31, False)):
+        ring = _table(("1", "x"), {("x", "x"): {"x": A}})
+        assert _proved(ring) is proved
+        report = validate_ring(ring)
+        assert report == _oracles.validate_ring_loops(ring)
+        assert not [line for line in report if line.startswith("associativity:")]
+
+
+def _su2_table(k):
+    # N(i,j,l) = 1 iff |i-j| <= l <= min(i+j, 2k-i-j) and i+j+l is even
+    i, j, l = np.ogrid[:k + 1, :k + 1, :k + 1]
+    return ((abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j))
+            & ((i + j + l) % 2 == 0)).astype(np.int64)
+
+
+def test_certificate_covers_the_commutative_rings():
+    # a change that sends these back to the n^5 loop fails here, not only
+    # in the benchmark; Z/n and TY(Z/n) at the ring-build sizes
+    for k in list(range(1, 13)) + [40]:
+        assert np.array_equal(_su2_table(k), catalog._su2(k).N)
+    assert [k for k in range(1, 121) if not _associativity_proved(_su2_table(k), 0)] == []
+    rings = [_zn(n) for n in range(1, 41)] + [_tambara_yamagami(n) for n in range(1, 33)]
+    fixed = [catalog.builtin(e.key) for e in catalog.ENTRIES if not e.parametrized]
+    noncommutative = {r.name for r in fixed
+                      if not np.array_equal(r.N, r.N.transpose(1, 0, 2))}
+    assert noncommutative == {"haagerup_even"}
+    rings += [r for r in fixed if r.name not in noncommutative]
+    assert [r.name for r in rings if not _proved(r)] == []
 
 
 def test_validate_reports_dual_of_unit_past_the_limit():

@@ -97,6 +97,24 @@ def test_sign_matches_float(a, b, m):
         assert x < 0
 
 
+@given(fracs, st.sampled_from([2, 3, 5, 7, 13]), st.sampled_from([2, 3, 5, 7, 13]))
+def test_rational_values_hash_like_their_rationals(r, m1, m2):
+    x, y = quad(r, 0, m1), quad(r, 0, m2)
+    assert x == r == y and hash(x) == hash(r) == hash(y)
+    assert len({x, r, y}) == 1
+    assert {r: "a"}.get(x) == "a" and {x: "a"}.get(y) == "a"
+    if r.denominator == 1:
+        n = int(r)
+        assert x == n and hash(x) == hash(n) and {n: "a"}.get(x) == "a"
+
+
+@given(fracs, fracs.filter(bool), st.sampled_from([2, 3, 5, 7, 13]))
+def test_equal_irrationals_hash_alike(a, b, m):
+    x = quad(a, b, m)
+    assert hash(x) == hash(quad(a, b, m)) == hash(x.conj().conj())
+    assert len({x, quad(a, b, m), a}) == 2
+
+
 def _rebuilt(z):
     # the public constructor re-runs every check the arithmetic skips
     assert type(z.a) is Fraction and type(z.b) is Fraction and type(z.m) is int
