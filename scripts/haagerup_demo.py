@@ -53,7 +53,6 @@ def main(argv=None):
         pert = haagerup_constants(a12=consts.A[1][2] + args.perturb)
         swept = verify_haagerup_relations(constants=pert)
         show_report(swept)
-        return 0 if report.all_pass else 1
 
     return 0 if report.all_pass else 1
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .fusion import FusionRing, validate_ring
 
@@ -43,20 +43,12 @@ class RingValidationError(ValueError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A built-in ring: ``build()``, or ``build(k)`` when parametrized."""
+
     key: str
     note: str
+    build: Callable[..., FusionRing]
     parametrized: bool = False
-
-
-ENTRIES: Tuple[CatalogEntry, ...] = (
-    CatalogEntry("su2", "SU(2) level-k Verlinde ring, labels l0..lk (pass k)", True),
-    CatalogEntry("d6_even", "even sectors of the D6 subfactor"),
-    CatalogEntry("e6_even", "even sectors of the E6 subfactor"),
-    CatalogEntry("s4_rep", "unitary dual of the symmetric group S4"),
-    CatalogEntry("a4_rep", "unitary dual of the alternating group A4"),
-    CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor"),
-    CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor"),
-)
 
 
 def _su2(k: int) -> FusionRing:
@@ -183,28 +175,30 @@ def _haagerup_even() -> FusionRing:
     return FusionRing("haagerup_even", L, "1", {"t": "t2", "t2": "t"}, P)
 
 
-_BUILDERS = {
-    "d6_even": _d6_even,
-    "e6_even": _e6_even,
-    "s4_rep": _s4_rep,
-    "a4_rep": _a4_rep,
-    "d6aff_even": _d6aff_even,
-    "haagerup_even": _haagerup_even,
-}
+ENTRIES: Tuple[CatalogEntry, ...] = (
+    CatalogEntry("su2", "SU(2) level-k Verlinde ring, labels l0..lk (pass k)", _su2, True),
+    CatalogEntry("d6_even", "even sectors of the D6 subfactor", _d6_even),
+    CatalogEntry("e6_even", "even sectors of the E6 subfactor", _e6_even),
+    CatalogEntry("s4_rep", "unitary dual of the symmetric group S4", _s4_rep),
+    CatalogEntry("a4_rep", "unitary dual of the alternating group A4", _a4_rep),
+    CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor", _d6aff_even),
+    CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor", _haagerup_even),
+)
 
 
 def builtin(key: str, k: Optional[int] = None) -> FusionRing:
     """Return a validated built-in ring; ``su2`` requires the level k >= 1."""
-    if key == "su2":
+    entry = next((e for e in ENTRIES if e.key == key), None)
+    if entry is None:
+        raise KeyError(f"unknown catalog key {key!r}")
+    if entry.parametrized:
         if k is None or not isinstance(k, int) or k < 1:
-            raise ValueError("su2 requires an integer level k >= 1")
-        ring = _su2(k)
-    elif key in _BUILDERS:
+            raise ValueError(f"{key} requires an integer level k >= 1")
+        ring = entry.build(k)
+    else:
         if k is not None:
             raise ValueError(f"{key} takes no level parameter")
-        ring = _BUILDERS[key]()
-    else:
-        raise KeyError(f"unknown catalog key {key!r}")
+        ring = entry.build()
     report = validate_ring(ring)
     if report:  # pragma: no cover - shipped data is valid
         raise RingValidationError(report)

@@ -16,7 +16,9 @@ it is (u1, v2 + rest of v1), and otherwise it is 0.  rho uses
 rho(u v^*) = rho(u) rho(v)^*: the v belonging to one u are summed on their
 prefix trie in Horner form, sum_g rho(g) (sum over the subtree below g),
 and then the u likewise, so each generator image multiplies once per trie
-edge.  The public CuntzExpr keeps atom words as keys.
+edge.  CuntzExpr holds exactly this dict: its constructor reduces atom
+words into it, every operation stays on pairs, and ``terms`` reads it back
+with atom-word keys.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -57,21 +59,34 @@ class CuntzSyntaxError(ValueError):
 
 
 class CuntzExpr:
-    """Immutable complex-linear combination of words; not auto-normalized."""
+    """Immutable complex-linear combination of Cuntz words, held in normal form.
+
+    The constructor takes a dict from atom words to coefficients and reduces
+    it at once; ``terms`` gives the normal form back with atom-word keys.
+    So ``==`` and ``len`` describe the element, not how it was written.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Dict[Word, complex]] = None):
-        clean = {}
+        pairs: Terms = {}
         for w, c in (terms or {}).items():
-            c = complex(c)
-            if c != 0:
-                clean[w] = c
-        self._terms = clean
+            p = _split(w)
+            if c != 0 and p is not None:
+                _add_pair(pairs, p[0], p[1], complex(c))
+        self._terms = {key: c for key, c in pairs.items() if c != 0}
+
+    @classmethod
+    def _of(cls, pairs: Terms) -> "CuntzExpr":
+        """Wrap a pair dict that is already in normal form."""
+        e = object.__new__(cls)
+        e._terms = {key: c for key, c in pairs.items() if c != 0}
+        return e
 
     @property
     def terms(self) -> Dict[Word, complex]:
-        return dict(self._terms)
+        """The normal form, keyed by the atom words u v^*."""
+        return {_atoms(u, v): c for (u, v), c in self._terms.items()}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -81,21 +96,18 @@ class CuntzExpr:
 
     def __add__(self, other: "CuntzExpr") -> "CuntzExpr":
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0j) + c
-        return CuntzExpr(out)
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0j) + c
+        return CuntzExpr._of(out)
 
     def __sub__(self, other: "CuntzExpr") -> "CuntzExpr":
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
-            out: Dict[Word, complex] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    out[w] = out.get(w, 0j) + c1 * c2
-            return CuntzExpr(out)
+            out: Terms = {}
+            _mul_into(out, self._terms, other._terms)
+            return CuntzExpr._of(out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -106,18 +118,15 @@ class CuntzExpr:
 
     def scale(self, c) -> "CuntzExpr":
         c = complex(c)
-        return CuntzExpr({w: c * v for w, v in self._terms.items()})
+        return CuntzExpr._of({key: c * v for key, v in self._terms.items()})
 
     def adjoint(self) -> "CuntzExpr":
-        out = {}
-        for w, c in self._terms.items():
-            out[tuple((g, not adj) for g, adj in reversed(w))] = c.conjugate()
-        return CuntzExpr(out)
+        return CuntzExpr._of(_adjoint(self._terms))
 
     def prune(self, tol: Optional[float] = None) -> "CuntzExpr":
         """Drop coefficients of modulus at most tol (None: 1e-9)."""
         t = EPS_ABS if tol is None else tol
-        return CuntzExpr({w: c for w, c in self._terms.items() if abs(c) > t})
+        return CuntzExpr._of({key: c for key, c in self._terms.items() if abs(c) > t})
 
 
 def zero() -> CuntzExpr:
@@ -177,25 +186,12 @@ def _add_pair(out: Terms, u: Gens, v: Gens, c: complex) -> None:
     out[key] = out.get(key, 0j) + c
 
 
-def _pairs(e: CuntzExpr) -> Terms:
-    out: Terms = {}
-    for w, c in e._terms.items():
-        p = _split(w)
-        if p is not None:
-            _add_pair(out, p[0], p[1], c)
-    return out
-
-
 _PLAIN = tuple((g, False) for g in range(4))
 _STARRED = tuple((g, True) for g in range(4))
 
 
 def _atoms(u: Gens, v: Gens) -> Word:
     return tuple(map(_PLAIN.__getitem__, u)) + tuple(map(_STARRED.__getitem__, reversed(v)))
-
-
-def _expr(terms: Terms) -> CuntzExpr:
-    return CuntzExpr({_atoms(u, v): c for (u, v), c in terms.items()})
 
 
 def _mul_into(out: Terms, a: Terms, b: Terms) -> None:
@@ -226,20 +222,18 @@ def _adjoint(a: Terms) -> Terms:
 
 
 def normalize(e: CuntzExpr) -> CuntzExpr:
-    """Rewrite into the standard linear basis; idempotent, linear,
-    compatible with the adjoint.
+    """Return e: every CuntzExpr already holds its normal form.
 
-    Each word is split into its pair u v^* by the delta rule, and junction
-    T2 T2^* pairs are expanded through completeness so each element has a
-    unique representation.
+    The constructor splits each word into its pair u v^* by the delta rule
+    and expands junction T2 T2^* pairs through completeness, so each element
+    has a unique representation; products, sums and adjoints keep it.
     """
-    return _expr(_pairs(e))
+    return e
 
 
 def residual(e: CuntzExpr) -> float:
     """Largest coefficient modulus of the normal form; 0 for the zero element."""
-    n = normalize(e)
-    return max((abs(c) for c in n.terms.values()), default=0.0)
+    return max(map(abs, e._terms.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -275,24 +269,22 @@ def _format_coeff(c: complex) -> str:
 
 
 def render_expr(e: CuntzExpr, tol: Optional[float] = None) -> str:
-    """Deterministic text form of a normalized expression.
+    """Deterministic text form of an expression's normal form.
 
     A coefficient that overflowed to inf or nan while terms were summed
     raises ValueError rather than being printed or pruned away.
     """
-    n = normalize(e)
-    for w, c in n._terms.items():
+    for (u, v), c in e._terms.items():
         if not cmath.isfinite(c):
-            raise ValueError(f"coefficient of {CuntzWord.from_atoms(w)} "
+            raise ValueError(f"coefficient of {CuntzWord(u, v)} "
                              f"overflows to {_format_coeff(c)}")
-    n = n.prune(tol)
-    if not n.terms:
+    kept = e.prune(tol)._terms
+    if not kept:
         return "0"
-    items = sorted(n.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     parts = []
-    for w, c in items:
-        word = str(CuntzWord.from_atoms(w))
-        coeff = _format_coeff(c)
+    for u, v in sorted(kept, key=lambda p: (len(p[0]) + len(p[1]), _atoms(*p))):
+        word = str(CuntzWord(u, v))
+        coeff = _format_coeff(kept[u, v])
         if word == "1":
             parts.append(coeff)
         elif coeff == "1":
@@ -344,7 +336,7 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
 
 
 def parse(text: str) -> CuntzExpr:
-    """Parse expression text; the result is not normalized.
+    """Parse expression text into its normal form.
 
     Grammar: EXPR := TERM (('+'|'-') TERM)*; TERM := [COEFF '*']? WORD;
     WORD := ATOM ('*' ATOM)*; ATOM := generator name with optional '^' for
@@ -361,7 +353,7 @@ def parse(text: str) -> CuntzExpr:
     def peek():
         return tokens[idx] if idx < len(tokens) else ("end", None, len(text))
 
-    def parse_term() -> CuntzExpr:
+    def parse_term() -> Tuple[Word, complex]:
         nonlocal idx
         kind, val, pos = peek()
         coeff = 1.0 + 0j
@@ -375,7 +367,7 @@ def parse(text: str) -> CuntzExpr:
                 idx += 1
                 kind, val, pos = peek()
             else:
-                return CuntzExpr({(): coeff})
+                return (), coeff
         atoms = []
         if kind != "atom":
             raise CuntzSyntaxError("expected a generator", pos)
@@ -390,22 +382,30 @@ def parse(text: str) -> CuntzExpr:
                 idx += 1
                 continue
             break
-        return CuntzExpr({tuple(atoms): coeff})
+        return tuple(atoms), coeff
 
-    kind, val, pos = peek()
-    sign = 1.0
-    if kind == "op" and val == "-":
-        sign = -1.0
+    kind, op, pos = peek()
+    if kind == "op" and op == "-":
         idx += 1
-    expr = parse_term().scale(sign)
-    while idx < len(tokens):
-        kind, val, pos = peek()
-        if kind != "op" or val not in "+-":
+    else:
+        op = "+"
+    # Equal words are summed in the order written (a word whose sum cancels
+    # gives up its place) and '-' multiplies by complex(-1): the reduction's
+    # float sums, and so the printed digits and signed zeros, follow the text.
+    terms: Dict[Word, complex] = {}
+    while True:
+        word, coeff = parse_term()
+        c = coeff if op == "+" else complex(-1) * coeff
+        if c != 0:
+            terms[word] = terms.get(word, 0j) + c
+            if terms[word] == 0:
+                del terms[word]
+        if idx == len(tokens):
+            return CuntzExpr(terms)
+        kind, op, pos = peek()
+        if kind != "op" or op not in "+-":
             raise CuntzSyntaxError("expected '+' or '-'", pos)
         idx += 1
-        term = parse_term()
-        expr = expr + (term if val == "+" else -term)
-    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,7 @@ def _t(i: int) -> int:
 
 
 def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, CuntzExpr]:
-    """Normal-form images of the four generators under rho."""
+    """Images of the four generators under rho."""
     c = constants or _default_constants()
     img: Dict[int, CuntzExpr] = {}
     terms: Dict[Word, complex] = {((0, False),): 1 / c.d}
@@ -521,21 +521,26 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     """
     c = constants or _default_constants()
     if c not in _IMAGE_CACHE:
-        _IMAGE_CACHE[c] = {g: _pairs(x) for g, x in rho_images(c).items()}
+        _IMAGE_CACHE[c] = {g: x._terms for g, x in rho_images(c).items()}
     img = _IMAGE_CACHE[c]
     by_u: Dict[Gens, List[Tuple[Gens, Terms]]] = {}
-    for (u, v), coeff in _pairs(e).items():
+    for (u, v), coeff in e._terms.items():
         by_u.setdefault(u, []).append((v, {((), ()): coeff.conjugate()}))
     items = [(u, _adjoint(_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
-    return _expr(_rho_sum(items, 0, img))
+    return CuntzExpr._of(_rho_sum(items, 0, img))
 
 
 def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:
-    """The automorphism fixing S0 and cycling T_i -> T_{i+shift} (default 2)."""
-    out = {}
-    for w, c in e.terms.items():
-        out[tuple((g if g == 0 else _t(g - 1 + shift), adj) for g, adj in w)] = c
-    return CuntzExpr(out)
+    """The automorphism fixing S0 and cycling T_i -> T_{i+shift} (default 2).
+
+    Relabelling can make u and v both end in T2, so each pair is re-added
+    through the completeness expansion.
+    """
+    perm = (0,) + tuple(_t(i + shift) for i in range(3))
+    out: Terms = {}
+    for (u, v), c in e._terms.items():
+        _add_pair(out, tuple(map(perm.__getitem__, u)), tuple(map(perm.__getitem__, v)), c)
+    return CuntzExpr._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +572,6 @@ class VerificationReport:
 
 def verify_haagerup_relations(
     constants: Optional[HaagerupConstants] = None,
-    alpha=None,
     tol: Optional[float] = None,
 ) -> VerificationReport:
     """Check the five relation families defining the Haagerup endomorphism.
@@ -580,15 +584,11 @@ def verify_haagerup_relations(
     * alpha_rho_commutation: alpha rho = rho alpha^2 on the generators.
     * s0_intertwines_rho_squared: rho^2(X) S0 = S0 X on the generators.
 
-    Residuals are max coefficient moduli after normalization.  Passing a
-    replacement `alpha` (any map on expressions) runs the exchange check
-    against that map instead; the default is the genuine automorphism.
-    A relation passes when its residual is below ``tol`` (None: 1e-9).
+    Residuals are max coefficient moduli of the normal form.  A relation
+    passes when its residual is below ``tol`` (None: 1e-9).
     """
     tol = EPS_ABS if tol is None else tol
     c = constants or _default_constants()
-    if alpha is None:
-        alpha = alpha_apply
     rho = {i: rho_apply(gen_expr(i), c) for i in range(4)}
 
     def check(name: str, value: float) -> RelationCheck:
@@ -609,8 +609,8 @@ def verify_haagerup_relations(
 
     comm = 0.0
     for i in range(4):
-        left = alpha(rho[i])
-        right = rho_apply(alpha(alpha(gen_expr(i))), c)
+        left = alpha_apply(rho[i])
+        right = rho_apply(alpha_apply(alpha_apply(gen_expr(i))), c)
         comm = max(comm, residual(left - right))
 
     inter = 0.0

@@ -43,10 +43,11 @@ expressions.  Frobenius reciprocity then holds automatically.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .scalar import EPS_ABS
 
@@ -238,7 +239,8 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> SectorExpr:
 
 
 def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
-    """Check the four axiom families; returns one message per violation.
+    """Check the four axiom families; returns at most ``max_reports``
+    messages, one per violation.
 
     Violations are found as array masks over ``ring.N`` and reported in label
     order, unit before duality before Frobenius before associativity, with at
@@ -248,9 +250,13 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
     cyclic vector; every other ring gets the n^5 check, so the reports do not
     depend on whether the certificate applied.
     """
+    return list(itertools.islice(_violations(ring), max_reports))
+
+
+def _violations(ring: FusionRing) -> Iterator[str]:
+    """The messages of validate_ring, lazily, so a cut stops the work."""
     import numpy as np
 
-    out: List[str] = []
     labels = ring.labels
     unit = ring.unit
     N = ring.N
@@ -259,22 +265,16 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
     d = np.array([ring.index(ring.dual[lab]) for lab in labels])
     eye = np.eye(n, dtype=np.int64)
 
-    def report(msg: str) -> bool:
-        out.append(msg)
-        return len(out) >= max_reports
-
     left, right = N[u], N[:, u]
     for jx, kx in np.argwhere((left != eye) | (right != eye)):
         j, k, want = labels[jx], labels[kx], eye[jx, kx]
         if left[jx, kx] != want:
-            if report(f"unit: N({unit},{j},{k})={left[jx, kx]} != {want}"):
-                return out
+            yield f"unit: N({unit},{j},{k})={left[jx, kx]} != {want}"
         if right[jx, kx] != want:
-            if report(f"unit: N({j},{unit},{k})={right[jx, kx]} != {want}"):
-                return out
+            yield f"unit: N({j},{unit},{k})={right[jx, kx]} != {want}"
 
     if ring.dual[unit] != unit:
-        report(f"duality: dual({unit})={ring.dual[unit]} != {unit}")
+        yield f"duality: dual({unit})={ring.dual[unit]} != {unit}"
     to_unit = N[:, :, u]
     expected = eye[d]  # [i, j] = 1 iff j = dual(i)
     bad = to_unit != expected
@@ -282,11 +282,9 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
     for ix in np.flatnonzero(not_involution | bad.any(axis=1)):
         i = labels[ix]
         if not_involution[ix]:
-            if report(f"duality: dual(dual({i}))={ring.dual[ring.dual[i]]} != {i}"):
-                return out
+            yield f"duality: dual(dual({i}))={ring.dual[ring.dual[i]]} != {i}"
         for jx in np.flatnonzero(bad[ix]):
-            if report(f"duality: N({i},{labels[jx]},{unit})={to_unit[ix, jx]} != {expected[ix, jx]}"):
-                return out
+            yield f"duality: N({i},{labels[jx]},{unit})={to_unit[ix, jx]} != {expected[ix, jx]}"
 
     for ix in range(n):
         row = N[ix]
@@ -295,20 +293,14 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
         for jx, kx in np.argwhere((row != swap_ij) | (row != swap_jk)):
             i, j, k = labels[ix], labels[jx], labels[kx]
             if row[jx, kx] != swap_ij[jx, kx]:
-                if report(
-                    f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
-                    f"N({ring.dual[i]},{k},{j})={swap_ij[jx, kx]}"
-                ):
-                    return out
+                yield (f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
+                       f"N({ring.dual[i]},{k},{j})={swap_ij[jx, kx]}")
             if row[jx, kx] != swap_jk[jx, kx]:
-                if report(
-                    f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
-                    f"N({k},{ring.dual[j]},{i})={swap_jk[jx, kx]}"
-                ):
-                    return out
+                yield (f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
+                       f"N({k},{ring.dual[j]},{i})={swap_jk[jx, kx]}")
 
     if _associativity_proved(N, u):
-        return out
+        return
     # Sums of n products of multiplicities: float64 takes the BLAS path and
     # is exact below 2**53, int64 up to its own range, Python ints beyond.
     bound = n * int(N.max()) ** 2
@@ -326,12 +318,8 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
             for jx in np.flatnonzero(bad.any(axis=(1, 2))):
                 l_ix, k_ix = np.argwhere(bad[jx].T)[0]
                 i, j, k, l = labels[ix], labels[j0 + jx], labels[k_ix], labels[l_ix]
-                if report(
-                    f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={int(lhs[jx, k_ix, l_ix])}"
-                    f" != sum_m N({j},{k},m)N({i},m,{l})={int(rhs[jx, k_ix, l_ix])}"
-                ):
-                    return out
-    return out
+                yield (f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={int(lhs[jx, k_ix, l_ix])}"
+                       f" != sum_m N({j},{k},m)N({i},m,{l})={int(rhs[jx, k_ix, l_ix])}")
 
 
 def _associativity_proved(N: np.ndarray, u: int) -> bool:

@@ -125,11 +125,8 @@ class QuadExt:
         if o is NotImplemented:
             return NotImplemented
         norm = o.a * o.a - o.b * o.b * o.m
-        if norm == 0:
-            if o.a == 0 and o.b == 0:
-                raise ZeroDivisionError("division by zero")
-            # a^2 = b^2 m with m square-free forces a = b = 0
-            raise ZeroDivisionError("division by zero element")
+        if norm == 0:  # a^2 = b^2 m with m square-free forces a = b = 0
+            raise ZeroDivisionError("division by zero")
         return self * QuadExt._raw(o.a / norm, -o.b / norm, o.m)
 
     def __rtruediv__(self, other):
@@ -171,12 +168,11 @@ class QuadExt:
             return 1
         if self.a < 0 and self.b < 0:
             return -1
-        # opposite signs: compare a^2 with b^2 m exactly
+        # opposite signs: compare a^2 with b^2 m exactly; they differ, since
+        # a^2 = b^2 m with m square-free forces a = b = 0
         if self.a * self.a > self.b * self.b * self.m:
             return 1 if self.a > 0 else -1
-        if self.a * self.a < self.b * self.b * self.m:
-            return 1 if self.b > 0 else -1
-        return 0  # unreachable for square-free m, kept for safety
+        return 1 if self.b > 0 else -1
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):

@@ -420,56 +420,46 @@ def _left_matrix(ring, i):
 
 
 def validate_ring_loops(ring, max_reports=50):
-    """The four axiom families checked entry by entry, in label order."""
-    out = []
+    """The four axiom families checked entry by entry, in label order; at
+    most ``max_reports`` messages."""
+    return list(itertools.islice(_ring_violations(ring), max_reports))
+
+
+def _ring_violations(ring):
     labels = ring.labels
     unit = ring.unit
 
     def n(i, j, k):
         return _ring_n(ring, i, j, k)
 
-    def report(msg):
-        out.append(msg)
-        return len(out) >= max_reports
-
     for j in labels:
         for k in labels:
             want = 1 if j == k else 0
             if n(unit, j, k) != want:
-                if report(f"unit: N({unit},{j},{k})={n(unit, j, k)} != {want}"):
-                    return out
+                yield f"unit: N({unit},{j},{k})={n(unit, j, k)} != {want}"
             if n(j, unit, k) != want:
-                if report(f"unit: N({j},{unit},{k})={n(j, unit, k)} != {want}"):
-                    return out
+                yield f"unit: N({j},{unit},{k})={n(j, unit, k)} != {want}"
 
     if ring.dual[unit] != unit:
-        report(f"duality: dual({unit})={ring.dual[unit]} != {unit}")
+        yield f"duality: dual({unit})={ring.dual[unit]} != {unit}"
     for i in labels:
         if ring.dual[ring.dual[i]] != i:
-            if report(f"duality: dual(dual({i}))={ring.dual[ring.dual[i]]} != {i}"):
-                return out
+            yield f"duality: dual(dual({i}))={ring.dual[ring.dual[i]]} != {i}"
         for j in labels:
             want = 1 if j == ring.dual[i] else 0
             if n(i, j, unit) != want:
-                if report(f"duality: N({i},{j},{unit})={n(i, j, unit)} != {want}"):
-                    return out
+                yield f"duality: N({i},{j},{unit})={n(i, j, unit)} != {want}"
 
     for i in labels:
         for j in labels:
             for k in labels:
                 v = n(i, j, k)
                 if v != n(ring.dual[i], k, j):
-                    if report(
-                        f"frobenius: N({i},{j},{k})={v} != "
-                        f"N({ring.dual[i]},{k},{j})={n(ring.dual[i], k, j)}"
-                    ):
-                        return out
+                    yield (f"frobenius: N({i},{j},{k})={v} != "
+                           f"N({ring.dual[i]},{k},{j})={n(ring.dual[i], k, j)}")
                 if v != n(k, ring.dual[j], i):
-                    if report(
-                        f"frobenius: N({i},{j},{k})={v} != "
-                        f"N({k},{ring.dual[j]},{i})={n(k, ring.dual[j], i)}"
-                    ):
-                        return out
+                    yield (f"frobenius: N({i},{j},{k})={v} != "
+                           f"N({k},{ring.dual[j]},{i})={n(k, ring.dual[j], i)}")
 
     # Python-int entries: sums of products of 64-bit multiplicities can
     # leave int64's range
@@ -484,12 +474,8 @@ def validate_ring_loops(ring, max_reports=50):
                 bad = np.argwhere(lhs != rhs)
                 l_ix, k_ix = bad[0]
                 k, l = labels[k_ix], labels[l_ix]
-                if report(
-                    f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={lhs[l_ix, k_ix]}"
-                    f" != sum_m N({j},{k},m)N({i},m,{l})={rhs[l_ix, k_ix]}"
-                ):
-                    return out
-    return out
+                yield (f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={lhs[l_ix, k_ix]}"
+                       f" != sum_m N({j},{k},m)N({i},m,{l})={rhs[l_ix, k_ix]}")
 
 
 def _strongly_connected(mat):

@@ -116,6 +116,11 @@ def test_load_validates_axioms(tmp_path):
 
 
 def test_catalog_entries_cover_builders():
-    keys = {e.key for e in catalog.ENTRIES}
-    assert keys == set(builtin_keys())
-    assert all(e.note for e in catalog.ENTRIES)
+    # each entry builds its own ring: the name is the key, su2 adds the level
+    assert builtin_keys() == [e.key for e in catalog.ENTRIES]
+    for e in catalog.ENTRIES:
+        assert e.note
+        want = f"{e.key}_3" if e.parametrized else e.key
+        assert builtin(e.key, 3 if e.parametrized else None).name == want
+    with pytest.raises(KeyError, match="unknown catalog key"):
+        builtin("nope")

@@ -304,16 +304,18 @@ def test_certificate_covers_the_commutative_rings():
     assert [r.name for r in rings if not _proved(r)] == []
 
 
-def test_validate_reports_dual_of_unit_past_the_limit():
-    # the dual(unit) report does not stop the scan, so the first duality
-    # violation after it still lands in a one-report list
+def test_validate_ring_stops_at_max_reports():
+    # the dual(unit) report counts against the cap like every other one
     tensor = _unit_rows(("1", "x"), "1")
     tensor[("x", "x")] = {"1": 1}
     bad = FusionRing(name="bad", labels=("1", "x"), unit="1",
                      dual={"1": "x", "x": "1"}, tensor=tensor)
-    report = validate_ring(bad, max_reports=1)
-    assert report == _oracles.validate_ring_loops(bad, max_reports=1)
-    assert report[0] == "duality: dual(1)=x != 1" and len(report) == 2
+    full = validate_ring(bad)
+    assert full[0] == "duality: dual(1)=x != 1" and len(full) > 3
+    assert full == _oracles.validate_ring_loops(bad)
+    for max_reports in (1, 2, 3):
+        assert validate_ring(bad, max_reports) == full[:max_reports]
+        assert _oracles.validate_ring_loops(bad, max_reports) == full[:max_reports]
 
 
 def test_parse_and_decompose():

@@ -33,6 +33,8 @@ def test_division_and_inverse():
     y = quad(2, 1, 2)
     assert y / y == quad(1, 0, 2)
     assert (1 / y) * y == quad(1, 0, 2)
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        y / quad(0, 0, 2)
 
 
 def test_square_free_radicand_rejected():
