@@ -5,12 +5,11 @@ invariants for quadrilaterals of factors, SU(2) level-k modular data,
 and the Cuntz-algebra verification of the Haagerup Q-system.
 """
 
-from .scalar import QuadExt, approx_eq, quad
+from .scalar import QuadExt, quad
 from .fusion import (
     ExprSyntaxError,
     FusionRing,
     RingStructureError,
-    SectorExpr,
     check_multiplicity_bound,
     decompose,
     hom_dim,
@@ -58,7 +57,6 @@ from .wzw import (
 from .cuntz import (
     CuntzExpr,
     CuntzSyntaxError,
-    CuntzWord,
     HaagerupConstants,
     QSystemError,
     QSystemSolution,
@@ -66,7 +64,6 @@ from .cuntz import (
     VerificationReport,
     alpha_apply,
     haagerup_constants,
-    normalize,
     parse,
     render_expr,
     residual,
@@ -92,8 +89,8 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadExt", "approx_eq", "quad",
-    "ExprSyntaxError", "FusionRing", "RingStructureError", "SectorExpr",
+    "QuadExt", "quad",
+    "ExprSyntaxError", "FusionRing", "RingStructureError",
     "check_multiplicity_bound", "decompose", "hom_dim", "parse_sector_expr",
     "pf_dimensions", "validate_ring",
     "CatalogEntry", "ENTRIES", "RingFormatError", "RingValidationError",
@@ -105,12 +102,12 @@ __all__ = [
     "BranchingRule", "ModularData", "QSixJ", "SixJDomainError",
     "alpha_induction_spectrum", "asymptotic_spectrum", "branching_rule",
     "ghj_spectrum", "monodromy_ratio", "q6j", "su2k_modular",
-    "CuntzExpr", "CuntzSyntaxError", "CuntzWord", "HaagerupConstants",
+    "CuntzExpr", "CuntzSyntaxError", "HaagerupConstants",
     "QSystemError", "QSystemSolution", "RelationCheck", "VerificationReport",
-    "alpha_apply", "haagerup_constants", "normalize", "parse",
+    "alpha_apply", "haagerup_constants", "parse",
     "render_expr", "residual", "rho_apply", "solve_qsystem",
     "verify_haagerup_relations",
     "ClassIVRecord", "CheckResult", "CheckRow", "QuadCase", "case_by_id",
     "class_iv_record", "classification_table", "e8aff_regression",
-    "render_results", "run_all", "run_exclusion_checks",
+    "render_results", "run_all", "run_exclusion_checks", "verify_case",
 ]

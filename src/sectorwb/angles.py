@@ -16,8 +16,6 @@ from typing import Iterable, Optional, Tuple
 
 from .scalar import EPS_ABS
 
-_DEDUP = 1e-9
-
 HYPOTHESES_NOTE = (
     "hypotheses assumed: irreducible quadrilateral with the supertransitivity "
     "the formula requires; not checked from the numeric inputs"
@@ -41,7 +39,7 @@ class AngleSpectrum:
         for a in self.angles:
             if not (0.0 < a < math.pi / 2):
                 raise ValueError(f"angle {a} outside the open interval (0, pi/2)")
-        if any(b - a < _DEDUP for a, b in zip(self.angles, self.angles[1:])):
+        if any(b - a < EPS_ABS for a, b in zip(self.angles, self.angles[1:])):
             raise ValueError("angles must be strictly increasing after dedup")
 
     @classmethod
@@ -49,13 +47,13 @@ class AngleSpectrum:
         kept = []
         for c in cosines:
             c = float(c)
-            if c >= 1.0 - _DEDUP or abs(c) <= _DEDUP:
+            if c >= 1.0 - EPS_ABS or abs(c) <= EPS_ABS:
                 continue
             kept.append(math.acos(min(1.0, max(-1.0, c))))
         kept.sort()
         dedup = []
         for a in kept:
-            if not dedup or a - dedup[-1] >= _DEDUP:
+            if not dedup or a - dedup[-1] >= EPS_ABS:
                 dedup.append(a)
         return cls(tuple(dedup), commuting)
 
@@ -166,7 +164,7 @@ def angle_candidates(d_sigma, s,
     spread = (d - 1.0) * abs(data.s)
     out = []
     for c in ((root + spread) / (2.0 * d), (root - spread) / (2.0 * d)):
-        if c >= 1.0 - _DEDUP:
+        if c >= 1.0 - EPS_ABS:
             out.append(AngleCandidate(c, True, None))
         else:
             out.append(AngleCandidate(c, False, math.acos(c)))

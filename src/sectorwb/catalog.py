@@ -53,13 +53,9 @@ class CatalogEntry:
 
 def _su2(k: int) -> FusionRing:
     labels = tuple(f"l{i}" for i in range(k + 1))
-    tensor: Dict[Tuple[str, str], Dict[str, int]] = {}
-    for i in range(k + 1):
-        for j in range(k + 1):
-            row = {}
-            for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
-                row[f"l{l}"] = 1
-            tensor[(f"l{i}", f"l{j}")] = row
+    tensor = {(labels[i], labels[j]):
+              dict.fromkeys(labels[abs(i - j):min(i + j, 2 * k - i - j) + 1:2], 1)
+              for i in range(k + 1) for j in range(k + 1)}
     return FusionRing(f"su2_{k}", labels, "l0", {}, tensor)
 
 

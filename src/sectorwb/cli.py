@@ -58,11 +58,7 @@ def _resolve_ring(args) -> fusion.FusionRing:
         return catalog.load(args.file)
     if not args.ring:
         raise ValueError("a catalog ring name or --file is required")
-    if args.ring == "su2":
-        if args.k is None:
-            raise ValueError("su2 requires --k LEVEL")
-        return catalog.builtin("su2", args.k)
-    return catalog.builtin(args.ring)
+    return catalog.builtin(args.ring, args.k)
 
 
 # -- handlers: each takes the parsed args, returns (exit code, json results, text lines)
@@ -181,7 +177,11 @@ def _wzw_6j(args):
 
 
 def _haagerup_verify(args):
-    rep = cuntz.verify_haagerup_relations(tol=args.tolerance)
+    constants = None
+    if args.perturb is not None:
+        a12 = cuntz.haagerup_constants().A[1][2] + args.perturb
+        constants = cuntz.haagerup_constants(a12=a12)
+    rep = cuntz.verify_haagerup_relations(constants, tol=args.tolerance)
     doc = {
         "relations": [
             {"name": c.name, "residual": _jfloat(c.residual),
@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="six half-integers, e.g. 2,1,1,1,1,1 or 3/2,...")
 
     h = group("haagerup")
-    leaf(h, "verify", _haagerup_verify)
+    leaf(h, "verify", _haagerup_verify).add_argument(
+        "--perturb", type=float, default=None, metavar="EPS",
+        help="check the constants with A(1,2) shifted by EPS")
     leaf(h, "qsystem", _haagerup_qsystem)
 
     leaf(group("cuntz"), "normalize", _cuntz_normalize).add_argument("expr")

@@ -18,7 +18,7 @@ prefix trie in Horner form, sum_g rho(g) (sum over the subtree below g),
 and then the u likewise, so each generator image multiplies once per trie
 edge.  CuntzExpr holds exactly this dict: its constructor reduces atom
 words into it, every operation stays on pairs, and ``terms`` reads it back
-with atom-word keys.
+with atom-word keys, so there is no separate normalization step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -221,42 +221,10 @@ def _adjoint(a: Terms) -> Terms:
     return {(v, u): c.conjugate() for (u, v), c in a.items()}
 
 
-def normalize(e: CuntzExpr) -> CuntzExpr:
-    """Return e: every CuntzExpr already holds its normal form.
-
-    The constructor splits each word into its pair u v^* by the delta rule
-    and expands junction T2 T2^* pairs through completeness, so each element
-    has a unique representation; products, sums and adjoints keep it.
-    """
-    return e
-
-
-def residual(e: CuntzExpr) -> float:
-    """Largest coefficient modulus of the normal form; 0 for the zero element."""
-    return max(map(abs, e._terms.values()), default=0.0)
-
-
-@dataclass(frozen=True)
-class CuntzWord:
-    """Normal-form word u v^* as two generator-index strings."""
-
-    u: Tuple[int, ...]
-    v: Tuple[int, ...]
-
-    @classmethod
-    def from_atoms(cls, word: Word) -> "CuntzWord":
-        pair = _split(word)
-        if pair is None or cls(*pair).atoms() != word:
-            raise ValueError("word is not in normal form")
-        return cls(*pair)
-
-    def atoms(self) -> Word:
-        return _atoms(self.u, self.v)
-
-    def __str__(self) -> str:
-        parts = [GEN_NAMES[g] for g in self.u]
-        parts += [GEN_NAMES[g] + "^" for g in reversed(self.v)]
-        return "*".join(parts) if parts else "1"
+def _word_text(u: Gens, v: Gens) -> str:
+    """The pair u v^* as text, such as "T0*S0^"; "1" for the empty word."""
+    parts = [GEN_NAMES[g] for g in u] + [GEN_NAMES[g] + "^" for g in reversed(v)]
+    return "*".join(parts) if parts else "1"
 
 
 def _format_coeff(c: complex) -> str:
@@ -268,22 +236,38 @@ def _format_coeff(c: complex) -> str:
     return f"({c.real:.12g}{sign}{abs(c.imag):.12g}i)"
 
 
+def _check_finite(e: CuntzExpr) -> None:
+    """Raise ValueError naming the first coefficient that overflowed to inf
+    or nan while terms were summed."""
+    if all(map(cmath.isfinite, e._terms.values())):
+        return
+    (u, v), c = next(item for item in e._terms.items() if not cmath.isfinite(item[1]))
+    raise ValueError(f"coefficient of {_word_text(u, v)} overflows to {_format_coeff(c)}")
+
+
+def residual(e: CuntzExpr) -> float:
+    """Largest coefficient modulus of the normal form; 0 for the zero element.
+
+    An overflowed coefficient raises ValueError: max() would pass over a nan
+    and report a relation as holding.
+    """
+    _check_finite(e)
+    return max(map(abs, e._terms.values()), default=0.0)
+
+
 def render_expr(e: CuntzExpr, tol: Optional[float] = None) -> str:
     """Deterministic text form of an expression's normal form.
 
     A coefficient that overflowed to inf or nan while terms were summed
     raises ValueError rather than being printed or pruned away.
     """
-    for (u, v), c in e._terms.items():
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient of {CuntzWord(u, v)} "
-                             f"overflows to {_format_coeff(c)}")
+    _check_finite(e)
     kept = e.prune(tol)._terms
     if not kept:
         return "0"
     parts = []
     for u, v in sorted(kept, key=lambda p: (len(p[0]) + len(p[1]), _atoms(*p))):
-        word = str(CuntzWord(u, v))
+        word = _word_text(u, v)
         coeff = _format_coeff(kept[u, v])
         if word == "1":
             parts.append(coeff)
@@ -435,7 +419,8 @@ def haagerup_constants(a12: Optional[complex] = None) -> HaagerupConstants:
     """Standard constants, or a variant with A(1,2) overridden.
 
     Overriding keeps A(2,1) = conj(A(1,2)); it exists for sensitivity
-    experiments on the relation checks.
+    experiments on the relation checks.  A non-finite A(1,2) raises
+    ValueError.
     """
     d = float(_D_EXACT)
     sqrt_d = math.sqrt(d)
@@ -444,6 +429,8 @@ def haagerup_constants(a12: Optional[complex] = None) -> HaagerupConstants:
         a12 = (1 + sqrt_4d1 * 1j) / (2 * (d - 1))
     else:
         a12 = complex(a12)
+        if not cmath.isfinite(a12):
+            raise ValueError(f"A(1,2) must be finite, got {a12}")
     off = -1 / (d - 1)
     A = (
         (complex(1 - 1 / (d - 1)), complex(off), complex(off)),
@@ -453,14 +440,7 @@ def haagerup_constants(a12: Optional[complex] = None) -> HaagerupConstants:
     return HaagerupConstants(_D_EXACT, d, sqrt_d, sqrt_4d1, A, (d - 1) * a12)
 
 
-_DEFAULT = None
-
-
-def _default_constants() -> HaagerupConstants:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = haagerup_constants()
-    return _DEFAULT
+_STANDARD = haagerup_constants()
 
 
 def _t(i: int) -> int:
@@ -470,7 +450,7 @@ def _t(i: int) -> int:
 
 def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, CuntzExpr]:
     """Images of the four generators under rho."""
-    c = constants or _default_constants()
+    c = constants or _STANDARD
     img: Dict[int, CuntzExpr] = {}
     terms: Dict[Word, complex] = {((0, False),): 1 / c.d}
     for i in range(3):
@@ -513,13 +493,13 @@ def _rho_sum(items: List[Tuple[Gens, Terms]], depth: int, img: Dict[int, Terms])
 
 
 def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> CuntzExpr:
-    """Apply rho homomorphically (adjoint-compatibly) and normalize.
+    """Apply rho homomorphically (adjoint-compatibly).
 
     rho(u v^*) = rho(u) rho(v)^*: for each u the sum over v of
     conj(c_uv) rho(v) is evaluated on the trie of the v, its adjoint Z_u is
     formed, and then the sum over u of rho(u) Z_u on the trie of the u.
     """
-    c = constants or _default_constants()
+    c = constants or _STANDARD
     if c not in _IMAGE_CACHE:
         _IMAGE_CACHE[c] = {g: x._terms for g, x in rho_images(c).items()}
     img = _IMAGE_CACHE[c]
@@ -588,7 +568,7 @@ def verify_haagerup_relations(
     passes when its residual is below ``tol`` (None: 1e-9).
     """
     tol = EPS_ABS if tol is None else tol
-    c = constants or _default_constants()
+    c = constants or _STANDARD
     rho = {i: rho_apply(gen_expr(i), c) for i in range(4)}
 
     def check(name: str, value: float) -> RelationCheck:
@@ -672,7 +652,7 @@ def solve_qsystem(
     rounding error.
     """
     tol = EPS_ABS if tol is None else tol
-    c = constants or _default_constants()
+    c = constants or _STANDARD
     d = c.d
     b_sq = -((d - 1) ** 2) / ((c.B + d) * c.sqrt_d)
     b = cmath.sqrt(b_sq)

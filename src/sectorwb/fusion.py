@@ -36,9 +36,11 @@ also the only code that writes associativity reports.
 eigen-solve, which presumes a ring that passes :func:`validate_ring`.
 
 Sector expressions ("t2*r*r + 2*r") are formal nonnegative-integer
-combinations of words of labels; :func:`decompose` reduces them to
-multiplicity vectors and :func:`hom_dim` counts intertwiners between two
-expressions.  Frobenius reciprocity then holds automatically.
+combinations of words of labels, passed around as text;
+:func:`parse_sector_expr` reads one into (coefficient, word) pairs,
+:func:`decompose` reduces it to a multiplicity vector and :func:`hom_dim`
+counts intertwiners between two expressions.  Frobenius reciprocity then
+holds automatically.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .scalar import EPS_ABS
 
@@ -184,24 +186,9 @@ class FusionRing:
 # sector expressions
 
 
-@dataclass(frozen=True)
-class SectorExpr:
-    """Formal sum of words: ((coeff, (label, ...)), ...); () is the unit."""
-
-    terms: Tuple[Tuple[int, Tuple[str, ...]], ...]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for coeff, word in self.terms:
-            bits = ([] if coeff == 1 and word else [str(coeff)]) + list(word)
-            parts.append("*".join(bits) if bits else "1")
-        return " + ".join(parts)
-
-
-def parse_sector_expr(text: str, labels: Sequence[str]) -> SectorExpr:
-    """Parse ``TERM ('+' TERM)*`` with ``TERM := [COEFF '*']? label ('*' label)*``.
+def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple[str, ...]]]:
+    """Parse ``TERM ('+' TERM)*`` with ``TERM := [COEFF '*']? label ('*' label)*``
+    into (coefficient, word) pairs, in the order written.
 
     A leading all-digit token is a coefficient unless it names a label (so the
     Haagerup unit "1" stays a label).  Unknown labels raise RingStructureError.
@@ -231,7 +218,7 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> SectorExpr:
                 raise ExprSyntaxError(f"bad token {t!r}", pos + chunk.find(t))
         terms.append((coeff, tuple(tokens)))
         pos += len(chunk) + 1
-    return SectorExpr(tuple(terms))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +377,6 @@ def pf_dimensions(ring: FusionRing) -> Dict[str, float]:
     return dict(zip(ring.labels, (perron / perron[ring.index(ring.unit)]).tolist()))
 
 
-def _as_expr(ring: FusionRing, e) -> SectorExpr:
-    if isinstance(e, SectorExpr):
-        for _, word in e.terms:
-            for lab in word:
-                if lab not in ring.labels:
-                    raise RingStructureError(f"unknown label {lab!r}")
-        return e
-    if isinstance(e, str):
-        return parse_sector_expr(e, ring.labels)
-    raise TypeError(f"expected SectorExpr or str, got {type(e).__name__}")
-
-
 def _mul_label(ring: FusionRing, vec: Mapping[str, int], lab: str) -> Dict[str, int]:
     out: Dict[str, int] = {}
     for i, mult in vec.items():
@@ -410,15 +385,14 @@ def _mul_label(ring: FusionRing, vec: Mapping[str, int], lab: str) -> Dict[str, 
     return out
 
 
-def decompose(ring: FusionRing, e) -> MultVector:
-    """Reduce a sector expression to irreducible multiplicities.
+def decompose(ring: FusionRing, text: str) -> MultVector:
+    """Reduce sector-expression text to irreducible multiplicities.
 
     Words reduce strictly left to right; associativity of a validated ring
     makes the bracketing irrelevant.
     """
-    expr = _as_expr(ring, e)
     total: Dict[str, int] = {}
-    for coeff, word in expr.terms:
+    for coeff, word in parse_sector_expr(text, ring.labels):
         vec: Dict[str, int] = {ring.unit: 1}
         for lab in word:
             vec = _mul_label(ring, vec, lab)
@@ -427,7 +401,7 @@ def decompose(ring: FusionRing, e) -> MultVector:
     return {lab: total[lab] for lab in ring.labels if total.get(lab)}
 
 
-def hom_dim(ring: FusionRing, x, y) -> int:
+def hom_dim(ring: FusionRing, x: str, y: str) -> int:
     """dim Hom(x, y) = sum over irreducibles of the multiplicity product."""
     dx = decompose(ring, x)
     dy = decompose(ring, y)

@@ -7,8 +7,8 @@ Two kinds of scalars cover everything we compute:
   (3+sqrt(13))/2 or 2+sqrt(2) live here, and identities like d^2 = 3d + 1 are
   checked with zero error.
 * plain ``float`` / ``complex``: everything that needs nested radicals or
-  roots of unity, compared through :func:`approx_eq` with a fixed tolerance
-  policy.
+  roots of unity, compared against the absolute tolerance ``EPS_ABS`` unless
+  the caller passes its own.
 
 Only one radicand per value is supported; mixing distinct radicands (other
 than through a purely rational operand) raises.  Nested radicals such as
@@ -23,13 +23,6 @@ from fractions import Fraction
 from numbers import Rational
 
 EPS_ABS = 1e-9
-EPS_REL = 1e-12
-
-
-def approx_eq(x, y, abs_tol: float = EPS_ABS, rel_tol: float = EPS_REL) -> bool:
-    """|x - y| <= max(abs_tol, rel_tol * max(|x|, |y|)), for real or complex."""
-    diff = abs(complex(x) - complex(y))
-    return diff <= max(abs_tol, rel_tol * max(abs(complex(x)), abs(complex(y))))
 
 
 def _is_square_free(m: int) -> bool:

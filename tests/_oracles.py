@@ -12,7 +12,8 @@ Nothing here imports sectorwb.  Six families:
   * a right-multiplication-matrix evaluator for fusion words, for
     cross-checking decompose();
   * an atom-by-atom rewriting engine for the Cuntz algebra O4, for
-    cross-checking normalize() and rho_apply(), and a generator relabelling
+    cross-checking the reduction in the CuntzExpr constructor and
+    rho_apply(), and a generator relabelling
     for mutation experiments on the Haagerup relation checks;
   * an entry-by-entry fusion-axiom validator and a power-iteration
     PF-dimension solver, for cross-checking validate_ring() and

@@ -72,7 +72,6 @@ def test_parse_error_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["decompose", "haagerup_even", "t*bogus"]) == 2
     assert main(["wzw", "ghj", "--graph", "D5"]) == 2
-    assert main(["dims", "su2"]) == 2  # missing --k
 
 
 def test_usage_error_from_argparse():
@@ -108,6 +107,33 @@ def test_haagerup_verify_honours_tolerance(capsys):
     assert not doc["results"]["all_pass"]
     assert main(["--json", "haagerup", "verify"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 1e-9
+
+
+def test_haagerup_verify_perturb(capsys):
+    assert main(["haagerup", "verify"]) == 0
+    baseline = capsys.readouterr().out
+    assert main(["haagerup", "verify", "--perturb", "0"]) == 0
+    assert capsys.readouterr().out == baseline
+    assert main(["haagerup", "verify", "--perturb", "1e-3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(line.split()[0] for line in lines if line.endswith("FAIL")) == [
+        "isometry_relations", "s0_intertwines_rho_squared"]
+    assert lines[-1] == "FAILURES present"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "d6_even", "--k", "3"], "error: d6_even takes no level parameter\n"),
+    (["validate", "d6_even", "--k", "3"], "error: d6_even takes no level parameter\n"),
+    (["decompose", "haagerup_even", "r*r", "--k", "3"],
+     "error: haagerup_even takes no level parameter\n"),
+    (["hom", "e6_even", "a", "a", "--k", "1"], "error: e6_even takes no level parameter\n"),
+    (["dims", "su2"], "error: su2 requires an integer level k >= 1\n"),
+])
+def test_level_must_match_the_ring(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_cuntz_normalize(capsys):
@@ -308,6 +334,10 @@ def test_zero_tolerance_is_accepted(capsys):
     (["cuntz", "normalize", "1e308*T0 + 1e308*T0"], "coefficient of T0 overflows to inf"),
     (["cuntz", "normalize", "1e308*T0*T0^*T0 - 1e308*T0 - 1e308*T0"],
      "coefficient of T0 overflows to -inf"),
+    (["haagerup", "verify", "--perturb", "nan"], "A(1,2) must be finite"),
+    (["haagerup", "verify", "--perturb", "inf"], "A(1,2) must be finite"),
+    (["--json", "haagerup", "verify", "--perturb", "nan"], "A(1,2) must be finite"),
+    (["haagerup", "verify", "--perturb", "1e200"], "overflows to"),
 ])
 def test_non_finite_inputs_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2

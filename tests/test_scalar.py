@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sectorwb.scalar import EPS_ABS, QuadExt, approx_eq, quad
+from sectorwb.scalar import QuadExt, quad
 
 
 def test_basic_arithmetic():
@@ -66,14 +66,6 @@ def test_mixed_radicands_still_raise():
 def test_mixed_radicand_comparisons():
     assert quad(0, 1, 2) != quad(0, 1, 3)
     assert quad(5, 0, 2) == quad(5, 0, 3) == 5
-
-
-def test_approx_eq_abs_tol():
-    assert approx_eq(1.0, 1.3, abs_tol=0.5)
-    assert not approx_eq(1.0, 1.3, abs_tol=0.2)
-    assert EPS_ABS == 1e-9
-    assert not approx_eq(1.0, 1.3)
-    assert approx_eq(0.0, 5e-10) and not approx_eq(0.0, 2e-9)
 
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
