@@ -1,32 +1,28 @@
 """Built-in fusion rings and file I/O for user-defined ones.
 
-Shipped rings (label conventions are fixed so CLI expressions stay stable):
+The fixed rings in :data:`ENTRIES` are written as fusion rules; the first
+label is the unit.  Label conventions are fixed so CLI expressions stay
+stable.  Perron-Frobenius dimensions of the non-invertible sectors:
 
-* ``su2`` (parameter k >= 1): SU(2) level-k Verlinde ring, labels l0..lk.
-* ``d6_even``: even sectors of the D6 subfactor: 1, r, r1, r2 with
-  d(r) = (3+sqrt(5))/2 and d(r1) = d(r2) = (1+sqrt(5))/2.
-* ``e6_even``: even sectors of the E6 subfactor: 1, a, e with a an order-2
-  automorphism and d(e) = 1+sqrt(3).
-* ``s4_rep``: unitary dual of the symmetric group S4: 1, a (sign), e2
-  (2-dim), e (standard 3-dim), ae (their product); the tables match the
-  character products of explicit permutation matrices in tests/_oracles.py.
-* ``a4_rep``: unitary dual of the alternating group A4: 1, w, w2 (cubic
-  characters), v (3-dim); same derivation route.
-* ``d6aff_even``: even sectors of the affine-D6 subfactor: Klein four-group
-  1, t, tq, tp of automorphisms plus x with d(x) = 2 and
-  x^2 = 1 + t + tq + tp.
-* ``haagerup_even``: even sectors of the Haagerup subfactor: Z/3 part
-  1, t, t2 plus r, tr, t2r with d(r) = (3+sqrt(13))/2, t^3 = 1,
-  r*t = t2*r, and r^2 = 1 + r + tr + t2r.
+* ``su2`` (parameter k >= 1): SU(2) level-k Verlinde ring, labels l0..lk,
+  d(l_j) = sin((j+1) pi/(k+2)) / sin(pi/(k+2)).
+* ``d6_even``: d(r) = (3+sqrt(5))/2, d(r1) = d(r2) = (1+sqrt(5))/2.
+* ``e6_even``: d(e) = 1+sqrt(3).
+* ``s4_rep``, ``a4_rep``: the degrees of the irreducible representations;
+  the tables match the character products of explicit permutation matrices
+  in tests/_oracles.py.
+* ``d6aff_even``: d(x) = 2.
+* ``haagerup_even``: d(r) = d(tr) = d(t2r) = (3+sqrt(13))/2.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .fusion import FusionRing, validate_ring
+from .fusion import FusionRing, parse_sector_expr, validate_ring
 
 
 class RingFormatError(ValueError):
@@ -59,126 +55,86 @@ def _su2(k: int) -> FusionRing:
     return FusionRing(f"su2_{k}", labels, "l0", {}, tensor)
 
 
-def _d6_even() -> FusionRing:
-    L = ("1", "r", "r1", "r2")
-    P = {}
-    for x in L:
-        P[("1", x)] = {x: 1}
-        P[(x, "1")] = {x: 1}
-    P[("r", "r")] = {"1": 1, "r": 1, "r1": 1, "r2": 1}
-    P[("r", "r1")] = {"r": 1, "r2": 1}
-    P[("r1", "r")] = {"r": 1, "r2": 1}
-    P[("r", "r2")] = {"r": 1, "r1": 1}
-    P[("r2", "r")] = {"r": 1, "r1": 1}
-    P[("r1", "r1")] = {"1": 1, "r1": 1}
-    P[("r2", "r2")] = {"1": 1, "r2": 1}
-    P[("r1", "r2")] = {"r": 1}
-    P[("r2", "r1")] = {"r": 1}
-    return FusionRing("d6_even", L, "1", {}, P)
-
-
-def _e6_even() -> FusionRing:
-    L = ("1", "a", "e")
-    P = {}
-    for x in L:
-        P[("1", x)] = {x: 1}
-        P[(x, "1")] = {x: 1}
-    P[("a", "a")] = {"1": 1}
-    P[("a", "e")] = {"e": 1}
-    P[("e", "a")] = {"e": 1}
-    P[("e", "e")] = {"1": 1, "a": 1, "e": 2}
-    return FusionRing("e6_even", L, "1", {}, P)
-
-
-def _s4_rep() -> FusionRing:
-    # character-product table for the irreducibles {1, sign, 2-dim, 3-dim, 3-dim'}
-    L = ("1", "a", "e2", "e", "ae")
-    P = {}
-    for x in L:
-        P[("1", x)] = {x: 1}
-        P[(x, "1")] = {x: 1}
-    P[("a", "a")] = {"1": 1}
-    P[("a", "e2")] = {"e2": 1}
-    P[("e2", "a")] = {"e2": 1}
-    P[("a", "e")] = {"ae": 1}
-    P[("e", "a")] = {"ae": 1}
-    P[("a", "ae")] = {"e": 1}
-    P[("ae", "a")] = {"e": 1}
-    P[("e2", "e2")] = {"1": 1, "a": 1, "e2": 1}
-    P[("e2", "e")] = {"e": 1, "ae": 1}
-    P[("e", "e2")] = {"e": 1, "ae": 1}
-    P[("e2", "ae")] = {"e": 1, "ae": 1}
-    P[("ae", "e2")] = {"e": 1, "ae": 1}
-    P[("e", "e")] = {"1": 1, "e2": 1, "e": 1, "ae": 1}
-    P[("e", "ae")] = {"a": 1, "e2": 1, "e": 1, "ae": 1}
-    P[("ae", "e")] = {"a": 1, "e2": 1, "e": 1, "ae": 1}
-    P[("ae", "ae")] = {"1": 1, "e2": 1, "e": 1, "ae": 1}
-    return FusionRing("s4_rep", L, "1", {}, P)
-
-
-def _a4_rep() -> FusionRing:
-    L = ("1", "w", "w2", "v")
-    P = {}
-    for x in L:
-        P[("1", x)] = {x: 1}
-        P[(x, "1")] = {x: 1}
-    P[("w", "w")] = {"w2": 1}
-    P[("w", "w2")] = {"1": 1}
-    P[("w2", "w")] = {"1": 1}
-    P[("w2", "w2")] = {"w": 1}
-    P[("w", "v")] = {"v": 1}
-    P[("v", "w")] = {"v": 1}
-    P[("w2", "v")] = {"v": 1}
-    P[("v", "w2")] = {"v": 1}
-    P[("v", "v")] = {"1": 1, "w": 1, "w2": 1, "v": 2}
-    return FusionRing("a4_rep", L, "1", {"w": "w2", "w2": "w"}, P)
-
-
-def _d6aff_even() -> FusionRing:
-    L = ("1", "t", "tq", "tp", "x")
-    klein = {("1", "1"): "1", ("1", "t"): "t", ("1", "tq"): "tq", ("1", "tp"): "tp",
-             ("t", "1"): "t", ("t", "t"): "1", ("t", "tq"): "tp", ("t", "tp"): "tq",
-             ("tq", "1"): "tq", ("tq", "t"): "tp", ("tq", "tq"): "1", ("tq", "tp"): "t",
-             ("tp", "1"): "tp", ("tp", "t"): "tq", ("tp", "tq"): "t", ("tp", "tp"): "1"}
-    P = {key: {val: 1} for key, val in klein.items()}
-    for g in ("1", "t", "tq", "tp"):
-        P[(g, "x")] = {"x": 1}
-        P[("x", g)] = {"x": 1}
-    P[("x", "x")] = {"1": 1, "t": 1, "tq": 1, "tp": 1}
-    return FusionRing("d6aff_even", L, "1", {}, P)
-
-
-def _haagerup_even() -> FusionRing:
-    # Z/3 part t with t^3 = 1; r, tr, t2r self-dual of dimension (3+sqrt(13))/2;
-    # r*t = t2*r and (t^i r)(t^j r) = t^(i-j) + r + tr + t2r.
-    group = ["1", "t", "t2"]
-    refl = ["r", "tr", "t2r"]
-    L = tuple(group + refl)
-
-    def tpow(i: int) -> str:
-        return group[i % 3]
-
-    def trefl(i: int) -> str:
-        return refl[i % 3]
-
-    P: Dict[Tuple[str, str], Dict[str, int]] = {}
-    for i in range(3):
-        for j in range(3):
-            P[(tpow(i), tpow(j))] = {tpow(i + j): 1}
-            P[(tpow(i), trefl(j))] = {trefl(i + j): 1}
-            P[(trefl(i), tpow(j))] = {trefl(i - j): 1}
-            P[(trefl(i), trefl(j))] = {tpow(i - j): 1, "r": 1, "tr": 1, "t2r": 1}
-    return FusionRing("haagerup_even", L, "1", {"t": "t2", "t2": "t"}, P)
+def _ring(name: str, labels: str, rules: str,
+          dual: Optional[Dict[str, str]] = None) -> FusionRing:
+    """A ring from space-separated labels, unit first, and one fusion rule
+    per line, ``a*b = b*a = c + 2*d``: every product on the left of a line
+    gets the sector expression on its right.  The unit rows are implied."""
+    labs = tuple(labels.split())
+    unit = labs[0]
+    tensor = {}
+    for x in labs:
+        tensor[(unit, x)] = tensor[(x, unit)] = {x: 1}
+    for line in rules.strip().splitlines():
+        *products, rhs = line.split("=")
+        row = {lab: n for n, (lab,) in parse_sector_expr(rhs, labs)}
+        for product in products:
+            i, j = (t.strip() for t in product.split("*"))
+            tensor[(i, j)] = row
+    return FusionRing(name, labs, unit, dual or {}, tensor)
 
 
 ENTRIES: Tuple[CatalogEntry, ...] = (
     CatalogEntry("su2", "SU(2) level-k Verlinde ring, labels l0..lk (pass k)", _su2, True),
-    CatalogEntry("d6_even", "even sectors of the D6 subfactor", _d6_even),
-    CatalogEntry("e6_even", "even sectors of the E6 subfactor", _e6_even),
-    CatalogEntry("s4_rep", "unitary dual of the symmetric group S4", _s4_rep),
-    CatalogEntry("a4_rep", "unitary dual of the alternating group A4", _a4_rep),
-    CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor", _d6aff_even),
-    CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor", _haagerup_even),
+    CatalogEntry("d6_even", "even sectors of the D6 subfactor", partial(
+        _ring, "d6_even", "1 r r1 r2", """
+        r*r = 1 + r + r1 + r2
+        r*r1 = r1*r = r + r2
+        r*r2 = r2*r = r + r1
+        r1*r1 = 1 + r1
+        r2*r2 = 1 + r2
+        r1*r2 = r2*r1 = r
+        """)),
+    CatalogEntry("e6_even", "even sectors of the E6 subfactor", partial(
+        _ring, "e6_even", "1 a e", """
+        a*a = 1
+        a*e = e*a = e
+        e*e = 1 + a + 2*e
+        """)),
+    # 1, sign, the 2-dim, the standard 3-dim and its product with the sign
+    CatalogEntry("s4_rep", "unitary dual of the symmetric group S4", partial(
+        _ring, "s4_rep", "1 a e2 e ae", """
+        a*a = 1
+        a*e2 = e2*a = e2
+        a*e = e*a = ae
+        a*ae = ae*a = e
+        e2*e2 = 1 + a + e2
+        e2*e = e*e2 = e2*ae = ae*e2 = e + ae
+        e*e = ae*ae = 1 + e2 + e + ae
+        e*ae = ae*e = a + e2 + e + ae
+        """)),
+    # the cubic characters w, w2 and the 3-dim v
+    CatalogEntry("a4_rep", "unitary dual of the alternating group A4", partial(
+        _ring, "a4_rep", "1 w w2 v", """
+        w*w = w2
+        w*w2 = w2*w = 1
+        w2*w2 = w
+        w*v = v*w = w2*v = v*w2 = v
+        v*v = 1 + w + w2 + 2*v
+        """, {"w": "w2", "w2": "w"})),
+    # the Klein four-group 1, t, tq, tp of automorphisms and x
+    CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor", partial(
+        _ring, "d6aff_even", "1 t tq tp x", """
+        t*t = tq*tq = tp*tp = 1
+        t*tq = tq*t = tp
+        t*tp = tp*t = tq
+        tq*tp = tp*tq = t
+        t*x = x*t = tq*x = x*tq = tp*x = x*tp = x
+        x*x = 1 + t + tq + tp
+        """)),
+    # Z/3 = {1, t, t2} and the self-dual t^i r, with r*t = t2*r
+    CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor", partial(
+        _ring, "haagerup_even", "1 t t2 r tr t2r", """
+        t*t = t2
+        t*t2 = t2*t = 1
+        t2*t2 = t
+        t*t2r = t2*tr = tr*t = t2r*t2 = r
+        t*r = t2*t2r = r*t2 = t2r*t = tr
+        t*tr = t2*r = r*t = tr*t2 = t2r
+        r*r = tr*tr = t2r*t2r = 1 + r + tr + t2r
+        tr*r = t2r*tr = r*t2r = t + r + tr + t2r
+        t2r*r = r*tr = tr*t2r = t2 + r + tr + t2r
+        """, {"t": "t2", "t2": "t"})),
 )
 
 

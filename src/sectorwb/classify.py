@@ -39,30 +39,20 @@ def tolerances(tol: Optional[float] = None) -> Dict[str, float]:
 
 @dataclass(frozen=True)
 class PFLink:
-    """One Perron-Frobenius consistency link between a case and a catalog ring.
+    """One Perron-Frobenius consistency link between a case and a catalog ring:
+    the dimension of a sector expression, such as d(l1)^2 = d(l1*l1) on
+    su2(k) or a canonical endomorphism 1 + t + x, against its exact value."""
 
-    kind "su2_norm" compares d(l1)^2 of the su2(k) ring (the graph norm
-    squared of the A_{k+1} Dynkin diagram); kind "unit_plus" compares
-    1 + sum of the listed sector dimensions (the dimension of a canonical
-    endomorphism 1 + ...).
-    """
-
-    kind: str
     ring_key: str
     k: Optional[int]
-    labels: Tuple[str, ...]
+    expr: str
     expected: QuadExt
     note: str
 
     def evaluate(self) -> Tuple[float, float]:
         ring = builtin(self.ring_key, self.k)
         dims = pf_dimensions(ring)
-        if self.kind == "su2_norm":
-            value = dims[self.labels[0]] ** 2
-        elif self.kind == "unit_plus":
-            value = 1.0 + sum(dims[l] for l in self.labels)
-        else:
-            raise ValueError(f"unknown link kind {self.kind!r}")
+        value = sum(n * dims[lab] for lab, n in decompose(ring, self.expr).items())
         return value, float(self.expected)
 
 
@@ -122,17 +112,17 @@ def classification_table() -> List[QuadCase]:
             "a5a3", "A5", "A3", quad(3), quad(2),
             "group-type", "mp = pn - 1", quad("1/2"), math.pi / 3, "cocommuting",
             "S3",
-            (PFLink("su2_norm", "su2", 4, ("l1",), quad(3), "A5 graph norm squared"),
-             PFLink("su2_norm", "su2", 2, ("l1",), quad(2), "A3 graph norm squared")),
+            (PFLink("su2", 4, "l1*l1", quad(3), "A5 graph norm squared"),
+             PFLink("su2", 2, "l1*l1", quad(2), "A3 graph norm squared")),
             "fixed points of an outer S3 action; " + _ASSUMED,
         ),
         QuadCase(
             "d6a4", "D6", "A4", quad("5/2", "1/2", 5), quad("3/2", "1/2", 5),
             "II", "mp = pn - 1", half3m5, math.acos(float(half3m5)), "cocommuting",
             None,
-            (PFLink("su2_norm", "su2", 8, ("l1",), quad("5/2", "1/2", 5),
+            (PFLink("su2", 8, "l1*l1", quad("5/2", "1/2", 5),
                     "D6 graph norm squared (equals the A9 value)"),
-             PFLink("su2_norm", "su2", 3, ("l1",), quad("3/2", "1/2", 5),
+             PFLink("su2", 3, "l1*l1", quad("3/2", "1/2", 5),
                     "A4 graph norm squared")),
             "golden-ratio indices (5+sqrt(5))/2 and (3+sqrt(5))/2; " + _ASSUMED,
         ),
@@ -140,7 +130,7 @@ def classification_table() -> List[QuadCase]:
             "a7a7", "A7", "A7", quad(2, 1, 2), quad(2, 1, 2),
             "I", "mp = pn", sqrt2m1, math.acos(float(sqrt2m1)), "bound",
             None,
-            (PFLink("su2_norm", "su2", 6, ("l1",), quad(2, 1, 2),
+            (PFLink("su2", 6, "l1*l1", quad(2, 1, 2),
                     "A7 graph norm squared, both elementary subfactors"),),
             "noncocommuting, equal indices 2+sqrt(2); " + _ASSUMED,
         ),
@@ -148,9 +138,9 @@ def classification_table() -> List[QuadCase]:
             "d6affa3", "D6affine", "A3", quad(4), quad(2),
             "D6affine", "none", quad(0, "1/2", 2), math.pi / 4, "stored",
             "D8 (dihedral of order 8)",
-            (PFLink("unit_plus", "d6aff_even", None, ("t", "x"), quad(4),
+            (PFLink("d6aff_even", None, "1 + t + x", quad(4),
                     "canonical endomorphism 1 + t + x of the affine-D6 side"),
-             PFLink("su2_norm", "su2", 2, ("l1",), quad(2), "A3 graph norm squared")),
+             PFLink("su2", 2, "l1*l1", quad(2), "A3 graph norm squared")),
             "index-4 special case with angle pi/4, outside the cocommuting "
             "formula's reach; " + _ASSUMED,
         ),
@@ -158,9 +148,9 @@ def classification_table() -> List[QuadCase]:
             "e6affd4", "E6affine", "D4", quad(4), quad(3),
             "group-type", "mp = pn - 1", quad("1/3"), math.acos(1 / 3), "cocommuting",
             "A4",
-            (PFLink("unit_plus", "a4_rep", None, ("v",), quad(4),
+            (PFLink("a4_rep", None, "1 + v", quad(4),
                     "canonical endomorphism 1 + v of the A4 fixed point"),
-             PFLink("unit_plus", "a4_rep", None, ("w", "w2"), quad(3),
+             PFLink("a4_rep", None, "1 + w + w2", quad(3),
                     "canonical endomorphism 1 + w + w2 of the cubic fixed point")),
             "fixed points of an outer A4 action; " + _ASSUMED,
         ),
@@ -168,18 +158,18 @@ def classification_table() -> List[QuadCase]:
             "e7affa5", "E7affine", "A5", quad(4), quad(3),
             "III", "mp = pn - 1", quad("1/3"), math.acos(1 / 3), "cocommuting",
             "Z/2 realized inside an S4 symmetry",
-            (PFLink("unit_plus", "s4_rep", None, ("e",), quad(4),
+            (PFLink("s4_rep", None, "1 + e", quad(4),
                     "canonical endomorphism 1 + e of the S4 fixed point"),
-             PFLink("su2_norm", "su2", 4, ("l1",), quad(3), "A5 graph norm squared")),
+             PFLink("su2", 4, "l1*l1", quad(3), "A5 graph norm squared")),
             "cocommuting but not of group type; " + _ASSUMED,
         ),
         QuadCase(
             "e7affe7aff", "E7affine", "E7affine", quad(4), quad(4),
             "I", "mp = pn", quad("1/3"), math.acos(1 / 3), "bound",
             None,
-            (PFLink("unit_plus", "s4_rep", None, ("e",), quad(4),
+            (PFLink("s4_rep", None, "1 + e", quad(4),
                     "canonical endomorphism 1 + e of the S4 fixed point"),
-             PFLink("unit_plus", "s4_rep", None, ("a", "e2"), quad(4),
+             PFLink("s4_rep", None, "1 + a + e2", quad(4),
                     "canonical endomorphism 1 + a + e2 on the intermediate side")),
             "noncocommuting at index 4, no group realization; " + _ASSUMED,
         ),

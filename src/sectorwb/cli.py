@@ -54,11 +54,15 @@ def _spectrum(spec: angles.AngleSpectrum, degrees: bool) -> Tuple[int, Dict, Lis
 
 
 def _resolve_ring(args) -> fusion.FusionRing:
-    if args.file:
-        return catalog.load(args.file)
-    if not args.ring:
-        raise ValueError("a catalog ring name or --file is required")
-    return catalog.builtin(args.ring, args.k)
+    if not args.file:
+        if not args.ring:
+            raise ValueError("a catalog ring name or --file is required")
+        return catalog.builtin(args.ring, args.k)
+    if args.ring:
+        raise ValueError("give a catalog ring name or --file, not both")
+    if args.k is not None:
+        raise ValueError("--file takes no level parameter")
+    return catalog.load(args.file)
 
 
 # -- handlers: each takes the parsed args, returns (exit code, json results, text lines)
@@ -73,14 +77,11 @@ def _catalog_list(args):
 
 
 def _validate(args):
-    name = args.file or args.ring or "?"
+    name, report = args.file or args.ring or "?", []
     try:
-        ring = _resolve_ring(args)
+        name = _resolve_ring(args).name
     except catalog.RingValidationError as exc:
         report = exc.report
-    else:
-        name = ring.name
-        report = fusion.validate_ring(ring)
     doc = {"ring": name, "valid": not report, "errors": report}
     text = [f"{name}: ok"] if not report else \
         [f"{name}: {len(report)} error(s)"] + [f"  {e}" for e in report]

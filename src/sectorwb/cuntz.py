@@ -407,10 +407,8 @@ class HaagerupConstants:
     B^2 - B + d = 0.
     """
 
-    d_exact: QuadExt
     d: float
     sqrt_d: float
-    sqrt_4d_minus_1: float
     A: Tuple[Tuple[complex, complex, complex], ...]
     B: complex
 
@@ -437,7 +435,7 @@ def haagerup_constants(a12: Optional[complex] = None) -> HaagerupConstants:
         (complex(off), complex(off), a12),
         (complex(off), a12.conjugate(), complex(off)),
     )
-    return HaagerupConstants(_D_EXACT, d, sqrt_d, sqrt_4d1, A, (d - 1) * a12)
+    return HaagerupConstants(d, sqrt_d, A, (d - 1) * a12)
 
 
 _STANDARD = haagerup_constants()

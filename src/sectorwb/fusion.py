@@ -56,7 +56,7 @@ from .scalar import EPS_ABS
 if TYPE_CHECKING:
     import numpy as np
 
-LABEL_RE = re.compile(r"^[A-Za-z0-9_']+$")
+LABEL_RE = re.compile(r"[A-Za-z0-9_']+")
 
 # matrix products of multiplicities are exact in float64 below this bound
 _FLOAT_EXACT = 2 ** 53
@@ -108,7 +108,7 @@ class FusionRing:
         if not labels:
             raise RingStructureError("empty label set")
         for lab in labels:
-            if not isinstance(lab, str) or not LABEL_RE.match(lab):
+            if not isinstance(lab, str) or not LABEL_RE.fullmatch(lab):
                 raise RingStructureError(f"bad label {lab!r}")
         if len(set(labels)) != len(labels):
             raise RingStructureError("duplicate labels")
@@ -190,7 +190,7 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple
     """Parse ``TERM ('+' TERM)*`` with ``TERM := [COEFF '*']? label ('*' label)*``
     into (coefficient, word) pairs, in the order written.
 
-    A leading all-digit token is a coefficient unless it names a label (so the
+    A leading token of ASCII digits is a coefficient unless it names a label (so the
     Haagerup unit "1" stays a label).  Unknown labels raise RingStructureError.
     """
     label_set = set(labels)
@@ -204,7 +204,7 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple
         if any(not t for t in tokens):
             raise ExprSyntaxError("empty factor", pos + chunk.find("*") + 1)
         coeff = 1
-        if tokens[0].isdigit() and tokens[0] not in label_set:
+        if tokens[0].isascii() and tokens[0].isdigit() and tokens[0] not in label_set:
             coeff = int(tokens[0])
             if coeff <= 0:
                 raise ExprSyntaxError("coefficient must be positive", pos)
@@ -213,7 +213,7 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple
                 raise ExprSyntaxError("coefficient without a word", pos)
         for t in tokens:
             if t not in label_set:
-                if LABEL_RE.match(t):
+                if LABEL_RE.fullmatch(t):
                     raise RingStructureError(f"unknown label {t!r}")
                 raise ExprSyntaxError(f"bad token {t!r}", pos + chunk.find(t))
         terms.append((coeff, tuple(tokens)))

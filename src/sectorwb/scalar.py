@@ -144,10 +144,6 @@ class QuadExt:
         return QuadExt._raw(self.a, -self.b, self.m)
 
     @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    @property
     def is_integer(self) -> bool:
         return self.b == 0 and self.a.denominator == 1
 

@@ -91,18 +91,15 @@ class BranchingRule:
     graph: str
     k: int
     J: Tuple[int, ...]
-    multiplicities: Tuple[int, ...]
 
     def __post_init__(self):
         if 0 not in self.J:
             raise ValueError("J must contain 0")
         if any(j < 0 or j > self.k for j in self.J):
             raise ValueError("J must be a subset of {0..k}")
-        if len(self.multiplicities) != len(self.J):
-            raise ValueError("one multiplicity per element of J")
 
 
-_GRAPH_RE = re.compile(r"^([ADE])(\d+)$")
+_GRAPH_RE = re.compile(r"([ADE])([0-9]+)")
 
 
 def branching_rule(graph: str) -> BranchingRule:
@@ -113,7 +110,7 @@ def branching_rule(graph: str) -> BranchingRule:
     The E and D entries are standard branching-rule data rather than
     anything this package derives.
     """
-    m = _GRAPH_RE.match(graph)
+    m = _GRAPH_RE.fullmatch(graph)
     if not m:
         raise ValueError(f"unknown graph name {graph!r} (expected An, D2n, E6, E7 or E8)")
     series, num = m.group(1), int(m.group(2))
@@ -134,7 +131,7 @@ def branching_rule(graph: str) -> BranchingRule:
         if num not in table:
             raise ValueError(f"unknown graph name {graph!r}")
         k, J = table[num]
-    return BranchingRule(graph, k, J, (1,) * len(J))
+    return BranchingRule(graph, k, J)
 
 
 def ghj_spectrum(graph: str) -> AngleSpectrum:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from sectorwb.catalog import (
     ring_to_dict,
     save,
 )
-from sectorwb.fusion import pf_dimensions, validate_ring
+from sectorwb.fusion import RingStructureError, pf_dimensions, validate_ring
 
 import _oracles
 
@@ -23,6 +24,17 @@ def test_every_builtin_validates():
     for key in builtin_keys():
         ring = builtin(key, 4) if key == "su2" else builtin(key)
         assert validate_ring(ring) == [], key
+
+
+GOLDEN_RINGS = json.loads(
+    (Path(__file__).parent / "golden_rings.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES if not e.parametrized])
+def test_fixed_ring_matches_its_record(key):
+    # the records do not come from the rule text: a mistyped rule fails here
+    # even when the ring it builds is still a valid fusion ring
+    assert ring_to_dict(builtin(key)) == GOLDEN_RINGS[key]
 
 
 def test_su2_requires_level():
@@ -101,6 +113,15 @@ def test_json_error_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"name": "x",\n  "labels": [}')
     with pytest.raises(RingFormatError, match=r"line 2"):
+        load(str(p))
+
+
+def test_label_with_trailing_newline_is_rejected(tmp_path):
+    doc = ring_to_dict(builtin("e6_even"))
+    doc["labels"][1] = "a\n"
+    p = tmp_path / "newline.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(RingStructureError, match="bad label"):
         load(str(p))
 
 

@@ -128,9 +128,18 @@ def test_haagerup_verify_perturb(capsys):
      "error: haagerup_even takes no level parameter\n"),
     (["hom", "e6_even", "a", "a", "--k", "1"], "error: e6_even takes no level parameter\n"),
     (["dims", "su2"], "error: su2 requires an integer level k >= 1\n"),
+    (["dims", "--file", "FILE", "--k", "3"], "error: --file takes no level parameter\n"),
+    (["validate", "--file", "FILE", "--k", "3"], "error: --file takes no level parameter\n"),
+    (["dims", "e6_even", "--file", "FILE"],
+     "error: give a catalog ring name or --file, not both\n"),
+    (["validate", "d6_even", "--file", "FILE"],
+     "error: give a catalog ring name or --file, not both\n"),
 ])
-def test_level_must_match_the_ring(argv, message, capsys):
-    assert main(argv) == 2
+def test_level_must_match_the_ring(argv, message, tmp_path, capsys):
+    # FILE is the d6_even ring saved to disk
+    path = tmp_path / "d6.json"
+    catalog.save(catalog.builtin("d6_even"), str(path))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message

@@ -105,6 +105,12 @@ def test_multiplicity_must_fit_64_bits():
         FusionRing(name="huge", labels=("1", "x"), unit="1", dual={}, tensor=tensor)
 
 
+def test_label_with_trailing_newline_is_rejected():
+    with pytest.raises(RingStructureError, match="bad label"):
+        FusionRing(name="x", labels=("1", "a\n"), unit="1", dual={},
+                   tensor=_unit_rows(("1", "a\n"), "1"))
+
+
 def test_dense_tensor_matches_rows():
     ring = catalog.builtin("a4_rep")
     for i in ring.labels:
@@ -336,6 +342,15 @@ def test_parse_errors():
         parse_sector_expr("3", ring.labels)
     with pytest.raises(RingStructureError):
         parse_sector_expr("s + q", ring.labels)
+
+
+@pytest.mark.parametrize("text", ["\u00b2*e", "\u0663*e", "e + \u00b2*e"])
+def test_coefficients_are_ascii_digits(text):
+    # a non-ASCII digit is no coefficient: "\u0663" (Arabic-Indic three) was
+    # read as 3, and "\u00b2" (superscript two) ended in a bare int() error
+    with pytest.raises(ExprSyntaxError, match="bad token") as exc:
+        decompose(catalog.builtin("e6_even"), text)
+    assert exc.value.position == text.index("*") - 1
 
 
 def test_hom_dim_regression():

@@ -94,7 +94,7 @@ def test_branching_rule_table():
     assert branching_rule("D4").k == 4
     assert branching_rule("D4").J == (0, 4)
     assert branching_rule("E8").J == (0, 10, 18, 28)
-    for bad in ("D5", "D2", "F4", "E9", "A1", "e6", "D", "6"):
+    for bad in ("D5", "D2", "F4", "E9", "A1", "e6", "D", "6", "E6\n", "E\u0666"):
         with pytest.raises(ValueError):
             branching_rule(bad)
 
