@@ -188,6 +188,8 @@ def ring_from_dict(doc: dict) -> FusionRing:
     missing = {"name", "labels", "unit", "tensor"} - set(doc)
     if missing:
         raise RingFormatError(f"missing fields: {sorted(missing)}")
+    if not isinstance(doc["name"], str):
+        raise RingFormatError("name must be a string")
     if not isinstance(doc["labels"], list) or not all(isinstance(x, str) for x in doc["labels"]):
         raise RingFormatError("labels must be an array of strings")
     dual = doc.get("dual", {})

@@ -13,10 +13,13 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from . import angles, catalog, classify, cuntz, fusion, wzw
-from .scalar import EPS_ABS
+import sectorwb
+
+if TYPE_CHECKING:
+    from .angles import AngleSpectrum
+    from .fusion import FusionRing
 
 
 def _fmt(x: float) -> str:
@@ -31,7 +34,8 @@ def _jcomplex(z: complex) -> Dict[str, float]:
     return {"re": _jfloat(z.real), "im": _jfloat(z.imag)}
 
 
-def _spectrum(spec: angles.AngleSpectrum, degrees: bool) -> Tuple[int, Dict, List[str]]:
+def _spectrum(spec: AngleSpectrum, degrees: bool) -> Tuple[int, Dict, List[str]]:
+    from . import angles
     doc: Dict = {
         "commuting": spec.commuting,
         "angles_radians": [_jfloat(a) for a in spec.angles],
@@ -53,7 +57,8 @@ def _spectrum(spec: angles.AngleSpectrum, degrees: bool) -> Tuple[int, Dict, Lis
     return 0, doc, text
 
 
-def _resolve_ring(args) -> fusion.FusionRing:
+def _resolve_ring(args) -> FusionRing:
+    from . import catalog
     if not args.file:
         if not args.ring:
             raise ValueError("a catalog ring name or --file is required")
@@ -66,9 +71,11 @@ def _resolve_ring(args) -> fusion.FusionRing:
 
 
 # -- handlers: each takes the parsed args, returns (exit code, json results, text lines)
+# and imports the modules it uses, so that a command loads only those
 
 
 def _catalog_list(args):
+    from . import catalog
     entries = catalog.ENTRIES
     doc = {"entries": [
         {"key": e.key, "note": e.note, "parametrized": e.parametrized}
@@ -77,6 +84,7 @@ def _catalog_list(args):
 
 
 def _validate(args):
+    from . import catalog
     name, report = args.file or args.ring or "?", []
     try:
         name = _resolve_ring(args).name
@@ -89,6 +97,7 @@ def _validate(args):
 
 
 def _dims(args):
+    from . import fusion
     ring = _resolve_ring(args)
     dims = fusion.pf_dimensions(ring)
     doc = {"ring": ring.name,
@@ -97,6 +106,7 @@ def _dims(args):
 
 
 def _decompose(args):
+    from . import fusion
     ring = _resolve_ring(args)
     dec = fusion.decompose(ring, args.expr)
     doc = {"ring": ring.name, "expr": args.expr, "decomposition": dec}
@@ -104,21 +114,25 @@ def _decompose(args):
 
 
 def _hom(args):
+    from . import fusion
     ring = _resolve_ring(args)
     val = fusion.hom_dim(ring, args.expr1, args.expr2)
     return 0, {"ring": ring.name, "hom_dim": val}, [str(val)]
 
 
 def _angle_cocommuting(args):
+    from . import angles
     return _spectrum(angles.angle_cocommuting(args.pn, args.mp, args.tolerance), args.degrees)
 
 
 def _angle_group(args):
+    from . import angles
     spec = angles.angle_group(args.g, args.h, args.k, args.hk, args.tolerance)
     return _spectrum(spec, args.degrees)
 
 
 def _angle_candidates(args):
+    from . import angles
     doc = {"candidates": []}
     text = []
     for c in angles.angle_candidates(args.d, args.s, args.tolerance):
@@ -135,6 +149,7 @@ def _angle_candidates(args):
 
 
 def _angle_bound(args):
+    from . import angles
     angle = angles.angle_bound(args.pn)
     doc = {"angle_radians": _jfloat(angle), "note": angles.HYPOTHESES_NOTE}
     shown = f"{_fmt(angle)} rad"
@@ -145,11 +160,13 @@ def _angle_bound(args):
 
 
 def _wzw_spectrum(args):
+    from . import wzw
     J = [int(x) for x in args.J.split(",") if x.strip() != ""]
     return _spectrum(wzw.alpha_induction_spectrum(args.k, args.i0, J), args.degrees)
 
 
 def _wzw_ghj(args):
+    from . import wzw
     rule = wzw.branching_rule(args.graph)
     code, doc, text = _spectrum(wzw.ghj_spectrum(args.graph), args.degrees)
     doc.update({"graph": rule.graph, "k": rule.k, "J": list(rule.J)})
@@ -157,10 +174,12 @@ def _wzw_ghj(args):
 
 
 def _wzw_asymptotic(args):
+    from . import wzw
     return _spectrum(wzw.asymptotic_spectrum(args.n), args.degrees)
 
 
 def _wzw_6j(args):
+    from . import wzw
     spins = []
     for s in args.spins.split(","):
         try:
@@ -178,6 +197,7 @@ def _wzw_6j(args):
 
 
 def _haagerup_verify(args):
+    from . import cuntz
     constants = None
     if args.perturb is not None:
         a12 = cuntz.haagerup_constants().A[1][2] + args.perturb
@@ -198,6 +218,8 @@ def _haagerup_verify(args):
 
 
 def _haagerup_qsystem(args):
+    from . import cuntz
+    from .scalar import EPS_ABS
     sols = cuntz.solve_qsystem(tol=args.tolerance)
     doc = {"solutions": [], "tolerance": EPS_ABS if args.tolerance is None else args.tolerance}
     text = []
@@ -219,11 +241,13 @@ def _haagerup_qsystem(args):
 
 
 def _cuntz_normalize(args):
+    from . import cuntz
     rendered = cuntz.render_expr(cuntz.parse(args.expr), args.tolerance)
     return 0, {"input": args.expr, "normal_form": rendered}, [rendered]
 
 
 def _classify(args):
+    from . import classify
     tol = args.tolerance
     if args.exclusions:
         results = classify.run_exclusion_checks(tol)
@@ -366,12 +390,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 fh.write(rendered + "\n")
         else:
             print(rendered)
-    except (catalog.RingValidationError, cuntz.QSystemError) as exc:
+    # An except clause is evaluated only when an exception reaches it, so
+    # naming a class through the package imports its module only then.
+    except (sectorwb.RingValidationError, sectorwb.QSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (fusion.ExprSyntaxError, cuntz.CuntzSyntaxError,
-            catalog.RingFormatError, fusion.RingStructureError,
-            wzw.SixJDomainError, ValueError, KeyError, OSError) as exc:
+    # the package's syntax, format, structure and domain errors are ValueErrors
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2

@@ -102,6 +102,14 @@ def test_missing_field_rejected():
         ring_from_dict(doc)
 
 
+@pytest.mark.parametrize("name", [["x"], 3, None])
+def test_name_must_be_a_string(name):
+    doc = ring_to_dict(builtin("e6_even"))
+    doc["name"] = name
+    with pytest.raises(RingFormatError, match="name must be a string"):
+        ring_from_dict(doc)
+
+
 def test_bad_tensor_key_rejected():
     doc = ring_to_dict(builtin("e6_even"))
     doc["tensor"]["a"] = {"a": 1}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import sectorwb
 from sectorwb import catalog
 from sectorwb.cli import main
 
@@ -270,13 +271,104 @@ print(json.dumps(seen))
 
 
 def test_light_commands_do_not_import_numpy():
-    # importing the CLI (hence every sectorwb module) and running the light
-    # commands leaves numpy unloaded; dims shows the probe can see it load
+    # importing the CLI and running the light commands leaves numpy
+    # unloaded; dims shows the probe can see it load
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(LIGHT_COMMANDS)],
                           env=env, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
     assert seen == [False] * (1 + len(LIGHT_COMMANDS)) + [True], seen
+
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+_SWB = [sys.executable, "-c", "import sys; from sectorwb.cli import main; sys.exit(main())"]
+
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import sectorwb
+if len(sys.argv) > 1:
+    from sectorwb.cli import main
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sectorwb."))))
+"""
+
+RING_COMMANDS = [["validate", "e6_even"], ["dims", "su2", "--k", "4"],
+                 ["decompose", "d6_even", "r*r1"], ["hom", "haagerup_even", "r*r", "1 + t"]]
+
+
+@pytest.mark.parametrize("family, modules", [
+    (None, []),
+    ("catalog", ["catalog", "cli", "fusion", "scalar"]),
+    ("angle", ["angles", "cli", "scalar"]),
+    ("wzw", ["angles", "cli", "scalar", "wzw"]),
+    ("haagerup", ["cli", "cuntz", "scalar"]),
+    ("cuntz", ["cli", "cuntz", "scalar"]),
+    ("ring", ["catalog", "cli", "fusion", "scalar"]),
+    ("classify", ["angles", "catalog", "classify", "cli", "fusion", "scalar"]),
+], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "ring", "classify"])
+def test_command_families_load_only_their_modules(family, modules):
+    # each family runs in a fresh interpreter; `import sectorwb` alone loads
+    # no submodule
+    commands = {"ring": RING_COMMANDS, "classify": [["classify", "--case", "a5a3"]]}.get(
+        family, [argv for argv in LIGHT_COMMANDS if argv[0] == family])
+    extra = [json.dumps(commands)] if family else []
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE] + extra,
+                          env=_ENV, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [f"sectorwb.{m}" for m in modules]
+
+
+def _d6_file(path, **fields):
+    path.write_text(json.dumps(dict(catalog.ring_to_dict(catalog.builtin("d6_even")), **fields)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, first_line", [
+    (["cuntz", "normalize", "T0*"], 2, "error: expected a generator (at position 3)"),
+    (["--tolerance", "1e-30", "haagerup", "qsystem"], 1,
+     "error: the coefficient system is not solved within tolerance 1e-30 (residuals {"),
+    (["wzw", "6j", "--m", "4", "--spins", "1/0,1,1,1,1,1"], 2,
+     "error: spin 1/0 is not a nonnegative half-integer"),
+    (["wzw", "6j", "--m", "1", "--spins", "0,0,0,0,0,0"], 2,
+     "error: root-of-unity order m must be an integer >= 2"),
+    (["decompose", "e6_even", "e*"], 2, "error: empty factor (at position 2)"),
+    (["dims", "nope"], 2, "error: unknown catalog key 'nope'"),
+    (["validate", "--file", "CORRUPT"], 1, None),
+    (["dims", "--file", "CORRUPT"], 1, "error: fusion-ring axioms violated:"),
+    (["validate", "--file", "NAMED"], 2, "error: name must be a string"),
+], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "expr-syntax", "lookup",
+        "validate-corrupt", "dims-corrupt", "name-not-string"])
+def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):
+    # the exception classes main() names belong to modules that a fresh
+    # process has not loaded when the command fails; the in-process run
+    # below sees every module already imported, and must print the same
+    tensor = catalog.ring_to_dict(catalog.builtin("d6_even"))["tensor"]
+    tensor["r,r"]["r1"] = 5
+    files = {"CORRUPT": _d6_file(tmp_path / "corrupt.json", tensor=tensor),
+             "NAMED": _d6_file(tmp_path / "named.json", name=["x"])}
+    argv = [files.get(a, a) for a in argv]
+    proc = subprocess.run(_SWB + argv, env=_ENV, capture_output=True, text=True)
+    assert proc.returncode == code
+    if first_line is None:
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(f"{argv[-1]}: 11 error(s)\n")
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(first_line)
+        assert proc.stderr.count("error: ") == 1
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+
+
+def test_every_package_error_is_caught_by_main():
+    # main() catches QSystemError by name and every other package error as
+    # the ValueError it subclasses
+    for name in sectorwb.__all__:
+        if name.endswith("Error"):
+            cls = getattr(sectorwb, name)
+            assert issubclass(cls, ValueError) or cls is sectorwb.QSystemError, name
 
 
 

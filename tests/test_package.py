@@ -1,4 +1,7 @@
-import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import sectorwb
@@ -11,8 +14,30 @@ def test_exports_are_unique_and_resolve():
 
 
 def test_every_public_import_is_exported():
-    tree = ast.parse(Path(sectorwb.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert {name for name in imported if not name.startswith("_")} == set(sectorwb.__all__)
+    # the lazy table is the whole public surface: each name is the object
+    # of that name in the module the table gives, and dir() lists it
+    assert list(sectorwb._EXPORTS) == sectorwb.__all__
+    for name, module in sectorwb._EXPORTS.items():
+        assert getattr(sectorwb, name) is getattr(import_module(f"sectorwb.{module}"), name), name
+    assert set(sectorwb.__all__) <= set(dir(sectorwb))
+
+
+def test_submodules_and_unknown_names():
+    # a submodule resolves after a bare `import sectorwb`; anything else is
+    # an AttributeError (checked in a fresh interpreter, where nothing of the
+    # package has been imported yet)
+    probe = """
+import sys
+import sectorwb
+assert sectorwb.fusion is sys.modules["sectorwb.fusion"]
+assert sectorwb.cli.main.__module__ == "sectorwb.cli"
+try:
+    sectorwb.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'sectorwb' has no attribute 'nope'", exc
+else:
+    raise AssertionError("sectorwb.nope resolved")
+assert "sectorwb.nope" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
