@@ -11,10 +11,9 @@ Angles are radians throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
-from .scalar import EPS_ABS
+from .scalar import EPS_ABS, Frozen
 
 HYPOTHESES_NOTE = (
     "hypotheses assumed: irreducible quadrilateral with the supertransitivity "
@@ -22,8 +21,7 @@ HYPOTHESES_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class AngleSpectrum:
+class AngleSpectrum(Frozen):
     """Set of angles of a quadrilateral, with 0 and pi/2 stripped.
 
     The endpoints carry no information beyond the projection geometry
@@ -32,15 +30,16 @@ class AngleSpectrum:
     the data forces E_P E_Q = E_N.
     """
 
-    angles: Tuple[float, ...]
-    commuting: bool = False
+    __slots__ = _fields = ("angles", "commuting")
 
-    def __post_init__(self):
-        for a in self.angles:
+    def __init__(self, angles: Tuple[float, ...], commuting: bool = False):
+        for a in angles:
             if not (0.0 < a < math.pi / 2):
                 raise ValueError(f"angle {a} outside the open interval (0, pi/2)")
-        if any(b - a < EPS_ABS for a, b in zip(self.angles, self.angles[1:])):
+        if any(b - a < EPS_ABS for a, b in zip(angles, angles[1:])):
             raise ValueError("angles must be strictly increasing after dedup")
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "commuting", commuting)
 
     @classmethod
     def from_cosines(cls, cosines: Iterable[float], commuting: bool = False) -> "AngleSpectrum":
@@ -58,33 +57,29 @@ class AngleSpectrum:
         return cls(tuple(dedup), commuting)
 
 
-@dataclass(frozen=True)
-class QuadIndexData:
+class QuadIndexData(Frozen):
     """The two elementary indices [P:N] and [M:P] of a quadrilateral."""
 
-    pn: float
-    mp: float
+    __slots__ = _fields = ("pn", "mp")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pn", float(self.pn))
-        object.__setattr__(self, "mp", float(self.mp))
+    def __init__(self, pn: float, mp: float):
+        object.__setattr__(self, "pn", float(pn))
+        object.__setattr__(self, "mp", float(mp))
         if not (1 < self.pn < math.inf and 1 < self.mp < math.inf):
             raise ValueError("indices must both be finite and exceed 1")
 
 
-@dataclass(frozen=True)
-class InnerData:
+class InnerData(Frozen):
     """Dimension d(sigma) and inner product <s_P, s_Q> of the coupling isometries.
 
     |s| <= 1 is checked, within a tolerance, by the functions that take one.
     """
 
-    d_sigma: float
-    s: float
+    __slots__ = _fields = ("d_sigma", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d_sigma", float(self.d_sigma))
-        object.__setattr__(self, "s", float(self.s))
+    def __init__(self, d_sigma: float, s: float):
+        object.__setattr__(self, "d_sigma", float(d_sigma))
+        object.__setattr__(self, "s", float(s))
         if not 1 < self.d_sigma < math.inf:
             raise ValueError("d_sigma must be finite and exceed 1")
         if not math.isfinite(self.s):
@@ -98,8 +93,7 @@ def _inner(d_sigma, s, tol: Optional[float]) -> InnerData:
     return data
 
 
-@dataclass(frozen=True)
-class AngleCandidate:
+class AngleCandidate(NamedTuple):
     """One branch of the quadratic angle formula.
 
     A cosine of 1 does not correspond to an angle at all (it would force
@@ -156,11 +150,17 @@ def angle_candidates(d_sigma, s,
 
     c± = (sqrt((d-1)^2 s^2 + 4 d) ± (d-1)|s|) / (2 d); the product of the
     two cosines is exactly 1/d.  Returned with the plus branch first.
-    |s| may exceed 1 by at most ``tol`` (None: 1e-9).
+    |s| may exceed 1 by at most ``tol`` (None: 1e-9).  Inputs whose
+    (d-1)^2 s^2 overflows a float raise ValueError.
     """
     data = _inner(d_sigma, s, tol)
     d = data.d_sigma
-    root = math.sqrt((d - 1.0) ** 2 * data.s ** 2 + 4.0 * d)
+    try:
+        root = math.sqrt((d - 1.0) ** 2 * data.s ** 2 + 4.0 * d)
+    except OverflowError:  # from the float powers; a product overflows to inf
+        root = math.inf
+    if root == math.inf:
+        raise ValueError(f"(d_sigma - 1)^2 s^2 overflows a float at d_sigma = {d}, s = {data.s}")
     spread = (d - 1.0) * abs(data.s)
     out = []
     for c in ((root + spread) / (2.0 * d), (root - spread) / (2.0 * d)):

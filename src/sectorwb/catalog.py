@@ -4,8 +4,8 @@ The fixed rings in :data:`ENTRIES` are written as fusion rules; the first
 label is the unit.  Label conventions are fixed so CLI expressions stay
 stable.  Perron-Frobenius dimensions of the non-invertible sectors:
 
-* ``su2`` (parameter k >= 1): SU(2) level-k Verlinde ring, labels l0..lk,
-  d(l_j) = sin((j+1) pi/(k+2)) / sin(pi/(k+2)).
+* ``su2`` (parameter 1 <= k <= :data:`MAX_LEVEL`): SU(2) level-k Verlinde
+  ring, labels l0..lk, d(l_j) = sin((j+1) pi/(k+2)) / sin(pi/(k+2)).
 * ``d6_even``: d(r) = (3+sqrt(5))/2, d(r1) = d(r2) = (1+sqrt(5))/2.
 * ``e6_even``: d(e) = 1+sqrt(3).
 * ``s4_rep``, ``a4_rep``: the degrees of the irreducible representations;
@@ -17,10 +17,8 @@ stable.  Perron-Frobenius dimensions of the non-invertible sectors:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .fusion import FusionRing, parse_sector_expr, validate_ring
 
@@ -37,14 +35,19 @@ class RingValidationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A built-in ring: ``build()``, or ``build(k)`` when parametrized."""
 
     key: str
     note: str
     build: Callable[..., FusionRing]
     parametrized: bool = False
+
+
+# su2 at level k has (k+1)^2 products and a dense tensor of (k+1)^3 entries,
+# so memory grows as k^3: `swb dims su2` peaks at about 100 MB at k = 120
+# and 350 MB at k = 200
+MAX_LEVEL = 150
 
 
 def _su2(k: int) -> FusionRing:
@@ -139,13 +142,16 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
 
 
 def builtin(key: str, k: Optional[int] = None) -> FusionRing:
-    """Return a validated built-in ring; ``su2`` requires the level k >= 1."""
+    """Return a validated built-in ring; ``su2`` requires a level
+    1 <= k <= MAX_LEVEL, checked before anything is built."""
     entry = next((e for e in ENTRIES if e.key == key), None)
     if entry is None:
         raise KeyError(f"unknown catalog key {key!r}")
     if entry.parametrized:
         if k is None or not isinstance(k, int) or k < 1:
             raise ValueError(f"{key} requires an integer level k >= 1")
+        if k > MAX_LEVEL:
+            raise ValueError(f"{key} level k = {k} is above the cap k <= {MAX_LEVEL}")
         ring = entry.build(k)
     else:
         if k is not None:
@@ -211,6 +217,8 @@ def ring_from_dict(doc: dict) -> FusionRing:
 
 def load(path: str) -> FusionRing:
     """Load and fully validate a fusion-ring JSON file."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -226,6 +234,8 @@ def load(path: str) -> FusionRing:
 
 
 def save(ring: FusionRing, path: str) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ring_to_dict(ring), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,9 +11,8 @@ polynomials, and Perron-Frobenius dimension agreement with catalog rings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .angles import angle_bound, angle_cocommuting
 from .catalog import builtin
@@ -37,8 +36,7 @@ def tolerances(tol: Optional[float] = None) -> Dict[str, float]:
     return {"angle": tol, "pf": tol}
 
 
-@dataclass(frozen=True)
-class PFLink:
+class PFLink(NamedTuple):
     """One Perron-Frobenius consistency link between a case and a catalog ring:
     the dimension of a sector expression, such as d(l1)^2 = d(l1*l1) on
     su2(k) or a canonical endomorphism 1 + t + x, against its exact value."""
@@ -56,9 +54,12 @@ class PFLink:
         return value, float(self.expected)
 
 
-@dataclass(frozen=True)
-class QuadCase:
-    """One row of the classification: graphs, exact indices, angle, metadata."""
+class QuadCase(NamedTuple):
+    """One row of the classification: graphs, exact indices, angle, metadata.
+
+    :func:`classification_table` checks ``tag`` against :data:`TAGS` and
+    ``angle_rule`` against :data:`ANGLE_RULES`.
+    """
 
     case_id: str
     graph_np: str
@@ -74,22 +75,14 @@ class QuadCase:
     pf_links: Tuple[PFLink, ...]
     notes: str
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown class tag {self.tag!r}")
-        if self.angle_rule not in ANGLE_RULES:
-            raise ValueError(f"unknown angle rule {self.angle_rule!r}")
 
-
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     case_id: str
     rows: Tuple[CheckRow, ...]
 
@@ -107,7 +100,7 @@ def classification_table() -> List[QuadCase]:
     """The seven cases, in a fixed order, with exact indices."""
     sqrt2m1 = quad(-1, 1, 2)           # sqrt(2) - 1
     half3m5 = quad("3/2", "-1/2", 5)   # (3 - sqrt(5))/2
-    return [
+    table = [
         QuadCase(
             "a5a3", "A5", "A3", quad(3), quad(2),
             "group-type", "mp = pn - 1", quad("1/2"), math.pi / 3, "cocommuting",
@@ -174,6 +167,12 @@ def classification_table() -> List[QuadCase]:
             "noncocommuting at index 4, no group realization; " + _ASSUMED,
         ),
     ]
+    for case in table:
+        if case.tag not in TAGS:
+            raise ValueError(f"unknown class tag {case.tag!r}")
+        if case.angle_rule not in ANGLE_RULES:
+            raise ValueError(f"unknown angle rule {case.angle_rule!r}")
+    return table
 
 
 def case_by_id(case_id: str) -> QuadCase:
@@ -326,8 +325,7 @@ def run_exclusion_checks(tol: Optional[float] = None) -> List[CheckResult]:
     return results
 
 
-@dataclass(frozen=True)
-class ClassIVRecord:
+class ClassIVRecord(NamedTuple):
     """The Class IV entry with its unresolved intermediate-index discrepancy.
 
     Two published values for [M:P] circulate: d itself in the classification

@@ -9,7 +9,6 @@ to 12 significant digits so the output is byte-stable and round-trips.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -376,6 +375,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         residuals = doc.pop("_residuals", {})
         rendered = "\n".join(text)
         if args.json:
+            import json
+
             inputs = {k: v for k, v in vars(args).items() if v is not None and k not in
                       ("json", "degrees", "tolerance", "out", "command", "action", "handler")}
             rendered = json.dumps({

@@ -31,9 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .scalar import EPS_ABS, QuadExt
 
@@ -398,8 +397,7 @@ def parse(text: str) -> CuntzExpr:
 _D_EXACT = QuadExt(Fraction(3, 2), Fraction(1, 2), 13)
 
 
-@dataclass(frozen=True)
-class HaagerupConstants:
+class HaagerupConstants(NamedTuple):
     """Numeric constants entering the generator images.
 
     d = (3+sqrt(13))/2 satisfies d^2 = 3d+1 exactly; A is the 3x3 complex
@@ -525,15 +523,13 @@ def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:
 # relation verification
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     residual: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: Tuple[RelationCheck, ...]
     tolerance: float
 
@@ -612,8 +608,7 @@ def verify_haagerup_relations(
 # the two-coefficient system
 
 
-@dataclass(frozen=True)
-class QSystemSolution:
+class QSystemSolution(NamedTuple):
     """Coefficients of S = a S1 + b S2 satisfying the four scalar equations."""
 
     a: complex

@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .scalar import EPS_ABS
+from .scalar import EPS_ABS, Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,24 +86,20 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False)
-class FusionRing:
+class FusionRing(Frozen):
     """Immutable fusion-ring data.
 
     ``tensor`` maps (i, j) to {k: N(i,j,k)} with only positive entries stored;
     ``dual`` is total after construction (identity entries filled in).
-    ``N`` is the same table as a dense array, built on first use.
+    ``N`` is the same table as a dense array, built on first use and kept in
+    the instance ``__dict__`` (so the class declares no ``__slots__``).
     """
 
-    name: str
-    labels: Tuple[str, ...]
-    unit: str
-    dual: Mapping[str, str]
-    tensor: Mapping[Tuple[str, str], Mapping[str, int]]
-    _pos: Dict[str, int] = field(init=False, repr=False)
+    _fields = ("name", "labels", "unit", "dual", "tensor")
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, name: str, labels: Sequence[str], unit: str, dual: Mapping[str, str],
+                 tensor: Mapping[Tuple[str, str], Mapping[str, int]]):
+        labels = tuple(labels)
         if not labels:
             raise RingStructureError("empty label set")
         for lab in labels:
@@ -112,17 +107,17 @@ class FusionRing:
                 raise RingStructureError(f"bad label {lab!r}")
         if len(set(labels)) != len(labels):
             raise RingStructureError("duplicate labels")
-        if self.unit not in labels:
-            raise RingStructureError(f"unit {self.unit!r} not among labels")
-        dual = dict(self.dual or {})
+        if unit not in labels:
+            raise RingStructureError(f"unit {unit!r} not among labels")
+        dual = dict(dual or {})
         for a, b in dual.items():
             if a not in labels or b not in labels:
                 raise RingStructureError(f"dual entry {a!r}->{b!r} uses unknown label")
         for lab in labels:
             dual.setdefault(lab, lab)
         pos = {lab: x for x, lab in enumerate(labels)}
-        tensor: Dict[Tuple[str, str], Dict[str, int]] = {}
-        for key, row in dict(self.tensor).items():
+        rows: Dict[Tuple[str, str], Dict[str, int]] = {}
+        for key, row in dict(tensor).items():
             i, j = key
             if i not in pos or j not in pos:
                 raise RingStructureError(f"tensor key ({i!r},{j!r}) uses unknown label")
@@ -137,10 +132,12 @@ class FusionRing:
                 if n > 0:
                     clean[k] = n
             if clean:
-                tensor[(i, j)] = clean
+                rows[(i, j)] = clean
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "tensor", rows)
         object.__setattr__(self, "_pos", pos)
 
     @cached_property

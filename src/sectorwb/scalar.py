@@ -18,7 +18,6 @@ sqrt(d) for d itself irrational are handled downstream in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -42,21 +41,53 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational component, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class Frozen:
+    """Base of the immutable value classes that check their input.
+
+    A subclass sets its fields once, in ``__init__``, through
+    ``object.__setattr__``; assigning or deleting one afterwards raises
+    AttributeError.  Equality, hash and repr (``Name(field=value, ...)``)
+    go by the fields named in ``_fields``, in that order.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class QuadExt(Frozen):
     """Exact a + b*sqrt(m) with rational a, b and square-free integer m >= 2."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    m: int = 2
+    __slots__ = _fields = ("a", "b", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        if not isinstance(self.m, int):
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0), m: int = 2):
+        object.__setattr__(self, "a", _as_fraction(a))
+        object.__setattr__(self, "b", _as_fraction(b))
+        if not isinstance(m, int):
             raise TypeError("radicand must be an integer")
-        if not _is_square_free(self.m):
-            raise ValueError(f"radicand {self.m} is not square-free (or < 2)")
+        if not _is_square_free(m):
+            raise ValueError(f"radicand {m} is not square-free (or < 2)")
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def _raw(cls, a: Fraction, b: Fraction, m: int) -> "QuadExt":

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Tuple
 
 from .angles import AngleSpectrum
+from .scalar import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ModularData:
+class ModularData(NamedTuple):
     """S-matrix and quantum dimensions of SU(2) at level k."""
 
     k: int
@@ -84,19 +83,19 @@ def alpha_induction_spectrum(k: int, i0: int, J: Iterable[int]) -> AngleSpectrum
     return AngleSpectrum.from_cosines(monodromy_ratio(k, i0, j) for j in Jset)
 
 
-@dataclass(frozen=True)
-class BranchingRule:
+class BranchingRule(Frozen):
     """Level and label subset J describing the dual canonical endomorphism."""
 
-    graph: str
-    k: int
-    J: Tuple[int, ...]
+    __slots__ = _fields = ("graph", "k", "J")
 
-    def __post_init__(self):
-        if 0 not in self.J:
+    def __init__(self, graph: str, k: int, J: Tuple[int, ...]):
+        if 0 not in J:
             raise ValueError("J must contain 0")
-        if any(j < 0 or j > self.k for j in self.J):
+        if any(j < 0 or j > k for j in J):
             raise ValueError("J must be a subset of {0..k}")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "J", J)
 
 
 _GRAPH_RE = re.compile(r"([ADE])([0-9]+)")
@@ -169,25 +168,20 @@ def _half_int(x) -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
-class QSixJ:
+class QSixJ(Frozen):
     """A quantum 6j-symbol {j1 j2 j12; j3 j j23} at q = e^{i pi / m}."""
 
-    m: int
-    j1: Fraction
-    j2: Fraction
-    j12: Fraction
-    j3: Fraction
-    j: Fraction
-    j23: Fraction
-    _twice: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("m", "j1", "j2", "j12", "j3", "j", "j23")
+    __slots__ = _fields + ("_twice",)
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
+    def __init__(self, m: int, j1: Fraction, j2: Fraction, j12: Fraction,
+                 j3: Fraction, j: Fraction, j23: Fraction):
+        if not isinstance(m, int) or m < 2:
             raise ValueError("root-of-unity order m must be an integer >= 2")
+        object.__setattr__(self, "m", m)
         twice = []
-        for name in ("j1", "j2", "j12", "j3", "j", "j23"):
-            f = _half_int(getattr(self, name))
+        for name, spin in zip(self._fields[1:], (j1, j2, j12, j3, j, j23)):
+            f = _half_int(spin)
             object.__setattr__(self, name, f)
             twice.append(f.numerator * (2 // f.denominator))
         object.__setattr__(self, "_twice", tuple(twice))

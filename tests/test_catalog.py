@@ -44,6 +44,16 @@ def test_su2_requires_level():
         builtin("su2", 0)
 
 
+def test_su2_level_cap_is_checked_before_building(monkeypatch):
+    def build(k):
+        raise AssertionError(f"su2_{k} was built")
+
+    su2 = catalog.ENTRIES[0]._replace(build=build)
+    monkeypatch.setattr(catalog, "ENTRIES", (su2,) + catalog.ENTRIES[1:])
+    with pytest.raises(ValueError, match=f"above the cap k <= {catalog.MAX_LEVEL}"):
+        builtin("su2", catalog.MAX_LEVEL + 1)
+
+
 def test_unknown_key():
     with pytest.raises(KeyError):
         builtin("e8_even")

@@ -283,15 +283,16 @@ def test_light_commands_do_not_import_numpy():
 _ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 _SWB = [sys.executable, "-c", "import sys; from sectorwb.cli import main; sys.exit(main())"]
 
+# the commands arrive as a Python literal, so the probe itself imports no json
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import sectorwb
 if len(sys.argv) > 1:
     from sectorwb.cli import main
-    for argv in json.loads(sys.argv[1]):
+    for argv in eval(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sectorwb."))))
+print(" ".join(sorted(sys.modules)))
 """
 
 RING_COMMANDS = [["validate", "e6_even"], ["dims", "su2", "--k", "4"],
@@ -310,13 +311,19 @@ RING_COMMANDS = [["validate", "e6_even"], ["dims", "su2", "--k", "4"],
 ], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "ring", "classify"])
 def test_command_families_load_only_their_modules(family, modules):
     # each family runs in a fresh interpreter; `import sectorwb` alone loads
-    # no submodule
+    # no submodule.  No command loads dataclasses, and the text output of the
+    # families without numpy (which imports inspect itself) loads neither
+    # inspect nor json
     commands = {"ring": RING_COMMANDS, "classify": [["classify", "--case", "a5a3"]]}.get(
         family, [argv for argv in LIGHT_COMMANDS if argv[0] == family])
-    extra = [json.dumps(commands)] if family else []
+    extra = [repr(commands)] if family else []
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE] + extra,
                           env=_ENV, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [f"sectorwb.{m}" for m in modules]
+    loaded = proc.stdout.split()
+    assert [m for m in loaded if m.startswith("sectorwb.")] == [f"sectorwb.{m}" for m in modules]
+    assert "dataclasses" not in loaded
+    if family not in ("ring", "classify"):
+        assert not {"inspect", "json", "numpy"} & set(loaded)
 
 
 def _d6_file(path, **fields):
@@ -337,8 +344,13 @@ def _d6_file(path, **fields):
     (["validate", "--file", "CORRUPT"], 1, None),
     (["dims", "--file", "CORRUPT"], 1, "error: fusion-ring axioms violated:"),
     (["validate", "--file", "NAMED"], 2, "error: name must be a string"),
+    (["angle", "candidates", "--d", "1e200", "--s", "0.5"], 2,
+     "error: (d_sigma - 1)^2 s^2 overflows a float at d_sigma = 1e+200, s = 0.5"),
+    (["dims", "su2", "--k", str(catalog.MAX_LEVEL + 1)], 2,
+     f"error: su2 level k = {catalog.MAX_LEVEL + 1} is above the cap k <= {catalog.MAX_LEVEL}"),
 ], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "expr-syntax", "lookup",
-        "validate-corrupt", "dims-corrupt", "name-not-string"])
+        "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
+        "su2-level-cap"])
 def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):
     # the exception classes main() names belong to modules that a fresh
     # process has not loaded when the command fails; the in-process run

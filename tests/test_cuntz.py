@@ -141,6 +141,16 @@ def test_constants_override():
     assert c.A[2][1] == 0.25 - 0.5j
 
 
+def test_constants_key_the_image_cache():
+    # equal constants share rho's generator images; a perturbed A(1,2) does not
+    c = haagerup_constants()
+    assert c == haagerup_constants() and hash(c) == hash(haagerup_constants())
+    perturbed = haagerup_constants(a12=c.A[1][2] + 1e-3)
+    assert perturbed != c
+    assert rho_apply(T0, perturbed) != rho_apply(T0, c)
+    assert cuntz._IMAGE_CACHE[perturbed] != cuntz._IMAGE_CACHE[c]
+
+
 def test_relations_all_pass():
     report = verify_haagerup_relations()
     assert report.all_pass

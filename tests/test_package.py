@@ -4,6 +4,8 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import sectorwb
 
 
@@ -41,3 +43,17 @@ assert "sectorwb.nope" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+@pytest.mark.parametrize("record, field", [
+    (sectorwb.quad(3, 1, 13), "a"),
+    (sectorwb.QSixJ(5, 1, 1, 1, 1, 1, 1), "j1"),
+    (sectorwb.builtin("e6_even"), "name"),
+    (sectorwb.AngleSpectrum((0.5,)), "angles"),
+    (sectorwb.AngleCandidate(0.5, False, 1.0), "cosine"),
+], ids=["QuadExt", "QSixJ", "FusionRing", "AngleSpectrum", "AngleCandidate"])
+def test_record_fields_cannot_be_assigned(record, field):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert repr(record) == before

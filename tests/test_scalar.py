@@ -54,6 +54,10 @@ def test_constructor_still_validates():
         QuadExt(1, 1, 2.0)
 
 
+def test_repr_names_the_fields():
+    assert repr(quad(3, 1, 13)) == "QuadExt(a=Fraction(3, 1), b=Fraction(1, 1), m=13)"
+
+
 def test_mixed_radicands_still_raise():
     x, y = quad(1, 1, 2), quad(1, 1, 3)
     for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y):
