@@ -12,13 +12,17 @@ Internally an element is a dict from pairs (u, v) of generator-index
 tuples to coefficients, with no pair where u and v both end in T2.  The
 product of two pairs telescopes through the middle block v1^* u2: when v1
 is a prefix of u2 it is (u1 + rest of u2, v2), when u2 is a prefix of v1
-it is (u1, v2 + rest of v1), and otherwise it is 0.  rho uses
+it is (u1, v2 + rest of v1), and otherwise it is 0.  A product looks the
+telescoping pairs up instead of comparing every pair with every pair: the
+left factor is indexed by its v, and each pair of the right factor finds
+the v that are prefixes of its u and the v that extend it.  rho uses
 rho(u v^*) = rho(u) rho(v)^*: the v belonging to one u are summed on their
 prefix trie in Horner form, sum_g rho(g) (sum over the subtree below g),
 and then the u likewise, so each generator image multiplies once per trie
-edge.  CuntzExpr holds exactly this dict: its constructor reduces atom
-words into it, every operation stays on pairs, and ``terms`` reads it back
-with atom-word keys, so there is no separate normalization step.
+edge, through an index built once per image and set of constants.
+CuntzExpr holds exactly this dict: its constructor reduces atom words into
+it, every operation stays on pairs, and ``terms`` reads it back with
+atom-word keys, so there is no separate normalization step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -105,7 +109,7 @@ class CuntzExpr:
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
             out: Terms = {}
-            _mul_into(out, self._terms, other._terms)
+            _mul_into(out, _index(self._terms), other._terms)
             return CuntzExpr._of(out)
         return self.scale(other)
 
@@ -193,27 +197,56 @@ def _atoms(u: Gens, v: Gens) -> Word:
     return tuple(map(_PLAIN.__getitem__, u)) + tuple(map(_STARRED.__getitem__, reversed(v)))
 
 
-def _mul_into(out: Terms, a: Terms, b: Terms) -> None:
-    """Accumulate the product of normal forms a b into out, telescoping each
-    middle block v1^* u2."""
-    rows = [(u2, len(u2), v2, c2) for (u2, v2), c2 in b.items()]
+Rows = List[Tuple[Gens, complex]]
+Index = Tuple[Dict[Gens, Rows], Dict[Gens, List[Tuple[Gens, Rows]]], Tuple[int, ...]]
+
+
+def _index(a: Terms) -> Index:
+    """Index a left factor by its v for _mul_into.
+
+    Gives (exact, longer, lengths): exact maps each v to its rows (u, c),
+    longer maps each proper prefix p of a v to the pairs (rest of v, rows
+    of v) of the v that extend it, and lengths lists the lengths of the v
+    in increasing order.
+    """
+    exact: Dict[Gens, Rows] = {}
     for (u1, v1), c1 in a.items():
-        n = len(v1)
-        for u2, m, v2, c2 in rows:
-            if n < m:
-                if u2[:n] != v1:
-                    continue
-                key = (u1 + u2[n:], v2)
-            elif n > m:
-                if v1[:m] != u2:
-                    continue
-                key = (u1, v2 + v1[m:])
-            else:
-                # only here can both sides end in T2; see _add_pair
-                if u2 == v1:
-                    _add_pair(out, u1, v2, c1 * c2)
-                continue
-            out[key] = out.get(key, 0j) + c1 * c2
+        exact.setdefault(v1, []).append((u1, c1))
+    longer: Dict[Gens, List[Tuple[Gens, Rows]]] = {}
+    for v1, rows in exact.items():
+        for k in range(len(v1)):
+            longer.setdefault(v1[:k], []).append((v1[k:], rows))
+    return exact, longer, tuple(sorted({len(v) for v in exact}))
+
+
+def _mul_into(out: Terms, index: Index, b: Terms) -> None:
+    """Accumulate the product a b of normal forms into out, given a's index.
+
+    Each pair of b meets only the pairs of a whose middle block v1^* u2
+    telescopes: those whose v1 is a prefix of u2, found by looking up the
+    prefixes of u2 at the lengths a's v take, and those whose v1 properly
+    extends u2.
+    """
+    exact, longer, lengths = index
+    for (u2, v2), c2 in b.items():
+        m = len(u2)
+        for n in lengths:
+            if n >= m:
+                break
+            rows = exact.get(u2[:n])
+            if rows:
+                tail = u2[n:]
+                for u1, c1 in rows:
+                    key = (u1 + tail, v2)
+                    out[key] = out.get(key, 0j) + c1 * c2
+        # only when v1 = u2 can both sides end in T2; see _add_pair
+        for u1, c1 in exact.get(u2, ()):
+            _add_pair(out, u1, v2, c1 * c2)
+        for rest, rows in longer.get(u2, ()):
+            v = v2 + rest
+            for u1, c1 in rows:
+                key = (u1, v)
+                out[key] = out.get(key, 0j) + c1 * c2
 
 
 def _adjoint(a: Terms) -> Terms:
@@ -465,10 +498,10 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
     return img
 
 
-_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, Terms]] = {}
+_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, Index]] = {}
 
 
-def _rho_sum(items: List[Tuple[Gens, Terms]], depth: int, img: Dict[int, Terms]) -> Terms:
+def _rho_sum(items: List[Tuple[Gens, Terms]], depth: int, img: Dict[int, Index]) -> Terms:
     """Sum of rho(w[depth:]) X over items (w, X), in Horner form on the trie.
 
     Items whose word ends at depth contribute X; the rest are grouped by
@@ -497,7 +530,7 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     """
     c = constants or _STANDARD
     if c not in _IMAGE_CACHE:
-        _IMAGE_CACHE[c] = {g: x._terms for g, x in rho_images(c).items()}
+        _IMAGE_CACHE[c] = {g: _index(x._terms) for g, x in rho_images(c).items()}
     img = _IMAGE_CACHE[c]
     by_u: Dict[Gens, List[Tuple[Gens, Terms]]] = {}
     for (u, v), coeff in e._terms.items():

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Tuple
 
 from .angles import AngleSpectrum
 from .scalar import Frozen
@@ -139,14 +138,23 @@ def ghj_spectrum(graph: str) -> AngleSpectrum:
     return alpha_induction_spectrum(rule.k, 1, rule.J)
 
 
+MAX_ASYMPTOTIC_N = 10_000
+"""Largest n that :func:`asymptotic_spectrum` takes: its spectrum has
+floor((n-2)/2) angles, about 5,000 at the cap, while n = 2,000,001 takes
+0.9 s and 114 MB."""
+
+
 def asymptotic_spectrum(n: int) -> AngleSpectrum:
     """Angle spectrum of the asymptotic inclusion of the A_n subfactor.
 
     {arccos(cos((j+1) pi/(n+1)) / cos(pi/(n+1))) : j = 1 .. floor((n-2)/2)};
-    the count is exactly floor((n-2)/2).
+    the count is exactly floor((n-2)/2).  n must satisfy
+    3 <= n <= MAX_ASYMPTOTIC_N, checked before anything is computed.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("n must be an integer >= 3")
+    if n > MAX_ASYMPTOTIC_N:
+        raise ValueError(f"n = {n} is above the cap n <= {MAX_ASYMPTOTIC_N}")
     base = math.cos(math.pi / (n + 1))
     cosines = [math.cos((j + 1) * math.pi / (n + 1)) / base
                for j in range(1, (n - 2) // 2 + 1)]
@@ -158,7 +166,8 @@ def asymptotic_spectrum(n: int) -> AngleSpectrum:
 
 
 class SixJDomainError(ValueError):
-    """A q-factorial index left the positive range of the truncation."""
+    """A q-factorial index left the positive range of the truncation, or a
+    q-factorial or the symbol overflows a float."""
 
 
 def _half_int(x) -> Fraction:
@@ -195,18 +204,35 @@ def _qint(x: int, M: int) -> float:
     return math.sin(x * math.pi / M) / math.sin(math.pi / M)
 
 
-@lru_cache(maxsize=None)
-def _qfact(n: int, M: int) -> float:
-    if n < 0:
-        raise SixJDomainError("q-factorial of a negative index")
-    if n >= M:
+_QFACTS: Dict[int, List[float]] = {}
+
+
+def _qfacts(M: int, top: int) -> List[float]:
+    """The q-factorials [0]!, [1]!, ... at least up to [top]!, for [x] taken
+    at the root of unity of order M.
+
+    One prefix-product list per M grows on demand: each entry is the one
+    before times the next quantum integer, the order of the n-fold product,
+    so every entry is the same float however far the list has grown.  An
+    index at or past the vanishing integer [M], or a factorial that
+    overflows a float, raises SixJDomainError.  [x] >= 1 for 0 < x < M, so
+    a list never decreases and stops before its first overflow: no list
+    held more than 202 entries for any even M up to 5000, nor at 10^5 or
+    10^7.
+    """
+    if top >= M:
         raise SixJDomainError(
-            f"q-factorial index {n} reaches the vanishing quantum integer [{M}]"
+            f"q-factorial index {top} reaches the vanishing quantum integer [{M}]"
         )
-    p = 1.0
-    for i in range(1, n + 1):
-        p *= _qint(i, M)
-    return p
+    f = _QFACTS.setdefault(M, [1.0])
+    while len(f) <= top:
+        x = f[-1] * _qint(len(f), M)
+        if math.isinf(x):
+            raise SixJDomainError(
+                f"q-factorial index {len(f)} overflows a float at m = {M // 2}"
+            )
+        f.append(x)
+    return f
 
 
 def q6j(sym: QSixJ) -> complex:
@@ -215,8 +241,9 @@ def q6j(sym: QSixJ) -> complex:
     Quantum integers are taken at the half power of q, [x] =
     sin(x pi/(2m)) / sin(pi/(2m)), which keeps every factorial index of an
     admissible level-(m-2) symbol inside the positive range; inadmissible
-    triads give 0, and indices at or past the vanishing integer raise
-    SixJDomainError.
+    triads give 0.  Indices at or past the vanishing integer, and a
+    q-factorial or a value that overflows a float (large spins at large m),
+    raise SixJDomainError.
 
     Everything before the float sum runs on the twice-spins 2j, which the
     constructor stores as ints: a triad (a, b, c) of twice-spins is
@@ -231,19 +258,25 @@ def q6j(sym: QSixJ) -> complex:
     M = 2 * sym.m
     T = [(a1 + a2 + a12) // 2, (a1 + a + a23) // 2, (a3 + a2 + a23) // 2, (a3 + a + a12) // 2]
     Q = [(a1 + a2 + a3 + a) // 2, (a2 + a12 + a + a23) // 2, (a1 + a12 + a3 + a23) // 2]
+    # admissible triads make every index below nonnegative and give
+    # max(T) <= min(Q); the largest index is t + 1 at the last term or
+    # Qi - t at the first
+    f = _qfacts(M, max(min(Q) + 1, max(Q) - max(T)))
     pre = 1.0
     for x, y, z in triads:
-        num = (_qfact((-x + y + z) // 2, M) * _qfact((x - y + z) // 2, M)
-               * _qfact((x + y - z) // 2, M))
-        pre *= math.sqrt(num / _qfact((x + y + z) // 2 + 1, M))
+        num = f[(-x + y + z) // 2] * f[(x - y + z) // 2] * f[(x + y - z) // 2]
+        pre *= math.sqrt(num / f[(x + y + z) // 2 + 1])
     total = 0.0
     for t in range(max(T), min(Q) + 1):
-        term = (-1) ** t * _qfact(t + 1, M)
+        term = (-1) ** t * f[t + 1]
         for Ti in T:
-            term /= _qfact(t - Ti, M)
+            term /= f[t - Ti]
         for Qi in Q:
-            term /= _qfact(Qi - t, M)
+            term /= f[Qi - t]
         total += term
     phase = (-1) ** Q[0]
     scale = math.sqrt(_qint(a12 + 1, M) * _qint(a23 + 1, M))
-    return complex(phase * scale * pre * total)
+    value = phase * scale * pre * total
+    if not math.isfinite(value):
+        raise SixJDomainError(f"the symbol overflows a float at m = {sym.m}")
+    return complex(value)

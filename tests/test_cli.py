@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb import catalog
+from sectorwb import catalog, wzw
 from sectorwb.cli import main
 
 import _oracles
@@ -339,6 +339,10 @@ def _d6_file(path, **fields):
      "error: spin 1/0 is not a nonnegative half-integer"),
     (["wzw", "6j", "--m", "1", "--spins", "0,0,0,0,0,0"], 2,
      "error: root-of-unity order m must be an integer >= 2"),
+    (["wzw", "6j", "--m", "2001", "--spins", "200,200,200,200,200,200"], 2,
+     "error: q-factorial index 171 overflows a float at m = 2001"),
+    (["wzw", "asymptotic", "--n", str(wzw.MAX_ASYMPTOTIC_N + 1)], 2,
+     f"error: n = {wzw.MAX_ASYMPTOTIC_N + 1} is above the cap n <= {wzw.MAX_ASYMPTOTIC_N}"),
     (["decompose", "e6_even", "e*"], 2, "error: empty factor (at position 2)"),
     (["dims", "nope"], 2, "error: unknown catalog key 'nope'"),
     (["validate", "--file", "CORRUPT"], 1, None),
@@ -348,7 +352,8 @@ def _d6_file(path, **fields):
      "error: (d_sigma - 1)^2 s^2 overflows a float at d_sigma = 1e+200, s = 0.5"),
     (["dims", "su2", "--k", str(catalog.MAX_LEVEL + 1)], 2,
      f"error: su2 level k = {catalog.MAX_LEVEL + 1} is above the cap k <= {catalog.MAX_LEVEL}"),
-], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "expr-syntax", "lookup",
+], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "sixj-overflow",
+        "asymptotic-cap", "expr-syntax", "lookup",
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
         "su2-level-cap"])
 def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):

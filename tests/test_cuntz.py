@@ -1,8 +1,10 @@
+import copy
+import itertools
 import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import _oracles
 from sectorwb import cuntz
@@ -149,6 +151,18 @@ def test_constants_key_the_image_cache():
     assert perturbed != c
     assert rho_apply(T0, perturbed) != rho_apply(T0, c)
     assert cuntz._IMAGE_CACHE[perturbed] != cuntz._IMAGE_CACHE[c]
+    # the standard entry still indexes the standard images: rho of a word is
+    # the product of images built from scratch, and the index holds their terms
+    fresh = rho_images(c)
+    assert rho_apply(T0 * S0.adjoint(), c) == fresh[1] * fresh[0].adjoint()
+    for g, (exact, _, _) in cuntz._IMAGE_CACHE[c].items():
+        assert {(u, v): x for v, rows in exact.items() for u, x in rows} == fresh[g]._terms
+    # and products only read it
+    before = copy.deepcopy(cuntz._IMAGE_CACHE[c])
+    pairs = itertools.product(itertools.product(range(4), (False, True)), repeat=2)
+    for w in itertools.islice(pairs, 50):
+        rho_apply(CuntzExpr({w: 1.0}), c)
+    assert cuntz._IMAGE_CACHE[c] == before
 
 
 def test_relations_all_pass():
@@ -264,3 +278,41 @@ def test_rho_matches_oracle(terms):
 def test_rho_squared_matches_oracle(w, c):
     ref = {v: c * x for v, x in _oracle_rho2(w).items()}
     assert _max_diff(rho_apply(rho_apply(CuntzExpr({w: c}))), ref) <= 1e-12
+
+
+# products of normal forms: plain u followed by starred v, up to six atoms
+# over four generators, so v1 often is a prefix of u2 or extends it, and
+# u and v both ending in T2 give the junction expansion
+plain = st.lists(st.integers(min_value=0, max_value=3), max_size=3)
+normal_words = st.builds(lambda u, v: tuple((g, False) for g in u) + tuple((g, True) for g in v),
+                         plain, plain)
+factors = st.dictionaries(st.one_of(normal_words, words), coeffs, max_size=4)
+_JUNCTION = {((3, False), (3, True)): 1.0, ((1, False), (3, False), (3, True)): 0.5j}
+
+
+@given(factors, factors)
+@example({}, {(): 1.0})
+@example({(): 2.0}, {((3, True),): 1.0})
+@example({((3, True),): 1.0}, {((3, False),): 1.0})
+@example(_JUNCTION, _JUNCTION)
+@example({((2, False), (3, True), (1, True)): 1.0}, {((1, False), (3, False), (0, True)): 1.0})
+def test_product_matches_oracle(x, y):
+    ref = _oracles.cuntz_normalize(_oracles._cuntz_mul(x, y))
+    assert _max_diff(CuntzExpr(x) * CuntzExpr(y), ref) <= 1e-12
+
+
+@given(factors, factors, factors)
+def test_product_associative(x, y, z):
+    x, y, z = CuntzExpr(x), CuntzExpr(y), CuntzExpr(z)
+    assert residual((x * y) * z - x * (y * z)) <= 1e-12
+
+
+def test_large_left_factor_matches_oracle():
+    # the shape of the rho^3 check: rho^3(T) has about 1300 pairs with v of
+    # length up to 3, times a one-pair right factor
+    for x in (T0, T2):
+        big = rho_apply(rho_apply(rho_apply(x)))
+        assert len(big) > 1000
+        for small in (S0, T2.adjoint(), T0 * T2.adjoint()):
+            ref = _oracles.cuntz_normalize(_oracles._cuntz_mul(big.terms, small.terms))
+            assert _max_diff(big * small, ref) <= 1e-12

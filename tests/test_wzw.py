@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sectorwb import catalog
+from sectorwb import catalog, wzw
 from sectorwb.wzw import (
     QSixJ,
     SixJDomainError,
@@ -113,6 +113,14 @@ def test_asymptotic_counts_and_values():
         asymptotic_spectrum(2)
 
 
+def test_asymptotic_n_is_capped():
+    # only the value just above the cap: an uncapped huge n would take
+    # seconds and gigabytes
+    assert len(asymptotic_spectrum(40).angles) == 19
+    with pytest.raises(ValueError, match=f"above the cap n <= {wzw.MAX_ASYMPTOTIC_N}$"):
+        asymptotic_spectrum(wzw.MAX_ASYMPTOTIC_N + 1)
+
+
 def test_q6j_special_values():
     for n in range(2, 7):
         h = Fraction(n, 2)
@@ -133,6 +141,11 @@ def test_q6j_trivial_and_inadmissible():
 def test_q6j_domain_errors():
     with pytest.raises(SixJDomainError):
         q6j(QSixJ(3, 2, 2, 2, 2, 2, 2))  # q-factorial past the vanishing integer
+    # large spins at large m: [x] is close to x, so [171]! overflows a float;
+    # quotients of infinite factorials would come out as nan
+    for m, spin in ((2001, 200), (20001, 2000)):
+        with pytest.raises(SixJDomainError, match=f"index 171 overflows a float at m = {m}$"):
+            q6j(QSixJ(m, *[spin] * 6))
     with pytest.raises(ValueError):
         QSixJ(1, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
