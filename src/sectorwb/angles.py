@@ -86,9 +86,9 @@ class InnerData(Frozen):
             raise ValueError("s must be finite")
 
 
-def _inner(d_sigma, s, tol: Optional[float]) -> InnerData:
+def _inner(d_sigma, s, tol: float = EPS_ABS) -> InnerData:
     data = InnerData(d_sigma, s)
-    if abs(data.s) > 1 + (EPS_ABS if tol is None else tol):
+    if abs(data.s) > 1 + tol:
         raise ValueError("|s| must not exceed 1")
     return data
 
@@ -105,25 +105,24 @@ class AngleCandidate(NamedTuple):
     angle: Optional[float]
 
 
-def angle_cocommuting(pn, mp, tol: Optional[float] = None) -> AngleSpectrum:
+def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
     """Angle of a cocommuting quadrilateral from its two indices.
 
     cos^2 = (pn - mp) / (mp * (pn - 1)); equal indices force the
-    commuting case instead of an angle.  Indices within ``tol`` (None:
-    1e-9) of each other count as equal.
+    commuting case instead of an angle.  Indices within ``tol`` of each
+    other count as equal.
     """
     q = QuadIndexData(pn, mp)
-    t = EPS_ABS if tol is None else tol
-    if q.pn < q.mp - t:
+    if q.pn < q.mp - tol:
         raise ValueError("pn must be >= mp (cos^2 would be negative)")
-    if abs(q.pn - q.mp) <= t:
+    if abs(q.pn - q.mp) <= tol:
         return AngleSpectrum((), commuting=True)
     cos2 = (q.pn - q.mp) / (q.mp * (q.pn - 1.0))
     return AngleSpectrum.from_cosines([math.sqrt(cos2)])
 
 
 def angle_group(g: int, h: int, k: int, hk: int,
-                tol: Optional[float] = None) -> AngleSpectrum:
+                tol: float = EPS_ABS) -> AngleSpectrum:
     """Angle of a group-subgroup quadrilateral from the four group orders.
 
     Uses pn = [G:H] and mp = [H:H image in the intersection], which requires
@@ -145,12 +144,12 @@ def angle_group(g: int, h: int, k: int, hk: int,
 
 
 def angle_candidates(d_sigma, s,
-                     tol: Optional[float] = None) -> Tuple[AngleCandidate, AngleCandidate]:
+                     tol: float = EPS_ABS) -> Tuple[AngleCandidate, AngleCandidate]:
     """Both candidate cosines allowed by the coupling quadratic.
 
     c± = (sqrt((d-1)^2 s^2 + 4 d) ± (d-1)|s|) / (2 d); the product of the
     two cosines is exactly 1/d.  Returned with the plus branch first.
-    |s| may exceed 1 by at most ``tol`` (None: 1e-9).  Inputs whose
+    |s| may exceed 1 by at most ``tol``.  Inputs whose
     (d-1)^2 s^2 overflows a float raise ValueError.
     """
     data = _inner(d_sigma, s, tol)
@@ -177,7 +176,7 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
     Vieta: sum = (d-1) s / d, product = -1/d; the absolute values of the
     roots coincide with the two candidate cosines.
     """
-    data = _inner(d_sigma, s, None)
+    data = _inner(d_sigma, s)
     d = data.d_sigma
     b = (d - 1.0) * data.s / d
     disc = math.sqrt(b * b + 4.0 / d)

@@ -4,36 +4,35 @@ The classification itself rests on operator-algebraic steps (irreducibility,
 supertransitivity, cohomology vanishing, Galois-group identification) that
 cannot be rederived from fusion data; each case records those as assumptions
 in its notes.  What *is* checked: exact index identities in the quadratic
-fields, angle recomputation through the closed formulas, defining
-polynomials, and Perron-Frobenius dimension agreement with catalog rings.
+fields, exact identities between each angle's cosine and the indices, exact
+defining polynomials, and Perron-Frobenius dimension agreement with catalog
+rings.  Only the last compares floats, within the caller's tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .angles import angle_bound, angle_cocommuting
 from .catalog import builtin
 from .fusion import decompose, hom_dim, pf_dimensions
 from .scalar import EPS_ABS, QuadExt, quad
 
 TAGS = ("I", "II", "III", "IV", "group-type", "D6affine")
-ANGLE_RULES = ("cocommuting", "bound", "stored")
 
-_ANGLE_TOL = 1e-12
+# angle rule -> the exact identity between the cosine c of the angle and the
+# indices: cos^2 = (pn - mp) / (mp (pn - 1)) for a cocommuting quadrilateral,
+# the 3-supertransitive bound cos = 1 / (pn - 1), nothing for a stored angle
+ANGLE_RULES = {
+    "cocommuting": lambda c, pn, mp: c * c * mp * (pn - 1) == pn - mp,
+    "bound": lambda c, pn, mp: c * (pn - 1) == 1,
+    "stored": lambda c, pn, mp: True,
+}
 
-
-def tolerances(tol: Optional[float] = None) -> Dict[str, float]:
-    """The absolute tolerances a check applies: ``{"angle", "pf"}``.
-
-    ``None`` keeps the defaults (1e-12 on angles, cosines and defining
-    polynomials, 1e-9 on Perron-Frobenius dimensions); a value replaces both.
-    """
-    if tol is None:
-        return {"angle": _ANGLE_TOL, "pf": EPS_ABS}
-    return {"angle": tol, "pf": tol}
+# n -> the minimal polynomial x^2 = a*x + b of x = 2cos(2pi/n) as (a, b, text),
+# for the n the table uses; x is its positive root
+TWO_COS_MINPOLY = {8: (0, 2, "x^2 = 2"), 10: (1, 1, "x^2 = x + 1")}
 
 
 class PFLink(NamedTuple):
@@ -57,6 +56,7 @@ class PFLink(NamedTuple):
 class QuadCase(NamedTuple):
     """One row of the classification: graphs, exact indices, angle, metadata.
 
+    ``two_cos`` is (n, 2cos(2pi/n)) when pn = 4cos^2(pi/n) is irrational.
     :func:`classification_table` checks ``tag`` against :data:`TAGS` and
     ``angle_rule`` against :data:`ANGLE_RULES`.
     """
@@ -69,8 +69,8 @@ class QuadCase(NamedTuple):
     tag: str
     relation: str
     cos_exact: QuadExt
-    angle: float
     angle_rule: str
+    two_cos: Optional[Tuple[int, QuadExt]]
     galois: Optional[str]
     pf_links: Tuple[PFLink, ...]
     notes: str
@@ -103,16 +103,14 @@ def classification_table() -> List[QuadCase]:
     table = [
         QuadCase(
             "a5a3", "A5", "A3", quad(3), quad(2),
-            "group-type", "mp = pn - 1", quad("1/2"), math.pi / 3, "cocommuting",
-            "S3",
+            "group-type", "mp = pn - 1", quad("1/2"), "cocommuting", None, "S3",
             (PFLink("su2", 4, "l1*l1", quad(3), "A5 graph norm squared"),
              PFLink("su2", 2, "l1*l1", quad(2), "A3 graph norm squared")),
             "fixed points of an outer S3 action; " + _ASSUMED,
         ),
         QuadCase(
             "d6a4", "D6", "A4", quad("5/2", "1/2", 5), quad("3/2", "1/2", 5),
-            "II", "mp = pn - 1", half3m5, math.acos(float(half3m5)), "cocommuting",
-            None,
+            "II", "mp = pn - 1", half3m5, "cocommuting", (10, quad("1/2", "1/2", 5)), None,
             (PFLink("su2", 8, "l1*l1", quad("5/2", "1/2", 5),
                     "D6 graph norm squared (equals the A9 value)"),
              PFLink("su2", 3, "l1*l1", quad("3/2", "1/2", 5),
@@ -121,15 +119,14 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "a7a7", "A7", "A7", quad(2, 1, 2), quad(2, 1, 2),
-            "I", "mp = pn", sqrt2m1, math.acos(float(sqrt2m1)), "bound",
-            None,
+            "I", "mp = pn", sqrt2m1, "bound", (8, quad(0, 1, 2)), None,
             (PFLink("su2", 6, "l1*l1", quad(2, 1, 2),
                     "A7 graph norm squared, both elementary subfactors"),),
             "noncocommuting, equal indices 2+sqrt(2); " + _ASSUMED,
         ),
         QuadCase(
             "d6affa3", "D6affine", "A3", quad(4), quad(2),
-            "D6affine", "none", quad(0, "1/2", 2), math.pi / 4, "stored",
+            "D6affine", "none", quad(0, "1/2", 2), "stored", None,
             "D8 (dihedral of order 8)",
             (PFLink("d6aff_even", None, "1 + t + x", quad(4),
                     "canonical endomorphism 1 + t + x of the affine-D6 side"),
@@ -139,8 +136,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "e6affd4", "E6affine", "D4", quad(4), quad(3),
-            "group-type", "mp = pn - 1", quad("1/3"), math.acos(1 / 3), "cocommuting",
-            "A4",
+            "group-type", "mp = pn - 1", quad("1/3"), "cocommuting", None, "A4",
             (PFLink("a4_rep", None, "1 + v", quad(4),
                     "canonical endomorphism 1 + v of the A4 fixed point"),
              PFLink("a4_rep", None, "1 + w + w2", quad(3),
@@ -149,7 +145,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "e7affa5", "E7affine", "A5", quad(4), quad(3),
-            "III", "mp = pn - 1", quad("1/3"), math.acos(1 / 3), "cocommuting",
+            "III", "mp = pn - 1", quad("1/3"), "cocommuting", None,
             "Z/2 realized inside an S4 symmetry",
             (PFLink("s4_rep", None, "1 + e", quad(4),
                     "canonical endomorphism 1 + e of the S4 fixed point"),
@@ -158,8 +154,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "e7affe7aff", "E7affine", "E7affine", quad(4), quad(4),
-            "I", "mp = pn", quad("1/3"), math.acos(1 / 3), "bound",
-            None,
+            "I", "mp = pn", quad("1/3"), "bound", None, None,
             (PFLink("s4_rep", None, "1 + e", quad(4),
                     "canonical endomorphism 1 + e of the S4 fixed point"),
              PFLink("s4_rep", None, "1 + a + e2", quad(4),
@@ -176,26 +171,23 @@ def classification_table() -> List[QuadCase]:
 
 
 def case_by_id(case_id: str) -> QuadCase:
-    for case in classification_table():
-        if case.case_id == case_id:
-            return case
-    raise KeyError(f"unknown case id {case_id!r}")
+    try:
+        return {case.case_id: case for case in classification_table()}[case_id]
+    except KeyError:
+        raise KeyError(f"unknown case id {case_id!r}") from None
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def verify_case(case: QuadCase, tol: Optional[float] = None) -> CheckResult:
-    """Recheck one case: exact index relation, angle recomputation, defining
-    polynomials, and Perron-Frobenius links to catalog rings.
+def verify_case(case: QuadCase, tol: float = EPS_ABS) -> CheckResult:
+    """Recheck one case: exact index relation, exact angle identity, exact
+    defining polynomials, and Perron-Frobenius links to catalog rings.
 
-    ``tol=None`` compares angles and polynomials within 1e-12 and PF
-    dimensions within 1e-9; a value replaces both (see :func:`tolerances`)
-    and is also the equal-index tolerance of :func:`angle_cocommuting`.
+    ``tol`` is the absolute tolerance of the PF dimension comparisons, the
+    only rows that compare floats.
     """
-    tols = tolerances(tol)
-    angle_tol, pf_tol = tols["angle"], tols["pf"]
     rows: List[CheckRow] = []
 
     if case.relation == "mp = pn - 1":
@@ -209,31 +201,24 @@ def verify_case(case: QuadCase, tol: Optional[float] = None) -> CheckResult:
         detail = "no index relation; angle stored directly"
     rows.append(CheckRow("index_relation", ok, detail))
 
-    cos_target = float(case.cos_exact)
-    if case.angle_rule == "cocommuting":
-        spec = angle_cocommuting(case.pn, case.mp, tol)
-        ok = len(spec.angles) == 1 and abs(spec.angles[0] - case.angle) < angle_tol
-        recomputed = spec.angles[0] if spec.angles else float("nan")
-    elif case.angle_rule == "bound":
-        recomputed = angle_bound(case.pn)
-        ok = abs(recomputed - case.angle) < angle_tol
-    else:
-        recomputed = case.angle
-        ok = True
-    cos_ok = abs(math.cos(case.angle) - cos_target) < angle_tol
+    c = case.cos_exact
+    in_range = 0 < c < 1
+    ok = in_range and ANGLE_RULES[case.angle_rule](c, case.pn, case.mp)
+    # the identity fixes the angle, so both columns print acos(cos_exact);
+    # the two-column text is kept so that the output stays byte-stable
+    angle = _fmt(math.acos(float(c))) if in_range else "nan"
     rows.append(CheckRow(
-        "angle_recomputation", ok and cos_ok,
-        f"rule {case.angle_rule}: angle {_fmt(recomputed)} vs stored "
-        f"{_fmt(case.angle)}; cos {_fmt(math.cos(case.angle))} vs exact "
-        f"{_fmt(cos_target)}"))
+        "angle_recomputation", ok,
+        f"rule {case.angle_rule}: angle {angle} vs stored {angle}; "
+        f"cos {_fmt(float(c))} vs exact {_fmt(float(c))}"))
 
-    rows.append(_polynomial_row(case, angle_tol))
+    rows.append(_polynomial_row(case))
 
     link_rows = []
     ok = True
     for link in case.pf_links:
         value, expected = link.evaluate()
-        good = abs(value - expected) < pf_tol
+        good = abs(value - expected) < tol
         ok = ok and good
         link_rows.append(f"{link.note}: {_fmt(value)} vs {_fmt(expected)}")
     rows.append(CheckRow("pf_dimension_links", ok, "; ".join(link_rows)))
@@ -241,30 +226,21 @@ def verify_case(case: QuadCase, tol: Optional[float] = None) -> CheckResult:
     return CheckResult(case.case_id, tuple(rows))
 
 
-def _polynomial_row(case: QuadCase, angle_tol: float) -> CheckRow:
-    if case.case_id == "a7a7":
-        d = case.pn - 1  # 1 + sqrt(2)
-        ok = d * d == 2 * d + 1
-        numeric = abs(float(case.pn) - 4 * math.cos(math.pi / 8) ** 2) < angle_tol
-        return CheckRow(
-            "exact_polynomials", ok and numeric,
-            f"d = pn - 1 = {d} satisfies d^2 = 2d + 1 exactly; "
-            f"pn = 4cos^2(pi/8) within {angle_tol}")
-    if case.case_id == "d6a4":
-        phi = quad("1/2", "1/2", 5)
-        ok = (phi * phi == phi + 1) and (case.mp == phi * phi) \
-            and (case.pn == case.mp + 1)
-        numeric = abs(float(case.pn) - 4 * math.cos(math.pi / 10) ** 2) < angle_tol
-        return CheckRow(
-            "exact_polynomials", ok and numeric,
-            "mp = phi^2 with phi^2 = phi + 1 exactly; pn = mp + 1; "
-            f"pn = 4cos^2(pi/10) within {angle_tol}")
-    ok = case.pn.is_integer and case.mp.is_integer
-    return CheckRow("exact_polynomials", ok,
-                    f"integer indices pn = {case.pn}, mp = {case.mp}")
+def _polynomial_row(case: QuadCase) -> CheckRow:
+    if case.two_cos is None:
+        ok = case.pn.is_integer and case.mp.is_integer
+        return CheckRow("exact_polynomials", ok,
+                        f"integer indices pn = {case.pn}, mp = {case.mp}")
+    n, x = case.two_cos
+    a, b, poly = TWO_COS_MINPOLY[n]
+    ok = x * x == a * x + b and x > 0 and case.pn == 2 + x
+    return CheckRow(
+        "exact_polynomials", ok,
+        f"x = 2cos(2pi/{n}) = {x} satisfies {poly} with x > 0 exactly; "
+        f"pn = 2 + x = 4cos^2(pi/{n}) exactly")
 
 
-def run_all(tol: Optional[float] = None) -> List[CheckResult]:
+def run_all(tol: float = EPS_ABS) -> List[CheckResult]:
     """Every case through :func:`verify_case`; ``tol`` as there."""
     return [verify_case(c, tol) for c in classification_table()]
 
@@ -273,12 +249,10 @@ def run_all(tol: Optional[float] = None) -> List[CheckResult]:
 # exclusion arithmetic
 
 
-def run_exclusion_checks(tol: Optional[float] = None) -> List[CheckResult]:
-    """The four arithmetic exclusion facts, replayed on catalog data.
-
-    ``tol=None`` compares PF dimensions within 1e-9; a value replaces it.
+def run_exclusion_checks(tol: float = EPS_ABS) -> List[CheckResult]:
+    """The four arithmetic exclusion facts, replayed on catalog data;
+    ``tol`` is the absolute tolerance of the two PF dimension comparisons.
     """
-    pf_tol = tolerances(tol)["pf"]
     results = []
 
     ring = builtin("haagerup_even")
@@ -288,7 +262,7 @@ def run_exclusion_checks(tol: Optional[float] = None) -> List[CheckResult]:
     sq_ok = d * d == 3 * d + 1
     bound_ok = 1 + d == quad("5/2", "1/2", 13)
     pf = pf_dimensions(ring)
-    pf_ok = abs(pf["r"] - float(d)) < pf_tol
+    pf_ok = abs(pf["r"] - float(d)) < tol
     results.append(CheckResult("class4_dimension_bound", (
         CheckRow("square_contains_three_reflections", contains,
                  f"r*r decomposes as {dec}"),
@@ -310,7 +284,7 @@ def run_exclusion_checks(tol: Optional[float] = None) -> List[CheckResult]:
         CheckRow("irrational_index_gap", not x.is_integer and
                  all(x != n for n in (2, 3, 4)),
                  f"pn - 1 = {x} is not an integer, no group case exists"),
-        CheckRow("pf_agreement", abs(pf_e6["e"] - float(x)) < pf_tol,
+        CheckRow("pf_agreement", abs(pf_e6["e"] - float(x)) < tol,
                  f"PF dimension of e = {_fmt(pf_e6['e'])} matches 1 + sqrt(3)"),
     )))
 

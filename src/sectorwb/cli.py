@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import sectorwb
+from .scalar import EPS_ABS
 
 if TYPE_CHECKING:
     from .angles import AngleSpectrum
@@ -134,14 +135,18 @@ def _angle_candidates(args):
     from . import angles
     doc = {"candidates": []}
     text = []
+    unit = "deg" if args.degrees else "rad"
     for c in angles.angle_candidates(args.d, args.s, args.tolerance):
-        doc["candidates"].append(
-            {"cosine": _jfloat(c.cosine), "degenerate": c.degenerate,
-             "angle_radians": None if c.angle is None else _jfloat(c.angle)})
+        shown = math.degrees(c.angle) if args.degrees and not c.degenerate else c.angle
+        entry = {"cosine": _jfloat(c.cosine), "degenerate": c.degenerate,
+                 "angle_radians": None if c.angle is None else _jfloat(c.angle)}
+        if args.degrees:
+            entry["angle_degrees"] = None if shown is None else _jfloat(shown)
+        doc["candidates"].append(entry)
         if c.degenerate:
             text.append(f"cosine {_fmt(c.cosine)}: degenerate (P = Q), no angle")
         else:
-            text.append(f"cosine {_fmt(c.cosine)}: angle {_fmt(c.angle)} rad")
+            text.append(f"cosine {_fmt(c.cosine)}: angle {_fmt(shown)} {unit}")
     doc["note"] = angles.HYPOTHESES_NOTE
     text.append(f"({angles.HYPOTHESES_NOTE})")
     return 0, doc, text
@@ -218,9 +223,8 @@ def _haagerup_verify(args):
 
 def _haagerup_qsystem(args):
     from . import cuntz
-    from .scalar import EPS_ABS
     sols = cuntz.solve_qsystem(tol=args.tolerance)
-    doc = {"solutions": [], "tolerance": EPS_ABS if args.tolerance is None else args.tolerance}
+    doc = {"solutions": [], "tolerance": args.tolerance}
     text = []
     for i, s in enumerate(sols, 1):
         doc["solutions"].append({
@@ -258,7 +262,7 @@ def _classify(args):
                       "rows": [{"name": row.name, "passed": row.passed, "detail": row.detail}
                                for row in r.rows]} for r in results],
            "passed": sum(r.passed for r in results), "total": len(results),
-           "tolerance": classify.tolerances(tol)}
+           "tolerance": tol}
     text = classify.render_results(results).splitlines()
     text.append(f"{doc['passed']}/{doc['total']} passing")
     return (0 if doc["passed"] == doc["total"] else 1), doc, text
@@ -285,8 +289,8 @@ def _add_common(q: argparse.ArgumentParser, suppress: bool = True) -> None:
                    default=s if suppress else False,
                    help="report angles in degrees")
     q.add_argument("--tolerance", type=_tolerance,
-                   default=s if suppress else None,
-                   help="override the absolute comparison tolerance")
+                   default=s if suppress else EPS_ABS,
+                   help=f"absolute comparison tolerance (default {EPS_ABS})")
     q.add_argument("--out", default=s if suppress else None,
                    help="write output to a file")
 

@@ -126,10 +126,9 @@ class CuntzExpr:
     def adjoint(self) -> "CuntzExpr":
         return CuntzExpr._of(_adjoint(self._terms))
 
-    def prune(self, tol: Optional[float] = None) -> "CuntzExpr":
-        """Drop coefficients of modulus at most tol (None: 1e-9)."""
-        t = EPS_ABS if tol is None else tol
-        return CuntzExpr._of({key: c for key, c in self._terms.items() if abs(c) > t})
+    def prune(self, tol: float = EPS_ABS) -> "CuntzExpr":
+        """Drop coefficients of modulus at most tol."""
+        return CuntzExpr._of({key: c for key, c in self._terms.items() if abs(c) > tol})
 
 
 def zero() -> CuntzExpr:
@@ -287,7 +286,7 @@ def residual(e: CuntzExpr) -> float:
     return max(map(abs, e._terms.values()), default=0.0)
 
 
-def render_expr(e: CuntzExpr, tol: Optional[float] = None) -> str:
+def render_expr(e: CuntzExpr, tol: float = EPS_ABS) -> str:
     """Deterministic text form of an expression's normal form.
 
     A coefficient that overflowed to inf or nan while terms were summed
@@ -320,7 +319,7 @@ def render_expr(e: CuntzExpr, tol: Optional[float] = None) -> str:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<gen>S0|T0|T1|T2)(?P<adj>\^)?"
-    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<imag>i)?"
+    r"|(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<imag>i)?"
     r"|(?P<op>[+*-]))"
 )
 
@@ -579,7 +578,7 @@ class VerificationReport(NamedTuple):
 
 def verify_haagerup_relations(
     constants: Optional[HaagerupConstants] = None,
-    tol: Optional[float] = None,
+    tol: float = EPS_ABS,
 ) -> VerificationReport:
     """Check the five relation families defining the Haagerup endomorphism.
 
@@ -592,9 +591,8 @@ def verify_haagerup_relations(
     * s0_intertwines_rho_squared: rho^2(X) S0 = S0 X on the generators.
 
     Residuals are max coefficient moduli of the normal form.  A relation
-    passes when its residual is below ``tol`` (None: 1e-9).
+    passes when its residual is below ``tol``.
     """
-    tol = EPS_ABS if tol is None else tol
     c = constants or _STANDARD
     rho = {i: rho_apply(gen_expr(i), c) for i in range(4)}
 
@@ -667,17 +665,16 @@ def _qsystem_residuals(a: complex, b: complex, c: HaagerupConstants) -> Dict[str
 
 def solve_qsystem(
     constants: Optional[HaagerupConstants] = None,
-    tol: Optional[float] = None,
+    tol: float = EPS_ABS,
 ) -> Tuple[QSystemSolution, QSystemSolution]:
     """Solve the four scalar equations; exactly two solutions, (a,b) and (-a,-b).
 
     b^2 = -(d-1)^2 / ((B+d) sqrt(d)) and a = -(B+1) b / (d-1)^{3/2}; the
     solutions satisfy |a|^2 = 1/d and |b|^2 = (d-1)/d, so |a|^2+|b|^2 = 1.
-    A residual or norm defect of at least ``tol`` (None: 1e-9) raises
+    A residual or norm defect of at least ``tol`` raises
     QSystemError: the constants are corrupted, or ``tol`` is below the
     rounding error.
     """
-    tol = EPS_ABS if tol is None else tol
     c = constants or _STANDARD
     d = c.d
     b_sq = -((d - 1) ** 2) / ((c.B + d) * c.sqrt_d)

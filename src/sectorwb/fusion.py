@@ -194,12 +194,13 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple
     terms: List[Tuple[int, Tuple[str, ...]]] = []
     pos = 0
     for chunk in text.split("+"):
-        stripped = chunk.strip()
-        if not stripped:
+        if not chunk.strip():
             raise ExprSyntaxError("empty term", pos)
-        tokens = [t.strip() for t in stripped.split("*")]
-        if any(not t for t in tokens):
-            raise ExprSyntaxError("empty factor", pos + chunk.find("*") + 1)
+        factors = chunk.split("*")
+        tokens = [f.strip() for f in factors]
+        if "" in tokens:  # report the offset at which the first empty factor starts
+            before = factors[:tokens.index("")]
+            raise ExprSyntaxError("empty factor", pos + sum(len(f) + 1 for f in before))
         coeff = 1
         if tokens[0].isascii() and tokens[0].isdigit() and tokens[0] not in label_set:
             coeff = int(tokens[0])

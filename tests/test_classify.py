@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from sectorwb import quad
 from sectorwb.classify import (
+    TWO_COS_MINPOLY,
     case_by_id,
     class_iv_record,
     classification_table,
@@ -10,7 +12,6 @@ from sectorwb.classify import (
     render_results,
     run_all,
     run_exclusion_checks,
-    tolerances,
     verify_case,
 )
 
@@ -44,14 +45,13 @@ def test_equal_index_cases_use_the_bound():
     for cid in ("a7a7", "e7affe7aff"):
         case = case_by_id(cid)
         assert case.angle_rule == "bound"
-        assert math.cos(case.angle) == pytest.approx(float(case.cos_exact),
-                                                     abs=1e-12)
+        assert case.cos_exact * (case.pn - 1) == 1
 
 
 def test_stored_angle_case():
     case = case_by_id("d6affa3")
-    assert case.angle == pytest.approx(math.pi / 4, abs=1e-15)
     assert case.angle_rule == "stored"
+    assert 2 * case.cos_exact ** 2 == 1 and case.cos_exact > 0  # cos(pi/4)
 
 
 def test_exclusion_checks():
@@ -87,17 +87,76 @@ def test_render_is_deterministic():
     assert a.count("PASS") == 7
 
 
+def _rows(case, tol=1e-9):
+    return {row.name: row for row in verify_case(case, tol).rows}
+
+
 def test_tolerance_argument():
-    assert tolerances() == {"angle": 1e-12, "pf": 1e-9}
-    assert tolerances(1e-30) == {"angle": 1e-30, "pf": 1e-30}
-    assert render_results(run_all(None)) == render_results(run_all())
-    # float dimensions and recomputed angles miss their exact values by
-    # rounding errors, far above 1e-30
-    assert not any(r.passed for r in run_all(1e-30))
+    assert render_results(run_all(1e-9)) == render_results(run_all())
+    # tol reaches only the PF dimension links: every case has one whose float
+    # dimension misses its exact value by a rounding error far above 1e-30
+    for res in run_all(1e-30):
+        assert [row.name for row in res.rows if not row.passed] == ["pf_dimension_links"]
     # only the two PF agreement checks compare floats
     assert [r.passed for r in run_exclusion_checks(1e-30)] == [False, True, False, True]
-    # tol is also the equal-index tolerance of the cocommuting formula: at
-    # 1.5, pn = 3 and mp = 2 count as equal, so no angle is recomputed
-    rows = {r.name: r for r in verify_case(case_by_id("a5a3"), 1.5).rows}
-    assert not rows["angle_recomputation"].passed and "angle nan" in rows["angle_recomputation"].detail
+    # the exact rows ignore tol: at 1.5, pn = 3 and mp = 2 are still distinct
+    rows = _rows(case_by_id("a5a3"), 1.5)
+    assert rows["angle_recomputation"].passed and rows["exact_polynomials"].passed
     assert rows["pf_dimension_links"].passed
+
+
+def test_swapped_cosines_fail_the_angle_row():
+    a5a3, e6affd4 = case_by_id("a5a3"), case_by_id("e6affd4")
+    for case, other in ((a5a3, e6affd4), (e6affd4, a5a3)):
+        rows = _rows(case._replace(cos_exact=other.cos_exact))
+        assert not rows["angle_recomputation"].passed
+        assert rows["exact_polynomials"].passed
+    # cos(pi/4) of the stored case against the bound of a7a7
+    a7a7, d6affa3 = case_by_id("a7a7"), case_by_id("d6affa3")
+    assert not _rows(a7a7._replace(cos_exact=d6affa3.cos_exact))["angle_recomputation"].passed
+
+
+def test_angle_row_needs_a_cosine_in_the_open_unit_interval():
+    # a negated cosine fails under every rule, and so do 0, 1 and values above 1
+    for cid in ("a5a3", "d6a4", "d6affa3"):
+        case = case_by_id(cid)
+        row = _rows(case._replace(cos_exact=-case.cos_exact))["angle_recomputation"]
+        assert not row.passed and "angle nan" in row.detail
+    for cos in (quad(0), quad(1), quad(2)):
+        assert not _rows(case_by_id("d6affa3")._replace(cos_exact=cos))["angle_recomputation"].passed
+
+
+def test_polynomial_rows_carry_two_cos_as_data():
+    assert [c.case_id for c in classification_table() if c.two_cos] == ["d6a4", "a7a7"]
+    for case in classification_table():
+        if case.two_cos:
+            n, x = case.two_cos
+            assert float(x) == pytest.approx(2 * math.cos(2 * math.pi / n), abs=1e-15)
+    # each polynomial's positive root is 2cos(2pi/n)
+    for n, (a, b, _) in TWO_COS_MINPOLY.items():
+        assert (a + math.sqrt(a * a + 4 * b)) / 2 == pytest.approx(2 * math.cos(2 * math.pi / n))
+
+
+@pytest.mark.parametrize("cid, fields", [
+    # 2cos(2pi/10) given as n = 8: x^2 = 2 fails
+    ("d6a4", {"two_cos": (8, quad("1/2", "1/2", 5))}),
+    # neither x^2 = 2 nor pn = 2 + x
+    ("a7a7", {"two_cos": (8, quad(1, 1, 2))}),
+    # the negative root of x^2 = x + 1, with pn = 2 + x to match: only x > 0 fails
+    ("d6a4", {"two_cos": (10, quad("1/2", "-1/2", 5)), "pn": quad("5/2", "-1/2", 5)}),
+    # the right x, but pn is not 2 + x
+    ("a7a7", {"pn": quad(3, 1, 2)}),
+])
+def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields):
+    assert not _rows(case_by_id(cid)._replace(**fields))["exact_polynomials"].passed
+
+
+def test_pn_equal_to_two_plus_x_is_not_enough():
+    # x = sqrt(3) and pn = 2 + sqrt(3) agree, and cos = 1/(pn - 1) keeps the
+    # bound, but x^2 = 2 fails at n = 8
+    case = case_by_id("a7a7")._replace(pn=quad(2, 1, 3), mp=quad(2, 1, 3),
+                                         cos_exact=quad("-1/2", "1/2", 3),
+                                         two_cos=(8, quad(0, 1, 3)))
+    rows = _rows(case)
+    assert rows["index_relation"].passed and rows["angle_recomputation"].passed
+    assert not rows["exact_polynomials"].passed

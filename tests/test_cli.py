@@ -31,6 +31,23 @@ def test_angle_cocommuting_json(capsys):
     assert "hypotheses assumed" in doc["results"]["note"]
 
 
+def test_angle_candidates_honours_degrees(capsys):
+    argv = ["angle", "candidates", "--d", "4.3", "--s", "0.2"]
+    assert main(argv) == 0
+    radians = capsys.readouterr().out
+    assert main(argv + ["--degrees"]) == 0
+    degrees = capsys.readouterr().out
+    assert "rad" in radians and " rad" not in degrees
+    assert degrees.splitlines()[0] == "cosine 0.565055367187: angle 55.5938638063 deg"
+    assert main(["--json", "--degrees"] + argv) == 0
+    for c in json.loads(capsys.readouterr().out)["results"]["candidates"]:
+        assert c["angle_degrees"] == pytest.approx(math.degrees(c["angle_radians"]), rel=1e-11)
+    # a degenerate branch has no angle in either unit
+    assert main(["--json", "--degrees", "angle", "candidates", "--d", "1.5", "--s", "1"]) == 0
+    plus = json.loads(capsys.readouterr().out)["results"]["candidates"][0]
+    assert plus["degenerate"] and plus["angle_degrees"] is None
+
+
 def test_json_round_trips(capsys):
     assert main(["--json", "haagerup", "qsystem"]) == 0
     raw = capsys.readouterr().out
@@ -223,11 +240,14 @@ def test_classify_honours_tolerance(capsys):
         assert "FAIL" in capsys.readouterr().out
         assert main(["--json", "--tolerance", "1e-30", "classify"] + which) == 1
         doc = json.loads(capsys.readouterr().out)["results"]
-        assert doc["tolerance"] == {"angle": 1e-30, "pf": 1e-30}
+        assert doc["tolerance"] == 1e-30
         assert doc["passed"] < doc["total"]
+    # only the PF dimension comparisons take the tolerance
+    assert main(["--tolerance", "1e-30", "classify", "--case", "a5a3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    assert [line.split(":")[0] for line in failed] == ["  [FAIL] pf_dimension_links"]
     assert main(["--json", "classify", "--case", "a5a3"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == {
-        "angle": 1e-12, "pf": 1e-9}
+    assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 1e-9
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
@@ -307,7 +327,7 @@ RING_COMMANDS = [["validate", "e6_even"], ["dims", "su2", "--k", "4"],
     ("haagerup", ["cli", "cuntz", "scalar"]),
     ("cuntz", ["cli", "cuntz", "scalar"]),
     ("ring", ["catalog", "cli", "fusion", "scalar"]),
-    ("classify", ["angles", "catalog", "classify", "cli", "fusion", "scalar"]),
+    ("classify", ["catalog", "classify", "cli", "fusion", "scalar"]),
 ], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "ring", "classify"])
 def test_command_families_load_only_their_modules(family, modules):
     # each family runs in a fresh interpreter; `import sectorwb` alone loads

@@ -91,6 +91,14 @@ def test_parse_error_positions():
         parse("T0 T1")
 
 
+@pytest.mark.parametrize("text", ["\u0663*T0", "T1 + \u0663*T0", "2.\u0663*T0"])
+def test_coefficients_are_ascii_digits(text):
+    # "\u0663" (Arabic-Indic three) was read as the coefficient 3
+    with pytest.raises(CuntzSyntaxError, match="unexpected character") as exc:
+        parse(text)
+    assert exc.value.position == text.index("\u0663")
+
+
 def test_non_finite_coefficient_is_a_syntax_error():
     with pytest.raises(CuntzSyntaxError, match="not finite") as exc:
         parse("T1 -  1e400*T0")

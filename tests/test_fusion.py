@@ -342,6 +342,11 @@ def test_parse_errors():
         parse_sector_expr("3", ring.labels)
     with pytest.raises(RingStructureError):
         parse_sector_expr("s + q", ring.labels)
+    # an empty factor is reported where it starts, not after the first '*'
+    for text, position in (("e*e**e", 4), ("e*e*", 4), ("a + e*e**e", 8), ("e*", 2)):
+        with pytest.raises(ExprSyntaxError, match="empty factor") as exc:
+            parse_sector_expr(text, ["a", "e"])
+        assert exc.value.position == position
 
 
 @pytest.mark.parametrize("text", ["\u00b2*e", "\u0663*e", "e + \u00b2*e"])
