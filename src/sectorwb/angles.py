@@ -117,17 +117,19 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
         raise ValueError("pn must be >= mp (cos^2 would be negative)")
     if abs(q.pn - q.mp) <= tol:
         return AngleSpectrum((), commuting=True)
-    cos2 = (q.pn - q.mp) / (q.mp * (q.pn - 1.0))
+    denominator = q.mp * (q.pn - 1.0)
+    if denominator == math.inf:
+        raise ValueError(f"mp (pn - 1) overflows a float at pn = {q.pn}, mp = {q.mp}")
+    cos2 = (q.pn - q.mp) / denominator
     return AngleSpectrum.from_cosines([math.sqrt(cos2)])
 
 
-def angle_group(g: int, h: int, k: int, hk: int,
-                tol: float = EPS_ABS) -> AngleSpectrum:
+def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
     """Angle of a group-subgroup quadrilateral from the four group orders.
 
     Uses pn = [G:H] and mp = [H:H image in the intersection], which requires
-    |H| = |K| and the usual divisibility of orders; ``tol`` as in
-    :func:`angle_cocommuting`.
+    |H| = |K| and the usual divisibility of orders; equal integer indices
+    commute.
     """
     for name, val in (("g", g), ("h", h), ("k", k), ("hk", hk)):
         if not isinstance(val, int) or val < 1:
@@ -140,7 +142,9 @@ def angle_group(g: int, h: int, k: int, hk: int,
     mp = h // hk
     if pn <= 1 or mp <= 1:
         raise ValueError("degenerate inclusion: both indices must exceed 1")
-    return angle_cocommuting(pn, mp, tol)
+    if pn == mp:
+        return AngleSpectrum((), commuting=True)
+    return angle_cocommuting(pn, mp)
 
 
 def angle_candidates(d_sigma, s,

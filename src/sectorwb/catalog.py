@@ -1,26 +1,19 @@
 """Built-in fusion rings and file I/O for user-defined ones.
 
-The fixed rings in :data:`ENTRIES` are written as fusion rules; the first
-label is the unit.  Label conventions are fixed so CLI expressions stay
-stable.  Perron-Frobenius dimensions of the non-invertible sectors:
-
-* ``su2`` (parameter 1 <= k <= :data:`MAX_LEVEL`): SU(2) level-k Verlinde
-  ring, labels l0..lk, d(l_j) = sin((j+1) pi/(k+2)) / sin(pi/(k+2)).
-* ``d6_even``: d(r) = (3+sqrt(5))/2, d(r1) = d(r2) = (1+sqrt(5))/2.
-* ``e6_even``: d(e) = 1+sqrt(3).
-* ``s4_rep``, ``a4_rep``: the degrees of the irreducible representations;
-  the tables match the character products of explicit permutation matrices
-  in tests/_oracles.py.
-* ``d6aff_even``: d(x) = 2.
-* ``haagerup_even``: d(r) = d(tr) = d(t2r) = (3+sqrt(13))/2.
+The fixed rings in :data:`ENTRIES` are written as fusion rules, the unit
+first, next to the exact dimensions of their non-invertible labels.  Label
+conventions are fixed so CLI expressions stay stable.  The ``s4_rep`` and
+``a4_rep`` tables match the character products of explicit permutation
+matrices in tests/_oracles.py.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .fusion import FusionRing, parse_sector_expr, validate_ring
+from .scalar import QuadExt, quad
 
 
 class RingFormatError(ValueError):
@@ -42,12 +35,17 @@ class CatalogEntry(NamedTuple):
     note: str
     build: Callable[..., FusionRing]
     parametrized: bool = False
+    dims: Mapping[str, QuadExt | int] = {}  # of the non-invertible labels
 
 
 # su2 at level k has (k+1)^2 products and a dense tensor of (k+1)^3 entries,
 # so memory grows as k^3: `swb dims su2` peaks at about 100 MB at k = 120
 # and 350 MB at k = 200
 MAX_LEVEL = 150
+
+# n -> 2cos(2pi/n), rational or quadratic, for the n a classification link uses
+TWO_COS = {4: quad(0), 5: quad("-1/2", "1/2", 5), 6: quad(1), 8: quad(0, 1, 2),
+           10: quad("1/2", "1/2", 5)}
 
 
 def _su2(k: int) -> FusionRing:
@@ -87,13 +85,14 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         r1*r1 = 1 + r1
         r2*r2 = 1 + r2
         r1*r2 = r2*r1 = r
-        """)),
+        """), dims={"r": quad("3/2", "1/2", 5), "r1": quad("1/2", "1/2", 5),
+                    "r2": quad("1/2", "1/2", 5)}),
     CatalogEntry("e6_even", "even sectors of the E6 subfactor", partial(
         _ring, "e6_even", "1 a e", """
         a*a = 1
         a*e = e*a = e
         e*e = 1 + a + 2*e
-        """)),
+        """), dims={"e": quad(1, 1, 3)}),
     # 1, sign, the 2-dim, the standard 3-dim and its product with the sign
     CatalogEntry("s4_rep", "unitary dual of the symmetric group S4", partial(
         _ring, "s4_rep", "1 a e2 e ae", """
@@ -105,7 +104,7 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         e2*e = e*e2 = e2*ae = ae*e2 = e + ae
         e*e = ae*ae = 1 + e2 + e + ae
         e*ae = ae*e = a + e2 + e + ae
-        """)),
+        """), dims={"e2": 2, "e": 3, "ae": 3}),
     # the cubic characters w, w2 and the 3-dim v
     CatalogEntry("a4_rep", "unitary dual of the alternating group A4", partial(
         _ring, "a4_rep", "1 w w2 v", """
@@ -114,7 +113,7 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         w2*w2 = w
         w*v = v*w = w2*v = v*w2 = v
         v*v = 1 + w + w2 + 2*v
-        """, {"w": "w2", "w2": "w"})),
+        """, {"w": "w2", "w2": "w"}), dims={"v": 3}),
     # the Klein four-group 1, t, tq, tp of automorphisms and x
     CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor", partial(
         _ring, "d6aff_even", "1 t tq tp x", """
@@ -124,7 +123,7 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         tq*tp = tp*tq = t
         t*x = x*t = tq*x = x*tq = tp*x = x*tp = x
         x*x = 1 + t + tq + tp
-        """)),
+        """), dims={"x": 2}),
     # Z/3 = {1, t, t2} and the self-dual t^i r, with r*t = t2*r
     CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor", partial(
         _ring, "haagerup_even", "1 t t2 r tr t2r", """
@@ -137,7 +136,8 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         r*r = tr*tr = t2r*t2r = 1 + r + tr + t2r
         tr*r = t2r*tr = r*t2r = t + r + tr + t2r
         t2r*r = r*tr = tr*t2r = t2 + r + tr + t2r
-        """, {"t": "t2", "t2": "t"})),
+        """, {"t": "t2", "t2": "t"}),
+        dims=dict.fromkeys(("r", "tr", "t2r"), quad("3/2", "1/2", 13))),
 )
 
 
@@ -161,6 +161,21 @@ def builtin(key: str, k: Optional[int] = None) -> FusionRing:
     if report:  # pragma: no cover - shipped data is valid
         raise RingValidationError(report)
     return ring
+
+
+def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
+    """Exact dimensions of a built-in ring: every label of a fixed ring (1 where
+    its entry lists none), and the even labels of ``su2`` when x = TWO_COS[k + 2]
+    exists: d(l0) = 1, d(l2) = 1 + x, d(l2) d(l_2j) = d(l_2j-2) + d(l_2j) + d(l_2j+2)."""
+    entry = {e.key: e for e in ENTRIES}[key]
+    if not entry.parametrized:
+        return {lab: entry.dims.get(lab, 1) for lab in entry.build().labels}
+    if k is None or k + 2 not in TWO_COS:
+        raise ValueError(f"{key} has no exact dimensions at level {k}")
+    d = [1, 1 + TWO_COS[k + 2]]
+    while len(d) <= k // 2:
+        d.append(d[1] * d[-1] - d[-1] - d[-2])
+    return {f"l{2 * j}": v for j, v in enumerate(d)}
 
 
 def builtin_keys() -> List[str]:

@@ -5,8 +5,8 @@ supertransitivity, cohomology vanishing, Galois-group identification) that
 cannot be rederived from fusion data; each case records those as assumptions
 in its notes.  What *is* checked: exact index identities in the quadratic
 fields, exact identities between each angle's cosine and the indices, exact
-defining polynomials, and Perron-Frobenius dimension agreement with catalog
-rings.  Only the last compares floats, within the caller's tolerance.
+defining polynomials, and exact Perron-Frobenius dimensions on catalog
+rings.  No check compares floats.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .catalog import builtin
-from .fusion import decompose, hom_dim, pf_dimensions
-from .scalar import EPS_ABS, QuadExt, quad
+from .catalog import TWO_COS, builtin, dimensions
+from .fusion import _mul_label, decompose, hom_dim
+from .scalar import QuadExt, quad
 
 TAGS = ("I", "II", "III", "IV", "group-type", "D6affine")
 
@@ -30,8 +30,8 @@ ANGLE_RULES = {
     "stored": lambda c, pn, mp: True,
 }
 
-# n -> the minimal polynomial x^2 = a*x + b of x = 2cos(2pi/n) as (a, b, text),
-# for the n the table uses; x is its positive root
+# n -> the minimal polynomial x^2 = a*x + b of x = catalog.TWO_COS[n] as
+# (a, b, text), for the n the table uses; x is its positive root
 TWO_COS_MINPOLY = {8: (0, 2, "x^2 = 2"), 10: (1, 1, "x^2 = x + 1")}
 
 
@@ -46,17 +46,27 @@ class PFLink(NamedTuple):
     expected: QuadExt
     note: str
 
-    def evaluate(self) -> Tuple[float, float]:
-        ring = builtin(self.ring_key, self.k)
-        dims = pf_dimensions(ring)
-        value = sum(n * dims[lab] for lab, n in decompose(ring, self.expr).items())
-        return value, float(self.expected)
+
+def _fpdim_failure(ring_key: str, k: Optional[int], expr: str, expected: QuadExt) -> Optional[str]:
+    """None when FPdim(expr) is ``expected``, else the failed identity.  On the
+    labels S that the catalog's exact dimensions d cover (closed under x*), d > 0
+    and d(x*b) = d(x) d(b) for b in S make d a positive eigenvector of b -> x*b,
+    so d(x) is its spectral radius, FPdim(x) (EGNO, Tensor Categories, 3.3)."""
+    ring, d = builtin(ring_key, k), dimensions(ring_key, k)
+    x = decompose(ring, expr)
+    dx = sum(n * d[a] for a, n in x.items())
+    for b, db in d.items():
+        if not db > 0:
+            return f"d({b}) = {db} is not positive"
+        if sum(n * d[c] for c, n in _mul_label(ring, x, b).items()) != dx * db:
+            return f"d(({expr})*{b}) = d({expr}) d({b}) fails"
+    return None if dx == expected else f"d({expr}) = {dx}, not {expected}"
 
 
 class QuadCase(NamedTuple):
     """One row of the classification: graphs, exact indices, angle, metadata.
 
-    ``two_cos`` is (n, 2cos(2pi/n)) when pn = 4cos^2(pi/n) is irrational.
+    ``two_cos`` is n when pn = 4cos^2(pi/n) is irrational.
     :func:`classification_table` checks ``tag`` against :data:`TAGS` and
     ``angle_rule`` against :data:`ANGLE_RULES`.
     """
@@ -70,7 +80,7 @@ class QuadCase(NamedTuple):
     relation: str
     cos_exact: QuadExt
     angle_rule: str
-    two_cos: Optional[Tuple[int, QuadExt]]
+    two_cos: Optional[int]
     galois: Optional[str]
     pf_links: Tuple[PFLink, ...]
     notes: str
@@ -110,7 +120,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "d6a4", "D6", "A4", quad("5/2", "1/2", 5), quad("3/2", "1/2", 5),
-            "II", "mp = pn - 1", half3m5, "cocommuting", (10, quad("1/2", "1/2", 5)), None,
+            "II", "mp = pn - 1", half3m5, "cocommuting", 10, None,
             (PFLink("su2", 8, "l1*l1", quad("5/2", "1/2", 5),
                     "D6 graph norm squared (equals the A9 value)"),
              PFLink("su2", 3, "l1*l1", quad("3/2", "1/2", 5),
@@ -119,7 +129,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "a7a7", "A7", "A7", quad(2, 1, 2), quad(2, 1, 2),
-            "I", "mp = pn", sqrt2m1, "bound", (8, quad(0, 1, 2)), None,
+            "I", "mp = pn", sqrt2m1, "bound", 8, None,
             (PFLink("su2", 6, "l1*l1", quad(2, 1, 2),
                     "A7 graph norm squared, both elementary subfactors"),),
             "noncocommuting, equal indices 2+sqrt(2); " + _ASSUMED,
@@ -181,13 +191,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def verify_case(case: QuadCase, tol: float = EPS_ABS) -> CheckResult:
-    """Recheck one case: exact index relation, exact angle identity, exact
-    defining polynomials, and Perron-Frobenius links to catalog rings.
-
-    ``tol`` is the absolute tolerance of the PF dimension comparisons, the
-    only rows that compare floats.
-    """
+def verify_case(case: QuadCase) -> CheckResult:
+    """Recheck one case: exact index relation, angle, polynomials and PF links."""
     rows: List[CheckRow] = []
 
     if case.relation == "mp = pn - 1":
@@ -203,9 +208,11 @@ def verify_case(case: QuadCase, tol: float = EPS_ABS) -> CheckResult:
 
     c = case.cos_exact
     in_range = 0 < c < 1
-    ok = in_range and ANGLE_RULES[case.angle_rule](c, case.pn, case.mp)
-    # the identity fixes the angle, so both columns print acos(cos_exact);
-    # the two-column text is kept so that the output stays byte-stable
+    try:
+        ok = in_range and ANGLE_RULES[case.angle_rule](c, case.pn, case.mp)
+    except ValueError:  # mixed radicands: a cosine from another quadratic field
+        ok = False
+    # a passing identity fixes the angle, so both columns print acos(cos_exact)
     angle = _fmt(math.acos(float(c))) if in_range else "nan"
     rows.append(CheckRow(
         "angle_recomputation", ok,
@@ -214,14 +221,11 @@ def verify_case(case: QuadCase, tol: float = EPS_ABS) -> CheckResult:
 
     rows.append(_polynomial_row(case))
 
-    link_rows = []
-    ok = True
-    for link in case.pf_links:
-        value, expected = link.evaluate()
-        good = abs(value - expected) < tol
-        ok = ok and good
-        link_rows.append(f"{link.note}: {_fmt(value)} vs {_fmt(expected)}")
-    rows.append(CheckRow("pf_dimension_links", ok, "; ".join(link_rows)))
+    # a passing link's FPdim is its expected value, so both columns print it
+    failures = [_fpdim_failure(*link[:4]) for link in case.pf_links]
+    rows.append(CheckRow("pf_dimension_links", not any(failures), "; ".join(
+        f"{link.note}: " + (failed or "{0} vs {0}".format(_fmt(float(link.expected))))
+        for link, failed in zip(case.pf_links, failures))))
 
     return CheckResult(case.case_id, tuple(rows))
 
@@ -231,8 +235,8 @@ def _polynomial_row(case: QuadCase) -> CheckRow:
         ok = case.pn.is_integer and case.mp.is_integer
         return CheckRow("exact_polynomials", ok,
                         f"integer indices pn = {case.pn}, mp = {case.mp}")
-    n, x = case.two_cos
-    a, b, poly = TWO_COS_MINPOLY[n]
+    n = case.two_cos
+    x, (a, b, poly) = TWO_COS[n], TWO_COS_MINPOLY[n]
     ok = x * x == a * x + b and x > 0 and case.pn == 2 + x
     return CheckRow(
         "exact_polynomials", ok,
@@ -240,19 +244,17 @@ def _polynomial_row(case: QuadCase) -> CheckRow:
         f"pn = 2 + x = 4cos^2(pi/{n}) exactly")
 
 
-def run_all(tol: float = EPS_ABS) -> List[CheckResult]:
-    """Every case through :func:`verify_case`; ``tol`` as there."""
-    return [verify_case(c, tol) for c in classification_table()]
+def run_all() -> List[CheckResult]:
+    """Every case through :func:`verify_case`."""
+    return [verify_case(c) for c in classification_table()]
 
 
 # ---------------------------------------------------------------------------
 # exclusion arithmetic
 
 
-def run_exclusion_checks(tol: float = EPS_ABS) -> List[CheckResult]:
-    """The four arithmetic exclusion facts, replayed on catalog data;
-    ``tol`` is the absolute tolerance of the two PF dimension comparisons.
-    """
+def run_exclusion_checks() -> List[CheckResult]:
+    """The four arithmetic exclusion facts, replayed on catalog data."""
     results = []
 
     ring = builtin("haagerup_even")
@@ -261,14 +263,13 @@ def run_exclusion_checks(tol: float = EPS_ABS) -> List[CheckResult]:
     contains = all(dec.get(l, 0) >= 1 for l in ("1", "r", "tr", "t2r"))
     sq_ok = d * d == 3 * d + 1
     bound_ok = 1 + d == quad("5/2", "1/2", 13)
-    pf = pf_dimensions(ring)
-    pf_ok = abs(pf["r"] - float(d)) < tol
     results.append(CheckResult("class4_dimension_bound", (
         CheckRow("square_contains_three_reflections", contains,
                  f"r*r decomposes as {dec}"),
         CheckRow("dimension_equation", sq_ok, f"d^2 = 3d + 1 exactly at d = {d}"),
         CheckRow("index_bound", bound_ok, f"1 + d = {1 + d} exactly"),
-        CheckRow("pf_agreement", pf_ok, f"PF dimension of r = {_fmt(pf['r'])}"),
+        CheckRow("pf_agreement", not (failed := _fpdim_failure("haagerup_even", None, "r", d)),
+                 failed or f"PF dimension of r = {_fmt(float(d))}"),
     )))
 
     val = hom_dim(ring, "t2*r*r", "t2 + r")
@@ -278,14 +279,12 @@ def run_exclusion_checks(tol: float = EPS_ABS) -> List[CheckResult]:
     )))
 
     x = quad(1, 1, 3)  # 1 + sqrt(3)
-    ring_e6 = builtin("e6_even")
-    pf_e6 = pf_dimensions(ring_e6)
     results.append(CheckResult("e6_group_exclusion", (
         CheckRow("irrational_index_gap", not x.is_integer and
                  all(x != n for n in (2, 3, 4)),
                  f"pn - 1 = {x} is not an integer, no group case exists"),
-        CheckRow("pf_agreement", abs(pf_e6["e"] - float(x)) < tol,
-                 f"PF dimension of e = {_fmt(pf_e6['e'])} matches 1 + sqrt(3)"),
+        CheckRow("pf_agreement", not (failed := _fpdim_failure("e6_even", None, "e", x)),
+                 failed or f"PF dimension of e = {_fmt(float(x))} matches 1 + sqrt(3)"),
     )))
 
     y = quad(1, 1, 2)  # 1 + sqrt(2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -55,6 +56,16 @@ def _spectrum(spec: AngleSpectrum, degrees: bool) -> Tuple[int, Dict, List[str]]
         text = [f"angle = {_fmt(v)} {unit}" for v in vals]
     text.append(f"({angles.HYPOTHESES_NOTE})")
     return 0, doc, text
+
+
+def _ascii_items(text: str, pattern: str, message: str) -> List[str]:
+    """The stripped comma-separated items of ``text``, each ASCII matching ``pattern``
+    (int() and Fraction() also read other digits and "_"); ``message`` names a bad one."""
+    items = [x.strip() for x in text.split(",")]
+    for x in items:
+        if not re.fullmatch(pattern, x):
+            raise ValueError(message.format(x))
+    return items
 
 
 def _resolve_ring(args) -> FusionRing:
@@ -127,8 +138,7 @@ def _angle_cocommuting(args):
 
 def _angle_group(args):
     from . import angles
-    spec = angles.angle_group(args.g, args.h, args.k, args.hk, args.tolerance)
-    return _spectrum(spec, args.degrees)
+    return _spectrum(angles.angle_group(args.g, args.h, args.k, args.hk), args.degrees)
 
 
 def _angle_candidates(args):
@@ -165,7 +175,8 @@ def _angle_bound(args):
 
 def _wzw_spectrum(args):
     from . import wzw
-    J = [int(x) for x in args.J.split(",") if x.strip() != ""]
+    labels = _ascii_items(args.J, "[0-9]*", "label {} in J is not a nonnegative integer")
+    J = [int(x) for x in labels if x]
     return _spectrum(wzw.alpha_induction_spectrum(args.k, args.i0, J), args.degrees)
 
 
@@ -184,12 +195,8 @@ def _wzw_asymptotic(args):
 
 def _wzw_6j(args):
     from . import wzw
-    spins = []
-    for s in args.spins.split(","):
-        try:
-            spins.append(Fraction(s))
-        except ZeroDivisionError:
-            raise ValueError(f"spin {s} is not a nonnegative half-integer") from None
+    spins = [Fraction(s) for s in _ascii_items(args.spins, "[0-9]+(/0*[1-9][0-9]*)?",
+                                               "spin {} is not a nonnegative half-integer")]
     if len(spins) != 6:
         raise ValueError("exactly six spins are required")
     val = wzw.q6j(wzw.QSixJ(args.m, *spins))
@@ -251,18 +258,16 @@ def _cuntz_normalize(args):
 
 def _classify(args):
     from . import classify
-    tol = args.tolerance
     if args.exclusions:
-        results = classify.run_exclusion_checks(tol)
+        results = classify.run_exclusion_checks()
     elif args.case:
-        results = [classify.verify_case(classify.case_by_id(args.case), tol)]
+        results = [classify.verify_case(classify.case_by_id(args.case))]
     else:
-        results = classify.run_all(tol)
+        results = classify.run_all()
     doc = {"cases": [{"case_id": r.case_id, "passed": r.passed,
                       "rows": [{"name": row.name, "passed": row.passed, "detail": row.detail}
                                for row in r.rows]} for r in results],
-           "passed": sum(r.passed for r in results), "total": len(results),
-           "tolerance": tol}
+           "passed": sum(r.passed for r in results), "total": len(results)}
     text = classify.render_results(results).splitlines()
     text.append(f"{doc['passed']}/{doc['total']} passing")
     return (0 if doc["passed"] == doc["total"] else 1), doc, text

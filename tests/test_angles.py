@@ -120,7 +120,10 @@ def test_explicit_tolerance():
     # the default 1e-9 separates; a loose tol merges close indices, admits |s| > 1
     assert not angle_cocommuting(3, 2).commuting
     assert angle_cocommuting(3, 2, tol=1.5).commuting
-    assert angle_group(24, 6, 6, 2, tol=1).commuting
+    # group orders give integer indices, compared exactly: 4 and 3 stay apart
+    assert angle_group(24, 6, 6, 2).angles == pytest.approx((1.23095941734,))
+    with pytest.raises(TypeError):
+        angle_group(24, 6, 6, 2, tol=1)
     assert angle_cocommuting(3 + 1e-12, 3).commuting
     assert angle_cocommuting(3 + 1e-12, 3, tol=0.0).angles
     with pytest.raises(ValueError, match="must not exceed 1"):

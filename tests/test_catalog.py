@@ -68,6 +68,39 @@ def test_haagerup_even_dimensions():
     assert dims["tr"] == pytest.approx(d, abs=1e-9)
 
 
+@pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES if not e.parametrized])
+def test_fixed_ring_dimensions_are_exact(key):
+    # the listed dimensions, and 1 for every other label, are positive and a
+    # ring homomorphism exactly, which makes them the Perron-Frobenius dimensions
+    ring, d = builtin(key), catalog.dimensions(key)
+    assert list(d) == list(ring.labels)
+    assert set(next(e for e in catalog.ENTRIES if e.key == key).dims) <= set(ring.labels)
+    for a in ring.labels:
+        assert d[a] > 0
+        for b in ring.labels:
+            row = ring.tensor.get((a, b), {})
+            assert d[a] * d[b] == sum(n * d[c] for c, n in row.items()), (a, b)
+    pf = pf_dimensions(ring)
+    assert all(float(d[a]) == pytest.approx(pf[a], abs=1e-12) for a in ring.labels)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
+def test_su2_even_dimensions_are_the_closed_form(k):
+    d = catalog.dimensions("su2", k)
+    assert list(d) == [f"l{j}" for j in range(0, k + 1, 2)]
+    q = math.pi / (k + 2)
+    for lab, v in d.items():
+        assert float(v) == pytest.approx(math.sin((int(lab[1:]) + 1) * q) / math.sin(q), abs=1e-12)
+
+
+def test_su2_dimensions_need_a_tabulated_level():
+    for k in (None, 5, 7):
+        with pytest.raises(ValueError, match="no exact dimensions"):
+            catalog.dimensions("su2", k)
+    with pytest.raises(KeyError):
+        catalog.dimensions("e8_even")
+
+
 def test_rep_ring_tables_match_character_oracle():
     elems, chars = _oracles.s4_characters()
     table = _oracles.tensor_table(elems, chars)

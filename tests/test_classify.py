@@ -1,8 +1,9 @@
+import inspect
 import math
 
 import pytest
 
-from sectorwb import quad
+from sectorwb import catalog, quad
 from sectorwb.classify import (
     TWO_COS_MINPOLY,
     case_by_id,
@@ -62,6 +63,36 @@ def test_exclusion_checks():
     assert all(r.passed for r in results)
 
 
+def _patch_dims(monkeypatch, key, **dims):
+    entries = tuple(e._replace(dims={**e.dims, **dims}) if e.key == key else e
+                    for e in catalog.ENTRIES)
+    monkeypatch.setattr(catalog, "ENTRIES", entries)
+
+
+def test_a_wrong_s4_rep_dimension_fails_its_links(monkeypatch):
+    # d(r) = 1 + sqrt(13) in haagerup_even is tested through the CLI
+    _patch_dims(monkeypatch, "s4_rep", ae=2)
+    failed = [r.case_id for r in run_all() if not r.passed]
+    assert failed == ["e7affa5", "e7affe7aff"]
+    for res in run_all()[5:]:
+        assert [row.name for row in res.rows if not row.passed] == ["pf_dimension_links"]
+        assert "d((1 + e)*a) = d(1 + e) d(a) fails" in res.rows[-1].detail
+
+
+def test_pf_link_identities_name_what_fails(monkeypatch):
+    # a wrong expected value, with the catalog's dimensions intact
+    case = case_by_id("d6affa3")
+    wrong = case._replace(pf_links=(case.pf_links[0]._replace(expected=quad(5)),))
+    row = _rows(wrong)["pf_dimension_links"]
+    assert not row.passed
+    assert row.detail == ("canonical endomorphism 1 + t + x of the affine-D6 side: "
+                          "d(1 + t + x) = 4, not 5")
+    # a dimension that is not positive
+    _patch_dims(monkeypatch, "d6aff_even", x=-2)
+    row = _rows(case)["pf_dimension_links"]
+    assert not row.passed and "d(x) = -2 is not positive" in row.detail
+
+
 def test_class_iv_record_keeps_both_candidates():
     rec = class_iv_record()
     assert rec.ambiguous
@@ -87,22 +118,17 @@ def test_render_is_deterministic():
     assert a.count("PASS") == 7
 
 
-def _rows(case, tol=1e-9):
-    return {row.name: row for row in verify_case(case, tol).rows}
+def _rows(case):
+    return {row.name: row for row in verify_case(case).rows}
 
 
-def test_tolerance_argument():
-    assert render_results(run_all(1e-9)) == render_results(run_all())
-    # tol reaches only the PF dimension links: every case has one whose float
-    # dimension misses its exact value by a rounding error far above 1e-30
-    for res in run_all(1e-30):
-        assert [row.name for row in res.rows if not row.passed] == ["pf_dimension_links"]
-    # only the two PF agreement checks compare floats
-    assert [r.passed for r in run_exclusion_checks(1e-30)] == [False, True, False, True]
-    # the exact rows ignore tol: at 1.5, pn = 3 and mp = 2 are still distinct
-    rows = _rows(case_by_id("a5a3"), 1.5)
-    assert rows["angle_recomputation"].passed and rows["exact_polynomials"].passed
-    assert rows["pf_dimension_links"].passed
+def test_no_tolerance_argument():
+    # every row is an exact identity, so the classification takes no tolerance
+    assert list(inspect.signature(verify_case).parameters) == ["case"]
+    assert not inspect.signature(run_all).parameters
+    assert not inspect.signature(run_exclusion_checks).parameters
+    with pytest.raises(TypeError):
+        run_all(1e-30)
 
 
 def test_swapped_cosines_fail_the_angle_row():
@@ -111,6 +137,12 @@ def test_swapped_cosines_fail_the_angle_row():
         rows = _rows(case._replace(cos_exact=other.cos_exact))
         assert not rows["angle_recomputation"].passed
         assert rows["exact_polynomials"].passed
+    # a cosine from another quadratic field (sqrt(5) against sqrt(2)) fails
+    # the row instead of raising on the mixed radicands
+    a7a7, d6a4 = case_by_id("a7a7"), case_by_id("d6a4")
+    for case, other in ((a7a7, d6a4), (d6a4, a7a7)):
+        row = _rows(case._replace(cos_exact=other.cos_exact))["angle_recomputation"]
+        assert not row.passed
     # cos(pi/4) of the stored case against the bound of a7a7
     a7a7, d6affa3 = case_by_id("a7a7"), case_by_id("d6affa3")
     assert not _rows(a7a7._replace(cos_exact=d6affa3.cos_exact))["angle_recomputation"].passed
@@ -127,36 +159,41 @@ def test_angle_row_needs_a_cosine_in_the_open_unit_interval():
 
 
 def test_polynomial_rows_carry_two_cos_as_data():
-    assert [c.case_id for c in classification_table() if c.two_cos] == ["d6a4", "a7a7"]
-    for case in classification_table():
-        if case.two_cos:
-            n, x = case.two_cos
-            assert float(x) == pytest.approx(2 * math.cos(2 * math.pi / n), abs=1e-15)
+    # the cases hold only n; x = 2cos(2pi/n) is read from the catalog's table
+    assert [(c.case_id, c.two_cos) for c in classification_table() if c.two_cos] == [
+        ("d6a4", 10), ("a7a7", 8)]
+    for n, x in catalog.TWO_COS.items():
+        assert float(x) == pytest.approx(2 * math.cos(2 * math.pi / n), abs=1e-15)
     # each polynomial's positive root is 2cos(2pi/n)
     for n, (a, b, _) in TWO_COS_MINPOLY.items():
         assert (a + math.sqrt(a * a + 4 * b)) / 2 == pytest.approx(2 * math.cos(2 * math.pi / n))
 
 
 @pytest.mark.parametrize("cid, fields", [
-    # 2cos(2pi/10) given as n = 8: x^2 = 2 fails
-    ("d6a4", {"two_cos": (8, quad("1/2", "1/2", 5))}),
-    # neither x^2 = 2 nor pn = 2 + x
-    ("a7a7", {"two_cos": (8, quad(1, 1, 2))}),
+    # 2cos(2pi/8) for the golden-ratio case: x^2 = 2 holds, pn = 2 + x fails
+    ("d6a4", {"two_cos": 8}),
+    # a wrong table value: neither x^2 = 2 nor pn = 2 + x
+    ("a7a7", {"x": quad(1, 1, 2)}),
     # the negative root of x^2 = x + 1, with pn = 2 + x to match: only x > 0 fails
-    ("d6a4", {"two_cos": (10, quad("1/2", "-1/2", 5)), "pn": quad("5/2", "-1/2", 5)}),
+    ("d6a4", {"x": quad("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)}),
     # the right x, but pn is not 2 + x
     ("a7a7", {"pn": quad(3, 1, 2)}),
 ])
-def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields):
-    assert not _rows(case_by_id(cid)._replace(**fields))["exact_polynomials"].passed
+def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
+    # "x" replaces the table's 2cos(2pi/n) for the case's n, the rest the case's fields
+    case = case_by_id(cid)
+    if "x" in fields:
+        monkeypatch.setitem(catalog.TWO_COS, case.two_cos, fields["x"])
+    case = case._replace(**{f: v for f, v in fields.items() if f != "x"})
+    assert not _rows(case)["exact_polynomials"].passed
 
 
-def test_pn_equal_to_two_plus_x_is_not_enough():
-    # x = sqrt(3) and pn = 2 + sqrt(3) agree, and cos = 1/(pn - 1) keeps the
-    # bound, but x^2 = 2 fails at n = 8
+def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):
+    # x = sqrt(3) in the table and pn = 2 + sqrt(3) agree, and cos = 1/(pn - 1)
+    # keeps the bound, but x^2 = 2 fails at n = 8
+    monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
     case = case_by_id("a7a7")._replace(pn=quad(2, 1, 3), mp=quad(2, 1, 3),
-                                         cos_exact=quad("-1/2", "1/2", 3),
-                                         two_cos=(8, quad(0, 1, 3)))
+                                         cos_exact=quad("-1/2", "1/2", 3))
     rows = _rows(case)
     assert rows["index_relation"].passed and rows["angle_recomputation"].passed
     assert not rows["exact_polynomials"].passed

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb import catalog, wzw
+from sectorwb import catalog, quad, wzw
 from sectorwb.cli import main
 
 import _oracles
@@ -234,20 +234,27 @@ def test_dims_su2_text_is_the_closed_form(capsys):
             f"l{i}: {math.sin((i + 1) * q) / math.sin(q):.12g}\n" for i in range(k + 1))
 
 
-def test_classify_honours_tolerance(capsys):
+def test_classify_takes_no_tolerance(capsys):
+    # every row is exact: --tolerance changes nothing, and the JSON names none
     for which in (["--all"], ["--case", "a5a3"], ["--exclusions"]):
-        assert main(["--tolerance", "1e-30", "classify"] + which) == 1
-        assert "FAIL" in capsys.readouterr().out
-        assert main(["--json", "--tolerance", "1e-30", "classify"] + which) == 1
+        assert main(["classify"] + which) == 0
+        default = capsys.readouterr().out
+        assert main(["--tolerance", "1e-30", "classify"] + which) == 0
+        assert capsys.readouterr().out == default
+        assert main(["--json", "--tolerance", "1e-30", "classify"] + which) == 0
         doc = json.loads(capsys.readouterr().out)["results"]
-        assert doc["tolerance"] == 1e-30
-        assert doc["passed"] < doc["total"]
-    # only the PF dimension comparisons take the tolerance
-    assert main(["--tolerance", "1e-30", "classify", "--case", "a5a3"]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
-    assert [line.split(":")[0] for line in failed] == ["  [FAIL] pf_dimension_links"]
-    assert main(["--json", "classify", "--case", "a5a3"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 1e-9
+        assert "tolerance" not in doc and doc["passed"] == doc["total"]
+
+
+def test_a_wrong_catalog_dimension_fails_classify(monkeypatch, capsys):
+    # d(r) = 1 + sqrt(13) in haagerup_even fails the exclusions' PF agreement
+    entries = tuple(e._replace(dims={**e.dims, "r": quad(1, 1, 13)})
+                    if e.key == "haagerup_even" else e for e in catalog.ENTRIES)
+    monkeypatch.setattr(catalog, "ENTRIES", entries)
+    assert main(["classify", "--exclusions"]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL] pf_agreement: d((r)*t) = d(r) d(t) fails\n" in out
+    assert out.endswith("3/4 passing\n")
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
@@ -372,10 +379,20 @@ def _d6_file(path, **fields):
      "error: (d_sigma - 1)^2 s^2 overflows a float at d_sigma = 1e+200, s = 0.5"),
     (["dims", "su2", "--k", str(catalog.MAX_LEVEL + 1)], 2,
      f"error: su2 level k = {catalog.MAX_LEVEL + 1} is above the cap k <= {catalog.MAX_LEVEL}"),
+    (["angle", "cocommuting", "--pn", "1e308", "--mp", "2"], 2,
+     "error: mp (pn - 1) overflows a float at pn = 1e+308, mp = 2.0"),
+    # int() and Fraction() would read these as 6, 10 and 3
+    (["wzw", "spectrum", "--k", "10", "--J", "0,\u0666"], 2,
+     "error: label \u0666 in J is not a nonnegative integer"),
+    (["wzw", "spectrum", "--k", "10", "--J", "0,1_0"], 2,
+     "error: label 1_0 in J is not a nonnegative integer"),
+    (["wzw", "6j", "--m", "4", "--spins", "\u0663,3/2,3/2,1,3/2,3/2"], 2,
+     "error: spin \u0663 is not a nonnegative half-integer"),
 ], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "sixj-overflow",
         "asymptotic-cap", "expr-syntax", "lookup",
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
-        "su2-level-cap"])
+        "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
+        "spin-arabic-digit"])
 def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):
     # the exception classes main() names belong to modules that a fresh
     # process has not loaded when the command fails; the in-process run
@@ -413,12 +430,13 @@ COMMUTING = "commuting (empty angle spectrum)"
 
 
 @pytest.mark.parametrize("tol, argv, default, loose", [
-    # pn - mp = 1 is within 1.5 (and 1) of equal indices, which commute;
-    # |0.3| is within 0.5 of zero, so the term is pruned
+    # pn - mp = 1 is within 1.5 of equal indices, which commute; |0.3| is
+    # within 0.5 of zero, so the term is pruned; the group orders give integer
+    # indices 4 and 3, which no tolerance makes equal
     ("1.5", ["angle", "cocommuting", "--pn", "3", "--mp", "2"],
      "angle = 1.0471975512 rad", COMMUTING),
     ("1", ["angle", "group", "--g", "24", "--h", "6", "--k", "6", "--hk", "2"],
-     "angle = 1.23095941734 rad", COMMUTING),
+     "angle = 1.23095941734 rad", "angle = 1.23095941734 rad"),
     ("0.5", ["cuntz", "normalize", "0.3*T0 + T1"], "0.3*T0 + T1", "T1"),
 ], ids=["cocommuting", "group", "normalize"])
 def test_tolerance_reaches_angle_and_cuntz(tol, argv, default, loose, capsys):
