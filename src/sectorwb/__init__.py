@@ -22,8 +22,8 @@ _EXPORTS = {
                    "decompose hom_dim parse_sector_expr pf_dimensions validate_ring"),
         ("catalog", "CatalogEntry ENTRIES RingFormatError RingValidationError builtin "
                     "builtin_keys load ring_from_dict ring_to_dict save"),
-        ("angles", "AngleCandidate AngleSpectrum HYPOTHESES_NOTE InnerData QuadIndexData "
-                   "angle_bound angle_candidates angle_cocommuting angle_group t_inner_roots"),
+        ("angles", "AngleCandidate AngleSpectrum HYPOTHESES_NOTE angle_bound angle_candidates "
+                   "angle_cocommuting angle_group t_inner_roots"),
         ("wzw", "BranchingRule ModularData QSixJ SixJDomainError alpha_induction_spectrum "
                 "asymptotic_spectrum branching_rule ghj_spectrum monodromy_ratio q6j "
                 "su2k_modular"),

@@ -4,6 +4,8 @@ All operations here evaluate formulas; they do not (and cannot) check the
 operator-algebraic hypotheses behind them, such as irreducibility of the
 elementary subfactors or 2-supertransitivity.  Callers are responsible for
 those, and the CLI prints a "hypotheses assumed" note with every result.
+Each function checks its own numeric inputs (finite, in range) before it
+evaluates anything.
 
 Angles are radians throughout.
 """
@@ -57,52 +59,33 @@ class AngleSpectrum(Frozen):
         return cls(tuple(dedup), commuting)
 
 
-class QuadIndexData(Frozen):
-    """The two elementary indices [P:N] and [M:P] of a quadrilateral."""
-
-    __slots__ = _fields = ("pn", "mp")
-
-    def __init__(self, pn: float, mp: float):
-        object.__setattr__(self, "pn", float(pn))
-        object.__setattr__(self, "mp", float(mp))
-        if not (1 < self.pn < math.inf and 1 < self.mp < math.inf):
-            raise ValueError("indices must both be finite and exceed 1")
-
-
-class InnerData(Frozen):
-    """Dimension d(sigma) and inner product <s_P, s_Q> of the coupling isometries.
-
-    |s| <= 1 is checked, within a tolerance, by the functions that take one.
-    """
-
-    __slots__ = _fields = ("d_sigma", "s")
-
-    def __init__(self, d_sigma: float, s: float):
-        object.__setattr__(self, "d_sigma", float(d_sigma))
-        object.__setattr__(self, "s", float(s))
-        if not 1 < self.d_sigma < math.inf:
-            raise ValueError("d_sigma must be finite and exceed 1")
-        if not math.isfinite(self.s):
-            raise ValueError("s must be finite")
-
-
-def _inner(d_sigma, s, tol: float = EPS_ABS) -> InnerData:
-    data = InnerData(d_sigma, s)
-    if abs(data.s) > 1 + tol:
+def _inner(d_sigma, s, tol: float = EPS_ABS) -> Tuple[float, float]:
+    """The dimension d(sigma) and the inner product s = <s_P, s_Q> of the
+    coupling isometries as floats, once 1 < d(sigma) < inf, s is finite and
+    |s| <= 1 + ``tol``."""
+    d, s = float(d_sigma), float(s)
+    if not 1 < d < math.inf:
+        raise ValueError("d_sigma must be finite and exceed 1")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
+    if abs(s) > 1 + tol:
         raise ValueError("|s| must not exceed 1")
-    return data
+    return d, s
 
 
 class AngleCandidate(NamedTuple):
     """One branch of the quadratic angle formula.
 
     A cosine of 1 does not correspond to an angle at all (it would force
-    P = Q), so `angle` is None and `degenerate` is set on that branch.
+    P = Q), so `angle` is None and the branch is `degenerate`.
     """
 
     cosine: float
-    degenerate: bool
     angle: Optional[float]
+
+    @property
+    def degenerate(self) -> bool:
+        return self.angle is None
 
 
 def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
@@ -112,15 +95,17 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
     commuting case instead of an angle.  Indices within ``tol`` of each
     other count as equal.
     """
-    q = QuadIndexData(pn, mp)
-    if q.pn < q.mp - tol:
+    pn, mp = float(pn), float(mp)
+    if not (1 < pn < math.inf and 1 < mp < math.inf):
+        raise ValueError("indices must both be finite and exceed 1")
+    if pn < mp - tol:
         raise ValueError("pn must be >= mp (cos^2 would be negative)")
-    if abs(q.pn - q.mp) <= tol:
+    if abs(pn - mp) <= tol:
         return AngleSpectrum((), commuting=True)
-    denominator = q.mp * (q.pn - 1.0)
+    denominator = mp * (pn - 1.0)
     if denominator == math.inf:
-        raise ValueError(f"mp (pn - 1) overflows a float at pn = {q.pn}, mp = {q.mp}")
-    cos2 = (q.pn - q.mp) / denominator
+        raise ValueError(f"mp (pn - 1) overflows a float at pn = {pn}, mp = {mp}")
+    cos2 = (pn - mp) / denominator
     return AngleSpectrum.from_cosines([math.sqrt(cos2)])
 
 
@@ -156,22 +141,16 @@ def angle_candidates(d_sigma, s,
     |s| may exceed 1 by at most ``tol``.  Inputs whose
     (d-1)^2 s^2 overflows a float raise ValueError.
     """
-    data = _inner(d_sigma, s, tol)
-    d = data.d_sigma
+    d, s = _inner(d_sigma, s, tol)
     try:
-        root = math.sqrt((d - 1.0) ** 2 * data.s ** 2 + 4.0 * d)
+        root = math.sqrt((d - 1.0) ** 2 * s ** 2 + 4.0 * d)
     except OverflowError:  # from the float powers; a product overflows to inf
         root = math.inf
     if root == math.inf:
-        raise ValueError(f"(d_sigma - 1)^2 s^2 overflows a float at d_sigma = {d}, s = {data.s}")
-    spread = (d - 1.0) * abs(data.s)
-    out = []
-    for c in ((root + spread) / (2.0 * d), (root - spread) / (2.0 * d)):
-        if c >= 1.0 - EPS_ABS:
-            out.append(AngleCandidate(c, True, None))
-        else:
-            out.append(AngleCandidate(c, False, math.acos(c)))
-    return (out[0], out[1])
+        raise ValueError(f"(d_sigma - 1)^2 s^2 overflows a float at d_sigma = {d}, s = {s}")
+    spread = (d - 1.0) * abs(s)
+    return tuple(AngleCandidate(c, None if c >= 1.0 - EPS_ABS else math.acos(c))
+                 for c in ((root + spread) / (2.0 * d), (root - spread) / (2.0 * d)))
 
 
 def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
@@ -180,9 +159,8 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
     Vieta: sum = (d-1) s / d, product = -1/d; the absolute values of the
     roots coincide with the two candidate cosines.
     """
-    data = _inner(d_sigma, s)
-    d = data.d_sigma
-    b = (d - 1.0) * data.s / d
+    d, s = _inner(d_sigma, s)
+    b = (d - 1.0) * s / d
     disc = math.sqrt(b * b + 4.0 / d)
     return ((b + disc) / 2.0, (b - disc) / 2.0)
 

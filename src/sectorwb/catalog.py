@@ -141,22 +141,30 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
 )
 
 
-def builtin(key: str, k: Optional[int] = None) -> FusionRing:
-    """Return a validated built-in ring; ``su2`` requires a level
-    1 <= k <= MAX_LEVEL, checked before anything is built."""
+def _entry(key: str) -> CatalogEntry:
     entry = next((e for e in ENTRIES if e.key == key), None)
     if entry is None:
         raise KeyError(f"unknown catalog key {key!r}")
-    if entry.parametrized:
-        if k is None or not isinstance(k, int) or k < 1:
-            raise ValueError(f"{key} requires an integer level k >= 1")
-        if k > MAX_LEVEL:
-            raise ValueError(f"{key} level k = {k} is above the cap k <= {MAX_LEVEL}")
-        ring = entry.build(k)
-    else:
+    return entry
+
+
+def _check_level(entry: CatalogEntry, k: Optional[int]) -> None:
+    """``su2`` takes an integer level 1 <= k <= MAX_LEVEL, a fixed ring none."""
+    if not entry.parametrized:
         if k is not None:
-            raise ValueError(f"{key} takes no level parameter")
-        ring = entry.build()
+            raise ValueError(f"{entry.key} takes no level parameter")
+    elif not isinstance(k, int) or k < 1:
+        raise ValueError(f"{entry.key} requires an integer level k >= 1")
+    elif k > MAX_LEVEL:
+        raise ValueError(f"{entry.key} level k = {k} is above the cap k <= {MAX_LEVEL}")
+
+
+def builtin(key: str, k: Optional[int] = None) -> FusionRing:
+    """Return a validated built-in ring; ``su2`` requires a level
+    1 <= k <= MAX_LEVEL, checked before anything is built."""
+    entry = _entry(key)
+    _check_level(entry, k)
+    ring = entry.build(k) if entry.parametrized else entry.build()
     report = validate_ring(ring)
     if report:  # pragma: no cover - shipped data is valid
         raise RingValidationError(report)
@@ -166,8 +174,11 @@ def builtin(key: str, k: Optional[int] = None) -> FusionRing:
 def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
     """Exact dimensions of a built-in ring: every label of a fixed ring (1 where
     its entry lists none), and the even labels of ``su2`` when x = TWO_COS[k + 2]
-    exists: d(l0) = 1, d(l2) = 1 + x, d(l2) d(l_2j) = d(l_2j-2) + d(l_2j) + d(l_2j+2)."""
-    entry = {e.key: e for e in ENTRIES}[key]
+    exists: d(l0) = 1, d(l2) = 1 + x, d(l2) d(l_2j) = d(l_2j-2) + d(l_2j) + d(l_2j+2).
+    A level that is given passes the checks of :func:`builtin`."""
+    entry = _entry(key)
+    if k is not None or not entry.parametrized:
+        _check_level(entry, k)
     if not entry.parametrized:
         return {lab: entry.dims.get(lab, 1) for lab in entry.build().labels}
     if k is None or k + 2 not in TWO_COS:

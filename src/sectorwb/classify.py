@@ -6,7 +6,8 @@ cannot be rederived from fusion data; each case records those as assumptions
 in its notes.  What *is* checked: exact index identities in the quadratic
 fields, exact identities between each angle's cosine and the indices, exact
 defining polynomials, and exact Perron-Frobenius dimensions on catalog
-rings.  No check compares floats.
+rings, each certifying one of the case's own indices pn and mp.  No check
+compares floats.
 """
 
 from __future__ import annotations
@@ -21,13 +22,18 @@ from .scalar import QuadExt, quad
 
 TAGS = ("I", "II", "III", "IV", "group-type", "D6affine")
 
-# angle rule -> the exact identity between the cosine c of the angle and the
-# indices: cos^2 = (pn - mp) / (mp (pn - 1)) for a cocommuting quadrilateral,
-# the 3-supertransitive bound cos = 1 / (pn - 1), nothing for a stored angle
+# angle rule -> (the index relation it needs, as (holds, report text), and the
+# exact identity between the cosine c of the angle and the indices): a
+# cocommuting quadrilateral has mp = pn - 1 and cos^2 = (pn - mp) / (mp (pn - 1)),
+# the 3-supertransitive bound has mp = pn and cos = 1 / (pn - 1), and a stored
+# angle has neither
 ANGLE_RULES = {
-    "cocommuting": lambda c, pn, mp: c * c * mp * (pn - 1) == pn - mp,
-    "bound": lambda c, pn, mp: c * (pn - 1) == 1,
-    "stored": lambda c, pn, mp: True,
+    "cocommuting": (lambda pn, mp: (pn - 1 == mp, f"pn - 1 = {pn - 1} vs mp = {mp} (exact)"),
+                    lambda c, pn, mp: c * c * mp * (pn - 1) == pn - mp),
+    "bound": (lambda pn, mp: (pn == mp, f"pn = {pn} vs mp = {mp} (exact)"),
+              lambda c, pn, mp: c * (pn - 1) == 1),
+    "stored": (lambda pn, mp: (True, "no index relation; angle stored directly"),
+               lambda c, pn, mp: True),
 }
 
 # n -> the minimal polynomial x^2 = a*x + b of x = catalog.TWO_COS[n] as
@@ -38,12 +44,13 @@ TWO_COS_MINPOLY = {8: (0, 2, "x^2 = 2"), 10: (1, 1, "x^2 = x + 1")}
 class PFLink(NamedTuple):
     """One Perron-Frobenius consistency link between a case and a catalog ring:
     the dimension of a sector expression, such as d(l1)^2 = d(l1*l1) on
-    su2(k) or a canonical endomorphism 1 + t + x, against its exact value."""
+    su2(k) or a canonical endomorphism 1 + t + x, against the case's index
+    named by ``of``, "pn" or "mp"."""
 
     ring_key: str
     k: Optional[int]
     expr: str
-    expected: QuadExt
+    of: str
     note: str
 
 
@@ -66,7 +73,8 @@ def _fpdim_failure(ring_key: str, k: Optional[int], expr: str, expected: QuadExt
 class QuadCase(NamedTuple):
     """One row of the classification: graphs, exact indices, angle, metadata.
 
-    ``two_cos`` is n when pn = 4cos^2(pi/n) is irrational.
+    ``two_cos`` is n when pn = 4cos^2(pi/n) is irrational.  ``angle_rule``
+    also fixes the index relation (:data:`ANGLE_RULES`).
     :func:`classification_table` checks ``tag`` against :data:`TAGS` and
     ``angle_rule`` against :data:`ANGLE_RULES`.
     """
@@ -77,7 +85,6 @@ class QuadCase(NamedTuple):
     pn: QuadExt
     mp: QuadExt
     tag: str
-    relation: str
     cos_exact: QuadExt
     angle_rule: str
     two_cos: Optional[int]
@@ -113,61 +120,59 @@ def classification_table() -> List[QuadCase]:
     table = [
         QuadCase(
             "a5a3", "A5", "A3", quad(3), quad(2),
-            "group-type", "mp = pn - 1", quad("1/2"), "cocommuting", None, "S3",
-            (PFLink("su2", 4, "l1*l1", quad(3), "A5 graph norm squared"),
-             PFLink("su2", 2, "l1*l1", quad(2), "A3 graph norm squared")),
+            "group-type", quad("1/2"), "cocommuting", None, "S3",
+            (PFLink("su2", 4, "l1*l1", "pn", "A5 graph norm squared"),
+             PFLink("su2", 2, "l1*l1", "mp", "A3 graph norm squared")),
             "fixed points of an outer S3 action; " + _ASSUMED,
         ),
         QuadCase(
             "d6a4", "D6", "A4", quad("5/2", "1/2", 5), quad("3/2", "1/2", 5),
-            "II", "mp = pn - 1", half3m5, "cocommuting", 10, None,
-            (PFLink("su2", 8, "l1*l1", quad("5/2", "1/2", 5),
-                    "D6 graph norm squared (equals the A9 value)"),
-             PFLink("su2", 3, "l1*l1", quad("3/2", "1/2", 5),
-                    "A4 graph norm squared")),
+            "II", half3m5, "cocommuting", 10, None,
+            (PFLink("su2", 8, "l1*l1", "pn", "D6 graph norm squared (equals the A9 value)"),
+             PFLink("su2", 3, "l1*l1", "mp", "A4 graph norm squared")),
             "golden-ratio indices (5+sqrt(5))/2 and (3+sqrt(5))/2; " + _ASSUMED,
         ),
         QuadCase(
             "a7a7", "A7", "A7", quad(2, 1, 2), quad(2, 1, 2),
-            "I", "mp = pn", sqrt2m1, "bound", 8, None,
-            (PFLink("su2", 6, "l1*l1", quad(2, 1, 2),
+            "I", sqrt2m1, "bound", 8, None,
+            (PFLink("su2", 6, "l1*l1", "pn",
                     "A7 graph norm squared, both elementary subfactors"),),
             "noncocommuting, equal indices 2+sqrt(2); " + _ASSUMED,
         ),
         QuadCase(
             "d6affa3", "D6affine", "A3", quad(4), quad(2),
-            "D6affine", "none", quad(0, "1/2", 2), "stored", None,
+            "D6affine", quad(0, "1/2", 2), "stored", None,
             "D8 (dihedral of order 8)",
-            (PFLink("d6aff_even", None, "1 + t + x", quad(4),
+            (PFLink("d6aff_even", None, "1 + t + x", "pn",
                     "canonical endomorphism 1 + t + x of the affine-D6 side"),
-             PFLink("su2", 2, "l1*l1", quad(2), "A3 graph norm squared")),
+             PFLink("su2", 2, "l1*l1", "mp", "A3 graph norm squared")),
             "index-4 special case with angle pi/4, outside the cocommuting "
             "formula's reach; " + _ASSUMED,
         ),
         QuadCase(
             "e6affd4", "E6affine", "D4", quad(4), quad(3),
-            "group-type", "mp = pn - 1", quad("1/3"), "cocommuting", None, "A4",
-            (PFLink("a4_rep", None, "1 + v", quad(4),
+            "group-type", quad("1/3"), "cocommuting", None, "A4",
+            (PFLink("a4_rep", None, "1 + v", "pn",
                     "canonical endomorphism 1 + v of the A4 fixed point"),
-             PFLink("a4_rep", None, "1 + w + w2", quad(3),
+             PFLink("a4_rep", None, "1 + w + w2", "mp",
                     "canonical endomorphism 1 + w + w2 of the cubic fixed point")),
             "fixed points of an outer A4 action; " + _ASSUMED,
         ),
         QuadCase(
             "e7affa5", "E7affine", "A5", quad(4), quad(3),
-            "III", "mp = pn - 1", quad("1/3"), "cocommuting", None,
+            "III", quad("1/3"), "cocommuting", None,
             "Z/2 realized inside an S4 symmetry",
-            (PFLink("s4_rep", None, "1 + e", quad(4),
+            (PFLink("s4_rep", None, "1 + e", "pn",
                     "canonical endomorphism 1 + e of the S4 fixed point"),
-             PFLink("su2", 4, "l1*l1", quad(3), "A5 graph norm squared")),
+             PFLink("su2", 4, "l1*l1", "mp", "A5 graph norm squared")),
             "cocommuting but not of group type; " + _ASSUMED,
         ),
         QuadCase(
             "e7affe7aff", "E7affine", "E7affine", quad(4), quad(4),
-            "I", "mp = pn", quad("1/3"), "bound", None, None,
-            (PFLink("s4_rep", None, "1 + e", quad(4),
+            "I", quad("1/3"), "bound", None, None,
+            (PFLink("s4_rep", None, "1 + e", "pn",
                     "canonical endomorphism 1 + e of the S4 fixed point"),
-             PFLink("s4_rep", None, "1 + a + e2", quad(4),
+             PFLink("s4_rep", None, "1 + a + e2", "mp",
                     "canonical endomorphism 1 + a + e2 on the intermediate side")),
             "noncocommuting at index 4, no group realization; " + _ASSUMED,
         ),
@@ -193,23 +198,13 @@ def _fmt(x: float) -> str:
 
 def verify_case(case: QuadCase) -> CheckResult:
     """Recheck one case: exact index relation, angle, polynomials and PF links."""
-    rows: List[CheckRow] = []
-
-    if case.relation == "mp = pn - 1":
-        ok = case.pn - 1 == case.mp
-        detail = f"pn - 1 = {case.pn - 1} vs mp = {case.mp} (exact)"
-    elif case.relation == "mp = pn":
-        ok = case.pn == case.mp
-        detail = f"pn = {case.pn} vs mp = {case.mp} (exact)"
-    else:
-        ok = True
-        detail = "no index relation; angle stored directly"
-    rows.append(CheckRow("index_relation", ok, detail))
+    relation, identity = ANGLE_RULES[case.angle_rule]
+    rows = [CheckRow("index_relation", *relation(case.pn, case.mp))]
 
     c = case.cos_exact
     in_range = 0 < c < 1
     try:
-        ok = in_range and ANGLE_RULES[case.angle_rule](c, case.pn, case.mp)
+        ok = in_range and identity(c, case.pn, case.mp)
     except ValueError:  # mixed radicands: a cosine from another quadratic field
         ok = False
     # a passing identity fixes the angle, so both columns print acos(cos_exact)
@@ -221,10 +216,10 @@ def verify_case(case: QuadCase) -> CheckResult:
 
     rows.append(_polynomial_row(case))
 
-    # a passing link's FPdim is its expected value, so both columns print it
-    failures = [_fpdim_failure(*link[:4]) for link in case.pf_links]
+    # a passing link's FPdim is the case's index, so both columns print it
+    failures = [_fpdim_failure(*link[:3], getattr(case, link.of)) for link in case.pf_links]
     rows.append(CheckRow("pf_dimension_links", not any(failures), "; ".join(
-        f"{link.note}: " + (failed or "{0} vs {0}".format(_fmt(float(link.expected))))
+        f"{link.note}: " + (failed or "{0} vs {0}".format(_fmt(float(getattr(case, link.of)))))
         for link, failed in zip(case.pf_links, failures))))
 
     return CheckResult(case.case_id, tuple(rows))
@@ -237,11 +232,12 @@ def _polynomial_row(case: QuadCase) -> CheckRow:
                         f"integer indices pn = {case.pn}, mp = {case.mp}")
     n = case.two_cos
     x, (a, b, poly) = TWO_COS[n], TWO_COS_MINPOLY[n]
-    ok = x * x == a * x + b and x > 0 and case.pn == 2 + x
-    return CheckRow(
-        "exact_polynomials", ok,
-        f"x = 2cos(2pi/{n}) = {x} satisfies {poly} with x > 0 exactly; "
-        f"pn = 2 + x = 4cos^2(pi/{n}) exactly")
+    failed = [f"{identity} fails" for identity, holds in (
+        (poly, x * x == a * x + b), ("x > 0", x > 0), ("pn = 2 + x", case.pn == 2 + x)) if not holds]
+    if failed:
+        return CheckRow("exact_polynomials", False, f"x = 2cos(2pi/{n}) = {x}: " + "; ".join(failed))
+    return CheckRow("exact_polynomials", True, f"x = 2cos(2pi/{n}) = {x} satisfies {poly} "
+                    f"with x > 0 exactly; pn = 2 + x = 4cos^2(pi/{n}) exactly")
 
 
 def run_all() -> List[CheckResult]:
@@ -253,21 +249,28 @@ def run_all() -> List[CheckResult]:
 # exclusion arithmetic
 
 
+def _haagerup_d() -> Tuple[QuadExt, Tuple[CheckRow, CheckRow]]:
+    """The Haagerup dimension d = (3 + sqrt(13))/2 with its two exact
+    identities, shared by the Class IV exclusion and :func:`class_iv_record`."""
+    d = quad("3/2", "1/2", 13)
+    return d, (
+        CheckRow("dimension_equation", d * d == 3 * d + 1, f"d^2 = 3d + 1 exactly at d = {d}"),
+        CheckRow("index_bound", 1 + d == quad("5/2", "1/2", 13), f"1 + d = {1 + d} exactly"),
+    )
+
+
 def run_exclusion_checks() -> List[CheckResult]:
     """The four arithmetic exclusion facts, replayed on catalog data."""
     results = []
 
     ring = builtin("haagerup_even")
-    d = quad("3/2", "1/2", 13)
+    d, identities = _haagerup_d()
     dec = decompose(ring, "r*r")
     contains = all(dec.get(l, 0) >= 1 for l in ("1", "r", "tr", "t2r"))
-    sq_ok = d * d == 3 * d + 1
-    bound_ok = 1 + d == quad("5/2", "1/2", 13)
     results.append(CheckResult("class4_dimension_bound", (
         CheckRow("square_contains_three_reflections", contains,
                  f"r*r decomposes as {dec}"),
-        CheckRow("dimension_equation", sq_ok, f"d^2 = 3d + 1 exactly at d = {d}"),
-        CheckRow("index_bound", bound_ok, f"1 + d = {1 + d} exactly"),
+        *identities,
         CheckRow("pf_agreement", not (failed := _fpdim_failure("haagerup_even", None, "r", d)),
                  failed or f"PF dimension of r = {_fmt(float(d))}"),
     )))
@@ -314,16 +317,10 @@ class ClassIVRecord(NamedTuple):
 
 
 def class_iv_record() -> ClassIVRecord:
-    d = quad("3/2", "1/2", 13)
+    d, identities = _haagerup_d()
     low, high = d, 1 + d
-    rows = (
-        CheckRow("dimension_equation", d * d == 3 * d + 1,
-                 f"d^2 = 3d + 1 exactly at d = {d}"),
-        CheckRow("candidate_gap", high - low == 1,
-                 f"candidates {low} and {high} differ by exactly 1"),
-        CheckRow("bound_value", high == quad("5/2", "1/2", 13),
-                 f"1 + d = {high} exactly"),
-    )
+    rows = (*identities, CheckRow("candidate_gap", high - low == 1,
+                                  f"candidates {low} and {high} differ by exactly 1"))
     return ClassIVRecord(d, (low, high), True, rows)
 
 

@@ -96,6 +96,7 @@ class FusionRing(Frozen):
     """
 
     _fields = ("name", "labels", "unit", "dual", "tensor")
+    __hash__ = None  # the dual and tensor fields are dicts
 
     def __init__(self, name: str, labels: Sequence[str], unit: str, dual: Mapping[str, str],
                  tensor: Mapping[Tuple[str, str], Mapping[str, int]]):
@@ -165,18 +166,6 @@ class FusionRing(Frozen):
     def fusion_matrix(self, i: str) -> np.ndarray:
         """Left multiplication by i: M[k, j] = N(i, j, k)."""
         return self.N[self._pos[i]].T.copy()
-
-    def __eq__(self, other):
-        if not isinstance(other, FusionRing):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.labels == other.labels
-            and self.unit == other.unit
-            and dict(self.dual) == dict(other.dual)
-            and {k: dict(v) for k, v in self.tensor.items()}
-            == {k: dict(v) for k, v in other.tensor.items()}
-        )
 
 
 # ---------------------------------------------------------------------------

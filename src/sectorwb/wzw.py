@@ -82,19 +82,12 @@ def alpha_induction_spectrum(k: int, i0: int, J: Iterable[int]) -> AngleSpectrum
     return AngleSpectrum.from_cosines(monodromy_ratio(k, i0, j) for j in Jset)
 
 
-class BranchingRule(Frozen):
+class BranchingRule(NamedTuple):
     """Level and label subset J describing the dual canonical endomorphism."""
 
-    __slots__ = _fields = ("graph", "k", "J")
-
-    def __init__(self, graph: str, k: int, J: Tuple[int, ...]):
-        if 0 not in J:
-            raise ValueError("J must contain 0")
-        if any(j < 0 or j > k for j in J):
-            raise ValueError("J must be a subset of {0..k}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "J", J)
+    graph: str
+    k: int
+    J: Tuple[int, ...]
 
 
 _GRAPH_RE = re.compile(r"([ADE])([0-9]+)")

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from sectorwb.angles import (
     AngleSpectrum,
     HYPOTHESES_NOTE,
-    InnerData,
-    QuadIndexData,
     angle_bound,
     angle_candidates,
     angle_cocommuting,
@@ -102,14 +100,16 @@ def test_spectrum_constructor_guards():
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_inputs_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
-        QuadIndexData(bad, 2)
-    with pytest.raises(ValueError, match="finite"):
-        QuadIndexData(3, bad)
-    with pytest.raises(ValueError, match="finite"):
-        InnerData(bad, 0.5)
-    with pytest.raises(ValueError, match="finite"):
-        InnerData(3, bad)
+    # each function checks its own inputs, with the same messages
+    with pytest.raises(ValueError, match="indices must both be finite"):
+        angle_cocommuting(bad, 2)
+    with pytest.raises(ValueError, match="indices must both be finite"):
+        angle_cocommuting(3, bad)
+    for inner in (angle_candidates, t_inner_roots):
+        with pytest.raises(ValueError, match="d_sigma must be finite"):
+            inner(bad, 0.5)
+        with pytest.raises(ValueError, match="^s must be finite"):
+            inner(3, bad)
     with pytest.raises(ValueError, match="finite"):
         angle_bound(bad)
     with pytest.raises(ValueError, match="finite"):

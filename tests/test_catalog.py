@@ -101,6 +101,19 @@ def test_su2_dimensions_need_a_tabulated_level():
         catalog.dimensions("e8_even")
 
 
+@pytest.mark.parametrize("key, k, error, message", [
+    ("e6_even", 5, ValueError, "e6_even takes no level parameter"),
+    ("su2", 2.0, ValueError, "su2 requires an integer level k >= 1"),
+    ("su2", catalog.MAX_LEVEL + 2, ValueError, "above the cap"),
+    ("nope", None, KeyError, "unknown catalog key 'nope'"),
+])
+def test_dimensions_refuse_what_builtin_refuses(key, k, error, message):
+    # one lookup and one level check serve both functions
+    for func in (builtin, catalog.dimensions):
+        with pytest.raises(error, match=message):
+            func(key, k)
+
+
 def test_rep_ring_tables_match_character_oracle():
     elems, chars = _oracles.s4_characters()
     table = _oracles.tensor_table(elems, chars)

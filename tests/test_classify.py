@@ -6,6 +6,8 @@ import pytest
 from sectorwb import catalog, quad
 from sectorwb.classify import (
     TWO_COS_MINPOLY,
+    PFLink,
+    QuadCase,
     case_by_id,
     class_iv_record,
     classification_table,
@@ -80,9 +82,9 @@ def test_a_wrong_s4_rep_dimension_fails_its_links(monkeypatch):
 
 
 def test_pf_link_identities_name_what_fails(monkeypatch):
-    # a wrong expected value, with the catalog's dimensions intact
+    # a wrong pn, certified by the first link alone, with the catalog's dimensions intact
     case = case_by_id("d6affa3")
-    wrong = case._replace(pf_links=(case.pf_links[0]._replace(expected=quad(5)),))
+    wrong = case._replace(pn=quad(5), pf_links=case.pf_links[:1])
     row = _rows(wrong)["pf_dimension_links"]
     assert not row.passed
     assert row.detail == ("canonical endomorphism 1 + t + x of the affine-D6 side: "
@@ -91,6 +93,29 @@ def test_pf_link_identities_name_what_fails(monkeypatch):
     _patch_dims(monkeypatch, "d6aff_even", x=-2)
     row = _rows(case)["pf_dimension_links"]
     assert not row.passed and "d(x) = -2 is not positive" in row.detail
+
+
+def test_a_wrong_index_fails_its_own_pf_link():
+    # each link certifies the case's own pn or mp, not a copy of it
+    assert "expected" not in PFLink._fields
+    assert all(link.of in ("pn", "mp") for c in classification_table() for link in c.pf_links)
+    a5a3 = case_by_id("a5a3")
+    row = _rows(a5a3._replace(pn=quad(4)))["pf_dimension_links"]
+    assert not row.passed
+    assert row.detail == ("A5 graph norm squared: d(l1*l1) = 3, not 4; "
+                          "A3 graph norm squared: 2 vs 2")
+    row = _rows(a5a3._replace(mp=quad(3)))["pf_dimension_links"]
+    assert not row.passed and "A3 graph norm squared: d(l1*l1) = 2, not 3" in row.detail
+
+
+def test_the_angle_rule_fixes_the_index_relation():
+    assert "relation" not in QuadCase._fields
+    # a cocommuting case needs mp = pn - 1, so mp = pn fails
+    row = _rows(case_by_id("a5a3")._replace(mp=quad(3)))["index_relation"]
+    assert not row.passed and row.detail == "pn - 1 = 2 vs mp = 3 (exact)"
+    # the bound needs mp = pn
+    row = _rows(case_by_id("a7a7")._replace(mp=quad(1, 1, 2)))["index_relation"]
+    assert not row.passed and row.detail == "pn = 2+sqrt(2) vs mp = 1+sqrt(2) (exact)"
 
 
 def test_class_iv_record_keeps_both_candidates():
@@ -178,6 +203,8 @@ def test_polynomial_rows_carry_two_cos_as_data():
     ("d6a4", {"x": quad("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)}),
     # the right x, but pn is not 2 + x
     ("a7a7", {"pn": quad(3, 1, 2)}),
+    # the negative root of x^2 = x + 1 with the case's pn: x > 0 and pn = 2 + x fail
+    ("d6a4", {"x": quad("1/2", "-1/2", 5)}),
 ])
 def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
     # "x" replaces the table's 2cos(2pi/n) for the case's n, the rest the case's fields
@@ -185,7 +212,22 @@ def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
     if "x" in fields:
         monkeypatch.setitem(catalog.TWO_COS, case.two_cos, fields["x"])
     case = case._replace(**{f: v for f, v in fields.items() if f != "x"})
-    assert not _rows(case)["exact_polynomials"].passed
+    row = _rows(case)["exact_polynomials"]
+    # a failing row names what fails and states no identity as holding
+    assert not row.passed
+    assert "fails" in row.detail
+    assert "exactly" not in row.detail
+
+
+def test_a_failing_polynomial_row_names_each_failed_identity(monkeypatch):
+    # x = (1 - sqrt(5))/2 still solves x^2 = x + 1
+    monkeypatch.setitem(catalog.TWO_COS, 10, quad("1/2", "-1/2", 5))
+    assert _rows(case_by_id("d6a4"))["exact_polynomials"].detail == (
+        "x = 2cos(2pi/10) = 1/2-1/2*sqrt(5): x > 0 fails; pn = 2 + x fails")
+    # x = sqrt(3) at n = 8 fails all three
+    monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
+    assert _rows(case_by_id("a7a7"))["exact_polynomials"].detail == (
+        "x = 2cos(2pi/8) = sqrt(3): x^2 = 2 fails; pn = 2 + x fails")
 
 
 def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):

@@ -50,7 +50,7 @@ assert "sectorwb.nope" not in sys.modules
     (sectorwb.QSixJ(5, 1, 1, 1, 1, 1, 1), "j1"),
     (sectorwb.builtin("e6_even"), "name"),
     (sectorwb.AngleSpectrum((0.5,)), "angles"),
-    (sectorwb.AngleCandidate(0.5, False, 1.0), "cosine"),
+    (sectorwb.AngleCandidate(0.5, 1.0), "cosine"),
 ], ids=["QuadExt", "QSixJ", "FusionRing", "AngleSpectrum", "AngleCandidate"])
 def test_record_fields_cannot_be_assigned(record, field):
     before = repr(record)
