@@ -5,10 +5,14 @@ first, next to the exact dimensions of their non-invertible labels.  Label
 conventions are fixed so CLI expressions stay stable.  The ``s4_rep`` and
 ``a4_rep`` tables match the character products of explicit permutation
 matrices in tests/_oracles.py.
+
+The shipped tables are validated by tests/test_catalog.py, not by :func:`builtin`
+on every call; rings read from files are validated as they load.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -39,9 +43,10 @@ class CatalogEntry(NamedTuple):
 
 
 # su2 at level k has (k+1)^2 products and a dense tensor of (k+1)^3 entries,
-# so memory grows as k^3: `swb dims su2` peaks at about 100 MB at k = 120
+# so memory grows as k^3: `swb validate su2` peaks at about 100 MB at k = 120
 # and 350 MB at k = 200
 MAX_LEVEL = 150
+_SU2_NAME = "su2_{}"
 
 # n -> 2cos(2pi/n), rational or quadratic, for the n a classification link uses
 TWO_COS = {4: quad(0), 5: quad("-1/2", "1/2", 5), 6: quad(1), 8: quad(0, 1, 2),
@@ -53,7 +58,7 @@ def _su2(k: int) -> FusionRing:
     tensor = {(labels[i], labels[j]):
               dict.fromkeys(labels[abs(i - j):min(i + j, 2 * k - i - j) + 1:2], 1)
               for i in range(k + 1) for j in range(k + 1)}
-    return FusionRing(f"su2_{k}", labels, "l0", {}, tensor)
+    return FusionRing(_SU2_NAME.format(k), labels, "l0", {}, tensor)
 
 
 def _ring(name: str, labels: str, rules: str,
@@ -153,22 +158,18 @@ def _check_level(entry: CatalogEntry, k: Optional[int]) -> None:
     if not entry.parametrized:
         if k is not None:
             raise ValueError(f"{entry.key} takes no level parameter")
-    elif not isinstance(k, int) or k < 1:
+    elif not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"{entry.key} requires an integer level k >= 1")
     elif k > MAX_LEVEL:
         raise ValueError(f"{entry.key} level k = {k} is above the cap k <= {MAX_LEVEL}")
 
 
 def builtin(key: str, k: Optional[int] = None) -> FusionRing:
-    """Return a validated built-in ring; ``su2`` requires a level
-    1 <= k <= MAX_LEVEL, checked before anything is built."""
+    """Return a built-in ring, unvalidated (see the module docstring); ``su2``
+    requires a level 1 <= k <= MAX_LEVEL, checked before anything is built."""
     entry = _entry(key)
     _check_level(entry, k)
-    ring = entry.build(k) if entry.parametrized else entry.build()
-    report = validate_ring(ring)
-    if report:  # pragma: no cover - shipped data is valid
-        raise RingValidationError(report)
-    return ring
+    return entry.build(k) if entry.parametrized else entry.build()
 
 
 def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
@@ -187,6 +188,19 @@ def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
     while len(d) <= k // 2:
         d.append(d[1] * d[-1] - d[-1] - d[-2])
     return {f"l{2 * j}": v for j, v in enumerate(d)}
+
+
+def float_dimensions(key: str, k: Optional[int] = None) -> Tuple[str, Dict[str, float]]:
+    """The name of ``builtin(key, k)`` and float dimensions of all its labels, after
+    the checks of :func:`builtin` but building no su2 ring: the exact :func:`dimensions`
+    of a fixed ring, sin((j+1) pi/n) / sin(pi/n) with n = k + 2 for l_j of su2."""
+    entry = _entry(key)
+    _check_level(entry, k)
+    if not entry.parametrized:
+        return key, {lab: float(d) for lab, d in dimensions(key).items()}
+    n = k + 2
+    return _SU2_NAME.format(k), {f"l{j}": math.sin((j + 1) * math.pi / n) / math.sin(math.pi / n)
+                                 for j in range(k + 1)}
 
 
 def builtin_keys() -> List[str]:

@@ -95,10 +95,12 @@ def _catalog_list(args):
 
 
 def _validate(args):
-    from . import catalog
+    from . import catalog, fusion
     name, report = args.file or args.ring or "?", []
     try:
-        name = _resolve_ring(args).name
+        ring = _resolve_ring(args)
+        # a ring file is validated as it loads, a shipped ring only here
+        name, report = ring.name, [] if args.file else fusion.validate_ring(ring)
     except catalog.RingValidationError as exc:
         report = exc.report
     doc = {"ring": name, "valid": not report, "errors": report}
@@ -108,10 +110,14 @@ def _validate(args):
 
 
 def _dims(args):
-    from . import fusion
-    ring = _resolve_ring(args)
-    dims = fusion.pf_dimensions(ring)
-    doc = {"ring": ring.name,
+    from . import catalog
+    if args.file or not args.ring:
+        from . import fusion
+        ring = _resolve_ring(args)
+        name, dims = ring.name, fusion.pf_dimensions(ring)
+    else:  # a shipped ring: exact or closed-form values, no array
+        name, dims = catalog.float_dimensions(args.ring, args.k)
+    doc = {"ring": name,
            "dimensions": {l: _jfloat(v) for l, v in dims.items()}}
     return 0, doc, [f"{l}: {_fmt(v)}" for l, v in dims.items()]
 

@@ -4,7 +4,7 @@ formal words, hom-space dimensions).
 
 A fusion ring here is purely combinatorial: an ordered label set with a unit,
 a dual involution, and a tensor table N(i,j,k) of nonnegative integers, held
-both as sparse rows and as a dense integer array built once per ring.  The
+as sparse rows and as a dense array built on first use (validation, PF solve).  The
 four axiom families checked by :func:`validate_ring`:
 
 * unit:        N(1,j,k) = N(j,1,k) = delta_{jk}

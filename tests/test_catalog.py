@@ -15,15 +15,48 @@ from sectorwb.catalog import (
     ring_to_dict,
     save,
 )
-from sectorwb.fusion import RingStructureError, pf_dimensions, validate_ring
+from sectorwb.cli import main
+from sectorwb.fusion import FusionRing, RingStructureError, pf_dimensions, validate_ring
 
 import _oracles
 
 
+# every fixed table, and su2 at every level up to 40 and a spread up to the cap
+SHIPPED = [(e.key, None) for e in catalog.ENTRIES if not e.parametrized] + [
+    ("su2", k) for k in (*range(1, 41), 60, 90, 120, catalog.MAX_LEVEL)]
+
+
+def _shipped_reports(shipped=SHIPPED):
+    """validate_ring's reports on the shipped rings that fail it, by name.
+    builtin does not validate what it returns, so this is the check that a
+    mistyped shipped table fails."""
+    return {ring.name: report for key, k in shipped
+            if (report := validate_ring(ring := builtin(key, k)))}
+
+
 def test_every_builtin_validates():
-    for key in builtin_keys():
-        ring = builtin(key, 4) if key == "su2" else builtin(key)
-        assert validate_ring(ring) == [], key
+    # about 2 s, most of it su2 at k = 120 and 150
+    assert {key for key, _ in SHIPPED} == set(builtin_keys())
+    assert _shipped_reports() == {}
+
+
+def test_a_bad_shipped_table_fails_validation(monkeypatch, capsys):
+    def bad_e6():
+        ring = good()
+        tensor = {**ring.tensor, ("a", "e"): {"e": 2}}  # N(a,e,e) = 1 + 1
+        return FusionRing(ring.name, ring.labels, ring.unit, ring.dual, tensor)
+
+    index = next(x for x, e in enumerate(catalog.ENTRIES) if e.key == "e6_even")
+    good = catalog.ENTRIES[index].build
+    entries = list(catalog.ENTRIES)
+    entries[index] = entries[index]._replace(build=bad_e6)
+    monkeypatch.setattr(catalog, "ENTRIES", tuple(entries))
+    reports = _shipped_reports([(key, k) for key, k in SHIPPED if key != "su2"])
+    assert list(reports) == ["e6_even"]
+    assert "frobenius: N(a,e,e)=2 != N(e,e,a)=1" in reports["e6_even"]
+    # swb validate runs the same check on a shipped ring
+    assert main(["validate", "e6_even"]) == 1
+    assert "  frobenius: N(a,e,e)=2 != N(e,e,a)=1\n" in capsys.readouterr().out
 
 
 GOLDEN_RINGS = json.loads(
@@ -104,6 +137,7 @@ def test_su2_dimensions_need_a_tabulated_level():
 @pytest.mark.parametrize("key, k, error, message", [
     ("e6_even", 5, ValueError, "e6_even takes no level parameter"),
     ("su2", 2.0, ValueError, "su2 requires an integer level k >= 1"),
+    ("su2", True, ValueError, "su2 requires an integer level k >= 1"),
     ("su2", catalog.MAX_LEVEL + 2, ValueError, "above the cap"),
     ("nope", None, KeyError, "unknown catalog key 'nope'"),
 ])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb import catalog, quad, wzw
+from sectorwb import catalog, fusion, quad, wzw
 from sectorwb.cli import main
 
 import _oracles
@@ -234,6 +234,31 @@ def test_dims_su2_text_is_the_closed_form(capsys):
             f"l{i}: {math.sin((i + 1) * q) / math.sin(q):.12g}\n" for i in range(k + 1))
 
 
+@pytest.mark.parametrize("ring", [[e.key] for e in catalog.ENTRIES if not e.parametrized] +
+                         [["su2", "--k", str(k)] for k in (1, 4, 30, 80, 118)], ids=" ".join)
+def test_dims_of_a_shipped_ring_match_the_eigen_solve(ring, capsys):
+    # dims prints exact or closed-form values without building an array; at
+    # the 12 digits printed they are the eigen-solve's, as text and as JSON
+    ring_obj = catalog.builtin(ring[0], int(ring[2]) if ring[1:] else None)
+    dims = fusion.pf_dimensions(ring_obj)
+    assert main(["dims", *ring]) == 0
+    assert capsys.readouterr().out == "".join(f"{lab}: {d:.12g}\n" for lab, d in dims.items())
+    assert main(["dims", *ring, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "ring": ring_obj.name, "dimensions": {lab: float(f"{d:.12g}") for lab, d in dims.items()}}
+
+
+def test_dims_at_level_139_print_the_closed_form(capsys):
+    # here the eigen-solve is off by about 4e-14 and rounds l24 and l115 to
+    # 23.729074751; the closed form is within 7e-15 of the 40-digit value
+    # 23.7290747509499841...
+    assert main(["dims", "su2", "--k", "139"]) == 0
+    out = capsys.readouterr().out
+    assert out == "".join(f"l{j}: {math.sin((j + 1) * math.pi / 141) / math.sin(math.pi / 141):.12g}\n"
+                          for j in range(140))
+    assert "l24: 23.7290747509\n" in out and "l115: 23.7290747509\n" in out
+
+
 def test_classify_takes_no_tolerance(capsys):
     # every row is exact: --tolerance changes nothing, and the JSON names none
     for which in (["--all"], ["--case", "a5a3"], ["--exclusions"]):
@@ -282,6 +307,15 @@ LIGHT_COMMANDS = [
     ["cuntz", "normalize", "T0^*T0 + S0^*T1"],
 ]
 
+# commands on shipped rings read exact dimensions and sparse rows, build no
+# fusion-ring array and so import no numpy; only validate and --file rings do
+RING_COMMANDS = [["dims", "e6_even"], ["dims", "su2", "--k", "30"],
+                 ["decompose", "d6_even", "r*r1"], ["hom", "haagerup_even", "r*r", "1 + t"],
+                 ["hom", "su2", "l1*l1", "l0 + l2", "--k", "4"]]
+CLASSIFY_COMMANDS = [["classify", "--case", "a5a3"], ["classify", "--all"],
+                     ["classify", "--exclusions"]]
+NO_NUMPY_COMMANDS = LIGHT_COMMANDS + RING_COMMANDS + CLASSIFY_COMMANDS
+
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 from sectorwb.cli import main
@@ -291,20 +325,21 @@ for argv in json.loads(sys.argv[1]):
         assert main(argv) == 0, argv
     seen.append("numpy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["dims", "su2", "--k", "4"]) == 0
+    assert main(["validate", "e6_even"]) == 0
 seen.append("numpy" in sys.modules)
 print(json.dumps(seen))
 """
 
 
 def test_light_commands_do_not_import_numpy():
-    # importing the CLI and running the light commands leaves numpy
-    # unloaded; dims shows the probe can see it load
+    # importing the CLI and running the light commands, the ring commands on
+    # shipped rings and classify leaves numpy unloaded; validate shows the
+    # probe can see it load
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(LIGHT_COMMANDS)],
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(NO_NUMPY_COMMANDS)],
                           env=env, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
-    assert seen == [False] * (1 + len(LIGHT_COMMANDS)) + [True], seen
+    assert seen == [False] * (1 + len(NO_NUMPY_COMMANDS)) + [True], seen
 
 
 _ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -322,10 +357,6 @@ if len(sys.argv) > 1:
 print(" ".join(sorted(sys.modules)))
 """
 
-RING_COMMANDS = [["validate", "e6_even"], ["dims", "su2", "--k", "4"],
-                 ["decompose", "d6_even", "r*r1"], ["hom", "haagerup_even", "r*r", "1 + t"]]
-
-
 @pytest.mark.parametrize("family, modules", [
     (None, []),
     ("catalog", ["catalog", "cli", "fusion", "scalar"]),
@@ -338,10 +369,11 @@ RING_COMMANDS = [["validate", "e6_even"], ["dims", "su2", "--k", "4"],
 ], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "ring", "classify"])
 def test_command_families_load_only_their_modules(family, modules):
     # each family runs in a fresh interpreter; `import sectorwb` alone loads
-    # no submodule.  No command loads dataclasses, and the text output of the
-    # families without numpy (which imports inspect itself) loads neither
-    # inspect nor json
-    commands = {"ring": RING_COMMANDS, "classify": [["classify", "--case", "a5a3"]]}.get(
+    # no submodule.  No command loads dataclasses, and the text output of
+    # every family, ring commands on shipped rings and classify among them,
+    # loads none of inspect, json and numpy (which imports inspect itself);
+    # validate is the one ring command that loads numpy
+    commands = {"ring": RING_COMMANDS, "classify": CLASSIFY_COMMANDS}.get(
         family, [argv for argv in LIGHT_COMMANDS if argv[0] == family])
     extra = [repr(commands)] if family else []
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE] + extra,
@@ -349,8 +381,7 @@ def test_command_families_load_only_their_modules(family, modules):
     loaded = proc.stdout.split()
     assert [m for m in loaded if m.startswith("sectorwb.")] == [f"sectorwb.{m}" for m in modules]
     assert "dataclasses" not in loaded
-    if family not in ("ring", "classify"):
-        assert not {"inspect", "json", "numpy"} & set(loaded)
+    assert not {"inspect", "json", "numpy"} & set(loaded)
 
 
 def _d6_file(path, **fields):
