@@ -44,7 +44,7 @@ class AngleSpectrum(Frozen):
         object.__setattr__(self, "commuting", commuting)
 
     @classmethod
-    def from_cosines(cls, cosines: Iterable[float], commuting: bool = False) -> "AngleSpectrum":
+    def from_cosines(cls, cosines: Iterable[float]) -> "AngleSpectrum":
         kept = []
         for c in cosines:
             c = float(c)
@@ -56,7 +56,7 @@ class AngleSpectrum(Frozen):
         for a in kept:
             if not dedup or a - dedup[-1] >= EPS_ABS:
                 dedup.append(a)
-        return cls(tuple(dedup), commuting)
+        return cls(tuple(dedup))
 
 
 def _inner(d_sigma, s, tol: float = EPS_ABS) -> Tuple[float, float]:
@@ -93,9 +93,12 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
 
     cos^2 = (pn - mp) / (mp * (pn - 1)); equal indices force the
     commuting case instead of an angle.  Indices within ``tol`` of each
-    other count as equal.
+    other count as equal.  Indices beyond float range raise ValueError.
     """
-    pn, mp = float(pn), float(mp)
+    try:
+        pn, mp = float(pn), float(mp)
+    except OverflowError:
+        raise ValueError("indices must both fit in a float") from None
     if not (1 < pn < math.inf and 1 < mp < math.inf):
         raise ValueError("indices must both be finite and exceed 1")
     if pn < mp - tol:

@@ -126,10 +126,6 @@ class CuntzExpr:
     def adjoint(self) -> "CuntzExpr":
         return CuntzExpr._of(_adjoint(self._terms))
 
-    def prune(self, tol: float = EPS_ABS) -> "CuntzExpr":
-        """Drop coefficients of modulus at most tol."""
-        return CuntzExpr._of({key: c for key, c in self._terms.items() if abs(c) > tol})
-
 
 def zero() -> CuntzExpr:
     return CuntzExpr({})
@@ -293,7 +289,7 @@ def render_expr(e: CuntzExpr, tol: float = EPS_ABS) -> str:
     raises ValueError rather than being printed or pruned away.
     """
     _check_finite(e)
-    kept = e.prune(tol)._terms
+    kept = {key: c for key, c in e._terms.items() if abs(c) > tol}
     if not kept:
         return "0"
     parts = []
@@ -318,36 +314,38 @@ def render_expr(e: CuntzExpr, tol: float = EPS_ABS) -> str:
 # parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<gen>S0|T0|T1|T2)(?P<adj>\^)?"
+    r"(?:(?P<gen>S0|T0|T1|T2)(?P<adj>\^)?"
     r"|(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<imag>i)?"
-    r"|(?P<op>[+*-]))"
+    r"|(?P<op>[+*-]))\s*"
 )
 
 
-def _tokenize(text: str) -> List[Tuple[str, object, int]]:
-    tokens = []
-    pos = 0
+def _tokens(text: str) -> List[Tuple[object, int]]:
+    """Split text into (value, offset) pairs closed by (None, len(text)).
+
+    A value is an atom (generator index, adjoint flag), a complex
+    coefficient or one of the operators '+', '-', '*'; its offset is that
+    of its first character, so an error names the token it rejects.
+    """
+    out: List[Tuple[object, int]] = []
+    pos = len(text) - len(text.lstrip())
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise CuntzSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("gen"):
-            tokens.append(("atom", (GEN_NAMES.index(m.group("gen")),
-                                    m.group("adj") is not None), m.start()))
-        elif m.group("num"):
-            val = float(m.group("num"))
-            if not math.isfinite(val):
-                raise CuntzSyntaxError(f"coefficient {m.group('num')} is not finite",
-                                       m.start("num"))
-            tokens.append(("num", val * 1j if m.group("imag") else complex(val),
-                           m.start()))
+        if not m:
+            raise CuntzSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m["gen"]:
+            val = (GEN_NAMES.index(m["gen"]), m["adj"] is not None)
+        elif m["num"]:
+            num = float(m["num"])
+            if not math.isfinite(num):
+                raise CuntzSyntaxError(f"coefficient {m['num']} is not finite", pos)
+            val = num * 1j if m["imag"] else complex(num)
         else:
-            tokens.append(("op", m.group("op"), m.start()))
+            val = m["op"]
+        out.append((val, pos))
         pos = m.end()
-    return tokens
+    out.append((None, len(text)))
+    return out
 
 
 def parse(text: str) -> CuntzExpr:
@@ -358,69 +356,44 @@ def parse(text: str) -> CuntzExpr:
     the adjoint; COEFF := decimal literal, with an 'i' suffix for imaginary.
     Two leniencies beyond that: a leading '-' negates the first term, and a
     bare COEFF is accepted as a multiple of the empty word (so output like
-    "1" round-trips).
+    "1" round-trips).  The whole text is tokenized first, so a lexical error
+    anywhere is reported before a grammar error.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise CuntzSyntaxError("empty expression", 0)
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else ("end", None, len(text))
-
-    def parse_term() -> Tuple[Word, complex]:
-        nonlocal idx
-        kind, val, pos = peek()
-        coeff = 1.0 + 0j
-        have_coeff = False
-        if kind == "num":
-            coeff = val
-            have_coeff = True
-            idx += 1
-            kind, val, pos = peek()
-            if kind == "op" and val == "*":
-                idx += 1
-                kind, val, pos = peek()
-            else:
-                return (), coeff
-        atoms = []
-        if kind != "atom":
-            raise CuntzSyntaxError("expected a generator", pos)
-        while True:
-            kind, val, pos = peek()
-            if kind != "atom":
-                raise CuntzSyntaxError("expected a generator", pos)
-            atoms.append(val)
-            idx += 1
-            kind, val, pos = peek()
-            if kind == "op" and val == "*":
-                idx += 1
-                continue
-            break
-        return tuple(atoms), coeff
-
-    kind, op, pos = peek()
-    if kind == "op" and op == "-":
-        idx += 1
-    else:
-        op = "+"
+    tokens = _tokens(text)
+    if len(tokens) == 1:
+        raise CuntzSyntaxError("empty expression", len(text))
+    negate = tokens[0][0] == "-"
+    i = int(negate)
     # Equal words are summed in the order written (a word whose sum cancels
     # gives up its place) and '-' multiplies by complex(-1): the reduction's
     # float sums, and so the printed digits and signed zeros, follow the text.
     terms: Dict[Word, complex] = {}
     while True:
-        word, coeff = parse_term()
-        c = coeff if op == "+" else complex(-1) * coeff
+        coeff, atoms, want_atom = 1.0 + 0j, [], True
+        if isinstance(tokens[i][0], complex):
+            coeff = tokens[i][0]
+            want_atom = tokens[i + 1][0] == "*"
+            i += 1 + want_atom
+        while want_atom:
+            val, pos = tokens[i]
+            if not isinstance(val, tuple):
+                raise CuntzSyntaxError("expected a generator", pos)
+            atoms.append(val)
+            want_atom = tokens[i + 1][0] == "*"
+            i += 1 + want_atom
+        c = complex(-1) * coeff if negate else coeff
         if c != 0:
+            word = tuple(atoms)
             terms[word] = terms.get(word, 0j) + c
             if terms[word] == 0:
                 del terms[word]
-        if idx == len(tokens):
+        val, pos = tokens[i]
+        if val is None:
             return CuntzExpr(terms)
-        kind, op, pos = peek()
-        if kind != "op" or op not in "+-":
+        if val not in ("+", "-"):
             raise CuntzSyntaxError("expected '+' or '-'", pos)
-        idx += 1
+        negate = val == "-"
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -595,44 +568,26 @@ def verify_haagerup_relations(
     """
     c = constants or _STANDARD
     rho = {i: rho_apply(gen_expr(i), c) for i in range(4)}
-
-    def check(name: str, value: float) -> RelationCheck:
-        return RelationCheck(name, value, value < tol)
-
-    iso = 0.0
-    for x in range(4):
-        for y in range(4):
-            target = one() if x == y else zero()
-            iso = max(iso, residual(rho[x].adjoint() * rho[y] - target))
-
     t0, s0 = gen_expr(1), gen_expr(0)
-    r_t0s0 = residual(rho[1] * s0 - t0 * s0)
-
-    lhs = c.sqrt_d * s0 + (c.d - 1) * (t0 * t0)
-    rhs = c.sqrt_d * rho[0] + (c.d - 1) * (rho[1] * t0)
-    r_relation = residual(lhs - rhs)
-
-    comm = 0.0
-    for i in range(4):
-        left = alpha_apply(rho[i])
-        right = rho_apply(alpha_apply(alpha_apply(gen_expr(i))), c)
-        comm = max(comm, residual(left - right))
-
-    inter = 0.0
-    for i in range(4):
-        left = rho_apply(rho[i], c) * s0
-        inter = max(inter, residual(left - s0 * gen_expr(i)))
-
-    return VerificationReport(
-        (
-            check("isometry_relations", iso),
-            check("t0_s0_relation", r_t0s0),
-            check("r_element_relation", r_relation),
-            check("alpha_rho_commutation", comm),
-            check("s0_intertwines_rho_squared", inter),
-        ),
-        tol,
+    # each family is a lazy sequence of (lhs, rhs), checked in this order
+    families = (
+        ("isometry_relations", ((rho[x].adjoint() * rho[y], one() if x == y else zero())
+                                for x in range(4) for y in range(4))),
+        ("t0_s0_relation", ((rho[1] * s0, t0 * s0) for _ in range(1))),
+        ("r_element_relation", ((c.sqrt_d * s0 + (c.d - 1) * (t0 * t0),
+                                 c.sqrt_d * rho[0] + (c.d - 1) * (rho[1] * t0))
+                                for _ in range(1))),
+        ("alpha_rho_commutation", ((alpha_apply(rho[i]),
+                                    rho_apply(alpha_apply(alpha_apply(gen_expr(i))), c))
+                                   for i in range(4))),
+        ("s0_intertwines_rho_squared", ((rho_apply(rho[i], c) * s0, s0 * gen_expr(i))
+                                        for i in range(4))),
     )
+    checks = []
+    for name, pairs in families:
+        value = max(residual(lhs - rhs) for lhs, rhs in pairs)
+        checks.append(RelationCheck(name, value, value < tol))
+    return VerificationReport(tuple(checks), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +595,8 @@ def verify_haagerup_relations(
 
 
 class QSystemSolution(NamedTuple):
-    """Coefficients of S = a S1 + b S2 satisfying the four scalar equations."""
+    """The coefficients (a, b) that solve the four scalar equations, with
+    each equation's residual."""
 
     a: complex
     b: complex

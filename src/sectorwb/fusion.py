@@ -192,12 +192,12 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple
             raise ExprSyntaxError("empty factor", pos + sum(len(f) + 1 for f in before))
         coeff = 1
         if tokens[0].isascii() and tokens[0].isdigit() and tokens[0] not in label_set:
-            coeff = int(tokens[0])
+            coeff, at = int(tokens[0]), pos + chunk.find(tokens[0])
             if coeff <= 0:
-                raise ExprSyntaxError("coefficient must be positive", pos)
+                raise ExprSyntaxError("coefficient must be positive", at)
             tokens = tokens[1:]
             if not tokens:
-                raise ExprSyntaxError("coefficient without a word", pos)
+                raise ExprSyntaxError("coefficient without a word", at)
         for t in tokens:
             if t not in label_set:
                 if LABEL_RE.fullmatch(t):

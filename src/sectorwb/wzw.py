@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Tuple
 
@@ -54,17 +55,21 @@ def monodromy_ratio(k: int, i0: int, j: int) -> float:
 
     For i0 = 1 this collapses to |cos((j+1) pi/(k+2))| / |cos(pi/(k+2))|.
     The four entries come from the :func:`su2k_modular` formula, evaluated
-    in the same order of operations, so no S-matrix is built.
+    in the same order of operations, so no S-matrix is built.  A level or
+    label product beyond float range raises ValueError.
     """
     if not (0 <= i0 <= k and 0 <= j <= k):
         raise ValueError("labels must satisfy 0 <= i0, j <= k")
     n = k + 2
-    scale = math.sqrt(2.0 / n)
 
     def s(a: int, b: int) -> float:
         return scale * math.sin(float((a + 1) * (b + 1)) * math.pi / n)
 
-    ratio = abs(s(0, 0) * s(i0, j)) / (abs(s(0, i0)) * abs(s(0, j)))
+    try:
+        scale = math.sqrt(2.0 / n)
+        ratio = abs(s(0, 0) * s(i0, j)) / (abs(s(0, i0)) * abs(s(0, j)))
+    except OverflowError:
+        raise ValueError("the level k and its labels must fit in a float") from None
     return min(1.0, ratio)
 
 
@@ -159,8 +164,8 @@ def asymptotic_spectrum(n: int) -> AngleSpectrum:
 
 
 class SixJDomainError(ValueError):
-    """A q-factorial index left the positive range of the truncation, or a
-    q-factorial or the symbol overflows a float."""
+    """A q-factorial index left the positive range of the truncation, m lies
+    beyond float range, or a q-factorial or the symbol overflows a float."""
 
 
 def _half_int(x) -> Fraction:
@@ -207,16 +212,18 @@ def _qfacts(M: int, top: int) -> List[float]:
     One prefix-product list per M grows on demand: each entry is the one
     before times the next quantum integer, the order of the n-fold product,
     so every entry is the same float however far the list has grown.  An
-    index at or past the vanishing integer [M], or a factorial that
-    overflows a float, raises SixJDomainError.  [x] >= 1 for 0 < x < M, so
-    a list never decreases and stops before its first overflow: no list
-    held more than 202 entries for any even M up to 5000, nor at 10^5 or
-    10^7.
+    index at or past the vanishing integer [M], an M beyond float range, or
+    a factorial that overflows a float, raises SixJDomainError.  [x] >= 1
+    for 0 < x < M, so a list never decreases and stops before its first
+    overflow: no list held more than 202 entries for any even M up to 5000,
+    nor at 10^5 or 10^7.
     """
     if top >= M:
         raise SixJDomainError(
             f"q-factorial index {top} reaches the vanishing quantum integer [{M}]"
         )
+    if M > sys.float_info.max:
+        raise SixJDomainError("the root-of-unity order m must fit in a float")
     f = _QFACTS.setdefault(M, [1.0])
     while len(f) <= top:
         x = f[-1] * _qint(len(f), M)

@@ -63,6 +63,15 @@ def test_group_quadrilateral():
         angle_group(24, 4, 4, 4)
 
 
+def test_integers_beyond_float_range():
+    # equal indices commute without a float; unequal ones need one
+    assert angle_group(10 ** 640, 10 ** 320, 10 ** 320, 1).commuting
+    with pytest.raises(ValueError, match="indices must both fit in a float"):
+        angle_group(6 * 10 ** 400, 6, 6, 2)
+    with pytest.raises(ValueError, match="indices must both fit in a float"):
+        angle_cocommuting(10 ** 400, 2)
+
+
 def test_angle_bound_values():
     assert angle_bound(2 + math.sqrt(2)) == pytest.approx(
         math.acos(math.sqrt(2) - 1), abs=1e-12)

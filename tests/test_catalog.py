@@ -200,6 +200,19 @@ def test_name_must_be_a_string(name):
         ring_from_dict(doc)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "top-level JSON value must be an object"),
+    (lambda doc: dict(doc, labels=["1", 2]), "labels must be an array of strings"),
+    (lambda doc: dict(doc, dual=[["x", "x"]]), "dual must be an object label->label"),
+    (lambda doc: dict(doc, tensor=[]), "tensor must be an object with 'i,j' keys"),
+    (lambda doc: dict(doc, tensor=dict(doc["tensor"], **{"e,e": 1})),
+     r"tensor\['e,e'\] must be an object label->multiplicity"),
+], ids=["top-level", "labels", "dual", "tensor", "row"])
+def test_malformed_documents_rejected(edit, message):
+    with pytest.raises(RingFormatError, match=f"^{message}$"):
+        ring_from_dict(edit(ring_to_dict(builtin("e6_even"))))
+
+
 def test_bad_tensor_key_rejected():
     doc = ring_to_dict(builtin("e6_even"))
     doc["tensor"]["a"] = {"a": 1}

@@ -248,6 +248,36 @@ def test_dims_of_a_shipped_ring_match_the_eigen_solve(ring, capsys):
         "ring": ring_obj.name, "dimensions": {lab: float(f"{d:.12g}") for lab, d in dims.items()}}
 
 
+def test_dims_of_a_ring_file_is_the_eigen_solve(tmp_path, capsys):
+    ring = catalog.builtin("d6_even")
+    path = tmp_path / "d6.json"
+    catalog.save(ring, str(path))
+    dims = fusion.pf_dimensions(ring)
+    assert main(["dims", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == "".join(f"{lab}: {d:.12g}\n" for lab, d in dims.items())
+    assert main(["dims", "--file", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "ring": "d6_even", "dimensions": {lab: float(f"{d:.12g}") for lab, d in dims.items()}}
+
+
+@pytest.mark.parametrize("argv, spectrum, text", [
+    # two angles, listed in both units
+    (["wzw", "asymptotic", "--n", "7"], wzw.asymptotic_spectrum(7).angles,
+     ["angle = 0.699185164541 rad", "angle = 1.1437177404 rad"]),
+    # J = 0, 8, 16 gives the ratios 1, 0 and 1: no angle, yet not commuting
+    (["wzw", "ghj", "--graph", "E7"], (),
+     ["graph E7: level 16, J = [0, 8, 16]", "empty angle spectrum"]),
+], ids=["asymptotic", "ghj-E7"])
+def test_spectrum_text_and_degrees(argv, spectrum, text, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == text
+    assert main(["--json", "--degrees"] + argv) == 0
+    doc = json.loads(capsys.readouterr().out)["results"]
+    assert doc["commuting"] is False
+    assert doc["angles_radians"] == [float(f"{a:.12g}") for a in spectrum]
+    assert doc["angles_degrees"] == [float(f"{math.degrees(a):.12g}") for a in spectrum]
+
+
 def test_dims_at_level_139_print_the_closed_form(capsys):
     # here the eigen-solve is off by about 4e-14 and rounds l24 and l115 to
     # 23.729074751; the closed form is within 7e-15 of the 40-digit value
@@ -419,11 +449,19 @@ def _d6_file(path, **fields):
      "error: label 1_0 in J is not a nonnegative integer"),
     (["wzw", "6j", "--m", "4", "--spins", "\u0663,3/2,3/2,1,3/2,3/2"], 2,
      "error: spin \u0663 is not a nonnegative half-integer"),
+    # integers beyond float range
+    (["angle", "group", "--g", str(6 * 10 ** 400), "--h", "6", "--k", "6", "--hk", "2"], 2,
+     "error: indices must both fit in a float"),
+    (["wzw", "spectrum", "--k", str(10 ** 400), "--J", "0,1"], 2,
+     "error: the level k and its labels must fit in a float"),
+    (["wzw", "6j", "--m", str(10 ** 400), "--spins", "1,1,1,1,1,1"], 2,
+     "error: the root-of-unity order m must fit in a float"),
 ], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "sixj-overflow",
         "asymptotic-cap", "expr-syntax", "lookup",
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
         "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
-        "spin-arabic-digit"])
+        "spin-arabic-digit", "group-int-overflow", "spectrum-int-overflow",
+        "sixj-int-overflow"])
 def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):
     # the exception classes main() names belong to modules that a fresh
     # process has not loaded when the command fails; the in-process run

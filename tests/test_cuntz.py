@@ -91,6 +91,35 @@ def test_parse_error_positions():
         parse("T0 T1")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("T0 T1", "expected '+' or '-'", 3),
+    ("2 T0", "expected '+' or '-'", 2),
+    ("- -T0", "expected a generator", 2),
+    ("T0 + *T1", "expected a generator", 5),
+])
+def test_grammar_errors_name_the_rejected_token(text, message, position):
+    # the offset is the rejected token's first character, not the
+    # whitespace before it
+    with pytest.raises(CuntzSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+_PIECES = ["S0", "T0", "T1^", "T2", "2", "0.5i", "1e400", "+", "-", "*", "^", "Q",
+           "\u0663", " ", "  ", "\t", "\u00a0"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_syntax_error_offsets_point_at_a_token(text):
+    # an error names the offset of the token it rejects: a non-space
+    # character, or the end of the text
+    try:
+        parse(text)
+    except CuntzSyntaxError as exc:
+        assert exc.position == len(text) or not text[exc.position].isspace()
+
+
 @pytest.mark.parametrize("text", ["\u0663*T0", "T1 + \u0663*T0", "2.\u0663*T0"])
 def test_coefficients_are_ascii_digits(text):
     # "\u0663" (Arabic-Indic three) was read as the coefficient 3

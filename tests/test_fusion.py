@@ -105,6 +105,22 @@ def test_multiplicity_must_fit_64_bits():
         FusionRing(name="huge", labels=("1", "x"), unit="1", dual={}, tensor=tensor)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"labels": ()}, "empty label set"),
+    ({"labels": ("1", "x", "x")}, "duplicate labels"),
+    ({"unit": "u"}, "unit 'u' not among labels"),
+    ({"dual": {"x": "y"}}, "dual entry 'x'->'y' uses unknown label"),
+    ({"tensor": {("x", "y"): {"1": 1}}}, r"tensor key \('x','y'\) uses unknown label"),
+    ({"tensor": {("x", "x"): {"y": 1}}}, r"tensor value label 'y' unknown in \(x,x\)"),
+    ({"tensor": {("x", "x"): {"1": 1.0}}}, r"multiplicity N\(x,x,1\)=1.0 is not a nonnegative"),
+], ids=["empty", "duplicate", "unit", "dual", "tensor-key", "tensor-value", "non-integer"])
+def test_constructor_rejects_bad_structure(fields, message):
+    ring = dict(name="z2", labels=("1", "x"), unit="1", dual={},
+                tensor=_unit_rows(("1", "x"), "1"))
+    with pytest.raises(RingStructureError, match=f"^{message}"):
+        FusionRing(**dict(ring, **fields))
+
+
 def test_label_with_trailing_newline_is_rejected():
     with pytest.raises(RingStructureError, match="bad label"):
         FusionRing(name="x", labels=("1", "a\n"), unit="1", dual={},
@@ -347,6 +363,17 @@ def test_parse_errors():
         with pytest.raises(ExprSyntaxError, match="empty factor") as exc:
             parse_sector_expr(text, ["a", "e"])
         assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("e +  0*e", "coefficient must be positive", 5),
+    ("e + 3", "coefficient without a word", 4),
+    (" 3 ", "coefficient without a word", 1),
+])
+def test_coefficient_errors_name_the_coefficient(text, message, position):
+    with pytest.raises(ExprSyntaxError, match=message) as exc:
+        parse_sector_expr(text, ["a", "e"])
+    assert exc.value.position == position
 
 
 @pytest.mark.parametrize("text", ["\u00b2*e", "\u0663*e", "e + \u00b2*e"])

@@ -152,6 +152,16 @@ def test_q6j_domain_errors():
         QSixJ(5, Fraction(1, 3), 0, 0, 0, 0, 0)
 
 
+def test_integers_beyond_float_range():
+    with pytest.raises(SixJDomainError, match="order m must fit in a float"):
+        q6j(QSixJ(10 ** 400, 1, 1, 1, 1, 1, 1))
+    assert q6j(QSixJ(10 ** 400, 1, 1, 1, 1, 1, Fraction(1, 2))) == 0  # inadmissible: no float
+    with pytest.raises(ValueError, match="level k and its labels must fit in a float"):
+        alpha_induction_spectrum(10 ** 400, 1, [0, 1])
+    with pytest.raises(ValueError, match="level k and its labels must fit in a float"):
+        monodromy_ratio(10 ** 200, 10 ** 200, 10 ** 200)
+
+
 def test_qsixj_spin_validation():
     for bad in (Fraction(-1, 2), Fraction(1, 3)):
         with pytest.raises(ValueError, match="not a nonnegative half-integer"):
