@@ -8,21 +8,27 @@ span the algebra redundantly, since completeness makes the four length-one
 projections sum to 1, so normalization additionally expands junction
 T2 T2^* pairs to reach a genuine linear basis.
 
-Internally an element is a dict from pairs (u, v) of generator-index
-tuples to coefficients, with no pair where u and v both end in T2.  The
-product of two pairs telescopes through the middle block v1^* u2: when v1
-is a prefix of u2 it is (u1 + rest of u2, v2), when u2 is a prefix of v1
-it is (u1, v2 + rest of v1), and otherwise it is 0.  A product looks the
-telescoping pairs up instead of comparing every pair with every pair: the
-left factor is indexed by its v, and each pair of the right factor finds
-the v that are prefixes of its u and the v that extend it.  rho uses
-rho(u v^*) = rho(u) rho(v)^*: the v belonging to one u are summed on their
-prefix trie in Horner form, sum_g rho(g) (sum over the subtree below g),
-and then the u likewise, so each generator image multiplies once per trie
-edge, through an index built once per image and set of constants.
-CuntzExpr holds exactly this dict: its constructor reduces atom words into
-it, every operation stays on pairs, and ``terms`` reads it back with
-atom-word keys, so there is no separate normalization step.
+Internally an element is a dict from pairs (u, v) of plain words to
+coefficients, with no pair where u and v both end in T2.  A word
+g1 ... gm is held as an int: a leading 1 bit followed by m two-bit digits
+(S0 = 0, T0 = 1, T1 = 2, T2 = 3), so the empty word is 1, S0 is 4 and
+S0 S0 is 16.  A prefix is then a right shift, a rest is a mask, joining
+is a shift and an or, and u and v both end in T2 when u & v & 3 == 3.
+Words are decoded back to generator indices only for ``terms``, text and
+error messages.  The product of two pairs telescopes through the middle
+block v1^* u2: when v1 is a prefix of u2 it is (u1 + rest of u2, v2),
+when u2 is a prefix of v1 it is (u1, v2 + rest of v1), and otherwise it
+is 0.  A product looks the telescoping pairs up instead of comparing
+every pair with every pair: the left factor is indexed by its v, and each
+pair of the right factor finds the v that are prefixes of its u and the v
+that extend it.  rho uses rho(u v^*) = rho(u) rho(v)^*: the v belonging
+to one u are summed on their prefix trie in Horner form, sum_g rho(g)
+(sum over the subtree below g), and then the u likewise, so each
+generator image multiplies once per trie edge, through an index built
+once per image and set of constants.  CuntzExpr holds exactly this dict:
+its constructor checks and reduces atom words into it, every operation
+stays on pairs, and ``terms`` reads it back with atom-word keys, so there
+is no separate normalization step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -45,7 +51,8 @@ GEN_NAMES = ("S0", "T0", "T1", "T2")
 Atom = Tuple[int, bool]  # (generator index 0..3, adjoint flag)
 Word = Tuple[Atom, ...]
 Gens = Tuple[int, ...]  # generator indices of a plain word
-Pair = Tuple[Gens, Gens]  # (u, v) standing for u v^*
+Code = int  # a plain word as a leading 1 bit and one two-bit digit per generator
+Pair = Tuple[Code, Code]  # (u, v) standing for u v^*
 Terms = Dict[Pair, complex]
 
 
@@ -136,8 +143,8 @@ def one() -> CuntzExpr:
 
 
 def gen_expr(idx: int, adj: bool = False) -> CuntzExpr:
-    if not 0 <= idx <= 3:
-        raise ValueError("generator index must be 0..3")
+    """The generator idx (0..3 for S0, T0, T1, T2), or its adjoint; the
+    constructor refuses any other index."""
     return CuntzExpr({((idx, adj),): 1.0 + 0j})
 
 
@@ -146,27 +153,45 @@ def gens() -> Tuple[CuntzExpr, CuntzExpr, CuntzExpr, CuntzExpr]:
     return tuple(gen_expr(i) for i in range(4))
 
 
+def _gens(x: Code) -> Gens:
+    """The generator indices of a word code, first generator first."""
+    return tuple(x >> s & 3 for s in range(x.bit_length() - 3, -1, -2))
+
+
+def _relabel(x: Code, perm: Gens) -> Code:
+    """The word code x with each generator g replaced by perm[g]."""
+    y = 1
+    for s in range(x.bit_length() - 3, -1, -2):
+        y = y << 2 | perm[x >> s & 3]
+    return y
+
+
 def _split(word: Word) -> Optional[Pair]:
     """Reduce an atom word to its pair (u, v) in one pass, or None when an
-    orthogonality delta kills it.
+    orthogonality delta kills it.  An atom whose generator index is not an
+    int 0..3 (a bool included) raises ValueError, even in a killed word.
 
     Adjoint atoms wait on a stack; a plain atom cancels the adjoint on top
     of it (X^* Y = delta_{XY}) or, when none waits, extends u.
     """
-    u: List[int] = []
-    stack: List[int] = []
-    for g, adj in word:
+    u, stack, killed = 1, [], False
+    for atom in word:
+        g, adj = atom
+        if type(g) is not int or not 0 <= g <= 3:
+            raise ValueError(f"atom {atom!r}: the generator index must be an int 0..3")
         if adj:
             stack.append(g)
         elif stack:
-            if stack.pop() != g:
-                return None
+            killed |= stack.pop() != g
         else:
-            u.append(g)
-    return tuple(u), tuple(reversed(stack))
+            u = u << 2 | g
+    v = 1
+    for g in reversed(stack):
+        v = v << 2 | g
+    return None if killed else (u, v)
 
 
-def _add_pair(out: Terms, u: Gens, v: Gens, c: complex) -> None:
+def _add_pair(out: Terms, u: Code, v: Code, c: complex) -> None:
     """Accumulate c u v^* into out, expanding junction T2 T2^* pairs.
 
     The pairs u v^* only span the algebra redundantly: completeness says
@@ -175,10 +200,10 @@ def _add_pair(out: Terms, u: Gens, v: Gens, c: complex) -> None:
     end in T2 leaves linearly independent pairs, which is what makes
     residuals meaningful.
     """
-    while u and v and u[-1] == 3 and v[-1] == 3:
-        u, v = u[:-1], v[:-1]
+    while u & v & 3 == 3:
+        u, v = u >> 2, v >> 2
         for x in range(3):
-            key = (u + (x,), v + (x,))
+            key = (u << 2 | x, v << 2 | x)
             out[key] = out.get(key, 0j) - c
     key = (u, v)
     out[key] = out.get(key, 0j) + c
@@ -188,30 +213,31 @@ _PLAIN = tuple((g, False) for g in range(4))
 _STARRED = tuple((g, True) for g in range(4))
 
 
-def _atoms(u: Gens, v: Gens) -> Word:
-    return tuple(map(_PLAIN.__getitem__, u)) + tuple(map(_STARRED.__getitem__, reversed(v)))
+def _atoms(u: Code, v: Code) -> Word:
+    return (tuple(map(_PLAIN.__getitem__, _gens(u)))
+            + tuple(map(_STARRED.__getitem__, reversed(_gens(v)))))
 
 
-Rows = List[Tuple[Gens, complex]]
-Index = Tuple[Dict[Gens, Rows], Dict[Gens, List[Tuple[Gens, Rows]]], Tuple[int, ...]]
+Rows = List[Tuple[Code, complex]]
+Index = Tuple[Dict[Code, Rows], Dict[Code, List[Tuple[int, int, Rows]]], Tuple[int, ...]]
 
 
 def _index(a: Terms) -> Index:
     """Index a left factor by its v for _mul_into.
 
     Gives (exact, longer, lengths): exact maps each v to its rows (u, c),
-    longer maps each proper prefix p of a v to the pairs (rest of v, rows
-    of v) of the v that extend it, and lengths lists the lengths of the v
-    in increasing order.
+    longer maps each proper prefix p of a v to the triples (shift, rest,
+    rows of v) of the v that extend it, where v = p << shift | rest, and
+    lengths lists the lengths of the v in increasing order.
     """
-    exact: Dict[Gens, Rows] = {}
+    exact: Dict[Code, Rows] = {}
     for (u1, v1), c1 in a.items():
         exact.setdefault(v1, []).append((u1, c1))
-    longer: Dict[Gens, List[Tuple[Gens, Rows]]] = {}
+    longer: Dict[Code, List[Tuple[int, int, Rows]]] = {}
     for v1, rows in exact.items():
-        for k in range(len(v1)):
-            longer.setdefault(v1[:k], []).append((v1[k:], rows))
-    return exact, longer, tuple(sorted({len(v) for v in exact}))
+        for shift in range(v1.bit_length() - 1, 0, -2):
+            longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
+    return exact, longer, tuple(sorted({(v.bit_length() - 1) >> 1 for v in exact}))
 
 
 def _mul_into(out: Terms, index: Index, b: Terms) -> None:
@@ -224,21 +250,22 @@ def _mul_into(out: Terms, index: Index, b: Terms) -> None:
     """
     exact, longer, lengths = index
     for (u2, v2), c2 in b.items():
-        m = len(u2)
+        m = (u2.bit_length() - 1) >> 1
         for n in lengths:
             if n >= m:
                 break
-            rows = exact.get(u2[:n])
+            s = 2 * (m - n)
+            rows = exact.get(u2 >> s)
             if rows:
-                tail = u2[n:]
+                tail = u2 & (1 << s) - 1
                 for u1, c1 in rows:
-                    key = (u1 + tail, v2)
+                    key = (u1 << s | tail, v2)
                     out[key] = out.get(key, 0j) + c1 * c2
         # only when v1 = u2 can both sides end in T2; see _add_pair
         for u1, c1 in exact.get(u2, ()):
             _add_pair(out, u1, v2, c1 * c2)
-        for rest, rows in longer.get(u2, ()):
-            v = v2 + rest
+        for shift, rest, rows in longer.get(u2, ()):
+            v = v2 << shift | rest
             for u1, c1 in rows:
                 key = (u1, v)
                 out[key] = out.get(key, 0j) + c1 * c2
@@ -248,9 +275,9 @@ def _adjoint(a: Terms) -> Terms:
     return {(v, u): c.conjugate() for (u, v), c in a.items()}
 
 
-def _word_text(u: Gens, v: Gens) -> str:
+def _word_text(u: Code, v: Code) -> str:
     """The pair u v^* as text, such as "T0*S0^"; "1" for the empty word."""
-    parts = [GEN_NAMES[g] for g in u] + [GEN_NAMES[g] + "^" for g in reversed(v)]
+    parts = [GEN_NAMES[g] for g in _gens(u)] + [GEN_NAMES[g] + "^" for g in reversed(_gens(v))]
     return "*".join(parts) if parts else "1"
 
 
@@ -293,7 +320,7 @@ def render_expr(e: CuntzExpr, tol: float = EPS_ABS) -> str:
     if not kept:
         return "0"
     parts = []
-    for u, v in sorted(kept, key=lambda p: (len(p[0]) + len(p[1]), _atoms(*p))):
+    for u, v in sorted(kept, key=lambda p: (len(w := _atoms(*p)), w)):
         word = _word_text(u, v)
         coeff = _format_coeff(kept[u, v])
         if word == "1":
@@ -473,7 +500,7 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
 _IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, Index]] = {}
 
 
-def _rho_sum(items: List[Tuple[Gens, Terms]], depth: int, img: Dict[int, Index]) -> Terms:
+def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, Index]) -> Terms:
     """Sum of rho(w[depth:]) X over items (w, X), in Horner form on the trie.
 
     Items whose word ends at depth contribute X; the rest are grouped by
@@ -481,13 +508,14 @@ def _rho_sum(items: List[Tuple[Gens, Terms]], depth: int, img: Dict[int, Index])
     deeper, so each image multiplies once per trie edge.
     """
     out: Terms = {}
-    children: Dict[int, List[Tuple[Gens, Terms]]] = {}
+    children: Dict[int, List[Tuple[Code, Terms]]] = {}
     for w, x in items:
-        if len(w) == depth:
+        s = w.bit_length() - 3 - 2 * depth  # shift of the digit at depth
+        if s < 0:
             for key, c in x.items():
                 out[key] = out.get(key, 0j) + c
         else:
-            children.setdefault(w[depth], []).append((w, x))
+            children.setdefault(w >> s & 3, []).append((w, x))
     for g, sub in children.items():
         _mul_into(out, img[g], _rho_sum(sub, depth + 1, img))
     return out
@@ -504,9 +532,9 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     if c not in _IMAGE_CACHE:
         _IMAGE_CACHE[c] = {g: _index(x._terms) for g, x in rho_images(c).items()}
     img = _IMAGE_CACHE[c]
-    by_u: Dict[Gens, List[Tuple[Gens, Terms]]] = {}
+    by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
     for (u, v), coeff in e._terms.items():
-        by_u.setdefault(u, []).append((v, {((), ()): coeff.conjugate()}))
+        by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
     items = [(u, _adjoint(_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
     return CuntzExpr._of(_rho_sum(items, 0, img))
 
@@ -520,7 +548,7 @@ def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:
     perm = (0,) + tuple(_t(i + shift) for i in range(3))
     out: Terms = {}
     for (u, v), c in e._terms.items():
-        _add_pair(out, tuple(map(perm.__getitem__, u)), tuple(map(perm.__getitem__, v)), c)
+        _add_pair(out, _relabel(u, perm), _relabel(v, perm), c)
     return CuntzExpr._of(out)
 
 

@@ -56,7 +56,9 @@ def monodromy_ratio(k: int, i0: int, j: int) -> float:
     For i0 = 1 this collapses to |cos((j+1) pi/(k+2))| / |cos(pi/(k+2))|.
     The four entries come from the :func:`su2k_modular` formula, evaluated
     in the same order of operations, so no S-matrix is built.  A level or
-    label product beyond float range raises ValueError.
+    label product beyond float range raises ValueError, and so does a level
+    so large that the product of S entries in the denominator underflows
+    to 0.
     """
     if not (0 <= i0 <= k and 0 <= j <= k):
         raise ValueError("labels must satisfy 0 <= i0, j <= k")
@@ -70,6 +72,8 @@ def monodromy_ratio(k: int, i0: int, j: int) -> float:
         ratio = abs(s(0, 0) * s(i0, j)) / (abs(s(0, i0)) * abs(s(0, j)))
     except OverflowError:
         raise ValueError("the level k and its labels must fit in a float") from None
+    except ZeroDivisionError:
+        raise ValueError("the level k is too large for float S-matrix entries") from None
     return min(1.0, ratio)
 
 

@@ -454,6 +454,9 @@ def _d6_file(path, **fields):
      "error: indices must both fit in a float"),
     (["wzw", "spectrum", "--k", str(10 ** 400), "--J", "0,1"], 2,
      "error: the level k and its labels must fit in a float"),
+    # fits a float, but the S entries of the denominator underflow to 0
+    (["wzw", "spectrum", "--k", str(10 ** 150), "--J", "0,1"], 2,
+     "error: the level k is too large for float S-matrix entries"),
     (["wzw", "6j", "--m", str(10 ** 400), "--spins", "1,1,1,1,1,1"], 2,
      "error: the root-of-unity order m must fit in a float"),
 ], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "sixj-overflow",
@@ -461,7 +464,7 @@ def _d6_file(path, **fields):
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
         "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
         "spin-arabic-digit", "group-int-overflow", "spectrum-int-overflow",
-        "sixj-int-overflow"])
+        "spectrum-underflow", "sixj-int-overflow"])
 def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):
     # the exception classes main() names belong to modules that a fresh
     # process has not loaded when the command fails; the in-process run

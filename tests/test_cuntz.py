@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 from functools import lru_cache
 
 import pytest
@@ -39,6 +40,20 @@ def test_delta_rule():
     assert T1.adjoint() * T2 == zero()
     w = S0 * T1 * (T1.adjoint()) * (S0.adjoint())
     assert w * w == w
+
+
+@pytest.mark.parametrize("atom", [(-1, False), (4, False), (5, True), (True, False),
+                                  (False, True), (1.0, False), ("T0", False)])
+def test_constructor_refuses_bad_generator_indices(atom):
+    # (-1, False) was held apart from T2 yet printed as T2, so a - T2
+    # printed "T2 - T2"; 5 failed only later, in render_expr or rho_apply
+    for word in ((atom,), ((1, False), atom), ((0, True), (1, False), atom)):
+        for c in (1.0, 0):
+            with pytest.raises(ValueError, match=re.escape(f"atom {atom!r}")):
+                CuntzExpr({word: c})
+    if atom[1] is False:
+        with pytest.raises(ValueError, match="generator index must be an int 0..3"):
+            gen_expr(atom[0])
 
 
 def test_completeness_rewrite():
@@ -192,8 +207,12 @@ def test_constants_key_the_image_cache():
     # the product of images built from scratch, and the index holds their terms
     fresh = rho_images(c)
     assert rho_apply(T0 * S0.adjoint(), c) == fresh[1] * fresh[0].adjoint()
-    for g, (exact, _, _) in cuntz._IMAGE_CACHE[c].items():
+    for g, (exact, longer, _) in cuntz._IMAGE_CACHE[c].items():
         assert {(u, v): x for v, rows in exact.items() for u, x in rows} == fresh[g]._terms
+        # and each longer entry rebuilds a v of exact from its prefix
+        for prefix, extensions in longer.items():
+            for shift, rest, rows in extensions:
+                assert exact[prefix << shift | rest] is rows
     # and products only read it
     before = copy.deepcopy(cuntz._IMAGE_CACHE[c])
     pairs = itertools.product(itertools.product(range(4), (False, True)), repeat=2)
@@ -353,3 +372,70 @@ def test_large_left_factor_matches_oracle():
         for small in (S0, T2.adjoint(), T0 * T2.adjoint()):
             ref = _oracles.cuntz_normalize(_oracles._cuntz_mul(big.terms, small.terms))
             assert _max_diff(big * small, ref) <= 1e-12
+
+
+# word codes at their edges: a word is held as a leading 1 bit and two bits
+# per generator, so 33 atoms take 67 bits, and S0 is the digit 0, which sits
+# next to the leading bit in S0^n
+
+long_plain = st.lists(st.integers(min_value=0, max_value=3), min_size=33, max_size=40)
+s0_power = st.integers(min_value=0, max_value=40).map(lambda n: (0,) * n)
+edge_plain = st.one_of(long_plain, s0_power, plain)
+edge_words = st.builds(lambda u, v: tuple((g, False) for g in u) + tuple((g, True) for g in v),
+                       edge_plain, edge_plain)
+edge_factors = st.dictionaries(edge_words, coeffs, min_size=1, max_size=3)
+_T2_33 = tuple((3, False) for _ in range(33))
+_S0_33 = tuple((0, False) for _ in range(33))
+
+
+@given(edge_factors)
+@example({_T2_33 + _T2_33[::-1]: 1.0})
+@example({_S0_33: 1.0, (): 2.0})
+@example({_S0_33 + ((0, True),) * 33: 1.0, (): -1.0})
+def test_long_and_s0_words_round_trip(terms):
+    e = CuntzExpr(terms)
+    assert _max_diff(e, _oracles.cuntz_normalize(terms)) <= 1e-12
+    assert CuntzExpr(e.terms) == e
+
+
+def test_s0_powers_are_not_the_empty_word():
+    for n in range(1, 41):
+        power = CuntzExpr({((0, False),) * n: 1.0})
+        assert power != one()
+        assert (power + one()).terms == {((0, False),) * n: 1.0, (): 1.0}
+        assert power.adjoint() * power == one()
+        assert render_expr(power) == "*".join(["S0"] * n)
+
+
+@given(edge_factors, edge_factors)
+@example({_T2_33 + ((3, True),): 1.0}, {_T2_33: 1.0})
+@example({_S0_33 + ((0, True),) * 2: 1.0}, {((0, False),) * 40: 1.0})
+@example({((0, True),) * 35: 1.0}, {_S0_33: 1.0})
+def test_long_products_and_adjoints_match_oracle(x, y):
+    ref = _oracles.cuntz_normalize(_oracles._cuntz_mul(x, y))
+    assert _max_diff(CuntzExpr(x) * CuntzExpr(y), ref) <= 1e-12
+    ref = _oracles.cuntz_normalize(_oracles._cuntz_adjoint(x))
+    assert _max_diff(CuntzExpr(x).adjoint(), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rho_of_s0_powers_matches_oracle(n):
+    for w in (((0, False),) * n, ((0, True),) * n, ((0, False),) * n + ((0, True),) * n):
+        ref = _oracles.cuntz_rho({w: 1.0 + 0j}, _IMAGES)
+        assert _max_diff(rho_apply(CuntzExpr({w: 1.0})), ref) <= 1e-12
+
+
+@given(st.permutations(range(4)), edge_factors)
+@example((0, 2, 3, 1), {_T2_33 + _T2_33[::-1]: 1.0})
+@example((3, 1, 2, 0), {_S0_33 + ((3, True),) * 34: 1.0})
+def test_rho_on_long_words_matches_oracle(perm, terms):
+    # rho of a word of n atoms has about 4^n pairs, so its trie walk over
+    # long words is checked with relabelling images standing in for the
+    # Haagerup ones, installed under constants of their own
+    images = {g: gen_expr(perm[g]) for g in range(4)}
+    key = haagerup_constants(a12=0.125j)
+    ref = _oracles.cuntz_rho(terms, {g: x.terms for g, x in images.items()})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cuntz._IMAGE_CACHE, key,
+                   {g: cuntz._index(x._terms) for g, x in images.items()})
+        assert _max_diff(rho_apply(CuntzExpr(terms), key), ref) <= 1e-12

@@ -160,6 +160,12 @@ def test_integers_beyond_float_range():
         alpha_induction_spectrum(10 ** 400, 1, [0, 1])
     with pytest.raises(ValueError, match="level k and its labels must fit in a float"):
         monodromy_ratio(10 ** 200, 10 ** 200, 10 ** 200)
+    # the level fits a float, but s(0, i0) s(0, j) underflows to 0
+    with pytest.raises(ValueError, match="too large for float S-matrix entries"):
+        monodromy_ratio(10 ** 150, 1, 1)
+    with pytest.raises(ValueError, match="too large for float S-matrix entries"):
+        alpha_induction_spectrum(10 ** 150, 1, [0, 1])
+    assert monodromy_ratio(10 ** 100, 1, 1) == 1.0
 
 
 def test_qsixj_spin_validation():
