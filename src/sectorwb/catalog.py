@@ -12,6 +12,7 @@ on every call; rings read from files are validated as they load.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -244,14 +245,15 @@ def ring_from_dict(doc: dict) -> FusionRing:
     tensor_raw = doc["tensor"]
     if not isinstance(tensor_raw, dict):
         raise RingFormatError("tensor must be an object with 'i,j' keys")
-    tensor: Dict[Tuple[str, str], Dict[str, int]] = {}
-    for key, row in tensor_raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise RingFormatError(f"tensor key {key!r} is not of the form 'i,j'")
-        if not isinstance(row, dict):
-            raise RingFormatError(f"tensor[{key!r}] must be an object label->multiplicity")
-        tensor[(parts[0], parts[1])] = row
+    tensor = dict(zip(map(tuple, map(str.split, tensor_raw, itertools.repeat(","))),
+                      tensor_raw.values()))
+    if not (set(map(len, tensor)) <= {2} and set(map(type, tensor.values())) <= {dict}):
+        # name the first bad entry, its key checked before its row
+        for key, row in tensor_raw.items():
+            if len(key.split(",")) != 2:
+                raise RingFormatError(f"tensor key {key!r} is not of the form 'i,j'")
+            if not isinstance(row, dict):
+                raise RingFormatError(f"tensor[{key!r}] must be an object label->multiplicity")
     return FusionRing(doc["name"], tuple(doc["labels"]), doc["unit"], dual, tensor)
 
 

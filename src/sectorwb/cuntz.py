@@ -144,7 +144,7 @@ def one() -> CuntzExpr:
 
 def gen_expr(idx: int, adj: bool = False) -> CuntzExpr:
     """The generator idx (0..3 for S0, T0, T1, T2), or its adjoint; the
-    constructor refuses any other index."""
+    constructor refuses any other index and an adj that is not a bool."""
     return CuntzExpr({((idx, adj),): 1.0 + 0j})
 
 
@@ -169,7 +169,8 @@ def _relabel(x: Code, perm: Gens) -> Code:
 def _split(word: Word) -> Optional[Pair]:
     """Reduce an atom word to its pair (u, v) in one pass, or None when an
     orthogonality delta kills it.  An atom whose generator index is not an
-    int 0..3 (a bool included) raises ValueError, even in a killed word.
+    int 0..3 (a bool included), or whose adjoint flag is not a bool, raises
+    ValueError, even in a killed word.
 
     Adjoint atoms wait on a stack; a plain atom cancels the adjoint on top
     of it (X^* Y = delta_{XY}) or, when none waits, extends u.
@@ -179,6 +180,8 @@ def _split(word: Word) -> Optional[Pair]:
         g, adj = atom
         if type(g) is not int or not 0 <= g <= 3:
             raise ValueError(f"atom {atom!r}: the generator index must be an int 0..3")
+        if type(adj) is not bool:
+            raise ValueError(f"atom {atom!r}: the adjoint flag must be a bool")
         if adj:
             stack.append(g)
         elif stack:

@@ -89,6 +89,9 @@ class ExprSyntaxError(ValueError):
 class FusionRing(Frozen):
     """Immutable fusion-ring data.
 
+    The constructor checks the tensor table as a whole and scans it entry by
+    entry only to name the first bad one (see :func:`_scan_tensor`).
+
     ``tensor`` maps (i, j) to {k: N(i,j,k)} with only positive entries stored;
     ``dual`` is total after construction (identity entries filled in).
     ``N`` is the same table as a dense array, built on first use and kept in
@@ -116,24 +119,21 @@ class FusionRing(Frozen):
                 raise RingStructureError(f"dual entry {a!r}->{b!r} uses unknown label")
         for lab in labels:
             dual.setdefault(lab, lab)
-        pos = {lab: x for x, lab in enumerate(labels)}
-        rows: Dict[Tuple[str, str], Dict[str, int]] = {}
-        for key, row in dict(tensor).items():
-            i, j = key
-            if i not in pos or j not in pos:
-                raise RingStructureError(f"tensor key ({i!r},{j!r}) uses unknown label")
-            clean = {}
-            for k, n in row.items():
-                if k not in pos:
-                    raise RingStructureError(f"tensor value label {k!r} unknown in ({i},{j})")
-                if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                    raise RingStructureError(f"multiplicity N({i},{j},{k})={n!r} is not a nonnegative integer")
-                if n > _INT64_MAX:
-                    raise RingStructureError(f"multiplicity N({i},{j},{k})={n} does not fit in 64 bits")
-                if n > 0:
-                    clean[k] = n
-            if clean:
-                rows[(i, j)] = clean
+        pos, chain = {lab: x for x, lab in enumerate(labels)}, itertools.chain.from_iterable
+        rows = {key: dict(row) for key, row in dict(tensor).items()}
+        values = list(chain(map(dict.values, rows.values())))
+        # whole-table checks; the ordered scan runs only to name the first bad
+        # entry, and returns for int subclasses, which only the type test refuses
+        if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {2}
+                and pos.keys() >= set(chain(rows)) | set(chain(rows.values()))
+                and set(map(type, values)) <= {int}):
+            _scan_tensor(rows, pos)
+        distinct = set(values)
+        if min(distinct, default=0) < 0 or max(distinct, default=0) > _INT64_MAX:
+            _scan_tensor(rows, pos)
+        if 0 in distinct or not all(rows.values()):
+            rows = {key: clean for key, row in rows.items()
+                    if (clean := {k: n for k, n in row.items() if n > 0})}
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", unit)
@@ -144,14 +144,20 @@ class FusionRing(Frozen):
     @cached_property
     def N(self) -> np.ndarray:
         """The table as a read-only int64 array indexed by label position,
-        built on first use: ``N[index(i), index(j), index(k)] = N(i,j,k)``."""
+        built on first use: ``N[index(i), index(j), index(k)] = N(i,j,k)``,
+        flattened with ``np.fromiter`` and written with one scatter."""
         import numpy as np
 
-        pos, size = self._pos, len(self.labels)
-        flat = [(pos[i] * size + pos[j]) * size + pos[k]
-                for (i, j), row in self.tensor.items() for k in row]
+        pos, size, chain = self._pos, len(self.labels), itertools.chain.from_iterable
+        keys, rows = self.tensor.keys(), self.tensor.values()
+        i, j = np.fromiter(map(pos.__getitem__, chain(keys)), np.int64,
+                           2 * len(keys)).reshape(-1, 2).T
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        entries = int(counts.sum())
+        ks = np.fromiter(map(pos.__getitem__, chain(rows)), np.int64, entries)
+        values = np.fromiter(chain(map(dict.values, rows)), np.int64, entries)
         dense = np.zeros(size ** 3, dtype=np.int64)
-        dense[flat] = [n for row in self.tensor.values() for n in row.values()]
+        dense[np.repeat((i * size + j) * size, counts) + ks] = values
         dense.flags.writeable = False
         return dense.reshape(size, size, size)
 
@@ -166,6 +172,25 @@ class FusionRing(Frozen):
     def fusion_matrix(self, i: str) -> np.ndarray:
         """Left multiplication by i: M[k, j] = N(i, j, k)."""
         return self.N[self._pos[i]].T.copy()
+
+
+def _scan_tensor(rows: Mapping[object, Mapping[object, object]], pos: Mapping[str, int]) -> None:
+    """Raise RingStructureError for the first entry, in table order, whose key is
+    not a tuple of two labels, whose label is unknown or whose multiplicity is
+    not an int in 0..2**63 - 1."""
+    for key, row in rows.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise RingStructureError(f"tensor key {key!r} is not a pair of labels (i, j)")
+        i, j = key
+        if i not in pos or j not in pos:
+            raise RingStructureError(f"tensor key ({i!r},{j!r}) uses unknown label")
+        for k, n in row.items():
+            if k not in pos:
+                raise RingStructureError(f"tensor value label {k!r} unknown in ({i},{j})")
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise RingStructureError(f"multiplicity N({i},{j},{k})={n!r} is not a nonnegative integer")
+            if n > _INT64_MAX:
+                raise RingStructureError(f"multiplicity N({i},{j},{k})={n} does not fit in 64 bits")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Six families:
+Nothing here imports sectorwb.  Seven families:
 
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
@@ -17,7 +17,11 @@ Nothing here imports sectorwb.  Six families:
     for mutation experiments on the Haagerup relation checks;
   * an entry-by-entry fusion-axiom validator and a power-iteration
     PF-dimension solver, for cross-checking validate_ring() and
-    pf_dimensions().
+    pf_dimensions();
+  * the entry-by-entry check and copy of a ring's tensor table (and of a
+    ring file's ``"i,j"`` keys) and a dense table written entry by entry,
+    for cross-checking the whole-table checks of the FusionRing
+    constructor and ring_from_dict(), and FusionRing.N.
 """
 
 import cmath
@@ -529,3 +533,65 @@ def pf_dimensions_power(ring):
             global_vec = v / v[ring.labels.index(ring.unit)]
         out[i] = float(global_vec[ring.labels.index(i)])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The per-entry loops that the whole-table checks of the FusionRing
+# constructor and catalog.ring_from_dict() replaced, and a dense table
+# written entry by entry.  Errors are raised as ``error(message)``, so the
+# caller passes the package's exception class.
+
+INT64_MAX = 2 ** 63 - 1
+
+
+def fusion_rows_loops(labels, tensor, error):
+    """Check and copy a tensor table entry by entry, in table order: the
+    rows with zero entries and emptied rows dropped, or ``error`` naming the
+    first bad key, label or multiplicity."""
+    pos = set(labels)
+    rows = {}
+    for key, row in dict(tensor).items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise error(f"tensor key {key!r} is not a pair of labels (i, j)")
+        i, j = key
+        if i not in pos or j not in pos:
+            raise error(f"tensor key ({i!r},{j!r}) uses unknown label")
+        clean = {}
+        for k, n in row.items():
+            if k not in pos:
+                raise error(f"tensor value label {k!r} unknown in ({i},{j})")
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise error(f"multiplicity N({i},{j},{k})={n!r} is not a nonnegative integer")
+            if n > INT64_MAX:
+                raise error(f"multiplicity N({i},{j},{k})={n} does not fit in 64 bits")
+            if n > 0:
+                clean[k] = n
+        if clean:
+            rows[(i, j)] = clean
+    return rows
+
+
+def ring_file_tensor_loops(tensor_raw, error):
+    """Split a ring file's ``"i,j"`` keys entry by entry, each key checked
+    before its row; ``error`` names the first bad one."""
+    tensor = {}
+    for key, row in tensor_raw.items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise error(f"tensor key {key!r} is not of the form 'i,j'")
+        if not isinstance(row, dict):
+            raise error(f"tensor[{key!r}] must be an object label->multiplicity")
+        tensor[(parts[0], parts[1])] = row
+    return tensor
+
+
+def dense_tensor_loops(ring):
+    """N[index(i), index(j), index(k)] = N(i,j,k), written entry by entry
+    from the ring's ``tensor`` mapping."""
+    pos = {lab: x for x, lab in enumerate(ring.labels)}
+    n = len(pos)
+    dense = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j), row in ring.tensor.items():
+        for k, mult in row.items():
+            dense[pos[i], pos[j], pos[k]] = mult
+    return dense

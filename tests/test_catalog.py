@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sectorwb import catalog
 from sectorwb.catalog import (
@@ -218,6 +219,42 @@ def test_bad_tensor_key_rejected():
     doc["tensor"]["a"] = {"a": 1}
     with pytest.raises(RingFormatError, match="not of the form"):
         ring_from_dict(doc)
+
+
+_FIXED_KEYS = [e.key for e in catalog.ENTRIES if not e.parametrized]
+
+
+@st.composite
+def _planted_documents(draw):
+    """A fixed ring's document with up to three entries planted at random
+    places in its tensor: a key not of the form 'i,j', a row that is not an
+    object, both at once, or a well-formed entry with an unknown label."""
+    doc = ring_to_dict(builtin(draw(st.sampled_from(_FIXED_KEYS))))
+    items = list(doc["tensor"].items())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("key", "row", "both", "label")))
+        key = draw(st.sampled_from(("a", "1,a,a", "", ",,"))) if kind in ("key", "both") \
+            else draw(st.sampled_from(("1,1", "1,zz", "zz,1")))
+        row = draw(st.sampled_from(([], 1, "a", None, [["a", 1]]))) if kind in ("row", "both") \
+            else draw(st.sampled_from(({"1": 1}, {"zz": 1}, {"1": 1.0})))
+        items.insert(draw(st.integers(0, len(items))), (key, row))
+    doc["tensor"] = dict(items)
+    return doc
+
+
+@given(_planted_documents())
+def test_ring_from_dict_matches_entry_loop_oracle(doc):
+    # key before row within an entry, entries in file order, and the
+    # constructor's checks only once every entry is well-formed
+    try:
+        tensor = _oracles.ring_file_tensor_loops(doc["tensor"], RingFormatError)
+        want = _oracles.fusion_rows_loops(doc["labels"], tensor, RingStructureError)
+    except (RingFormatError, RingStructureError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ring_from_dict(doc)
+        assert str(got.value) == str(exc)
+        return
+    assert ring_from_dict(doc).tensor == want
 
 
 def test_json_error_reports_position(tmp_path):

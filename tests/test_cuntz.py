@@ -56,6 +56,19 @@ def test_constructor_refuses_bad_generator_indices(atom):
             gen_expr(atom[0])
 
 
+@pytest.mark.parametrize("atom", [(1, "False"), (1, 0), (1, 1), (0, None), (2, 1.0),
+                                  (3, "")])
+def test_constructor_refuses_non_bool_adjoint_flags(atom):
+    # the flag was read by truth value: (1, 'False') printed as T0^ and
+    # equalled gen_expr(1, True), and (1, 0) was taken as plain T0
+    for word in ((atom,), ((1, False), atom), ((0, True), (1, False), atom)):
+        for c in (1.0, 0):
+            with pytest.raises(ValueError, match=re.escape(f"atom {atom!r}: the adjoint flag")):
+                CuntzExpr({word: c})
+    with pytest.raises(ValueError, match="adjoint flag must be a bool"):
+        gen_expr(*atom)
+
+
 def test_completeness_rewrite():
     # the range projections sum to 1; the T2 junction is rewritten into the
     # other three, so the sum collapses without a dedicated rule

@@ -113,7 +113,13 @@ def test_multiplicity_must_fit_64_bits():
     ({"tensor": {("x", "y"): {"1": 1}}}, r"tensor key \('x','y'\) uses unknown label"),
     ({"tensor": {("x", "x"): {"y": 1}}}, r"tensor value label 'y' unknown in \(x,x\)"),
     ({"tensor": {("x", "x"): {"1": 1.0}}}, r"multiplicity N\(x,x,1\)=1.0 is not a nonnegative"),
-], ids=["empty", "duplicate", "unit", "dual", "tensor-key", "tensor-value", "non-integer"])
+    # a two-character string key was read as the pair ("1", "x"), and a
+    # 3-tuple failed with a bare "too many values to unpack"
+    ({"tensor": {"1x": {"x": 1}}}, r"tensor key '1x' is not a pair of labels \(i, j\)$"),
+    ({"tensor": {("1", "x", "x"): {"x": 1}}},
+     r"tensor key \('1', 'x', 'x'\) is not a pair of labels \(i, j\)$"),
+], ids=["empty", "duplicate", "unit", "dual", "tensor-key", "tensor-value", "non-integer",
+        "string-key", "3-tuple-key"])
 def test_constructor_rejects_bad_structure(fields, message):
     ring = dict(name="z2", labels=("1", "x"), unit="1", dual={},
                 tensor=_unit_rows(("1", "x"), "1"))
@@ -122,6 +128,89 @@ def test_constructor_rejects_bad_structure(fields, message):
 
 
 def test_label_with_trailing_newline_is_rejected():
+    with pytest.raises(RingStructureError, match="bad label"):
+        FusionRing(name="x", labels=("1", "a\n"), unit="1", dual={},
+                   tensor=_unit_rows(("1", "a\n"), "1"))
+
+
+class _Mult(int):
+    """An int subclass: stored as given, like a plain int."""
+
+
+# ``planted`` faults and their entries: a key, or a (label, multiplicity)
+_BAD_KEYS = ("ab", "a", ("a", "b", "c"), ("a",), ("a", "z"), ("z", "a"), (1, "a"))
+_BAD_ENTRIES = (("z", 1), (1, 1), ("a", 1.0), ("a", 2.5), ("a", True), ("a", False),
+                ("a", -1), ("a", -2 ** 64), ("a", 2 ** 63), ("a", 2 ** 70), ("a", None),
+                ("a", "1"))
+_GOOD_ENTRIES = (("a", 0), ("b", 0), ("a", 2 ** 63 - 1), ("c", _Mult(3)), ("b", _Mult(0)))
+
+
+@st.composite
+def _planted_tables(draw):
+    """A random table over the labels 1, a, b, c with up to three planted
+    entries, each a bad key, a bad label or multiplicity, a zero, an empty
+    row, 2**63 - 1 or an int subclass, at a random place in table order."""
+    labels = ("1", "a", "b", "c")
+    pairs = draw(st.lists(st.tuples(*[st.sampled_from(labels)] * 2), max_size=8, unique=True))
+    items = [(key, {k: draw(st.integers(0, 4)) for k in draw(st.sets(st.sampled_from(labels)))})
+             for key in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("key", "entry", "good", "empty")))
+        if kind in ("key", "empty"):
+            key = draw(st.sampled_from(_BAD_KEYS)) if kind == "key" else \
+                (draw(st.sampled_from(labels)), draw(st.sampled_from(labels)))
+            items.insert(draw(st.integers(0, len(items))), (key, {} if kind == "empty" else {"a": 1}))
+        elif items:
+            key, row = items[draw(st.integers(0, len(items) - 1))]
+            k, n = draw(st.sampled_from(_BAD_ENTRIES if kind == "entry" else _GOOD_ENTRIES))
+            old, at = list(row.items()), draw(st.integers(0, len(row)))
+            row.clear()
+            row.update([*old[:at], (k, n), *old[at:]])
+    return labels, dict(items)
+
+
+def _assert_constructor_matches_oracle(labels, tensor):
+    """The whole-table checks raise what the per-entry loop raised, for the
+    same first bad entry, or store the same rows with the same objects."""
+    try:
+        want = _oracles.fusion_rows_loops(labels, tensor, RingStructureError)
+    except RingStructureError as exc:
+        with pytest.raises(RingStructureError) as got:
+            FusionRing("t", labels, "1", {}, tensor)
+        assert str(got.value) == str(exc)
+        return
+    ring = FusionRing("t", labels, "1", {}, tensor)
+    assert [(key, [(k, n, type(n)) for k, n in row.items()]) for key, row in ring.tensor.items()] \
+        == [(key, [(k, n, type(n)) for k, n in row.items()]) for key, row in want.items()]
+    assert np.array_equal(ring.N, _oracles.dense_tensor_loops(ring))
+
+
+@pytest.mark.parametrize("entry", _BAD_ENTRIES + _GOOD_ENTRIES, ids=repr)
+def test_each_planted_entry_alone_matches_oracle(entry):
+    # one fault in an otherwise valid table: only that entry's check can see it
+    tensor = {**_unit_rows(("1", "a", "b", "c"), "1"), ("a", "b"): {"c": 1}}
+    tensor[("a", "b")][entry[0]] = entry[1]
+    _assert_constructor_matches_oracle(("1", "a", "b", "c"), tensor)
+
+
+@pytest.mark.parametrize("key", _BAD_KEYS, ids=repr)
+def test_each_planted_key_alone_matches_oracle(key):
+    _assert_constructor_matches_oracle(("1", "a", "b", "c"),
+                                       {**_unit_rows(("1", "a"), "1"), key: {"a": 1}})
+
+
+@given(_planted_tables())
+def test_constructor_matches_entry_loop_oracle(table):
+    _assert_constructor_matches_oracle(*table)
+
+
+def test_dense_tensor_matches_entry_loop_oracle():
+    rings = ([catalog.builtin("su2", k) for k in (*range(1, 13), 40)]
+             + [_zn(n) for n in (1, 2, 7, 40)] + [_tambara_yamagami(n) for n in (1, 3, 32)]
+             + [catalog.builtin(e.key) for e in catalog.ENTRIES if not e.parametrized])
+    for ring in rings:
+        assert ring.N.dtype == np.int64 and not ring.N.flags.writeable
+        assert np.array_equal(ring.N, _oracles.dense_tensor_loops(ring)), ring.name
     with pytest.raises(RingStructureError, match="bad label"):
         FusionRing(name="x", labels=("1", "a\n"), unit="1", dual={},
                    tensor=_unit_rows(("1", "a\n"), "1"))
