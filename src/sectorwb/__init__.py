@@ -23,7 +23,7 @@ _EXPORTS = {
         ("catalog", "CatalogEntry ENTRIES RingFormatError RingValidationError builtin "
                     "builtin_keys load ring_from_dict ring_to_dict save"),
         ("angles", "AngleCandidate AngleSpectrum HYPOTHESES_NOTE angle_bound angle_candidates "
-                   "angle_cocommuting angle_group t_inner_roots"),
+                   "angle_cocommuting angle_group bound_cos cocommuting_cos2 t_inner_roots"),
         ("wzw", "BranchingRule ModularData QSixJ SixJDomainError alpha_induction_spectrum "
                 "asymptotic_spectrum branching_rule ghj_spectrum monodromy_ratio q6j "
                 "su2k_modular"),
@@ -31,7 +31,7 @@ _EXPORTS = {
                   "RelationCheck VerificationReport alpha_apply haagerup_constants parse "
                   "render_expr residual rho_apply solve_qsystem verify_haagerup_relations"),
         ("classify", "CheckResult CheckRow ClassIVRecord QuadCase case_by_id class_iv_record "
-                     "classification_table e8aff_regression render_results run_all "
+                     "classification_table render_results run_all "
                      "run_exclusion_checks verify_case"),
     )
     for name in names.split()

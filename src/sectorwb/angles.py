@@ -88,12 +88,21 @@ class AngleCandidate(NamedTuple):
         return self.angle is None
 
 
-def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
-    """Angle of a cocommuting quadrilateral from its two indices.
+def cocommuting_cos2(pn, mp):
+    """cos^2 of a cocommuting quadrilateral, in the indices' type (float or QuadExt), unchecked."""
+    return (pn - mp) / (mp * (pn - 1))
 
-    cos^2 = (pn - mp) / (mp * (pn - 1)); equal indices force the
-    commuting case instead of an angle.  Indices within ``tol`` of each
-    other count as equal.  Indices beyond float range raise ValueError.
+
+def bound_cos(pn):
+    """cos of the largest angle in the 3-supertransitive case, in the index's type, unchecked."""
+    return 1 / (pn - 1)
+
+
+def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
+    """Angle of a cocommuting quadrilateral from its two indices, with cos^2
+    from :func:`cocommuting_cos2`; equal indices force the commuting case
+    instead of an angle.  Indices within ``tol`` of each other count as equal.
+    Indices beyond float range raise ValueError.
     """
     try:
         pn, mp = float(pn), float(mp)
@@ -105,11 +114,9 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
         raise ValueError("pn must be >= mp (cos^2 would be negative)")
     if abs(pn - mp) <= tol:
         return AngleSpectrum((), commuting=True)
-    denominator = mp * (pn - 1.0)
-    if denominator == math.inf:
+    if mp * (pn - 1.0) == math.inf:
         raise ValueError(f"mp (pn - 1) overflows a float at pn = {pn}, mp = {mp}")
-    cos2 = (pn - mp) / denominator
-    return AngleSpectrum.from_cosines([math.sqrt(cos2)])
+    return AngleSpectrum.from_cosines([math.sqrt(cocommuting_cos2(pn, mp))])
 
 
 def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
@@ -169,8 +176,8 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
 
 
 def angle_bound(pn) -> float:
-    """Largest possible angle arccos(1/(pn-1)) in the 3-supertransitive case."""
+    """Largest possible angle arccos(:func:`bound_cos`) in the 3-supertransitive case."""
     val = float(pn)
     if not 2 < val < math.inf:
         raise ValueError("pn must be finite and exceed 2 for the bound to be a cosine")
-    return math.acos(1.0 / (val - 1.0))
+    return math.acos(bound_cos(val))

@@ -13,27 +13,23 @@ compares floats.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
+from . import angles
 from .catalog import TWO_COS, builtin, dimensions
 from .fusion import _mul_label, decompose, hom_dim
 from .scalar import QuadExt, quad
 
 TAGS = ("I", "II", "III", "IV", "group-type", "D6affine")
 
-# angle rule -> (the index relation it needs, as (holds, report text), and the
-# exact identity between the cosine c of the angle and the indices): a
-# cocommuting quadrilateral has mp = pn - 1 and cos^2 = (pn - mp) / (mp (pn - 1)),
-# the 3-supertransitive bound has mp = pn and cos = 1 / (pn - 1), and a stored
-# angle has neither
+# angle rule -> (n, p, f, text): the index relation mp = pn - n and the identity
+# cos^p = f(pn, mp) with f a formula of :mod:`angles`, written as text.  A
+# cocommuting quadrilateral has mp = pn - 1, the 3-supertransitive bound mp = pn;
+# a stored angle (None) is taken as given, with no index relation
 ANGLE_RULES = {
-    "cocommuting": (lambda pn, mp: (pn - 1 == mp, f"pn - 1 = {pn - 1} vs mp = {mp} (exact)"),
-                    lambda c, pn, mp: c * c * mp * (pn - 1) == pn - mp),
-    "bound": (lambda pn, mp: (pn == mp, f"pn = {pn} vs mp = {mp} (exact)"),
-              lambda c, pn, mp: c * (pn - 1) == 1),
-    "stored": (lambda pn, mp: (True, "no index relation; angle stored directly"),
-               lambda c, pn, mp: True),
+    "cocommuting": (1, 2, angles.cocommuting_cos2, "(pn - mp)/(mp (pn - 1))"),
+    "bound": (0, 1, lambda pn, mp: angles.bound_cos(pn), "1/(pn - 1)"),
+    "stored": None,
 }
 
 # n -> the minimal polynomial x^2 = a*x + b of x = catalog.TWO_COS[n] as
@@ -197,32 +193,39 @@ def _fmt(x: float) -> str:
 
 
 def verify_case(case: QuadCase) -> CheckResult:
-    """Recheck one case: exact index relation, angle, polynomials and PF links."""
-    relation, identity = ANGLE_RULES[case.angle_rule]
-    rows = [CheckRow("index_relation", *relation(case.pn, case.mp))]
-
-    c = case.cos_exact
-    in_range = 0 < c < 1
-    try:
-        ok = in_range and identity(c, case.pn, case.mp)
-    except ValueError:  # mixed radicands: a cosine from another quadratic field
-        ok = False
-    # a passing identity fixes the angle, so both columns print acos(cos_exact)
-    angle = _fmt(math.acos(float(c))) if in_range else "nan"
-    rows.append(CheckRow(
-        "angle_recomputation", ok,
-        f"rule {case.angle_rule}: angle {angle} vs stored {angle}; "
-        f"cos {_fmt(float(c))} vs exact {_fmt(float(c))}"))
-
-    rows.append(_polynomial_row(case))
-
-    # a passing link's FPdim is the case's index, so both columns print it
+    """Recheck one case: exact index relation, angle, polynomials and PF links.
+    A passing row states the identity it decided, a failing one both sides."""
     failures = [_fpdim_failure(*link[:3], getattr(case, link.of)) for link in case.pf_links]
-    rows.append(CheckRow("pf_dimension_links", not any(failures), "; ".join(
-        f"{link.note}: " + (failed or "{0} vs {0}".format(_fmt(float(getattr(case, link.of)))))
-        for link, failed in zip(case.pf_links, failures))))
+    return CheckResult(case.case_id, (*_rule_rows(case), _polynomial_row(case), CheckRow(
+        "pf_dimension_links", not any(failures), "; ".join(
+            f"{link.note}: " + (failed or f"d({link.expr}) = {getattr(case, link.of)} = "
+                                          f"{link.of} exactly")
+            for link, failed in zip(case.pf_links, failures)))))
 
-    return CheckResult(case.case_id, tuple(rows))
+
+def _rule_rows(case: QuadCase) -> Tuple[CheckRow, CheckRow]:
+    """The index relation and the angle identity of the case's angle rule."""
+    rule, pn, mp, c = ANGLE_RULES[case.angle_rule], case.pn, case.mp, case.cos_exact
+    if rule is None:
+        relation = CheckRow("index_relation", True, "no relation; the stored angle is assumed")
+        ok, text = True, f"cos = {c} is assumed, not derived from the indices"
+    else:
+        n, p, formula, name = rule
+        lhs, ok = f"pn - {n}" if n else "pn", pn - n == mp
+        relation = CheckRow("index_relation", ok, f"{lhs} = mp = {mp} exactly" if ok
+                            else f"{lhs} = {pn - n} vs mp = {mp} (exact)")
+        lhs, have = ("cos^2", c * c) if p == 2 else ("cos", c)
+        try:
+            want = formula(pn, mp)
+            ok = have == want
+        except ZeroDivisionError:  # pn = 1 or mp = 0
+            want, ok = "undefined (division by zero)", False
+        text = f"{lhs} = {have} = {name} exactly" if ok else f"{lhs} = {have}, but {name} = {want}"
+    in_range = 0 < c < 1
+    if not in_range:
+        ok, text = False, f"cos = {c} is not in (0, 1)"
+    text += f"; angle {_fmt(math.acos(float(c))) if in_range else 'nan'}"
+    return relation, CheckRow("angle_recomputation", ok, f"rule {case.angle_rule}: {text}")
 
 
 def _polynomial_row(case: QuadCase) -> CheckRow:
@@ -250,9 +253,9 @@ def run_all() -> List[CheckResult]:
 
 
 def _haagerup_d() -> Tuple[QuadExt, Tuple[CheckRow, CheckRow]]:
-    """The Haagerup dimension d = (3 + sqrt(13))/2 with its two exact
-    identities, shared by the Class IV exclusion and :func:`class_iv_record`."""
-    d = quad("3/2", "1/2", 13)
+    """The catalog's Haagerup dimension d = d(r) = (3 + sqrt(13))/2 with its two
+    exact identities, shared by the Class IV exclusion and :func:`class_iv_record`."""
+    d = dimensions("haagerup_even")["r"]
     return d, (
         CheckRow("dimension_equation", d * d == 3 * d + 1, f"d^2 = 3d + 1 exactly at d = {d}"),
         CheckRow("index_bound", 1 + d == quad("5/2", "1/2", 13), f"1 + d = {1 + d} exactly"),
@@ -283,8 +286,7 @@ def run_exclusion_checks() -> List[CheckResult]:
 
     x = quad(1, 1, 3)  # 1 + sqrt(3)
     results.append(CheckResult("e6_group_exclusion", (
-        CheckRow("irrational_index_gap", not x.is_integer and
-                 all(x != n for n in (2, 3, 4)),
+        CheckRow("irrational_index_gap", not x.is_integer,
                  f"pn - 1 = {x} is not an integer, no group case exists"),
         CheckRow("pf_agreement", not (failed := _fpdim_failure("e6_even", None, "e", x)),
                  failed or f"PF dimension of e = {_fmt(float(x))} matches 1 + sqrt(3)"),
@@ -306,13 +308,12 @@ class ClassIVRecord(NamedTuple):
 
     Two published values for [M:P] circulate: d itself in the classification
     statement and 1 + d from the bound route.  Both pass their own exact
-    checks, so the record keeps both and flags the ambiguity instead of
+    checks, so the record keeps both in ``mp_candidates`` instead of
     silently adopting one.
     """
 
     d_eta: QuadExt
     mp_candidates: Tuple[QuadExt, QuadExt]
-    ambiguous: bool
     checks: Tuple[CheckRow, ...]
 
 
@@ -321,23 +322,7 @@ def class_iv_record() -> ClassIVRecord:
     low, high = d, 1 + d
     rows = (*identities, CheckRow("candidate_gap", high - low == 1,
                                   f"candidates {low} and {high} differ by exactly 1"))
-    return ClassIVRecord(d, (low, high), True, rows)
-
-
-def e8aff_regression() -> CheckResult:
-    """Regression for the quartic index equation of the affine-E8 candidate.
-
-    x^4 - 5x^2 + 4 = (x^2 - 1)(x^2 - 4) has positive roots {1, 2}; the
-    nontrivial root 2 forces intermediate index 4.  Kept outside the
-    seven-case table and the exclusion counts.
-    """
-    roots = [Fraction(1), Fraction(2)]
-    poly_ok = all(r ** 4 - 5 * r ** 2 + 4 == 0 for r in roots)
-    index = max(roots) ** 2
-    return CheckResult("e8aff_regression", (
-        CheckRow("quartic_roots", poly_ok, "positive roots of x^4 - 5x^2 + 4 are 1, 2"),
-        CheckRow("index_value", index == 4, f"nontrivial root 2 gives index {index}"),
-    ))
+    return ClassIVRecord(d, (low, high), rows)
 
 
 def render_results(results: List[CheckResult]) -> str:

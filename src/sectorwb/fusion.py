@@ -120,10 +120,13 @@ class FusionRing(Frozen):
         for lab in labels:
             dual.setdefault(lab, lab)
         pos, chain = {lab: x for x, lab in enumerate(labels)}, itertools.chain.from_iterable
-        rows = {key: dict(row) for key, row in dict(tensor).items()}
+        # whole-table checks; the ordered scan runs only to name the first bad entry,
+        # and returns for non-dict mappings and int subclasses, which only type tests refuse
+        rows = dict(tensor)
+        if not set(map(type, rows.values())) <= {dict}:
+            _scan_tensor(rows, pos)
+        rows = {key: dict(row) for key, row in rows.items()}
         values = list(chain(map(dict.values, rows.values())))
-        # whole-table checks; the ordered scan runs only to name the first bad
-        # entry, and returns for int subclasses, which only the type test refuses
         if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {2}
                 and pos.keys() >= set(chain(rows)) | set(chain(rows.values()))
                 and set(map(type, values)) <= {int}):
@@ -176,14 +179,16 @@ class FusionRing(Frozen):
 
 def _scan_tensor(rows: Mapping[object, Mapping[object, object]], pos: Mapping[str, int]) -> None:
     """Raise RingStructureError for the first entry, in table order, whose key is
-    not a tuple of two labels, whose label is unknown or whose multiplicity is
-    not an int in 0..2**63 - 1."""
+    not a tuple of two labels, whose label is unknown, whose row is not a mapping
+    or whose multiplicity is not an int in 0..2**63 - 1."""
     for key, row in rows.items():
         if not isinstance(key, tuple) or len(key) != 2:
             raise RingStructureError(f"tensor key {key!r} is not a pair of labels (i, j)")
         i, j = key
         if i not in pos or j not in pos:
             raise RingStructureError(f"tensor key ({i!r},{j!r}) uses unknown label")
+        if not isinstance(row, Mapping):
+            raise RingStructureError(f"tensor row ({i!r},{j!r}) is not a mapping")
         for k, n in row.items():
             if k not in pos:
                 raise RingStructureError(f"tensor value label {k!r} unknown in ({i},{j})")
@@ -421,6 +426,8 @@ def hom_dim(ring: FusionRing, x: str, y: str) -> int:
 
 
 def check_multiplicity_bound(ring: FusionRing, decomposition: Mapping[str, int]) -> bool:
-    """Every multiplicity n_i must satisfy n_i <= d(i) (within tolerance)."""
+    """Whether every multiplicity n_i satisfies n_i <= d(i) (within tolerance): true for
+    a product of two labels, as N(a,b,i) <= min(d(a), d(b), d(i)), but not for every
+    word or sum (on su2 at k = 2, l1*l1*l1*l1 = 2*l0 + 2*l2 and the answer is False)."""
     dims = pf_dimensions(ring)
     return all(n <= dims[lab] + EPS_ABS for lab, n in decomposition.items())

@@ -1,7 +1,10 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Seven families:
+Nothing here imports sectorwb.  Eight families:
 
+  * the float angle formulas as angles.py once wrote them inline, for
+    bit-for-bit cross-checking of the functions that now share one
+    formula with the exact classification;
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
     6j symbol in its classical limit;
@@ -27,10 +30,28 @@ Nothing here imports sectorwb.  Seven families:
 import cmath
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# inline float angle formulas
+
+
+def cocommuting_cosine_inline(pn, mp):
+    """sqrt(cos^2) of a cocommuting quadrilateral, in the operations and order
+    that angle_cocommuting used before it called a shared formula."""
+    pn, mp = float(pn), float(mp)
+    denominator = mp * (pn - 1.0)
+    return math.sqrt((pn - mp) / denominator)
+
+
+def bound_angle_inline(pn):
+    """arccos(1/(pn-1)), as angle_bound computed it inline."""
+    return math.acos(1.0 / (float(pn) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +568,7 @@ INT64_MAX = 2 ** 63 - 1
 def fusion_rows_loops(labels, tensor, error):
     """Check and copy a tensor table entry by entry, in table order: the
     rows with zero entries and emptied rows dropped, or ``error`` naming the
-    first bad key, label or multiplicity."""
+    first bad key, label, row that is not a mapping, or multiplicity."""
     pos = set(labels)
     rows = {}
     for key, row in dict(tensor).items():
@@ -556,6 +577,8 @@ def fusion_rows_loops(labels, tensor, error):
         i, j = key
         if i not in pos or j not in pos:
             raise error(f"tensor key ({i!r},{j!r}) uses unknown label")
+        if not isinstance(row, Mapping):
+            raise error(f"tensor row ({i!r},{j!r}) is not a mapping")
         clean = {}
         for k, n in row.items():
             if k not in pos:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,15 @@ from sectorwb.angles import (
     angle_candidates,
     angle_cocommuting,
     angle_group,
+    bound_cos,
+    cocommuting_cos2,
     t_inner_roots,
 )
 from sectorwb.scalar import quad
+
+import _oracles
+
+_SQ2, _SQ5 = math.sqrt(2), math.sqrt(5)
 
 
 def test_cocommuting_small_indices():
@@ -171,3 +178,40 @@ def test_roots_and_candidates_agree_in_magnitude(d, s):
     plus, minus = angle_candidates(d, s)
     roots = sorted(abs(r) for r in t_inner_roots(d, s))
     assert sorted([plus.cosine, minus.cosine]) == pytest.approx(roots, abs=1e-12)
+
+
+def _index_grid():
+    """(pn, mp) pairs with 1 < mp < pn: the golden CLI and acceptance inputs, the
+    classification's indices as floats, integers, and seeded random floats from
+    just above 1 to 1e150."""
+    pairs = [(3, 2), (7, 4), (13, 9), (15, 8), (4, 3), (6, 2), (4, 2), (3.41421356, 2.5),
+             (2 + _SQ2, 1 + _SQ2), ((5 + _SQ5) / 2, (3 + _SQ5) / 2), (3 + 1e-12, 1.5)]
+    pairs += [(pn, mp) for pn in range(3, 40) for mp in range(2, pn)]
+    rng = random.Random(20)
+    for _ in range(4000):
+        pn = 1 + 10 ** rng.uniform(-8, 150)
+        pairs.append((pn, 1 + (pn - 1) * rng.random()))
+    return [(pn, mp) for pn, mp in pairs if 1 < mp < pn]
+
+
+def test_float_angles_are_bit_identical_to_the_inline_formulas():
+    # the shared formulas run the same IEEE operations in the same order as the
+    # expressions they replaced; == on these finite nonzero floats compares bits
+    for pn, mp in _index_grid():
+        if abs(pn - mp) <= 1e-9:
+            continue
+        assert angle_cocommuting(pn, mp) == AngleSpectrum.from_cosines(
+            [_oracles.cocommuting_cosine_inline(pn, mp)]), (pn, mp)
+        if pn > 2:
+            assert angle_bound(pn) == _oracles.bound_angle_inline(pn), pn
+    for g, h, hk in [(24, 6, 2), (24, 4, 2), (60, 12, 4), (720, 24, 6), (10 ** 6, 10 ** 3, 8)]:
+        want = AngleSpectrum.from_cosines([_oracles.cocommuting_cosine_inline(g // h, h // hk)])
+        assert angle_group(g, h, h, hk) == want
+
+
+def test_generic_formulas_check_nothing():
+    # the callers check: the formulas compute in the type they are given
+    assert cocommuting_cos2(Fraction(2), Fraction(3)) == Fraction(-1, 3)
+    assert cocommuting_cos2(quad(3), quad(2)) == quad("1/4")
+    with pytest.raises(ZeroDivisionError):
+        bound_cos(quad(1))

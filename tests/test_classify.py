@@ -3,15 +3,15 @@ import math
 
 import pytest
 
-from sectorwb import catalog, quad
+from sectorwb import angles, catalog, cuntz, quad
 from sectorwb.classify import (
+    ANGLE_RULES,
     TWO_COS_MINPOLY,
     PFLink,
     QuadCase,
     case_by_id,
     class_iv_record,
     classification_table,
-    e8aff_regression,
     render_results,
     run_all,
     run_exclusion_checks,
@@ -103,7 +103,7 @@ def test_a_wrong_index_fails_its_own_pf_link():
     row = _rows(a5a3._replace(pn=quad(4)))["pf_dimension_links"]
     assert not row.passed
     assert row.detail == ("A5 graph norm squared: d(l1*l1) = 3, not 4; "
-                          "A3 graph norm squared: 2 vs 2")
+                          "A3 graph norm squared: d(l1*l1) = 2 = mp exactly")
     row = _rows(a5a3._replace(mp=quad(3)))["pf_dimension_links"]
     assert not row.passed and "A3 graph norm squared: d(l1*l1) = 2, not 3" in row.detail
 
@@ -120,19 +120,17 @@ def test_the_angle_rule_fixes_the_index_relation():
 
 def test_class_iv_record_keeps_both_candidates():
     rec = class_iv_record()
-    assert rec.ambiguous
+    assert "ambiguous" not in rec._fields
     low, high = rec.mp_candidates
     assert high - low == 1
     assert all(row.passed for row in rec.checks)
     assert float(low) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
 
 
-def test_e8aff_regression_separate():
-    res = e8aff_regression()
-    assert res.passed
-    # the quartic candidate stays out of both official tallies
-    tallied = {r.case_id for r in run_all()} | {r.case_id for r in run_exclusion_checks()}
-    assert res.case_id not in tallied
+def test_haagerup_d_is_the_catalog_value():
+    # classify reads d from the catalog; cuntz keeps its own copy, which must agree
+    d = catalog.dimensions("haagerup_even")["r"]
+    assert class_iv_record().d_eta == d == cuntz._D_EXACT == quad("3/2", "1/2", 13)
 
 
 def test_render_is_deterministic():
@@ -158,19 +156,78 @@ def test_no_tolerance_argument():
 
 def test_swapped_cosines_fail_the_angle_row():
     a5a3, e6affd4 = case_by_id("a5a3"), case_by_id("e6affd4")
-    for case, other in ((a5a3, e6affd4), (e6affd4, a5a3)):
+    for case, other, detail in (
+            (a5a3, e6affd4, "rule cocommuting: cos^2 = 1/9, but (pn - mp)/(mp (pn - 1)) = 1/4; "
+                            "angle 1.23095941734"),
+            (e6affd4, a5a3, "rule cocommuting: cos^2 = 1/4, but (pn - mp)/(mp (pn - 1)) = 1/9; "
+                            "angle 1.0471975512")):
         rows = _rows(case._replace(cos_exact=other.cos_exact))
         assert not rows["angle_recomputation"].passed
+        assert rows["angle_recomputation"].detail == detail
         assert rows["exact_polynomials"].passed
     # a cosine from another quadratic field (sqrt(5) against sqrt(2)) fails
     # the row instead of raising on the mixed radicands
     a7a7, d6a4 = case_by_id("a7a7"), case_by_id("d6a4")
-    for case, other in ((a7a7, d6a4), (d6a4, a7a7)):
+    for case, other, detail in (
+            (a7a7, d6a4, "rule bound: cos = 3/2-1/2*sqrt(5), but 1/(pn - 1) = -1+sqrt(2); "
+                         "angle 1.17887365135"),
+            (d6a4, a7a7, "rule cocommuting: cos^2 = 3-2*sqrt(2), but (pn - mp)/(mp (pn - 1)) "
+                         "= 7/2-3/2*sqrt(5); angle 1.1437177404")):
         row = _rows(case._replace(cos_exact=other.cos_exact))["angle_recomputation"]
-        assert not row.passed
+        assert not row.passed and row.detail == detail
     # cos(pi/4) of the stored case against the bound of a7a7
     a7a7, d6affa3 = case_by_id("a7a7"), case_by_id("d6affa3")
-    assert not _rows(a7a7._replace(cos_exact=d6affa3.cos_exact))["angle_recomputation"].passed
+    row = _rows(a7a7._replace(cos_exact=d6affa3.cos_exact))["angle_recomputation"]
+    assert not row.passed and row.detail == (
+        "rule bound: cos = 1/2*sqrt(2), but 1/(pn - 1) = -1+sqrt(2); angle 0.785398163397")
+
+
+def test_angle_rules_call_the_angles_formulas():
+    # the rules hold no arithmetic of their own: each identity is a formula of
+    # sectorwb.angles, which reproduces every case's cosine in QuadExt
+    assert ANGLE_RULES["cocommuting"][2] is angles.cocommuting_cos2
+    assert ANGLE_RULES["stored"] is None
+    got = {c.case_id: (angles.cocommuting_cos2(c.pn, c.mp) if c.angle_rule == "cocommuting"
+                       else angles.bound_cos(c.pn))
+           for c in classification_table() if c.angle_rule != "stored"}
+    assert got == {"a5a3": quad("1/4"), "d6a4": quad("7/2", "-3/2", 5), "e6affd4": quad("1/9"),
+                   "e7affa5": quad("1/9"), "a7a7": quad(-1, 1, 2), "e7affe7aff": quad("1/3")}
+    for c in classification_table():
+        if c.angle_rule == "cocommuting":
+            assert got[c.case_id] == c.cos_exact * c.cos_exact
+        elif c.angle_rule == "bound":
+            assert got[c.case_id] == c.cos_exact
+
+
+@pytest.mark.parametrize("cid", ["a5a3", "d6a4", "a7a7", "e7affe7aff"])
+def test_an_index_of_one_fails_the_angle_row(cid):
+    # pn = 1 puts a zero under both formulas: the row fails, nothing raises
+    case = case_by_id(cid)
+    rows = _rows(case._replace(pn=quad(1)))
+    row = rows["angle_recomputation"]
+    assert not row.passed and "= undefined (division by zero); angle" in row.detail
+    assert not rows["index_relation"].passed and not rows["pf_dimension_links"].passed
+    if case.angle_rule == "cocommuting":  # so does mp = 0
+        assert not _rows(case._replace(mp=quad(0)))["angle_recomputation"].passed
+
+
+def test_every_passing_row_states_what_it_decided():
+    # a passing row states an exact identity, or that its value is assumed; no
+    # row prints one value on both sides of "vs"
+    for res in run_all():
+        for row in res.rows:
+            assert row.passed and " vs " not in row.detail, row
+            if row.name != "exact_polynomials":
+                assert "exactly" in row.detail or "assumed" in row.detail, row
+    rows = _rows(case_by_id("d6affa3"))
+    assert rows["index_relation"].detail == "no relation; the stored angle is assumed"
+    assert rows["angle_recomputation"].detail == (
+        "rule stored: cos = 1/2*sqrt(2) is assumed, not derived from the indices; "
+        "angle 0.785398163397")
+    assert _rows(case_by_id("a5a3"))["angle_recomputation"].detail == (
+        "rule cocommuting: cos^2 = 1/4 = (pn - mp)/(mp (pn - 1)) exactly; angle 1.0471975512")
+    assert _rows(case_by_id("e7affe7aff"))["angle_recomputation"].detail == (
+        "rule bound: cos = 1/3 = 1/(pn - 1) exactly; angle 1.23095941734")
 
 
 def test_angle_row_needs_a_cosine_in_the_open_unit_interval():

@@ -395,7 +395,7 @@ print(" ".join(sorted(sys.modules)))
     ("haagerup", ["cli", "cuntz", "scalar"]),
     ("cuntz", ["cli", "cuntz", "scalar"]),
     ("ring", ["catalog", "cli", "fusion", "scalar"]),
-    ("classify", ["catalog", "classify", "cli", "fusion", "scalar"]),
+    ("classify", ["angles", "catalog", "classify", "cli", "fusion", "scalar"]),
 ], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "ring", "classify"])
 def test_command_families_load_only_their_modules(family, modules):
     # each family runs in a fresh interpreter; `import sectorwb` alone loads

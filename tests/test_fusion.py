@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -118,8 +119,13 @@ def test_multiplicity_must_fit_64_bits():
     ({"tensor": {"1x": {"x": 1}}}, r"tensor key '1x' is not a pair of labels \(i, j\)$"),
     ({"tensor": {("1", "x", "x"): {"x": 1}}},
      r"tensor key \('1', 'x', 'x'\) is not a pair of labels \(i, j\)$"),
+    # rows that are not mappings: a bare ValueError and TypeError from dict(row),
+    # and a list of pairs that dict(row) accepted
+    ({"tensor": {("1", "x"): "ab"}}, r"tensor row \('1','x'\) is not a mapping$"),
+    ({"tensor": {("1", "x"): 5}}, r"tensor row \('1','x'\) is not a mapping$"),
+    ({"tensor": {("1", "x"): [("x", 1)]}}, r"tensor row \('1','x'\) is not a mapping$"),
 ], ids=["empty", "duplicate", "unit", "dual", "tensor-key", "tensor-value", "non-integer",
-        "string-key", "3-tuple-key"])
+        "string-key", "3-tuple-key", "string-row", "int-row", "pair-list-row"])
 def test_constructor_rejects_bad_structure(fields, message):
     ring = dict(name="z2", labels=("1", "x"), unit="1", dual={},
                 tensor=_unit_rows(("1", "x"), "1"))
@@ -143,25 +149,30 @@ _BAD_ENTRIES = (("z", 1), (1, 1), ("a", 1.0), ("a", 2.5), ("a", True), ("a", Fal
                 ("a", -1), ("a", -2 ** 64), ("a", 2 ** 63), ("a", 2 ** 70), ("a", None),
                 ("a", "1"))
 _GOOD_ENTRIES = (("a", 0), ("b", 0), ("a", 2 ** 63 - 1), ("c", _Mult(3)), ("b", _Mult(0)))
+# rows that are not dicts: four that are no mapping, and a read-only mapping
+_ROWS = ("ab", 5, [("a", 1)], None, MappingProxyType({"b": 1}))
 
 
 @st.composite
 def _planted_tables(draw):
     """A random table over the labels 1, a, b, c with up to three planted
     entries, each a bad key, a bad label or multiplicity, a zero, an empty
-    row, 2**63 - 1 or an int subclass, at a random place in table order."""
+    row, a row that is not a dict, 2**63 - 1 or an int subclass, at a random
+    place in table order."""
     labels = ("1", "a", "b", "c")
     pairs = draw(st.lists(st.tuples(*[st.sampled_from(labels)] * 2), max_size=8, unique=True))
     items = [(key, {k: draw(st.integers(0, 4)) for k in draw(st.sets(st.sampled_from(labels)))})
              for key in pairs]
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(("key", "entry", "good", "empty")))
-        if kind in ("key", "empty"):
+        kind = draw(st.sampled_from(("key", "entry", "good", "empty", "row")))
+        if kind in ("key", "empty", "row"):
             key = draw(st.sampled_from(_BAD_KEYS)) if kind == "key" else \
                 (draw(st.sampled_from(labels)), draw(st.sampled_from(labels)))
-            items.insert(draw(st.integers(0, len(items))), (key, {} if kind == "empty" else {"a": 1}))
-        elif items:
-            key, row = items[draw(st.integers(0, len(items) - 1))]
+            row = {"a": 1} if kind == "key" else {} if kind == "empty" else \
+                draw(st.sampled_from(_ROWS))
+            items.insert(draw(st.integers(0, len(items))), (key, row))
+        elif rows := [row for _, row in items if type(row) is dict]:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
             k, n = draw(st.sampled_from(_BAD_ENTRIES if kind == "entry" else _GOOD_ENTRIES))
             old, at = list(row.items()), draw(st.integers(0, len(row)))
             row.clear()
@@ -197,6 +208,12 @@ def test_each_planted_entry_alone_matches_oracle(entry):
 def test_each_planted_key_alone_matches_oracle(key):
     _assert_constructor_matches_oracle(("1", "a", "b", "c"),
                                        {**_unit_rows(("1", "a"), "1"), key: {"a": 1}})
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=repr)
+def test_each_planted_row_alone_matches_oracle(row):
+    _assert_constructor_matches_oracle(("1", "a", "b", "c"),
+                                       {**_unit_rows(("1", "a"), "1"), ("a", "b"): row})
 
 
 @given(_planted_tables())
@@ -494,6 +511,19 @@ def test_multiplicity_bound():
     assert check_multiplicity_bound(_ising(), {"1": 1, "e": 1, "s": 1})
     assert not check_multiplicity_bound(_ising(), {"1": 4})
     assert not check_multiplicity_bound(_ising(), {"s": 2})
+
+
+@pytest.mark.parametrize("word, bounded", [
+    ("l1*l1", True), ("l1*l2", True), ("l2*l2", True),
+    # a longer word: 2*l0 + 2*l2, and d(l0) = 1 < 2
+    ("l1*l1*l1*l1", False),
+])
+def test_multiplicity_bound_holds_for_products_of_two_labels_only(word, bounded):
+    ring = catalog.builtin("su2", 2)
+    dec = decompose(ring, word)
+    if word == "l1*l1*l1*l1":
+        assert dec == {"l0": 2, "l2": 2}
+    assert check_multiplicity_bound(ring, dec) is bounded
 
 
 @given(st.sampled_from(
