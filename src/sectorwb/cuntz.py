@@ -21,11 +21,14 @@ when u2 is a prefix of v1 it is (u1, v2 + rest of v1), and otherwise it
 is 0.  A product looks the telescoping pairs up instead of comparing
 every pair with every pair: the left factor is indexed by its v, and each
 pair of the right factor finds the v that are prefixes of its u and the v
-that extend it.  rho uses rho(u v^*) = rho(u) rho(v)^*: the v belonging
-to one u are summed on their prefix trie in Horner form, sum_g rho(g)
-(sum over the subtree below g), and then the u likewise, so each
-generator image multiplies once per trie edge, through an index built
-once per image and set of constants.  CuntzExpr holds exactly this dict:
+that extend it.  The rows of the empty v, a prefix of every u, are kept
+apart and taken first, and a u longer than the longest v skips the
+lookups of equal and longer v, which cannot match.  rho uses
+rho(u v^*) = rho(u) rho(v)^*: the v belonging to one u are summed on
+their prefix trie in Horner form, sum_g rho(g) (sum over the subtree
+below g), and then the u likewise, so each generator image multiplies
+once per trie edge, through an index built once per image and set of
+constants.  CuntzExpr holds exactly this dict:
 its constructor checks and reduces atom words into it, every operation
 stays on pairs, and ``terms`` reads it back with atom-word keys, so there
 is no separate normalization step.
@@ -88,9 +91,9 @@ class CuntzExpr:
 
     @classmethod
     def _of(cls, pairs: Terms) -> "CuntzExpr":
-        """Wrap a pair dict that is already in normal form."""
+        """Wrap (and keep) a pair dict in normal form, minus exact zeros."""
         e = object.__new__(cls)
-        e._terms = {key: c for key, c in pairs.items() if c != 0}
+        e._terms = {key: c for key, c in pairs.items() if c != 0} if 0 in pairs.values() else pairs
         return e
 
     @property
@@ -105,13 +108,21 @@ class CuntzExpr:
         return isinstance(other, CuntzExpr) and self._terms == other._terms
 
     def __add__(self, other: "CuntzExpr") -> "CuntzExpr":
+        if not isinstance(other, CuntzExpr):
+            return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0j) + c
         return CuntzExpr._of(out)
 
     def __sub__(self, other: "CuntzExpr") -> "CuntzExpr":
-        return self + (-1) * other
+        """self + (-1) * other in one pass, with the products of scale(-1)."""
+        if not isinstance(other, CuntzExpr):
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0j) + complex(-1) * c
+        return CuntzExpr._of(out)
 
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
@@ -127,6 +138,8 @@ class CuntzExpr:
         return self.scale(-1)
 
     def scale(self, c) -> "CuntzExpr":
+        if isinstance(c, str):
+            raise TypeError(f"cannot scale by the string {c!r}")
         c = complex(c)
         return CuntzExpr._of({key: c * v for key, v in self._terms.items()})
 
@@ -158,12 +171,18 @@ def _gens(x: Code) -> Gens:
     return tuple(x >> s & 3 for s in range(x.bit_length() - 3, -1, -2))
 
 
-def _relabel(x: Code, perm: Gens) -> Code:
-    """The word code x with each generator g replaced by perm[g]."""
-    y = 1
-    for s in range(x.bit_length() - 3, -1, -2):
-        y = y << 2 | perm[x >> s & 3]
-    return y
+def _relabel(x: Code, shift: int) -> Code:
+    """The word code x with S0 fixed and each T_i replaced by T_{i+shift},
+    every digit (h, l) at once: a shift of 1 maps the digits 0, 1, 2, 3 to
+    0, 2, 3, 1, which is (h ^ l, h), and 2 maps them to (l, h ^ l)."""
+    top = 1 << x.bit_length() - 1
+    low = (top - 1) // 3  # the low bit of every digit
+    lo, hi = x & low, x >> 1 & low
+    if shift % 3 == 1:
+        return top | (hi ^ lo) << 1 | hi
+    if shift % 3 == 2:
+        return top | lo << 1 | hi ^ lo
+    return x
 
 
 def _split(word: Word) -> Optional[Pair]:
@@ -222,16 +241,18 @@ def _atoms(u: Code, v: Code) -> Word:
 
 
 Rows = List[Tuple[Code, complex]]
-Index = Tuple[Dict[Code, Rows], Dict[Code, List[Tuple[int, int, Rows]]], Tuple[int, ...]]
+Index = Tuple[Dict[Code, Rows], Dict[Code, List[Tuple[int, int, Rows]]], Tuple[int, ...], Rows, int]
 
 
 def _index(a: Terms) -> Index:
     """Index a left factor by its v for _mul_into.
 
-    Gives (exact, longer, lengths): exact maps each v to its rows (u, c),
-    longer maps each proper prefix p of a v to the triples (shift, rest,
-    rows of v) of the v that extend it, where v = p << shift | rest, and
-    lengths lists the lengths of the v in increasing order.
+    Gives (exact, longer, lengths, empty, longest): exact maps each v to
+    its rows (u, c), longer maps each proper prefix p of a v to the
+    triples (shift, rest, rows of v) of the v that extend it, where
+    v = p << shift | rest, lengths lists the nonzero lengths of the v in
+    increasing order, empty is exact[1] (or []), and longest is the length
+    of the longest v (-1 when a is 0).
     """
     exact: Dict[Code, Rows] = {}
     for (u1, v1), c1 in a.items():
@@ -240,7 +261,9 @@ def _index(a: Terms) -> Index:
     for v1, rows in exact.items():
         for shift in range(v1.bit_length() - 1, 0, -2):
             longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
-    return exact, longer, tuple(sorted({(v.bit_length() - 1) >> 1 for v in exact}))
+    lengths = sorted({(v.bit_length() - 1) >> 1 for v in exact})
+    return (exact, longer, tuple(n for n in lengths if n), exact.get(1, []),
+            lengths[-1] if lengths else -1)
 
 
 def _mul_into(out: Terms, index: Index, b: Terms) -> None:
@@ -248,12 +271,20 @@ def _mul_into(out: Terms, index: Index, b: Terms) -> None:
 
     Each pair of b meets only the pairs of a whose middle block v1^* u2
     telescopes: those whose v1 is a prefix of u2, found by looking up the
-    prefixes of u2 at the lengths a's v take, and those whose v1 properly
-    extends u2.
+    prefixes of u2 at the lengths a's v take, and those whose v1 extends
+    u2.  The empty v is a prefix of every nonempty u2, so its rows are
+    taken first without a lookup; a u2 longer than a's longest v equals
+    and extends none of them, so it skips those two lookups.
     """
-    exact, longer, lengths = index
+    exact, longer, lengths, empty, longest = index
+    get = out.get
     for (u2, v2), c2 in b.items():
         m = (u2.bit_length() - 1) >> 1
+        if m and empty:
+            s, tail = 2 * m, u2 ^ 1 << 2 * m  # u2 without its leading bit
+            for u1, c1 in empty:
+                key = (u1 << s | tail, v2)
+                out[key] = get(key, 0j) + c1 * c2
         for n in lengths:
             if n >= m:
                 break
@@ -263,15 +294,21 @@ def _mul_into(out: Terms, index: Index, b: Terms) -> None:
                 tail = u2 & (1 << s) - 1
                 for u1, c1 in rows:
                     key = (u1 << s | tail, v2)
-                    out[key] = out.get(key, 0j) + c1 * c2
+                    out[key] = get(key, 0j) + c1 * c2
+        if m > longest:
+            continue
         # only when v1 = u2 can both sides end in T2; see _add_pair
         for u1, c1 in exact.get(u2, ()):
-            _add_pair(out, u1, v2, c1 * c2)
+            if u1 & v2 & 3 == 3:
+                _add_pair(out, u1, v2, c1 * c2)
+            else:
+                key = (u1, v2)
+                out[key] = get(key, 0j) + c1 * c2
         for shift, rest, rows in longer.get(u2, ()):
             v = v2 << shift | rest
             for u1, c1 in rows:
                 key = (u1, v)
-                out[key] = out.get(key, 0j) + c1 * c2
+                out[key] = get(key, 0j) + c1 * c2
 
 
 def _adjoint(a: Terms) -> Terms:
@@ -532,9 +569,9 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     formed, and then the sum over u of rho(u) Z_u on the trie of the u.
     """
     c = constants or _STANDARD
-    if c not in _IMAGE_CACHE:
-        _IMAGE_CACHE[c] = {g: _index(x._terms) for g, x in rho_images(c).items()}
-    img = _IMAGE_CACHE[c]
+    img = _IMAGE_CACHE.get(c)
+    if img is None:
+        img = _IMAGE_CACHE[c] = {g: _index(x._terms) for g, x in rho_images(c).items()}
     by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
     for (u, v), coeff in e._terms.items():
         by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
@@ -545,13 +582,19 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
 def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:
     """The automorphism fixing S0 and cycling T_i -> T_{i+shift} (default 2).
 
-    Relabelling can make u and v both end in T2, so each pair is re-added
-    through the completeness expansion.
+    Relabelling can make u and v both end in T2, so such a pair is re-added
+    through the completeness expansion.  A shift that is not an int (a bool
+    included) raises ValueError.
     """
-    perm = (0,) + tuple(_t(i + shift) for i in range(3))
+    if type(shift) is not int:
+        raise ValueError(f"alpha shift must be an int, got {shift!r}")
     out: Terms = {}
     for (u, v), c in e._terms.items():
-        _add_pair(out, _relabel(u, perm), _relabel(v, perm), c)
+        u, v = _relabel(u, shift), _relabel(v, shift)
+        if u & v & 3 == 3:
+            _add_pair(out, u, v, c)
+        else:
+            out[u, v] = out.get((u, v), 0j) + c
     return CuntzExpr._of(out)
 
 

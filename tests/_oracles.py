@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Eight families:
+Nothing here imports sectorwb.  Nine families:
 
   * the float angle formulas as angles.py once wrote them inline, for
     bit-for-bit cross-checking of the functions that now share one
@@ -18,6 +18,10 @@ Nothing here imports sectorwb.  Eight families:
     cross-checking the reduction in the CuntzExpr constructor and
     rho_apply(), and a generator relabelling
     for mutation experiments on the Haagerup relation checks;
+  * the Cuntz pair engine with a product that looks u2's prefixes up at
+    every length of the left factor's v and a relabelling digit by digit,
+    in the library's loop and summation order, for bit-for-bit
+    cross-checking of products, rho_apply(), alpha_apply() and differences;
   * an entry-by-entry fusion-axiom validator and a power-iteration
     PF-dimension solver, for cross-checking validate_ring() and
     pf_dimensions();
@@ -417,6 +421,128 @@ def permute_t(e, perm):
     for w, c in e.terms.items():
         out[tuple((g if g == 0 else perm[g - 1] + 1, adj) for g, adj in w)] = c
     return type(e)(out)
+
+
+# ---------------------------------------------------------------------------
+# Cuntz pairs, every prefix length looked up
+#
+# Pair dicts {(u, v): c} standing for sum c u v^*, with each plain word an
+# int: a leading 1 bit and one two-bit digit per generator (S0 = 0, T0 = 1,
+# T1 = 2, T2 = 3).  A product looks up u2's prefix at every length the left
+# factor's v take, the empty v included, and then u2 itself and its
+# extensions whatever u2's length; each match is summed in the same order
+# as the library's, so coefficients, signed zeros and key order must agree
+# bit for bit.
+
+
+def pairs_add(out, u, v, c):
+    """Accumulate c u v^*, expanding junction T2 T2^* pairs by completeness."""
+    while u & v & 3 == 3:
+        u, v = u >> 2, v >> 2
+        for x in range(3):
+            key = (u << 2 | x, v << 2 | x)
+            out[key] = out.get(key, 0j) - c
+    key = (u, v)
+    out[key] = out.get(key, 0j) + c
+
+
+def pairs_index(a):
+    exact = {}
+    for (u1, v1), c1 in a.items():
+        exact.setdefault(v1, []).append((u1, c1))
+    longer = {}
+    for v1, rows in exact.items():
+        for shift in range(v1.bit_length() - 1, 0, -2):
+            longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
+    return exact, longer, tuple(sorted({(v.bit_length() - 1) >> 1 for v in exact}))
+
+
+def pairs_mul_into(out, index, b):
+    exact, longer, lengths = index
+    for (u2, v2), c2 in b.items():
+        m = (u2.bit_length() - 1) >> 1
+        for n in lengths:
+            if n >= m:
+                break
+            s = 2 * (m - n)
+            rows = exact.get(u2 >> s)
+            if rows:
+                tail = u2 & (1 << s) - 1
+                for u1, c1 in rows:
+                    key = (u1 << s | tail, v2)
+                    out[key] = out.get(key, 0j) + c1 * c2
+        for u1, c1 in exact.get(u2, ()):
+            pairs_add(out, u1, v2, c1 * c2)
+        for shift, rest, rows in longer.get(u2, ()):
+            v = v2 << shift | rest
+            for u1, c1 in rows:
+                key = (u1, v)
+                out[key] = out.get(key, 0j) + c1 * c2
+
+
+def _nonzero(terms):
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def pairs_mul(a, b):
+    out = {}
+    pairs_mul_into(out, pairs_index(a), b)
+    return _nonzero(out)
+
+
+def _pairs_adjoint(a):
+    return {(v, u): c.conjugate() for (u, v), c in a.items()}
+
+
+def _pairs_rho_sum(items, depth, img):
+    out = {}
+    children = {}
+    for w, x in items:
+        s = w.bit_length() - 3 - 2 * depth
+        if s < 0:
+            for key, c in x.items():
+                out[key] = out.get(key, 0j) + c
+        else:
+            children.setdefault(w >> s & 3, []).append((w, x))
+    for g, sub in children.items():
+        pairs_mul_into(out, img[g], _pairs_rho_sum(sub, depth + 1, img))
+    return out
+
+
+def pairs_rho(terms, images):
+    """rho(u v^*) = rho(u) rho(v)^* on the prefix tries of the v and then the
+    u, given the generator images as pair dicts."""
+    img = {g: pairs_index(x) for g, x in images.items()}
+    by_u = {}
+    for (u, v), coeff in terms.items():
+        by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
+    items = [(u, _pairs_adjoint(_pairs_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
+    return _nonzero(_pairs_rho_sum(items, 0, img))
+
+
+def relabel_digits(x, perm):
+    """The word code x with each generator g replaced by perm[g], digit by digit."""
+    y = 1
+    for s in range(x.bit_length() - 3, -1, -2):
+        y = y << 2 | perm[x >> s & 3]
+    return y
+
+
+def pairs_alpha(terms, shift):
+    """S0 fixed and T_i -> T_{i+shift}, every pair re-added by completeness."""
+    perm = (0,) + tuple((i + shift) % 3 + 1 for i in range(3))
+    out = {}
+    for (u, v), c in terms.items():
+        pairs_add(out, relabel_digits(u, perm), relabel_digits(v, perm), c)
+    return _nonzero(out)
+
+
+def pairs_sub(x, y):
+    """x + (-1) y: y scaled by complex(-1), then added to x pair by pair."""
+    out = dict(x)
+    for key, c in _nonzero({key: complex(-1) * c for key, c in y.items()}).items():
+        out[key] = out.get(key, 0j) + c
+    return _nonzero(out)
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,10 @@ def test_the_angle_rule_fixes_the_index_relation():
 
 def test_class_iv_record_keeps_both_candidates():
     rec = class_iv_record()
-    assert "ambiguous" not in rec._fields
+    assert rec._fields == ("mp_candidates", "checks")
     low, high = rec.mp_candidates
-    assert high - low == 1
+    assert high == 1 + low
+    assert [row.name for row in rec.checks] == ["dimension_equation", "index_bound"]
     assert all(row.passed for row in rec.checks)
     assert float(low) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
 
@@ -130,7 +131,7 @@ def test_class_iv_record_keeps_both_candidates():
 def test_haagerup_d_is_the_catalog_value():
     # classify reads d from the catalog; cuntz keeps its own copy, which must agree
     d = catalog.dimensions("haagerup_even")["r"]
-    assert class_iv_record().d_eta == d == cuntz._D_EXACT == quad("3/2", "1/2", 13)
+    assert class_iv_record().mp_candidates[0] == d == cuntz._D_EXACT == quad("3/2", "1/2", 13)
 
 
 def test_render_is_deterministic():

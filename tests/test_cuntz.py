@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import re
 from functools import lru_cache
 
@@ -193,6 +194,34 @@ def test_expr_algebra():
     assert (2 * a).terms == a.scale(2).terms
 
 
+@pytest.mark.parametrize("shift", [1.5, True, False, 2.0, "1", None])
+def test_alpha_refuses_a_shift_that_is_not_an_int(shift):
+    # 1.5 used to fail inside the relabelling, True acted as 1, and the zero
+    # element has no pair to relabel, so the check comes before any work
+    for e in (T0, zero()):
+        with pytest.raises(ValueError, match=re.escape(f"alpha shift must be an int, got {shift!r}")):
+            alpha_apply(e, shift)
+
+
+@pytest.mark.parametrize("other", [1, 0, 1.0, 1j, None, "T0", (), {}])
+def test_sums_refuse_operands_that_are_not_expressions(other):
+    # e + 1 used to raise AttributeError on the int's missing _terms
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(T0, other)
+        with pytest.raises(TypeError):
+            op(other, T0)
+
+
+def test_scale_refuses_strings():
+    # complex("2") parses, so T0 * "2" used to scale by 2
+    for scaled in (lambda: T0 * "2", lambda: "2" * T0, lambda: T0.scale("2"),
+                   lambda: zero().scale("x")):
+        with pytest.raises(TypeError, match="cannot scale by the string"):
+            scaled()
+    assert (T0 * 2).terms == T0.scale(2.0).terms == {((1, False),): 2}
+
+
 def test_constants_satisfy_quadratic():
     c = haagerup_constants()
     assert abs(c.B * c.B - c.B + c.d) < 1e-12
@@ -220,8 +249,12 @@ def test_constants_key_the_image_cache():
     # the product of images built from scratch, and the index holds their terms
     fresh = rho_images(c)
     assert rho_apply(T0 * S0.adjoint(), c) == fresh[1] * fresh[0].adjoint()
-    for g, (exact, longer, _) in cuntz._IMAGE_CACHE[c].items():
+    for g, (exact, longer, lengths, empty, longest) in cuntz._IMAGE_CACHE[c].items():
         assert {(u, v): x for v, rows in exact.items() for u, x in rows} == fresh[g]._terms
+        # the empty v's rows are exact's, and the lengths are those of the other v
+        assert empty == exact.get(1, [])
+        assert lengths == tuple(sorted({(v.bit_length() - 1) >> 1 for v in exact} - {0}))
+        assert longest == max((v.bit_length() - 1) >> 1 for v in exact)
         # and each longer entry rebuilds a v of exact from its prefix
         for prefix, extensions in longer.items():
             for shift, rest, rows in extensions:
@@ -452,3 +485,86 @@ def test_rho_on_long_words_matches_oracle(perm, terms):
         mp.setitem(cuntz._IMAGE_CACHE, key,
                    {g: cuntz._index(x._terms) for g, x in images.items()})
         assert _max_diff(rho_apply(CuntzExpr(terms), key), ref) <= 1e-12
+
+
+# bit-for-bit agreement with the pair engine in _oracles, which looks u2's
+# prefix up at every length of the left factor's v and relabels digit by
+# digit: the same keys in the same order, and the same bits in both parts
+# of every coefficient, signed zeros included
+
+_PAIR_IMAGES = {g: x._terms for g, x in rho_images().items()}
+_ATOMS = tuple((g, adj) for g in range(4) for adj in (False, True))
+
+
+def _bits(terms):
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in terms.items()]
+
+
+@lru_cache(maxsize=None)
+def _rho3_pairs():
+    """rho^3 of S0, T0, T1, T2 from the library and from the oracle."""
+    out = []
+    for g in gens():
+        e, ref = g, g._terms
+        for _ in range(3):
+            e, ref = rho_apply(e), _oracles.pairs_rho(ref, _PAIR_IMAGES)
+        out.append((e, ref))
+    return out
+
+
+def test_rho_cubed_is_bit_identical_to_the_pair_oracle():
+    rho3 = _rho3_pairs()
+    assert [len(e) for e, _ in rho3] == [378, 1300, 1303, 1305]
+    for e, ref in rho3:
+        assert _bits(e._terms) == _bits(ref)
+        s0 = cuntz.gen_expr(0)
+        assert _bits((e * s0)._terms) == _bits(_oracles.pairs_mul(ref, s0._terms))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rho_and_rho_squared_of_short_words_are_bit_identical_to_the_pair_oracle(n):
+    for w in itertools.product(_ATOMS, repeat=n):
+        for c in (1.0, -0.5 + 2j):
+            e = CuntzExpr({w: c})
+            ref = e._terms
+            for _ in range(2):
+                e, ref = rho_apply(e), _oracles.pairs_rho(ref, _PAIR_IMAGES)
+                assert _bits(e._terms) == _bits(ref), w
+
+
+def test_alpha_is_bit_identical_to_the_pair_oracle():
+    rho2_t2 = rho_apply(rho_apply(T2 * T0.adjoint()))
+    for e in [g for g in gens()] + [rho2_t2] + [e for e, _ in _rho3_pairs()]:
+        for shift in range(-1, 5):
+            assert _bits(alpha_apply(e, shift)._terms) == _bits(_oracles.pairs_alpha(e._terms, shift))
+
+
+def test_relabel_matches_the_digit_loop_on_every_short_word():
+    # every word of up to 8 generators: the codes below 2 * 4^8 of odd bit length
+    perms = {shift: (0,) + tuple((i + shift) % 3 + 1 for i in range(3)) for shift in range(-1, 5)}
+    for x in range(1, 2 * 4 ** 8):
+        if x.bit_length() % 2:
+            for shift, perm in perms.items():
+                assert cuntz._relabel(x, shift) == _oracles.relabel_digits(x, perm)
+
+
+def test_difference_is_bit_identical_to_adding_the_negation():
+    (s0, _), (t0, _), (t1, _), (t2, _) = _rho3_pairs()
+    # x - y subtracting c directly would give the pair T0 a real part of -0.0
+    signed = (CuntzExpr._of({(5, 1): complex(-0.0, 1.0)}), CuntzExpr._of({(5, 1): complex(0.0, -1.0)}))
+    for x, y in ((t0, t1), (t1, t0), (t2, s0), (s0, t2), (T0, T0 * T1.adjoint()), signed):
+        diff = x - y
+        assert _bits(diff._terms) == _bits((x + (-1) * y)._terms)
+        assert _bits(diff._terms) == _bits(_oracles.pairs_sub(x._terms, y._terms))
+
+
+def test_exact_cancellations_leave_no_zero_pair():
+    # CuntzExpr._of copies a pair dict only when a coefficient is exactly 0
+    assert T0 - T0 == zero() and len(T0 - T0) == 0
+    assert (T0 + (-1) * T0)._terms == {}
+    # T0^* T0 = 1 and T1^* (-T1) = -1 cancel on the pair (1, 1)
+    left = T0.adjoint() + T1.adjoint()
+    assert (left * (T0 - T1))._terms == {}
+    product = left * (T0 - T1 + T0 * S0)
+    assert product == S0 and 0 not in product._terms.values()
+    assert alpha_apply(T0 - T0, 1) == zero()
