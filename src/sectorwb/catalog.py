@@ -13,12 +13,11 @@ on every call; rings read from files are validated as they load.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .fusion import FusionRing, parse_sector_expr, validate_ring
-from .scalar import QuadExt, quad
+from .scalar import QuadExt, qint, quad
 
 
 class RingFormatError(ValueError):
@@ -194,14 +193,14 @@ def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
 def float_dimensions(key: str, k: Optional[int] = None) -> Tuple[str, Dict[str, float]]:
     """The name of ``builtin(key, k)`` and float dimensions of all its labels, after
     the checks of :func:`builtin` but building no su2 ring: the exact :func:`dimensions`
-    of a fixed ring, sin((j+1) pi/n) / sin(pi/n) with n = k + 2 for l_j of su2."""
+    of a fixed ring, the quantum integer [j+1] = sin((j+1) pi/n) / sin(pi/n) with
+    n = k + 2 for l_j of su2."""
     entry = _entry(key)
     _check_level(entry, k)
     if not entry.parametrized:
         return key, {lab: float(d) for lab, d in dimensions(key).items()}
     n = k + 2
-    return _SU2_NAME.format(k), {f"l{j}": math.sin((j + 1) * math.pi / n) / math.sin(math.pi / n)
-                                 for j in range(k + 1)}
+    return _SU2_NAME.format(k), {f"l{j}": qint(j + 1, n) for j in range(k + 1)}
 
 
 def builtin_keys() -> List[str]:

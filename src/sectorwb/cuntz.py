@@ -72,11 +72,13 @@ class CuntzSyntaxError(ValueError):
 
 
 class CuntzExpr:
-    """Immutable complex-linear combination of Cuntz words, held in normal form.
+    """Immutable linear combination of Cuntz words, held in normal form.
 
     The constructor takes a dict from atom words to coefficients and reduces
     it at once; ``terms`` gives the normal form back with atom-word keys.
     So ``==`` and ``len`` describe the element, not how it was written.
+    Coefficients are kept as given (a string raises TypeError); sums start
+    from ``0j``, so an exact type that adds to ``0j`` stays exact.
     """
 
     __slots__ = ("_terms",)
@@ -84,9 +86,11 @@ class CuntzExpr:
     def __init__(self, terms: Optional[Dict[Word, complex]] = None):
         pairs: Terms = {}
         for w, c in (terms or {}).items():
+            if isinstance(c, str):
+                raise TypeError(f"a coefficient cannot be the string {c!r}")
             p = _split(w)
             if c != 0 and p is not None:
-                _add_pair(pairs, p[0], p[1], complex(c))
+                _add_pair(pairs, p[0], p[1], c)
         self._terms = {key: c for key, c in pairs.items() if c != 0}
 
     @classmethod
@@ -121,7 +125,7 @@ class CuntzExpr:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0j) + complex(-1) * c
+            out[key] = out.get(key, 0j) + -1 * c
         return CuntzExpr._of(out)
 
     def __mul__(self, other):
@@ -140,7 +144,6 @@ class CuntzExpr:
     def scale(self, c) -> "CuntzExpr":
         if isinstance(c, str):
             raise TypeError(f"cannot scale by the string {c!r}")
-        c = complex(c)
         return CuntzExpr._of({key: c * v for key, v in self._terms.items()})
 
     def adjoint(self) -> "CuntzExpr":
@@ -152,13 +155,13 @@ def zero() -> CuntzExpr:
 
 
 def one() -> CuntzExpr:
-    return CuntzExpr({(): 1.0 + 0j})
+    return CuntzExpr({(): 1})
 
 
 def gen_expr(idx: int, adj: bool = False) -> CuntzExpr:
     """The generator idx (0..3 for S0, T0, T1, T2), or its adjoint; the
     constructor refuses any other index and an adj that is not a bool."""
-    return CuntzExpr({((idx, adj),): 1.0 + 0j})
+    return CuntzExpr({((idx, adj),): 1})
 
 
 def gens() -> Tuple[CuntzExpr, CuntzExpr, CuntzExpr, CuntzExpr]:
@@ -487,25 +490,22 @@ def haagerup_constants(a12: Optional[complex] = None) -> HaagerupConstants:
     """Standard constants, or a variant with A(1,2) overridden.
 
     Overriding keeps A(2,1) = conj(A(1,2)); it exists for sensitivity
-    experiments on the relation checks.  A non-finite A(1,2) raises
-    ValueError.
+    experiments on the relation checks, and is kept as given: a non-finite
+    A(1,2) raises ValueError, a string TypeError.  The standard one is
+    (1 + sqrt(1-4d)) / (2(d-1)), which is B/(d-1).
     """
     d = float(_D_EXACT)
-    sqrt_d = math.sqrt(d)
-    sqrt_4d1 = math.sqrt(4 * d - 1)
     if a12 is None:
-        a12 = (1 + sqrt_4d1 * 1j) / (2 * (d - 1))
-    else:
-        a12 = complex(a12)
-        if not cmath.isfinite(a12):
-            raise ValueError(f"A(1,2) must be finite, got {a12}")
+        a12 = (1 + cmath.sqrt(1 - 4 * d)) / (2 * (d - 1))
+    elif not cmath.isfinite(a12):
+        raise ValueError(f"A(1,2) must be finite, got {a12}")
     off = -1 / (d - 1)
     A = (
-        (complex(1 - 1 / (d - 1)), complex(off), complex(off)),
-        (complex(off), complex(off), a12),
-        (complex(off), a12.conjugate(), complex(off)),
+        (1 + off, off, off),
+        (off, off, a12),
+        (off, a12.conjugate(), off),
     )
-    return HaagerupConstants(d, sqrt_d, A, (d - 1) * a12)
+    return HaagerupConstants(d, math.sqrt(d), A, (d - 1) * a12)
 
 
 _STANDARD = haagerup_constants()
@@ -527,7 +527,7 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
     for i in range(3):
         terms = {
             ((0, False), (_t(-i), True)): 1 / c.sqrt_d,
-            ((_t(-i), False), (0, False), (0, True)): 1.0 + 0j,
+            ((_t(-i), False), (0, False), (0, True)): 1,
         }
         for j in range(3):
             for k in range(3):
@@ -684,12 +684,11 @@ class QSystemSolution(NamedTuple):
 def _qsystem_residuals(a: complex, b: complex, c: HaagerupConstants) -> Dict[str, float]:
     d = c.d
     s = math.sqrt(d - 1)
-    a12 = c.A[1][2]
     return {
         "s0_component": abs(a * a + s * a * b - 1 / c.sqrt_d),
         "t0_component": abs(a * b - b * b / s - math.sqrt((d - 1) / d)),
-        "t1_component": abs(a * a - a * b / s - a12 * b * b),
-        "t2_component": abs(a * b + (1 + (d - 1) * a12) / s ** 3 * b * b),
+        "t1_component": abs(a * a - a * b / s - c.A[1][2] * b * b),
+        "t2_component": abs(a * b + (1 + c.B) / s ** 3 * b * b),
     }
 
 
@@ -701,24 +700,20 @@ def solve_qsystem(
 
     b^2 = -(d-1)^2 / ((B+d) sqrt(d)) and a = -(B+1) b / (d-1)^{3/2}; the
     solutions satisfy |a|^2 = 1/d and |b|^2 = (d-1)/d, so |a|^2+|b|^2 = 1.
-    A residual or norm defect of at least ``tol`` raises
-    QSystemError: the constants are corrupted, or ``tol`` is below the
-    rounding error.
+    Each equation is even in (a, b), so both carry the residuals of (a, b),
+    in dicts of their own.  A residual or norm defect of at least ``tol``
+    raises QSystemError: the constants are corrupted, or ``tol`` is below
+    the rounding error.
     """
     c = constants or _STANDARD
     d = c.d
     b_sq = -((d - 1) ** 2) / ((c.B + d) * c.sqrt_d)
     b = cmath.sqrt(b_sq)
     a = -(c.B + 1) / (d - 1) ** 1.5 * b
-    out = []
-    for sign in (1, -1):
-        ai, bi = sign * a, sign * b
-        res = _qsystem_residuals(ai, bi, c)
-        sol = QSystemSolution(ai, bi, res)
-        if max(res.values()) >= tol or abs(sol.norm_sq - 1) >= tol:
-            raise QSystemError(
-                f"the coefficient system is not solved within tolerance {tol!r} "
-                f"(residuals {res}, |a|^2+|b|^2 = {sol.norm_sq})"
-            )
-        out.append(sol)
-    return (out[0], out[1])
+    sol = QSystemSolution(a, b, _qsystem_residuals(a, b, c))
+    if max(sol.residuals.values()) >= tol or abs(sol.norm_sq - 1) >= tol:
+        raise QSystemError(
+            f"the coefficient system is not solved within tolerance {tol!r} "
+            f"(residuals {sol.residuals}, |a|^2+|b|^2 = {sol.norm_sq})"
+        )
+    return sol, QSystemSolution(-a, -b, dict(sol.residuals))

@@ -252,8 +252,11 @@ def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
     only when the exact certificate of the module docstring proves it, which
     it does for commutative rings whose combination X has the unit as a
     cyclic vector; every other ring gets the n^5 check, so the reports do not
-    depend on whether the certificate applied.
+    depend on whether the certificate applied.  A ``max_reports`` that is
+    not an int >= 1 (a bool included) raises ValueError before any check.
     """
+    if type(max_reports) is not int or max_reports < 1:
+        raise ValueError(f"max_reports must be an int >= 1, got {max_reports!r}")
     return list(itertools.islice(_violations(ring), max_reports))
 
 

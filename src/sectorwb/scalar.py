@@ -24,6 +24,11 @@ from numbers import Rational
 EPS_ABS = 1e-9
 
 
+def qint(x: int, n: int) -> float:
+    """The quantum integer [x] = sin(x pi/n) / sin(pi/n), a float."""
+    return math.sin(x * math.pi / n) / math.sin(math.pi / n)
+
+
 def _is_square_free(m: int) -> bool:
     if m < 2:
         return False

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Tuple
 
 from .angles import AngleSpectrum
-from .scalar import Frozen
+from .scalar import Frozen, qint
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,7 @@ class ModularData(NamedTuple):
 
 def su2k_modular(k: int) -> ModularData:
     """S_ij = sqrt(2/(k+2)) sin((i+1)(j+1) pi/(k+2)) and d_i = S_0i/S_00."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("level k must be an integer >= 1")
     import numpy as np
 
@@ -202,10 +202,6 @@ class QSixJ(Frozen):
         return (self.j1, self.j2, self.j12, self.j3, self.j, self.j23)
 
 
-def _qint(x: int, M: int) -> float:
-    return math.sin(x * math.pi / M) / math.sin(math.pi / M)
-
-
 _QFACTS: Dict[int, List[float]] = {}
 
 
@@ -230,7 +226,7 @@ def _qfacts(M: int, top: int) -> List[float]:
         raise SixJDomainError("the root-of-unity order m must fit in a float")
     f = _QFACTS.setdefault(M, [1.0])
     while len(f) <= top:
-        x = f[-1] * _qint(len(f), M)
+        x = f[-1] * qint(len(f), M)
         if math.isinf(x):
             raise SixJDomainError(
                 f"q-factorial index {len(f)} overflows a float at m = {M // 2}"
@@ -279,7 +275,7 @@ def q6j(sym: QSixJ) -> complex:
             term /= f[Qi - t]
         total += term
     phase = (-1) ** Q[0]
-    scale = math.sqrt(_qint(a12 + 1, M) * _qint(a23 + 1, M))
+    scale = math.sqrt(qint(a12 + 1, M) * qint(a23 + 1, M))
     value = phase * scale * pre * total
     if not math.isfinite(value):
         raise SixJDomainError(f"the symbol overflows a float at m = {sym.m}")

@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Nine families:
+Nothing here imports sectorwb.  Ten families:
 
   * the float angle formulas as angles.py once wrote them inline, for
     bit-for-bit cross-checking of the functions that now share one
@@ -28,7 +28,9 @@ Nothing here imports sectorwb.  Nine families:
   * the entry-by-entry check and copy of a ring's tensor table (and of a
     ring file's ``"i,j"`` keys) and a dense table written entry by entry,
     for cross-checking the whole-table checks of the FusionRing
-    constructor and ring_from_dict(), and FusionRing.N.
+    constructor and ring_from_dict(), and FusionRing.N;
+  * exact Gaussian rationals, for running the Cuntz engine on a
+    coefficient type that does not round.
 """
 
 import cmath
@@ -421,6 +423,70 @@ def permute_t(e, perm):
     for w, c in e.terms.items():
         out[tuple((g if g == 0 else perm[g - 1] + 1, adj) for g, adj in w)] = c
     return type(e)(out)
+
+
+# ---------------------------------------------------------------------------
+# exact Gaussian rationals
+
+
+class GaussianRational:
+    """re + im*i with Fraction parts, an exact coefficient for CuntzExpr.
+
+    It mixes with ints, Fractions and a zero complex, the 0j that the
+    engine's sums start from.  Any other float or complex raises TypeError,
+    so a float that leaks into an exact computation fails instead of
+    rounding.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"a part must be an int or a Fraction, got {part!r}")
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def _lift(cls, x):
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, complex) and x == 0:
+            return cls()
+        return cls(x)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) + -self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return GaussianRational(self.re, -self.im)
+
+    def __eq__(self, other):
+        if not isinstance(other, (GaussianRational, int, Fraction)):
+            return NotImplemented
+        other = self._lift(other)
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re}, {self.im})"
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,10 @@ def test_qsystem_solutions():
             assert s.residuals[name] < 1e-9
     assert s2.a == -s1.a
     assert s2.b == -s1.b
+    # the residuals are evaluated once: each equation is even in (a, b), so
+    # evaluating it at (-a, -b) agrees bit for bit; each solution has its dict
+    assert s1.residuals == s2.residuals and s1.residuals is not s2.residuals
+    assert cuntz._qsystem_residuals(s2.a, s2.b, haagerup_constants()) == s2.residuals
 
 
 atoms = st.tuples(st.integers(min_value=0, max_value=3), st.booleans())
@@ -568,3 +572,49 @@ def test_exact_cancellations_leave_no_zero_pair():
     product = left * (T0 - T1 + T0 * S0)
     assert product == S0 and 0 not in product._terms.values()
     assert alpha_apply(T0 - T0, 1) == zero()
+
+
+# exact coefficients: the engine keeps the coefficient type it is given, so
+# on Gaussian rationals every relation below holds exactly, not to rounding
+Q = _oracles.GaussianRational
+parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+exact_coeffs = st.builds(Q, parts, parts)
+exact_raw = st.dictionaries(words.filter(lambda w: len(w) <= 3), exact_coeffs, max_size=3)
+
+
+def _exact(terms):
+    e = CuntzExpr(terms)
+    assert all(type(c) is Q for c in e.terms.values())
+    return e
+
+
+def test_exact_generators_satisfy_the_cuntz_relations_exactly():
+    one_q = _exact({(): Q(1)})
+    g = [_exact({((i, False),): Q(1)}) for i in range(4)]
+    completeness = g[0] * g[0].adjoint()
+    for x in g[1:]:
+        completeness = completeness + x * x.adjoint()
+    # a difference is zero() only when every pair cancelled to an exact 0
+    assert completeness - one_q == zero()
+    for x, y in itertools.product(range(4), repeat=2):
+        assert g[x].adjoint() * g[y] - (one_q if x == y else zero()) == zero()
+
+
+@given(exact_raw, exact_raw, exact_raw)
+def test_exact_coefficients_make_the_identities_exactly_zero(x, y, z):
+    x, y, z = _exact(x), _exact(y), _exact(z)
+    assert (x * y) * z - x * (y * z) == zero()
+    for shift in (1, 2):
+        assert alpha_apply(alpha_apply(alpha_apply(x, shift), shift), shift) - x == zero()
+    assert x.adjoint().adjoint() - x == zero()
+    assert (x * y).adjoint() - y.adjoint() * x.adjoint() == zero()
+    assert (x - y) - (x + (-1) * y) == zero()
+
+
+def test_constructor_and_constants_refuse_strings():
+    # complex("2") parses, so the constructor used to read "2" as 2
+    for word in (((1, False),), (), ((0, True), (1, False))):
+        with pytest.raises(TypeError, match="cannot be the string '2'"):
+            CuntzExpr({word: "2"})
+    with pytest.raises(TypeError):
+        haagerup_constants(a12="1+1j")

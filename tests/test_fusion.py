@@ -1,4 +1,5 @@
 import math
+import re
 from types import MappingProxyType
 
 import numpy as np
@@ -444,6 +445,11 @@ def test_validate_ring_stops_at_max_reports():
     for max_reports in (1, 2, 3):
         assert validate_ring(bad, max_reports) == full[:max_reports]
         assert _oracles.validate_ring_loops(bad, max_reports) == full[:max_reports]
+    # a cap of 0 used to call the ring valid, -1 failed inside islice, and
+    # True capped at one report
+    for max_reports in (0, -1, True, 2.0, None):
+        with pytest.raises(ValueError, match=re.escape(f"max_reports must be an int >= 1, got {max_reports!r}")):
+            validate_ring(bad, max_reports)
 
 
 def test_parse_and_decompose():

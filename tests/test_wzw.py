@@ -138,6 +138,26 @@ def test_q6j_trivial_and_inadmissible():
     assert q6j(QSixJ(9, Fraction(1, 2), 0, 0, 0, 0, 0)) == 0
 
 
+def test_su2k_modular_refuses_a_bool_level():
+    # True used to give ModularData with k = True; the catalog refuses it too
+    for k in (True, False, 0, 1.0):
+        with pytest.raises(ValueError, match="level k must be an integer >= 1"):
+            su2k_modular(k)
+        with pytest.raises(ValueError, match="requires an integer level k >= 1"):
+            catalog.float_dimensions("su2", k)
+
+
+def test_su2_float_dimensions_are_the_quantum_integers():
+    # the formula float_dimensions wrote inline, bit for bit, and the
+    # dimensions of the S-matrix
+    for k in (1, 2, 10, 40, 150):
+        n = k + 2
+        name, dims = catalog.float_dimensions("su2", k)
+        assert dims == {f"l{j}": math.sin((j + 1) * math.pi / n) / math.sin(math.pi / n)
+                        for j in range(k + 1)}
+        assert list(dims.values()) == pytest.approx(su2k_modular(k).d, rel=1e-12)
+
+
 def test_q6j_domain_errors():
     with pytest.raises(SixJDomainError):
         q6j(QSixJ(3, 2, 2, 2, 2, 2, 2))  # q-factorial past the vanishing integer
