@@ -207,10 +207,7 @@ def _wzw_6j(args):
         raise ValueError("exactly six spins are required")
     val = wzw.q6j(wzw.QSixJ(args.m, *spins))
     doc = {"m": args.m, "spins": [str(s) for s in spins], "value": _jcomplex(val)}
-    text = [f"value = {_fmt(val.real)}" +
-            (f" {'+' if val.imag >= 0 else '-'} {_fmt(abs(val.imag))}i"
-             if abs(val.imag) > 1e-14 else "")]
-    return 0, doc, text
+    return 0, doc, [f"value = {_fmt(val)}"]
 
 
 def _haagerup_verify(args):

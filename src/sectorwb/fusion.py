@@ -94,8 +94,9 @@ class FusionRing(Frozen):
 
     ``tensor`` maps (i, j) to {k: N(i,j,k)} with only positive entries stored;
     ``dual`` is total after construction (identity entries filled in).
-    ``N`` is the same table as a dense array, built on first use and kept in
-    the instance ``__dict__`` (so the class declares no ``__slots__``).
+    ``N`` is the same table as a dense array, and ``right_rows`` as lists
+    indexed by label position; each is built on first use and kept in the
+    instance ``__dict__`` (so the class declares no ``__slots__``).
     """
 
     _fields = ("name", "labels", "unit", "dual", "tensor")
@@ -163,6 +164,17 @@ class FusionRing(Frozen):
         dense[np.repeat((i * size + j) * size, counts) + ks] = values
         dense.flags.writeable = False
         return dense.reshape(size, size, size)
+
+    @cached_property
+    def right_rows(self) -> Dict[str, List[Tuple[Tuple[int, int], ...]]]:
+        """Right multiplication by each label b as rows indexed by label
+        position, built on first use: ``right_rows[b][index(i)]`` holds the
+        pairs (index(k), N(i,b,k)) of the positive entries."""
+        pos, size = self._pos, len(self.labels)
+        rows = {lab: [()] * size for lab in self.labels}
+        for (i, b), row in self.tensor.items():
+            rows[b][pos[i]] = tuple(zip(map(pos.__getitem__, row), row.values()))
+        return rows
 
     # -- access -------------------------------------------------------------
 
@@ -397,28 +409,37 @@ def pf_dimensions(ring: FusionRing) -> Dict[str, float]:
     return dict(zip(ring.labels, (perron / perron[ring.index(ring.unit)]).tolist()))
 
 
-def _mul_label(ring: FusionRing, vec: Mapping[str, int], lab: str) -> Dict[str, int]:
-    out: Dict[str, int] = {}
+def _times(vec: Dict[int, int], rows: Sequence[Tuple[Tuple[int, int], ...]]) -> Dict[int, int]:
+    """A multiplicity vector {label position: n > 0} times one label, given
+    as that label's :attr:`FusionRing.right_rows`."""
+    out: Dict[int, int] = {}
     for i, mult in vec.items():
-        for k, n in ring.tensor.get((i, lab), {}).items():
+        for k, n in rows[i]:
             out[k] = out.get(k, 0) + mult * n
     return out
 
 
-def decompose(ring: FusionRing, text: str) -> MultVector:
-    """Reduce sector-expression text to irreducible multiplicities.
+def _mul_label(ring: FusionRing, vec: Mapping[str, int], lab: str) -> Dict[str, int]:
+    """A decomposition times one label, in label order."""
+    out = _times({ring.index(i): n for i, n in vec.items()}, ring.right_rows[lab])
+    return {ring.labels[k]: out[k] for k in sorted(out)}
 
-    Words reduce strictly left to right; associativity of a validated ring
-    makes the bracketing irrelevant.
+
+def decompose(ring: FusionRing, text: str) -> MultVector:
+    """Reduce sector-expression text to irreducible multiplicities, in label order.
+
+    Words reduce strictly left to right on vectors keyed by label position;
+    associativity of a validated ring makes the bracketing irrelevant.
     """
-    total: Dict[str, int] = {}
-    for coeff, word in parse_sector_expr(text, ring.labels):
-        vec: Dict[str, int] = {ring.unit: 1}
-        for lab in word:
-            vec = _mul_label(ring, vec, lab)
+    rows, unit, labels = ring.right_rows, ring.index(ring.unit), ring.labels
+    total: Dict[int, int] = {}
+    for coeff, word in parse_sector_expr(text, labels):
+        vec = dict(rows[word[0]][unit])  # the unit times the first label
+        for lab in word[1:]:
+            vec = _times(vec, rows[lab])
         for k, n in vec.items():
             total[k] = total.get(k, 0) + coeff * n
-    return {lab: total[lab] for lab in ring.labels if total.get(lab)}
+    return {labels[k]: total[k] for k in sorted(total)}
 
 
 def hom_dim(ring: FusionRing, x: str, y: str) -> int:

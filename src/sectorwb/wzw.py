@@ -36,10 +36,18 @@ class ModularData(NamedTuple):
         return float(np.sum(S[i] * S[j] * S[l] / S[0]))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_level(k) -> None:
+    if not _is_int(k) or k < 1:
+        raise ValueError("level k must be an integer >= 1")
+
+
 def su2k_modular(k: int) -> ModularData:
     """S_ij = sqrt(2/(k+2)) sin((i+1)(j+1) pi/(k+2)) and d_i = S_0i/S_00."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError("level k must be an integer >= 1")
+    _check_level(k)
     import numpy as np
 
     n = k + 2
@@ -58,8 +66,12 @@ def monodromy_ratio(k: int, i0: int, j: int) -> float:
     in the same order of operations, so no S-matrix is built.  A level or
     label product beyond float range raises ValueError, and so does a level
     so large that the product of S entries in the denominator underflows
-    to 0.
+    to 0.  So do a level that is not an int >= 1 and labels that are not
+    ints, a bool included, as in :func:`su2k_modular`.
     """
+    _check_level(k)
+    if not (_is_int(i0) and _is_int(j)):
+        raise ValueError("labels i0 and j must be integers")
     if not (0 <= i0 <= k and 0 <= j <= k):
         raise ValueError("labels must satisfy 0 <= i0, j <= k")
     n = k + 2
@@ -81,9 +93,14 @@ def alpha_induction_spectrum(k: int, i0: int, J: Iterable[int]) -> AngleSpectrum
     """Angle spectrum {arccos(monodromy_ratio(k, i0, j)) : j in J}.
 
     Ratios of 1 (angle 0) and 0 (angle pi/2) are dropped; J must contain 0
-    and stay within the level-k labels.
+    and stay within the level-k labels.  k, i0 and every j must be ints, not
+    bools, as in :func:`monodromy_ratio`.
     """
-    Jset = sorted(set(int(j) for j in J))
+    J = list(J)
+    _check_level(k)
+    if not all(map(_is_int, [i0, *J])):
+        raise ValueError("labels i0 and J must be integers")
+    Jset = sorted(set(J))
     if 0 not in Jset:
         raise ValueError("J must contain 0")
     if any(j < 0 or j > k for j in Jset):
@@ -173,7 +190,7 @@ class SixJDomainError(ValueError):
 
 
 def _half_int(x) -> Fraction:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     if f.numerator < 0 or f.denominator > 2:
         raise ValueError(f"spin {x} is not a nonnegative half-integer")
     return f
@@ -235,7 +252,7 @@ def _qfacts(M: int, top: int) -> List[float]:
     return f
 
 
-def q6j(sym: QSixJ) -> complex:
+def q6j(sym: QSixJ) -> float:
     """Evaluate the symbol by the Racah single-sum formula.
 
     Quantum integers are taken at the half power of q, [x] =
@@ -254,7 +271,7 @@ def q6j(sym: QSixJ) -> complex:
     triads = ((a1, a2, a12), (a1, a, a23), (a3, a2, a23), (a3, a, a12))
     for x, y, z in triads:
         if not abs(x - y) <= z <= x + y or (x + y + z) & 1:
-            return complex(0.0)
+            return 0.0
     M = 2 * sym.m
     T = [(a1 + a2 + a12) // 2, (a1 + a + a23) // 2, (a3 + a2 + a23) // 2, (a3 + a + a12) // 2]
     Q = [(a1 + a2 + a3 + a) // 2, (a2 + a12 + a + a23) // 2, (a1 + a12 + a3 + a23) // 2]
@@ -279,4 +296,4 @@ def q6j(sym: QSixJ) -> complex:
     value = phase * scale * pre * total
     if not math.isfinite(value):
         raise SixJDomainError(f"the symbol overflows a float at m = {sym.m}")
-    return complex(value)
+    return value

@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Ten families:
+Nothing here imports sectorwb.  Eleven families:
 
   * the float angle formulas as angles.py once wrote them inline, for
     bit-for-bit cross-checking of the functions that now share one
@@ -30,7 +30,11 @@ Nothing here imports sectorwb.  Ten families:
     for cross-checking the whole-table checks of the FusionRing
     constructor and ring_from_dict(), and FusionRing.N;
   * exact Gaussian rationals, for running the Cuntz engine on a
-    coefficient type that does not round.
+    coefficient type that does not round;
+  * the quadratic-field number on Fraction coordinates a + b*sqrt(m)
+    that scalar.QuadExt replaced with ints (p + q*sqrt(m))/r, and the
+    dict-by-dict decompose() and hom_dim() that position-indexed rows
+    replaced, for cross-checking both read paths value for value.
 """
 
 import cmath
@@ -39,6 +43,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 import numpy as np
 
@@ -810,3 +815,190 @@ def dense_tensor_loops(ring):
         for k, mult in row.items():
             dense[pos[i], pos[j], pos[k]] = mult
     return dense
+
+
+# ---------------------------------------------------------------------------
+# quadratic-field numbers on Fractions, and sector words reduced dict by dict
+#
+# FractionQuadExt is QuadExt as it was with Fraction coordinates: every
+# operation works on a and b, and repr names the class QuadExt, so the two
+# can be compared on value, float bits, str, repr and hash.
+
+
+def _fraction_component(x):
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise TypeError(f"expected a rational component, got {type(x).__name__}")
+
+
+class FractionQuadExt:
+    """Exact a + b*sqrt(m) with Fraction a, b and square-free m >= 2."""
+
+    __slots__ = ("a", "b", "m")
+
+    def __init__(self, a, b=Fraction(0), m=2):
+        self.a, self.b, self.m = _fraction_component(a), _fraction_component(b), m
+
+    @classmethod
+    def _raw(cls, a, b, m):
+        return cls(a, b, m)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQuadExt):
+            if other.b != 0 and self.b != 0 and other.m != self.m:
+                raise ValueError(f"mixed radicands {self.m} and {other.m}")
+            if other.b == 0:
+                return FractionQuadExt._raw(other.a, Fraction(0), self.m)
+            return other
+        if isinstance(other, Rational):
+            return FractionQuadExt._raw(Fraction(other), Fraction(0), self.m)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        m = self.m if self.b != 0 else o.m
+        return FractionQuadExt._raw(self.a + o.a, self.b + o.b, m)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadExt._raw(-self.a, -self.b, self.m)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        m = self.m if self.b != 0 else o.m
+        return FractionQuadExt._raw(self.a * o.a + self.b * o.b * m,
+                                    self.a * o.b + self.b * o.a, m)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        norm = o.a * o.a - o.b * o.b * o.m
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return self * FractionQuadExt._raw(o.a / norm, -o.b / norm, o.m)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers")
+        out = FractionQuadExt._raw(Fraction(1), Fraction(0), self.m)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def conj(self):
+        return FractionQuadExt._raw(self.a, -self.b, self.m)
+
+    @property
+    def is_integer(self):
+        return self.b == 0 and self.a.denominator == 1
+
+    def sign(self):
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        if self.a == 0:
+            return 1 if self.b > 0 else -1
+        if self.a > 0 and self.b > 0:
+            return 1
+        if self.a < 0 and self.b < 0:
+            return -1
+        if self.a * self.a > self.b * self.b * self.m:
+            return 1 if self.a > 0 else -1
+        return 1 if self.b > 0 else -1
+
+    def __eq__(self, other):
+        if isinstance(other, FractionQuadExt):
+            o = other
+        elif isinstance(other, Rational):
+            o = FractionQuadExt._raw(Fraction(other), Fraction(0), self.m)
+        else:
+            return NotImplemented
+        if self.b == 0 and o.b == 0:
+            return self.a == o.a
+        return self.a == o.a and self.b == o.b and self.m == o.m
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.m))
+
+    def _cmp(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            raise TypeError("cannot compare")
+        return (self - o).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.m)
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        bs = "" if self.b == 1 else ("-" if self.b == -1 else f"{self.b}*")
+        rad = f"{bs}sqrt({self.m})"
+        if self.a == 0:
+            return rad
+        return f"{self.a}{'+' if self.b > 0 else ''}{rad}" if not rad.startswith("-") else f"{self.a}{rad}"
+
+    def __repr__(self):
+        return f"QuadExt(a={self.a!r}, b={self.b!r}, m={self.m!r})"
+
+
+def _mul_label_dicts(ring, vec, lab):
+    out = {}
+    for i, mult in vec.items():
+        for k, n in ring.tensor.get((i, lab), {}).items():
+            out[k] = out.get(k, 0) + mult * n
+    return out
+
+
+def decompose_dicts(ring, terms):
+    """decompose() of parsed (coefficient, word) terms, one dict per step."""
+    total = {}
+    for coeff, word in terms:
+        vec = {ring.unit: 1}
+        for lab in word:
+            vec = _mul_label_dicts(ring, vec, lab)
+        for k, n in vec.items():
+            total[k] = total.get(k, 0) + coeff * n
+    return {lab: total[lab] for lab in ring.labels if total.get(lab)}
+
+
+def hom_dim_dicts(ring, x_terms, y_terms):
+    dx = decompose_dicts(ring, x_terms)
+    dy = decompose_dicts(ring, y_terms)
+    return sum(n * dy.get(lab, 0) for lab, n in dx.items())

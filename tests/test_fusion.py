@@ -553,3 +553,63 @@ def test_dimension_homomorphism(key, data):
     j = data.draw(st.sampled_from(ring.labels))
     total = sum(m * dims[k] for k, m in decompose(ring, f"{i}*{j}").items())
     assert total == pytest.approx(dims[i] * dims[j], rel=1e-9)
+
+
+# -- decompose and hom_dim on position-indexed rows, against dict-by-dict loops
+
+def _diff_ring(key):
+    """A fixed catalog ring, su2 at level k ("su2_k"), or a Z/n or TY(Z/n)
+    ring read back from its file form, as `--file` reads it."""
+    family, _, size = key.partition("_")
+    if family == "su2":
+        return catalog.builtin("su2", int(size))
+    if family in ("zn", "ty"):
+        ring = (_zn if family == "zn" else _tambara_yamagami)(int(size))
+        return catalog.ring_from_dict(catalog.ring_to_dict(ring))
+    return catalog.builtin(key)
+
+
+DIFF_RINGS = ([k for k in catalog.builtin_keys() if k != "su2"]
+              + [f"su2_{k}" for k in (*range(1, 21), 150)]
+              + ["zn_1", "zn_7", "zn_40", "ty_1", "ty_3", "ty_32"])
+
+
+@st.composite
+def _sector_text(draw, labels, longest):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.sampled_from((1, 1, 2, 3, 10 ** 20)))
+        word = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=longest))
+        terms.append("*".join(([] if coeff == 1 else [str(coeff)]) + word))
+    return " + ".join(terms)
+
+
+@given(st.sampled_from(DIFF_RINGS), st.data())
+def test_decompose_and_hom_dim_match_dict_loops(key, data):
+    ring = _diff_ring(key)
+    x = data.draw(_sector_text(ring.labels, 12))
+    y = data.draw(_sector_text(ring.labels, 4))
+    got = decompose(ring, x)
+    want = _oracles.decompose_dicts(ring, parse_sector_expr(x, ring.labels))
+    assert got == want and list(got) == list(want)
+    assert all(type(n) is int for n in got.values())
+    assert hom_dim(ring, x, y) == _oracles.hom_dim_dicts(
+        ring, parse_sector_expr(x, ring.labels), parse_sector_expr(y, ring.labels))
+
+
+@pytest.mark.parametrize("key, word", [
+    ("haagerup_even", ["r", "tr", "t2r", "r"] * 10),
+    ("haagerup_even", ["t", "r", "tr", "t2", "t2r"] * 14),
+    ("su2_150", [f"l{(7 * i) % 151}" for i in range(30)]),
+    ("su2_20", ["l1", "l2", "l3"] * 20),
+    ("ty_32", ["m"] * 40),
+    ("d6aff_even", ["x", "t", "x", "tq", "x", "tp"] * 24),
+])
+def test_long_words_stay_exact_past_int64(key, word):
+    ring = _diff_ring(key)
+    text = "*".join(word) + " + 3*" + "*".join(reversed(word))
+    got = decompose(ring, text)
+    assert got == _oracles.decompose_dicts(ring, parse_sector_expr(text, ring.labels))
+    assert max(got.values()) > 2 ** 63
+    assert hom_dim(ring, text, "*".join(word)) == _oracles.hom_dim_dicts(
+        ring, parse_sector_expr(text, ring.labels), [(1, tuple(word))])

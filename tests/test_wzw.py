@@ -131,7 +131,9 @@ def test_q6j_special_values():
 
 
 def test_q6j_trivial_and_inadmissible():
-    assert q6j(QSixJ(7, 0, 0, 0, 0, 0, 0)) == pytest.approx(1.0 + 0j)
+    assert q6j(QSixJ(7, 0, 0, 0, 0, 0, 0)) == pytest.approx(1.0)
+    # a real float, admissible or not: the value was complex() of one
+    assert type(q6j(QSixJ(7, 0, 0, 0, 0, 0, 0))) is type(q6j(QSixJ(9, 1, 1, 3, 1, 1, 1))) is float
     # triangle violation in the (j1, j2, j12) triad
     assert q6j(QSixJ(9, 1, 1, 3, 1, 1, 1)) == 0
     # fractional perimeter
@@ -145,6 +147,27 @@ def test_su2k_modular_refuses_a_bool_level():
             su2k_modular(k)
         with pytest.raises(ValueError, match="requires an integer level k >= 1"):
             catalog.float_dimensions("su2", k)
+
+
+@pytest.mark.parametrize("k, i0, j", [
+    (10.5, 1, 2), (True, 0, 1), (4, 1.0, 2), (4, 1, 2.0), (4, True, 2), (4, 1, False),
+    (4, 1, "2"), (0, 0, 0), (None, 0, 0),
+])
+def test_monodromy_refuses_what_is_not_an_int(k, i0, j):
+    # monodromy_ratio(10.5, 1, 2) gave 0.7526 and (True, 0, 1) gave 1.0
+    message = "level k must be" if type(k) is not int or k < 1 else "labels i0 and"
+    with pytest.raises(ValueError, match=message):
+        monodromy_ratio(k, i0, j)
+    with pytest.raises(ValueError, match=message):
+        alpha_induction_spectrum(k, i0, [0, j])
+
+
+def test_alpha_induction_refuses_a_label_set_that_is_not_ints():
+    # int(j) read 1.5 as 1 and True as 1
+    for J in ([0, 1.5], [0, True], [False, 1], [0, "1"]):
+        with pytest.raises(ValueError, match="labels i0 and J must be integers"):
+            alpha_induction_spectrum(10, 1, J)
+    assert alpha_induction_spectrum(10, 1, iter([0, 6])).angles == ghj_spectrum("E6").angles
 
 
 def test_su2_float_dimensions_are_the_quantum_integers():
