@@ -124,7 +124,10 @@ def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
 
     Uses pn = [G:H] and mp = [H:H image in the intersection], which requires
     |H| = |K| and the usual divisibility of orders; equal integer indices
-    commute.
+    commute.  The orders alone do not fix the group, so unequal indices
+    assume the cocommuting formula: (8, 2, 2, 1) gives 54.7356103172
+    degrees, yet the only group of order 8 that two subgroups of order 2
+    generate is D8, whose angle is 45 degrees.
     """
     for name, val in (("g", g), ("h", h), ("k", k), ("hk", hk)):
         if not isinstance(val, int) or val < 1:

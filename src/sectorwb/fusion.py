@@ -69,9 +69,8 @@ _MIN_BLOCK_ROWS = 8
 # The associativity certificate takes Krylov ranks modulo this prime
 # (2**23 - 15); n * (p - 1)**2 fits int64 for every n below 2**17.
 _KRYLOV_PRIME = 8_388_593
-
-# a decomposition: label -> multiplicity (absent = 0)
-MultVector = Dict[str, int]
+# validate_ring returns at most this many reports
+MAX_REPORTS = 50
 
 
 class RingStructureError(ValueError):
@@ -184,10 +183,6 @@ class FusionRing(Frozen):
     def index(self, label: str) -> int:
         return self._pos[label]
 
-    def fusion_matrix(self, i: str) -> np.ndarray:
-        """Left multiplication by i: M[k, j] = N(i, j, k)."""
-        return self.N[self._pos[i]].T.copy()
-
 
 def _scan_tensor(rows: Mapping[object, Mapping[object, object]], pos: Mapping[str, int]) -> None:
     """Raise RingStructureError for the first entry, in table order, whose key is
@@ -254,31 +249,28 @@ def parse_sector_expr(text: str, labels: Sequence[str]) -> List[Tuple[int, Tuple
 # operations
 
 
-def validate_ring(ring: FusionRing, max_reports: int = 50) -> List[str]:
-    """Check the four axiom families; returns at most ``max_reports``
+def validate_ring(ring: FusionRing) -> List[str]:
+    """Check the four axiom families; returns the first ``MAX_REPORTS``
     messages, one per violation.
 
-    Violations are found as array masks over ``ring.N`` and reported in label
-    order, unit before duality before Frobenius before associativity, with at
-    most one associativity report per pair (i, j).  Associativity is skipped
-    only when the exact certificate of the module docstring proves it, which
-    it does for commutative rings whose combination X has the unit as a
-    cyclic vector; every other ring gets the n^5 check, so the reports do not
-    depend on whether the certificate applied.  A ``max_reports`` that is
-    not an int >= 1 (a bool included) raises ValueError before any check.
+    Unit, duality and Frobenius violations are found as one array mask each
+    over ``ring.N``, associativity ones per block of labels, and all are
+    reported in label order, unit before duality before Frobenius before
+    associativity, with at most one associativity report per pair (i, j).
+    Associativity is skipped only when the exact certificate of the module
+    docstring proves it, which it does for commutative rings whose
+    combination X has the unit as a cyclic vector; every other ring gets
+    the n^5 check, so the reports do not depend on whether the certificate
+    applied.
     """
-    if type(max_reports) is not int or max_reports < 1:
-        raise ValueError(f"max_reports must be an int >= 1, got {max_reports!r}")
-    return list(itertools.islice(_violations(ring), max_reports))
+    return list(itertools.islice(_violations(ring), MAX_REPORTS))
 
 
 def _violations(ring: FusionRing) -> Iterator[str]:
     """The messages of validate_ring, lazily, so a cut stops the work."""
     import numpy as np
 
-    labels = ring.labels
-    unit = ring.unit
-    N = ring.N
+    labels, unit, N = ring.labels, ring.unit, ring.N
     n = len(labels)
     u = ring.index(unit)
     d = np.array([ring.index(ring.dual[lab]) for lab in labels])
@@ -305,18 +297,17 @@ def _violations(ring: FusionRing) -> Iterator[str]:
         for jx in np.flatnonzero(bad[ix]):
             yield f"duality: N({i},{labels[jx]},{unit})={to_unit[ix, jx]} != {expected[ix, jx]}"
 
-    for ix in range(n):
-        row = N[ix]
-        swap_ij = N[d[ix]].T  # [j, k] = N(dual(i), k, j)
-        swap_jk = N[:, d, ix].T  # [j, k] = N(k, dual(j), i)
-        for jx, kx in np.argwhere((row != swap_ij) | (row != swap_jk)):
-            i, j, k = labels[ix], labels[jx], labels[kx]
-            if row[jx, kx] != swap_ij[jx, kx]:
-                yield (f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
-                       f"N({ring.dual[i]},{k},{j})={swap_ij[jx, kx]}")
-            if row[jx, kx] != swap_jk[jx, kx]:
-                yield (f"frobenius: N({i},{j},{k})={row[jx, kx]} != "
-                       f"N({k},{ring.dual[j]},{i})={swap_jk[jx, kx]}")
+    swap_ij = N[d].transpose(0, 2, 1)  # [i, j, k] = N(dual(i), k, j)
+    swap_jk = N[:, d].transpose(2, 1, 0)  # [i, j, k] = N(k, dual(j), i)
+    for ix, jx, kx in np.argwhere((N != swap_ij) | (N != swap_jk)):
+        i, j, k, v = labels[ix], labels[jx], labels[kx], N[ix, jx, kx]
+        if v != swap_ij[ix, jx, kx]:
+            yield (f"frobenius: N({i},{j},{k})={v} != "
+                   f"N({ring.dual[i]},{k},{j})={swap_ij[ix, jx, kx]}")
+        if v != swap_jk[ix, jx, kx]:
+            yield (f"frobenius: N({i},{j},{k})={v} != "
+                   f"N({k},{ring.dual[j]},{i})={swap_jk[ix, jx, kx]}")
+    del swap_ij, swap_jk  # two N-sized copies the associativity check does not need
 
     if _associativity_proved(N, u):
         return
@@ -425,7 +416,7 @@ def _mul_label(ring: FusionRing, vec: Mapping[str, int], lab: str) -> Dict[str, 
     return {ring.labels[k]: out[k] for k in sorted(out)}
 
 
-def decompose(ring: FusionRing, text: str) -> MultVector:
+def decompose(ring: FusionRing, text: str) -> Dict[str, int]:
     """Reduce sector-expression text to irreducible multiplicities, in label order.
 
     Words reduce strictly left to right on vectors keyed by label position;

@@ -155,7 +155,8 @@ class QuadExt(Frozen):
         return _reduced(self.p * r - p * s, self.q * r - q * s, s * r, m)
 
     def __rsub__(self, other):
-        return -self + other
+        diff = self.__sub__(other)  # canonical, so its negation is other - self exactly
+        return NotImplemented if diff is NotImplemented else -diff
 
     def __mul__(self, other):
         o = self._parts(other)
@@ -181,7 +182,7 @@ class QuadExt(Frozen):
         return _quotient(p, q, r, self.p, self.q, self.r, m)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("only nonnegative integer powers")
         m, bp, bq = self.m, self.p, self.q
         p, q, r = 1, 0, self.r ** n
@@ -243,6 +244,9 @@ class QuadExt(Frozen):
         return self._cmp(other) >= 0
 
     # -- evaluation -----------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.p or self.q)
 
     def __float__(self) -> float:
         # int true division rounds correctly, as float(Fraction) does

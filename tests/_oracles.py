@@ -873,7 +873,10 @@ class FractionQuadExt:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -901,7 +904,7 @@ class FractionQuadExt:
         return o / self
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("only nonnegative integer powers")
         out = FractionQuadExt._raw(Fraction(1), Fraction(0), self.m)
         for _ in range(n):
@@ -961,6 +964,9 @@ class FractionQuadExt:
 
     def __ge__(self, other):
         return self._cmp(other) >= 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.m)

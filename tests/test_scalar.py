@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,28 @@ def test_exact_sign_near_zero():
     x = quad(665857, -470832, 2)
     assert x > 0
     assert quad(-665857, 470832, 2) < 0
+
+
+def test_truth_value_is_nonzero():
+    # zero is false, as 0 and Fraction(0) are
+    for m in (2, 3, 5, 7, 13):
+        zero = quad(1, 1, m) - quad(1, 1, m)
+        assert zero == 0 and bool(zero) is False and bool(quad(0, 0, m)) is False
+        assert bool(quad(1, 0, m)) is bool(quad(0, 1, m)) is bool(quad("1/3", "-1/7", m)) is True
+    # the Pell conjugate 665857 - 470832*sqrt(2) is about 7.5e-7, not zero
+    assert bool(quad(665857, -470832, 2)) is True
+
+
+def test_unsupported_operands_name_the_operator():
+    x = quad(1, 1, 2)
+    with pytest.raises(TypeError, match=re.escape(
+            "unsupported operand type(s) for -: 'float' and 'QuadExt'")):
+        1.5 - x
+    assert x.__rsub__(1.5) is NotImplemented
+    # a bool is refused as a power, as everywhere the package takes an int
+    for n in (True, False):
+        with pytest.raises(ValueError, match="only nonnegative integer powers"):
+            x ** n
 
 
 def test_division_and_inverse():
@@ -264,10 +287,11 @@ def test_every_operation_matches_fraction_oracle(pair, n):
         assert (_outcome(getattr(new, name), other_new)
                 == _outcome(getattr(old, name), other_old)), name
     for op in (lambda x: x, lambda x: -x, lambda x: x.conj(), lambda x: x ** n,
-               lambda x: x.__pow__(-1), lambda x: x.__pow__(2.0)):
+               lambda x: x.__pow__(-1), lambda x: x.__pow__(2.0), lambda x: x ** True,
+               lambda x: x.__pow__(False), bool):
         assert _outcome(op, new) == _outcome(op, old)
-    if kind == "plain" and not isinstance(other, (float, complex, str, type(None))):
-        # the reflected forms as Python calls them, the rational on the left
+    if kind == "plain":
+        # the reflected forms as Python calls them, the other operand on the left
         for op in (lambda x: other + x, lambda x: other - x, lambda x: other * x,
                    lambda x: other / x, lambda x: other == x, lambda x: other < x):
             assert _outcome(op, new) == _outcome(op, old)
