@@ -130,7 +130,7 @@ def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
     generate is D8, whose angle is 45 degrees.
     """
     for name, val in (("g", g), ("h", h), ("k", k), ("hk", hk)):
-        if not isinstance(val, int) or val < 1:
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValueError(f"order {name} must be a positive integer")
     if h != k:
         raise ValueError("|H| = |K| is required (equal elementary indices)")

@@ -4,10 +4,9 @@ The classification itself rests on operator-algebraic steps (irreducibility,
 supertransitivity, cohomology vanishing, Galois-group identification) that
 cannot be rederived from fusion data; each case records those as assumptions
 in its notes.  What *is* checked: exact index identities in the quadratic
-fields, exact identities between each angle's cosine and the indices, exact
-defining polynomials, and exact Perron-Frobenius dimensions on catalog
-rings, each certifying one of the case's own indices pn and mp.  No check
-compares floats.
+fields, exact identities between each angle's cosine and the indices, and
+exact Perron-Frobenius dimensions on catalog rings, each certifying one of
+the case's own indices pn and mp.  No check compares floats.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import angles
-from .catalog import TWO_COS, builtin, dimensions
+from .catalog import builtin, dimensions
 from .fusion import _mul_label, decompose, hom_dim
 from .scalar import QuadExt, quad
 
@@ -31,11 +30,6 @@ ANGLE_RULES = {
     "bound": (0, 1, lambda pn, mp: angles.bound_cos(pn), "1/(pn - 1)"),
     "stored": None,
 }
-
-# n -> the minimal polynomial x^2 = a*x + b of x = catalog.TWO_COS[n] as
-# (a, b, text), for the n the table uses; x is its positive root
-TWO_COS_MINPOLY = {8: (0, 2, "x^2 = 2"), 10: (1, 1, "x^2 = x + 1")}
-
 
 class PFLink(NamedTuple):
     """One Perron-Frobenius consistency link between a case and a catalog ring:
@@ -69,8 +63,7 @@ def _fpdim_failure(ring_key: str, k: Optional[int], expr: str, expected: QuadExt
 class QuadCase(NamedTuple):
     """One row of the classification: graphs, exact indices, angle, metadata.
 
-    ``two_cos`` is n when pn = 4cos^2(pi/n) is irrational.  ``angle_rule``
-    also fixes the index relation (:data:`ANGLE_RULES`).
+    ``angle_rule`` also fixes the index relation (:data:`ANGLE_RULES`).
     :func:`classification_table` checks ``tag`` against :data:`TAGS` and
     ``angle_rule`` against :data:`ANGLE_RULES`.
     """
@@ -83,7 +76,6 @@ class QuadCase(NamedTuple):
     tag: str
     cos_exact: QuadExt
     angle_rule: str
-    two_cos: Optional[int]
     galois: Optional[str]
     pf_links: Tuple[PFLink, ...]
     notes: str
@@ -116,28 +108,28 @@ def classification_table() -> List[QuadCase]:
     table = [
         QuadCase(
             "a5a3", "A5", "A3", quad(3), quad(2),
-            "group-type", quad("1/2"), "cocommuting", None, "S3",
+            "group-type", quad("1/2"), "cocommuting", "S3",
             (PFLink("su2", 4, "l1*l1", "pn", "A5 graph norm squared"),
              PFLink("su2", 2, "l1*l1", "mp", "A3 graph norm squared")),
             "fixed points of an outer S3 action; " + _ASSUMED,
         ),
         QuadCase(
             "d6a4", "D6", "A4", quad("5/2", "1/2", 5), quad("3/2", "1/2", 5),
-            "II", half3m5, "cocommuting", 10, None,
+            "II", half3m5, "cocommuting", None,
             (PFLink("su2", 8, "l1*l1", "pn", "D6 graph norm squared (equals the A9 value)"),
              PFLink("su2", 3, "l1*l1", "mp", "A4 graph norm squared")),
             "golden-ratio indices (5+sqrt(5))/2 and (3+sqrt(5))/2; " + _ASSUMED,
         ),
         QuadCase(
             "a7a7", "A7", "A7", quad(2, 1, 2), quad(2, 1, 2),
-            "I", sqrt2m1, "bound", 8, None,
+            "I", sqrt2m1, "bound", None,
             (PFLink("su2", 6, "l1*l1", "pn",
                     "A7 graph norm squared, both elementary subfactors"),),
             "noncocommuting, equal indices 2+sqrt(2); " + _ASSUMED,
         ),
         QuadCase(
             "d6affa3", "D6affine", "A3", quad(4), quad(2),
-            "D6affine", quad(0, "1/2", 2), "stored", None,
+            "D6affine", quad(0, "1/2", 2), "stored",
             "D8 (dihedral of order 8)",
             (PFLink("d6aff_even", None, "1 + t + x", "pn",
                     "canonical endomorphism 1 + t + x of the affine-D6 side"),
@@ -147,7 +139,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "e6affd4", "E6affine", "D4", quad(4), quad(3),
-            "group-type", quad("1/3"), "cocommuting", None, "A4",
+            "group-type", quad("1/3"), "cocommuting", "A4",
             (PFLink("a4_rep", None, "1 + v", "pn",
                     "canonical endomorphism 1 + v of the A4 fixed point"),
              PFLink("a4_rep", None, "1 + w + w2", "mp",
@@ -156,7 +148,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "e7affa5", "E7affine", "A5", quad(4), quad(3),
-            "III", quad("1/3"), "cocommuting", None,
+            "III", quad("1/3"), "cocommuting",
             "Z/2 realized inside an S4 symmetry",
             (PFLink("s4_rep", None, "1 + e", "pn",
                     "canonical endomorphism 1 + e of the S4 fixed point"),
@@ -165,7 +157,7 @@ def classification_table() -> List[QuadCase]:
         ),
         QuadCase(
             "e7affe7aff", "E7affine", "E7affine", quad(4), quad(4),
-            "I", quad("1/3"), "bound", None, None,
+            "I", quad("1/3"), "bound", None,
             (PFLink("s4_rep", None, "1 + e", "pn",
                     "canonical endomorphism 1 + e of the S4 fixed point"),
              PFLink("s4_rep", None, "1 + a + e2", "mp",
@@ -193,10 +185,11 @@ def _fmt(x: float) -> str:
 
 
 def verify_case(case: QuadCase) -> CheckResult:
-    """Recheck one case: exact index relation, angle, polynomials and PF links.
-    A passing row states the identity it decided, a failing one both sides."""
+    """Recheck one case: exact index relation, angle and PF links, which are
+    the case's only certificate of pn and mp.  A passing row states the
+    identity it decided, a failing one both sides."""
     failures = [_fpdim_failure(*link[:3], getattr(case, link.of)) for link in case.pf_links]
-    return CheckResult(case.case_id, (*_rule_rows(case), _polynomial_row(case), CheckRow(
+    return CheckResult(case.case_id, (*_rule_rows(case), CheckRow(
         "pf_dimension_links", not any(failures), "; ".join(
             f"{link.note}: " + (failed or f"d({link.expr}) = {getattr(case, link.of)} = "
                                           f"{link.of} exactly")
@@ -226,21 +219,6 @@ def _rule_rows(case: QuadCase) -> Tuple[CheckRow, CheckRow]:
         ok, text = False, f"cos = {c} is not in (0, 1)"
     text += f"; angle {_fmt(math.acos(float(c))) if in_range else 'nan'}"
     return relation, CheckRow("angle_recomputation", ok, f"rule {case.angle_rule}: {text}")
-
-
-def _polynomial_row(case: QuadCase) -> CheckRow:
-    if case.two_cos is None:
-        ok = case.pn.is_integer and case.mp.is_integer
-        return CheckRow("exact_polynomials", ok,
-                        f"integer indices pn = {case.pn}, mp = {case.mp}")
-    n = case.two_cos
-    x, (a, b, poly) = TWO_COS[n], TWO_COS_MINPOLY[n]
-    failed = [f"{identity} fails" for identity, holds in (
-        (poly, x * x == a * x + b), ("x > 0", x > 0), ("pn = 2 + x", case.pn == 2 + x)) if not holds]
-    if failed:
-        return CheckRow("exact_polynomials", False, f"x = 2cos(2pi/{n}) = {x}: " + "; ".join(failed))
-    return CheckRow("exact_polynomials", True, f"x = 2cos(2pi/{n}) = {x} satisfies {poly} "
-                    f"with x > 0 exactly; pn = 2 + x = 4cos^2(pi/{n}) exactly")
 
 
 def run_all() -> List[CheckResult]:

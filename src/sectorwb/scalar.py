@@ -19,6 +19,7 @@ sqrt(d) for d itself irrational are handled downstream in floating point.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 from typing import Tuple
@@ -223,25 +224,27 @@ class QuadExt(Frozen):
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 
-    def _cmp(self, other) -> int:
+    def _cmp(self, other, op):
+        """op(sign of self - other, 0), or NotImplemented for an operand of
+        another type, so that Python's error names the operator and both types."""
         o = self._parts(other)
         if o is None:
-            raise TypeError("cannot compare")
+            return NotImplemented
         p, q, r, m = o
         # the sign of self - other, whose denominator self.r * r is positive
-        return _sign(self.p * r - p * self.r, self.q * r - q * self.r, m)
+        return op(_sign(self.p * r - p * self.r, self.q * r - q * self.r, m), 0)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._cmp(other, operator.lt)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._cmp(other, operator.le)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._cmp(other, operator.gt)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._cmp(other, operator.ge)
 
     # -- evaluation -----------------------------------------------------------
 

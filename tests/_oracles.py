@@ -40,6 +40,7 @@ Nothing here imports sectorwb.  Eleven families:
 import cmath
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -947,23 +948,23 @@ class FractionQuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 
-    def _cmp(self, other):
+    def _cmp(self, other, op):
         o = self._coerce(other)
         if o is NotImplemented:
-            raise TypeError("cannot compare")
-        return (self - o).sign()
+            return NotImplemented
+        return op((self - o).sign(), 0)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._cmp(other, operator.lt)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._cmp(other, operator.le)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._cmp(other, operator.gt)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._cmp(other, operator.ge)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -70,6 +70,14 @@ def test_group_quadrilateral():
         angle_group(24, 4, 4, 4)
 
 
+@pytest.mark.parametrize("orders, name", [((4, 2, 2, True), "hk"), ((True, 1, 1, 1), "g")])
+def test_group_orders_refuse_bools(orders, name):
+    # a bool is an int to Python, but no group order: (4, 2, 2, True) would
+    # otherwise read as pn = mp = 2 and commute
+    with pytest.raises(ValueError, match=f"order {name} must be a positive integer"):
+        angle_group(*orders)
+
+
 def test_integers_beyond_float_range():
     # equal indices commute without a float; unequal ones need one
     assert angle_group(10 ** 640, 10 ** 320, 10 ** 320, 1).commuting

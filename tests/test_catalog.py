@@ -118,6 +118,12 @@ def test_fixed_ring_dimensions_are_exact(key):
     assert all(float(d[a]) == pytest.approx(pf[a], abs=1e-12) for a in ring.labels)
 
 
+def test_two_cos_is_twice_the_cosine():
+    # the exact su2 dimensions are built from x = 2cos(2pi/n)
+    for n, x in catalog.TWO_COS.items():
+        assert float(x) == pytest.approx(2 * math.cos(2 * math.pi / n), abs=1e-15)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
 def test_su2_even_dimensions_are_the_closed_form(k):
     d = catalog.dimensions("su2", k)

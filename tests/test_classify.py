@@ -6,7 +6,6 @@ import pytest
 from sectorwb import angles, catalog, cuntz, quad
 from sectorwb.classify import (
     ANGLE_RULES,
-    TWO_COS_MINPOLY,
     PFLink,
     QuadCase,
     case_by_id,
@@ -32,8 +31,7 @@ def test_all_cases_pass():
     for res in results:
         assert res.passed, render_results([res])
         assert [row.name for row in res.rows] == [
-            "index_relation", "angle_recomputation",
-            "exact_polynomials", "pf_dimension_links"]
+            "index_relation", "angle_recomputation", "pf_dimension_links"]
 
 
 def test_case_lookup():
@@ -165,7 +163,7 @@ def test_swapped_cosines_fail_the_angle_row():
         rows = _rows(case._replace(cos_exact=other.cos_exact))
         assert not rows["angle_recomputation"].passed
         assert rows["angle_recomputation"].detail == detail
-        assert rows["exact_polynomials"].passed
+        assert rows["pf_dimension_links"].passed
     # a cosine from another quadratic field (sqrt(5) against sqrt(2)) fails
     # the row instead of raising on the mixed radicands
     a7a7, d6a4 = case_by_id("a7a7"), case_by_id("d6a4")
@@ -218,8 +216,7 @@ def test_every_passing_row_states_what_it_decided():
     for res in run_all():
         for row in res.rows:
             assert row.passed and " vs " not in row.detail, row
-            if row.name != "exact_polynomials":
-                assert "exactly" in row.detail or "assumed" in row.detail, row
+            assert "exactly" in row.detail or "assumed" in row.detail, row
     rows = _rows(case_by_id("d6affa3"))
     assert rows["index_relation"].detail == "no relation; the stored angle is assumed"
     assert rows["angle_recomputation"].detail == (
@@ -241,59 +238,43 @@ def test_angle_row_needs_a_cosine_in_the_open_unit_interval():
         assert not _rows(case_by_id("d6affa3")._replace(cos_exact=cos))["angle_recomputation"].passed
 
 
-def test_polynomial_rows_carry_two_cos_as_data():
-    # the cases hold only n; x = 2cos(2pi/n) is read from the catalog's table
-    assert [(c.case_id, c.two_cos) for c in classification_table() if c.two_cos] == [
-        ("d6a4", 10), ("a7a7", 8)]
-    for n, x in catalog.TWO_COS.items():
-        assert float(x) == pytest.approx(2 * math.cos(2 * math.pi / n), abs=1e-15)
-    # each polynomial's positive root is 2cos(2pi/n)
-    for n, (a, b, _) in TWO_COS_MINPOLY.items():
-        assert (a + math.sqrt(a * a + 4 * b)) / 2 == pytest.approx(2 * math.cos(2 * math.pi / n))
-
-
-@pytest.mark.parametrize("cid, fields", [
-    # 2cos(2pi/8) for the golden-ratio case: x^2 = 2 holds, pn = 2 + x fails
-    ("d6a4", {"two_cos": 8}),
-    # a wrong table value: neither x^2 = 2 nor pn = 2 + x
-    ("a7a7", {"x": quad(1, 1, 2)}),
-    # the negative root of x^2 = x + 1, with pn = 2 + x to match: only x > 0 fails
-    ("d6a4", {"x": quad("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)}),
+@pytest.mark.parametrize("cid, fields, failed", [
+    # a wrong table value: d is no eigenvector of l1*l1 on su2 at level 6
+    pytest.param("a7a7", {"x": quad(1, 1, 2)}, "d((l1*l1)*l6) = d(l1*l1) d(l6) fails",
+                 id="a7a7-wrong-x"),
+    # the negative root of x^2 = x + 1, with pn = 2 + x to match
+    pytest.param("d6a4", {"x": quad("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)},
+                 "d(l4) = 1-sqrt(5) is not positive", id="d6a4-negative-root-and-pn"),
     # the right x, but pn is not 2 + x
-    ("a7a7", {"pn": quad(3, 1, 2)}),
-    # the negative root of x^2 = x + 1 with the case's pn: x > 0 and pn = 2 + x fail
-    ("d6a4", {"x": quad("1/2", "-1/2", 5)}),
+    pytest.param("a7a7", {"pn": quad(3, 1, 2)}, "d(l1*l1) = 2+sqrt(2), not 3+sqrt(2)",
+                 id="a7a7-wrong-pn"),
+    # the negative root of x^2 = x + 1 with the case's pn
+    pytest.param("d6a4", {"x": quad("1/2", "-1/2", 5)}, "d(l4) = 1-sqrt(5) is not positive",
+                 id="d6a4-negative-root"),
 ])
-def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
-    # "x" replaces the table's 2cos(2pi/n) for the case's n, the rest the case's fields
+def test_a_wrong_two_cos_fails_the_pf_row(cid, fields, failed, monkeypatch):
+    # "x" replaces 2cos(2pi/n) in the catalog's table for the su2 level n - 2 of
+    # the case's pn link, the rest the case's fields: the su2 link is the only
+    # certificate of pn = 2 + x = 4cos^2(pi/n), and it names the identity that fails
     case = case_by_id(cid)
+    link = case.pf_links[0]
     if "x" in fields:
-        monkeypatch.setitem(catalog.TWO_COS, case.two_cos, fields["x"])
+        monkeypatch.setitem(catalog.TWO_COS, link.k + 2, fields["x"])
     case = case._replace(**{f: v for f, v in fields.items() if f != "x"})
-    row = _rows(case)["exact_polynomials"]
-    # a failing row names what fails and states no identity as holding
+    row = _rows(case)["pf_dimension_links"]
     assert not row.passed
-    assert "fails" in row.detail
-    assert "exactly" not in row.detail
-
-
-def test_a_failing_polynomial_row_names_each_failed_identity(monkeypatch):
-    # x = (1 - sqrt(5))/2 still solves x^2 = x + 1
-    monkeypatch.setitem(catalog.TWO_COS, 10, quad("1/2", "-1/2", 5))
-    assert _rows(case_by_id("d6a4"))["exact_polynomials"].detail == (
-        "x = 2cos(2pi/10) = 1/2-1/2*sqrt(5): x > 0 fails; pn = 2 + x fails")
-    # x = sqrt(3) at n = 8 fails all three
-    monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
-    assert _rows(case_by_id("a7a7"))["exact_polynomials"].detail == (
-        "x = 2cos(2pi/8) = sqrt(3): x^2 = 2 fails; pn = 2 + x fails")
+    assert row.detail.split("; ")[0] == f"{link.note}: {failed}"
 
 
 def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):
     # x = sqrt(3) in the table and pn = 2 + sqrt(3) agree, and cos = 1/(pn - 1)
-    # keeps the bound, but x^2 = 2 fails at n = 8
+    # keeps the bound, but d is no eigenvector of l1*l1 on su2 at level 6
     monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
     case = case_by_id("a7a7")._replace(pn=quad(2, 1, 3), mp=quad(2, 1, 3),
                                          cos_exact=quad("-1/2", "1/2", 3))
     rows = _rows(case)
     assert rows["index_relation"].passed and rows["angle_recomputation"].passed
-    assert not rows["exact_polynomials"].passed
+    assert not rows["pf_dimension_links"].passed
+    assert rows["pf_dimension_links"].detail == (
+        "A7 graph norm squared, both elementary subfactors: "
+        "d((l1*l1)*l6) = d(l1*l1) d(l6) fails")

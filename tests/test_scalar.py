@@ -49,6 +49,14 @@ def test_unsupported_operands_name_the_operator():
             "unsupported operand type(s) for -: 'float' and 'QuadExt'")):
         1.5 - x
     assert x.__rsub__(1.5) is NotImplemented
+    # so do comparisons, whichever side the QuadExt is on
+    with pytest.raises(TypeError, match=re.escape(
+            "'<' not supported between instances of 'float' and 'QuadExt'")):
+        1.5 < x
+    with pytest.raises(TypeError, match=re.escape(
+            "'>=' not supported between instances of 'QuadExt' and 'NoneType'")):
+        x >= None
+    assert x.__gt__(1.5) is NotImplemented
     # a bool is refused as a power, as everywhere the package takes an int
     for n in (True, False):
         with pytest.raises(ValueError, match="only nonnegative integer powers"):
@@ -90,7 +98,8 @@ def test_repr_names_the_fields():
 
 def test_mixed_radicands_still_raise():
     x, y = quad(1, 1, 2), quad(1, 1, 3)
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y):
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y,
+               lambda: x <= y, lambda: x > y, lambda: x >= y):
         with pytest.raises(ValueError, match="mixed radicands 2 and 3"):
             op()
     # a rational value adopts the other operand's radicand
@@ -293,5 +302,6 @@ def test_every_operation_matches_fraction_oracle(pair, n):
     if kind == "plain":
         # the reflected forms as Python calls them, the other operand on the left
         for op in (lambda x: other + x, lambda x: other - x, lambda x: other * x,
-                   lambda x: other / x, lambda x: other == x, lambda x: other < x):
+                   lambda x: other / x, lambda x: other == x, lambda x: other < x,
+                   lambda x: other <= x, lambda x: other > x, lambda x: other >= x):
             assert _outcome(op, new) == _outcome(op, old)
