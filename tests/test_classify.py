@@ -248,9 +248,6 @@ def test_angle_row_needs_a_cosine_in_the_open_unit_interval():
     # the right x, but pn is not 2 + x
     pytest.param("a7a7", {"pn": quad(3, 1, 2)}, "d(l1*l1) = 2+sqrt(2), not 3+sqrt(2)",
                  id="a7a7-wrong-pn"),
-    # the negative root of x^2 = x + 1 with the case's pn
-    pytest.param("d6a4", {"x": quad("1/2", "-1/2", 5)}, "d(l4) = 1-sqrt(5) is not positive",
-                 id="d6a4-negative-root"),
 ])
 def test_a_wrong_two_cos_fails_the_pf_row(cid, fields, failed, monkeypatch):
     # "x" replaces 2cos(2pi/n) in the catalog's table for the su2 level n - 2 of
@@ -264,6 +261,36 @@ def test_a_wrong_two_cos_fails_the_pf_row(cid, fields, failed, monkeypatch):
     row = _rows(case)["pf_dimension_links"]
     assert not row.passed
     assert row.detail.split("; ")[0] == f"{link.note}: {failed}"
+
+
+@pytest.mark.parametrize("cid, fields", [
+    # the negative root of x^2 = x + 1 with the case's pn
+    pytest.param("d6a4", {"x": quad("1/2", "-1/2", 5)}, id="d6a4-fields4"),
+])
+def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
+    # x = 2cos(2pi/n) is a root of its minimal polynomial; a wrong root in the
+    # catalog's table leaves pn, mp and the cosine right, so the index and angle
+    # rows pass and only the su2 link of the PF row fails
+    case = case_by_id(cid)
+    monkeypatch.setitem(catalog.TWO_COS, case.pf_links[0].k + 2, fields["x"])
+    rows = _rows(case._replace(**{f: v for f, v in fields.items() if f != "x"}))
+    assert rows["index_relation"].passed and rows["angle_recomputation"].passed
+    assert not rows["pf_dimension_links"].passed
+    assert "exactly" not in rows["pf_dimension_links"].detail.split("; ")[0]
+
+
+def test_a_failing_polynomial_row_names_each_failed_identity(monkeypatch):
+    # x = (1 - sqrt(5))/2 still solves x^2 = x + 1: the D6 link names the
+    # dimension that is not positive, and the A4 link still holds
+    monkeypatch.setitem(catalog.TWO_COS, 10, quad("1/2", "-1/2", 5))
+    assert _rows(case_by_id("d6a4"))["pf_dimension_links"].detail == (
+        "D6 graph norm squared (equals the A9 value): d(l4) = 1-sqrt(5) is not positive; "
+        "A4 graph norm squared: d(l1*l1) = 3/2+1/2*sqrt(5) = mp exactly")
+    # x = sqrt(3) at n = 8 with the case's pn: d is no eigenvector of l1*l1
+    monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
+    assert _rows(case_by_id("a7a7"))["pf_dimension_links"].detail == (
+        "A7 graph norm squared, both elementary subfactors: "
+        "d((l1*l1)*l6) = d(l1*l1) d(l6) fails")
 
 
 def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):
