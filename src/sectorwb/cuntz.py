@@ -20,18 +20,19 @@ block v1^* u2: when v1 is a prefix of u2 it is (u1 + rest of u2, v2),
 when u2 is a prefix of v1 it is (u1, v2 + rest of v1), and otherwise it
 is 0.  A product looks the telescoping pairs up instead of comparing
 every pair with every pair: the left factor is indexed by its v, and each
-pair of the right factor finds the v that are prefixes of its u and the v
-that extend it.  The rows of the empty v, a prefix of every u, are kept
-apart and taken first, and a u longer than the longest v skips the
-lookups of equal and longer v, which cannot match.  rho uses
-rho(u v^*) = rho(u) rho(v)^*: the v belonging to one u are summed on
-their prefix trie in Horner form, sum_g rho(g) (sum over the subtree
-below g), and then the u likewise, so each generator image multiplies
-once per trie edge, through an index built once per image and set of
-constants.  CuntzExpr holds exactly this dict:
-its constructor checks and reduces atom words into it, every operation
-stays on pairs, and ``terms`` reads it back with atom-word keys, so there
-is no separate normalization step.
+u of the right factor looks up the v that are prefixes of it and the v
+that extend it once, into a plan of rows that every pair with that u only
+accumulates.  rho uses rho(u v^*) = rho(u) rho(v)^*: the v belonging to
+one u are summed on their prefix trie in Horner form, sum_g rho(g) (sum
+over the subtree below g), and then the u likewise, so each generator
+image multiplies once per trie edge, through an index built once per
+image and set of constants (``_IMAGE_CACHE``).  Beside it, ``_PLANS``
+keeps up to MAX_PLANS plans per image across calls, tied to the index
+they were built from; both keep the standard constants and the most
+recent other set only.  CuntzExpr holds exactly this dict: its
+constructor checks and reduces atom words into it, every operation stays
+on pairs, and ``terms`` reads it back with atom-word keys, so there is no
+separate normalization step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -131,7 +132,7 @@ class CuntzExpr:
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
             out: Terms = {}
-            _mul_into(out, _index(self._terms), other._terms)
+            _mul_into(out, _index(self._terms), other._terms, {})
             return CuntzExpr._of(out)
         return self.scale(other)
 
@@ -269,45 +270,58 @@ def _index(a: Terms) -> Index:
             lengths[-1] if lengths else -1)
 
 
-def _mul_into(out: Terms, index: Index, b: Terms) -> None:
+Plan = Tuple[Rows, Rows, List[Tuple[int, int, Rows]]]
+MAX_PLANS = 4096  # plans kept per left factor; past it a plan is built, used and dropped
+
+
+def _plan(index: Index, u2: Code) -> Plan:
+    """The rows of a that meet a right-hand u2, in the order _mul_into takes
+    them: (joined, exact, longer), where joined holds (u1 + rest of u2, c1)
+    for the v1 that are proper prefixes of u2, the empty v first and then
+    by length, exact the rows of v1 = u2, and longer the (shift, rest,
+    rows) of the v1 that extend u2; a u2 longer than every v1 meets neither."""
+    exact, longer, lengths, empty, longest = index
+    m = (u2.bit_length() - 1) >> 1
+    joined: Rows = []
+    if m:
+        joined += [(u1 << 2 * m | u2 ^ 1 << 2 * m, c1) for u1, c1 in empty]
+    for n in lengths:
+        if n >= m:
+            break
+        s = 2 * (m - n)
+        tail = u2 & (1 << s) - 1
+        joined += [(u1 << s | tail, c1) for u1, c1 in exact.get(u2 >> s, ())]
+    return (joined, exact.get(u2, []), longer.get(u2, [])) if m <= longest else (joined, [], [])
+
+
+def _mul_into(out: Terms, index: Index, b: Terms, plans: Dict[Code, Plan]) -> None:
     """Accumulate the product a b of normal forms into out, given a's index.
 
     Each pair of b meets only the pairs of a whose middle block v1^* u2
-    telescopes: those whose v1 is a prefix of u2, found by looking up the
-    prefixes of u2 at the lengths a's v take, and those whose v1 extends
-    u2.  The empty v is a prefix of every nonempty u2, so its rows are
-    taken first without a lookup; a u2 longer than a's longest v equals
-    and extends none of them, so it skips those two lookups.
+    telescopes: those whose v1 is a prefix of u2 and those whose v1
+    extends it.  Which they are depends on u2 alone, so each u2 looks them
+    up once into its plan (see _plan), kept in plans up to MAX_PLANS
+    entries, and every pair of b with that u2 only accumulates.
     """
-    exact, longer, lengths, empty, longest = index
     get = out.get
     for (u2, v2), c2 in b.items():
-        m = (u2.bit_length() - 1) >> 1
-        if m and empty:
-            s, tail = 2 * m, u2 ^ 1 << 2 * m  # u2 without its leading bit
-            for u1, c1 in empty:
-                key = (u1 << s | tail, v2)
-                out[key] = get(key, 0j) + c1 * c2
-        for n in lengths:
-            if n >= m:
-                break
-            s = 2 * (m - n)
-            rows = exact.get(u2 >> s)
-            if rows:
-                tail = u2 & (1 << s) - 1
-                for u1, c1 in rows:
-                    key = (u1 << s | tail, v2)
-                    out[key] = get(key, 0j) + c1 * c2
-        if m > longest:
-            continue
+        plan = plans.get(u2)
+        if plan is None:
+            plan = _plan(index, u2)
+            if len(plans) < MAX_PLANS:
+                plans[u2] = plan
+        joined, exact, longer = plan
+        for u, c1 in joined:
+            key = (u, v2)
+            out[key] = get(key, 0j) + c1 * c2
         # only when v1 = u2 can both sides end in T2; see _add_pair
-        for u1, c1 in exact.get(u2, ()):
+        for u1, c1 in exact:
             if u1 & v2 & 3 == 3:
                 _add_pair(out, u1, v2, c1 * c2)
             else:
                 key = (u1, v2)
                 out[key] = get(key, 0j) + c1 * c2
-        for shift, rest, rows in longer.get(u2, ()):
+        for shift, rest, rows in longer:
             v = v2 << shift | rest
             for u1, c1 in rows:
                 key = (u1, v)
@@ -538,9 +552,22 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
 
 
 _IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, Index]] = {}
+# each image's plans with their index: one replaced under the same key gets new plans
+_PLANS: Dict[HaagerupConstants, Tuple[Dict[int, Index], Dict[int, Dict[Code, Plan]]]] = {}
 
 
-def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, Index]) -> Terms:
+def _keep(cache: dict, c: HaagerupConstants, value):
+    """Store value under c in a per-constants cache, which keeps the
+    standard constants and at most one other set, the most recent."""
+    if c != _STANDARD:
+        for key in [key for key in cache if key != _STANDARD]:
+            del cache[key]
+    cache[c] = value
+    return value
+
+
+def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, Index],
+             plans: Dict[int, Dict[Code, Plan]]) -> Terms:
     """Sum of rho(w[depth:]) X over items (w, X), in Horner form on the trie.
 
     Items whose word ends at depth contribute X; the rest are grouped by
@@ -557,7 +584,7 @@ def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, Index])
         else:
             children.setdefault(w >> s & 3, []).append((w, x))
     for g, sub in children.items():
-        _mul_into(out, img[g], _rho_sum(sub, depth + 1, img))
+        _mul_into(out, img[g], _rho_sum(sub, depth + 1, img, plans), plans[g])
     return out
 
 
@@ -571,12 +598,15 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     c = constants or _STANDARD
     img = _IMAGE_CACHE.get(c)
     if img is None:
-        img = _IMAGE_CACHE[c] = {g: _index(x._terms) for g, x in rho_images(c).items()}
+        img = _keep(_IMAGE_CACHE, c, {g: _index(x._terms) for g, x in rho_images(c).items()})
+    held = _PLANS.get(c)
+    if held is None or held[0] is not img:
+        held = _keep(_PLANS, c, (img, {g: {} for g in img}))
     by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
     for (u, v), coeff in e._terms.items():
         by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
-    items = [(u, _adjoint(_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
-    return CuntzExpr._of(_rho_sum(items, 0, img))
+    items = [(u, _adjoint(_rho_sum(vs, 0, img, held[1]))) for u, vs in by_u.items()]
+    return CuntzExpr._of(_rho_sum(items, 0, img, held[1]))
 
 
 def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:

@@ -536,6 +536,59 @@ def test_rho_and_rho_squared_of_short_words_are_bit_identical_to_the_pair_oracle
                 assert _bits(e._terms) == _bits(ref), w
 
 
+def test_plans_stop_at_the_cap_and_change_no_bit(monkeypatch):
+    # past MAX_PLANS a plan is built and used but not kept
+    monkeypatch.setattr(cuntz, "MAX_PLANS", 5)
+    monkeypatch.setattr(cuntz, "_PLANS", {})
+    for w in itertools.chain.from_iterable(itertools.product(_ATOMS, repeat=n) for n in (1, 2)):
+        e = CuntzExpr({w: -0.5 + 2j})
+        ref = e._terms
+        for _ in range(2):
+            e, ref = rho_apply(e), _oracles.pairs_rho(ref, _PAIR_IMAGES)
+            assert _bits(e._terms) == _bits(ref), w
+    (img, plans), = cuntz._PLANS.values()
+    assert img is cuntz._IMAGE_CACHE[haagerup_constants()]
+    assert sorted(len(p) for p in plans.values()) == [5, 5, 5, 5]
+
+
+def test_plans_follow_the_images_they_were_built_from():
+    # rho under a key fills plans for the Haagerup images; relabelling images
+    # installed under the same key must get plans of their own
+    key = haagerup_constants(a12=0.25j)
+    e = CuntzExpr({((1, False), (2, True)): 1.0, ((3, False), (0, False), (3, True)): -0.5j})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._index(x) for g, x in _PAIR_IMAGES.items()})
+        assert _bits(rho_apply(e, key)._terms) == _bits(_oracles.pairs_rho(e._terms, _PAIR_IMAGES))
+        for perm in ((0, 2, 3, 1), (3, 1, 2, 0), (0, 1, 2, 3)):
+            images = {g: gen_expr(perm[g])._terms for g in range(4)}
+            mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._index(x) for g, x in images.items()})
+            assert _bits(rho_apply(e, key)._terms) == _bits(_oracles.pairs_rho(e._terms, images))
+
+
+def test_caches_keep_the_standard_and_the_latest_constants():
+    # a sweep over perturbed constants keeps two entries per cache, not one
+    # per set; constants whose entries were dropped give the same bits again,
+    # and no two sets give the same bits, so none read another's images
+    c = haagerup_constants()
+    word = T1 * S0.adjoint() + 0.5 * T2 * T0
+    standard = _bits(rho_apply(rho_apply(word, c), c)._terms)
+    images = cuntz._IMAGE_CACHE[c]
+    sweep = [haagerup_constants(a12=c.A[1][2] + k * 1e-3) for k in range(1, 13)]
+    first = []
+    for p in sweep:
+        e = rho_apply(rho_apply(word, p), p)
+        fresh = rho_images(p)
+        assert rho_apply(T1 * S0.adjoint(), p) == fresh[2] * fresh[0].adjoint()
+        first.append(_bits(e._terms))
+        assert set(cuntz._IMAGE_CACHE) == set(cuntz._PLANS) == {c, p}
+        assert cuntz._PLANS[p][0] is cuntz._IMAGE_CACHE[p]
+        assert cuntz._IMAGE_CACHE[c] is images
+    for p, bits in zip(sweep, first):
+        assert _bits(rho_apply(rho_apply(word, p), p)._terms) == bits
+    assert _bits(rho_apply(rho_apply(word, c), c)._terms) == standard
+    assert len(set(map(str, first))) == len(sweep)
+
+
 def test_alpha_is_bit_identical_to_the_pair_oracle():
     rho2_t2 = rho_apply(rho_apply(T2 * T0.adjoint()))
     for e in [g for g in gens()] + [rho2_t2] + [e for e, _ in _rho3_pairs()]:
