@@ -189,7 +189,7 @@ def _wzw_spectrum(args):
 def _wzw_ghj(args):
     from . import wzw
     rule = wzw.branching_rule(args.graph)
-    code, doc, text = _spectrum(wzw.alpha_induction_spectrum(rule.k, 1, rule.J), args.degrees)
+    code, doc, text = _spectrum(wzw.ghj_spectrum(rule.graph), args.degrees)
     doc.update({"graph": rule.graph, "k": rule.k, "J": list(rule.J)})
     return code, doc, [f"graph {rule.graph}: level {rule.k}, J = {list(rule.J)}"] + text
 

@@ -21,15 +21,15 @@ when u2 is a prefix of v1 it is (u1, v2 + rest of v1), and otherwise it
 is 0.  A product looks the telescoping pairs up instead of comparing
 every pair with every pair: the left factor is indexed by its v, and each
 u of the right factor looks up the v that are prefixes of it and the v
-that extend it once, into a plan of rows that every pair with that u only
-accumulates.  rho uses rho(u v^*) = rho(u) rho(v)^*: the v belonging to
-one u are summed on their prefix trie in Horner form, sum_g rho(g) (sum
-over the subtree below g), and then the u likewise, so each generator
-image multiplies once per trie edge, through an index built once per
-image and set of constants (``_IMAGE_CACHE``).  Beside it, ``_PLANS``
-keeps up to MAX_PLANS plans per image across calls, tied to the index
-they were built from; both keep the standard constants and the most
-recent other set only.  CuntzExpr holds exactly this dict: its
+that extend it once, into a plan of rows that the factor keeps and that
+every pair with that u only accumulates.  rho uses rho(u v^*) = rho(u)
+rho(v)^*: the v belonging to one u are summed on their prefix trie in
+Horner form, sum_g rho(g) (sum over the subtree below g), and then the u
+likewise, so each generator image multiplies once per trie edge, as a
+factor built once per image and set of constants.  One cache,
+``_IMAGE_CACHE``, holds these factors for the standard constants and the
+most recent other set only, and each factor carries its plans, up to
+MAX_PLANS, across calls.  CuntzExpr holds exactly this dict: its
 constructor checks and reduces atom words into it, every operation stays
 on pairs, and ``terms`` reads it back with atom-word keys, so there is no
 separate normalization step.
@@ -132,7 +132,7 @@ class CuntzExpr:
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
             out: Terms = {}
-            _mul_into(out, _index(self._terms), other._terms, {})
+            _mul_into(out, _Factor(self._terms), other._terms)
             return CuntzExpr._of(out)
         return self.scale(other)
 
@@ -245,71 +245,62 @@ def _atoms(u: Code, v: Code) -> Word:
 
 
 Rows = List[Tuple[Code, complex]]
-Index = Tuple[Dict[Code, Rows], Dict[Code, List[Tuple[int, int, Rows]]], Tuple[int, ...], Rows, int]
-
-
-def _index(a: Terms) -> Index:
-    """Index a left factor by its v for _mul_into.
-
-    Gives (exact, longer, lengths, empty, longest): exact maps each v to
-    its rows (u, c), longer maps each proper prefix p of a v to the
-    triples (shift, rest, rows of v) of the v that extend it, where
-    v = p << shift | rest, lengths lists the nonzero lengths of the v in
-    increasing order, empty is exact[1] (or []), and longest is the length
-    of the longest v (-1 when a is 0).
-    """
-    exact: Dict[Code, Rows] = {}
-    for (u1, v1), c1 in a.items():
-        exact.setdefault(v1, []).append((u1, c1))
-    longer: Dict[Code, List[Tuple[int, int, Rows]]] = {}
-    for v1, rows in exact.items():
-        for shift in range(v1.bit_length() - 1, 0, -2):
-            longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
-    lengths = sorted({(v.bit_length() - 1) >> 1 for v in exact})
-    return (exact, longer, tuple(n for n in lengths if n), exact.get(1, []),
-            lengths[-1] if lengths else -1)
-
-
 Plan = Tuple[Rows, Rows, List[Tuple[int, int, Rows]]]
 MAX_PLANS = 4096  # plans kept per left factor; past it a plan is built, used and dropped
 
 
-def _plan(index: Index, u2: Code) -> Plan:
-    """The rows of a that meet a right-hand u2, in the order _mul_into takes
-    them: (joined, exact, longer), where joined holds (u1 + rest of u2, c1)
-    for the v1 that are proper prefixes of u2, the empty v first and then
-    by length, exact the rows of v1 = u2, and longer the (shift, rest,
-    rows) of the v1 that extend u2; a u2 longer than every v1 meets neither."""
-    exact, longer, lengths, empty, longest = index
-    m = (u2.bit_length() - 1) >> 1
-    joined: Rows = []
-    if m:
-        joined += [(u1 << 2 * m | u2 ^ 1 << 2 * m, c1) for u1, c1 in empty]
-    for n in lengths:
-        if n >= m:
-            break
-        s = 2 * (m - n)
-        tail = u2 & (1 << s) - 1
-        joined += [(u1 << s | tail, c1) for u1, c1 in exact.get(u2 >> s, ())]
-    return (joined, exact.get(u2, []), longer.get(u2, [])) if m <= longest else (joined, [], [])
+class _Factor:
+    """A left factor of _mul_into, indexed by its v, with its plans.
+
+    exact maps each v to its rows (u, c), longer maps each proper prefix p
+    of a v to the triples (shift, rest, rows of v) of the v that extend it,
+    where v = p << shift | rest, and plans holds the plans built so far by
+    their right-hand u, at most MAX_PLANS of them.
+    """
+
+    __slots__ = ("exact", "longer", "plans")
+
+    def __init__(self, a: Terms):
+        exact: Dict[Code, Rows] = {}
+        for (u1, v1), c1 in a.items():
+            exact.setdefault(v1, []).append((u1, c1))
+        longer: Dict[Code, List[Tuple[int, int, Rows]]] = {}
+        for v1, rows in exact.items():
+            for shift in range(v1.bit_length() - 1, 0, -2):
+                longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
+        self.exact, self.longer, self.plans = exact, longer, {}
+
+    def plan(self, u2: Code) -> Plan:
+        """The rows that meet a right-hand u2, in the order _mul_into takes
+        them: (joined, exact, longer), where joined holds (u1 + rest of u2,
+        c1) for the v1 that are proper prefixes of u2, the empty v first and
+        then by length, exact the rows of v1 = u2, and longer the (shift,
+        rest, rows) of the v1 that extend u2.  Kept while there is room."""
+        exact = self.exact
+        joined: Rows = []
+        for s in range(u2.bit_length() - 1, 0, -2):
+            tail = u2 & (1 << s) - 1
+            joined += [(u1 << s | tail, c1) for u1, c1 in exact.get(u2 >> s, ())]
+        plan = (joined, exact.get(u2, []), self.longer.get(u2, []))
+        if len(self.plans) < MAX_PLANS:
+            self.plans[u2] = plan
+        return plan
 
 
-def _mul_into(out: Terms, index: Index, b: Terms, plans: Dict[Code, Plan]) -> None:
-    """Accumulate the product a b of normal forms into out, given a's index.
+def _mul_into(out: Terms, factor: _Factor, b: Terms) -> None:
+    """Accumulate the product a b of normal forms into out, given a as a factor.
 
     Each pair of b meets only the pairs of a whose middle block v1^* u2
     telescopes: those whose v1 is a prefix of u2 and those whose v1
     extends it.  Which they are depends on u2 alone, so each u2 looks them
-    up once into its plan (see _plan), kept in plans up to MAX_PLANS
-    entries, and every pair of b with that u2 only accumulates.
+    up once into its plan (see _Factor.plan), and every pair of b with that
+    u2 only accumulates.
     """
-    get = out.get
+    get, plans = out.get, factor.plans
     for (u2, v2), c2 in b.items():
         plan = plans.get(u2)
         if plan is None:
-            plan = _plan(index, u2)
-            if len(plans) < MAX_PLANS:
-                plans[u2] = plan
+            plan = factor.plan(u2)
         joined, exact, longer = plan
         for u, c1 in joined:
             key = (u, v2)
@@ -551,23 +542,11 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
     return img
 
 
-_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, Index]] = {}
-# each image's plans with their index: one replaced under the same key gets new plans
-_PLANS: Dict[HaagerupConstants, Tuple[Dict[int, Index], Dict[int, Dict[Code, Plan]]]] = {}
+# rho's generator images as factors, for the standard constants and the latest other set
+_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, _Factor]] = {}
 
 
-def _keep(cache: dict, c: HaagerupConstants, value):
-    """Store value under c in a per-constants cache, which keeps the
-    standard constants and at most one other set, the most recent."""
-    if c != _STANDARD:
-        for key in [key for key in cache if key != _STANDARD]:
-            del cache[key]
-    cache[c] = value
-    return value
-
-
-def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, Index],
-             plans: Dict[int, Dict[Code, Plan]]) -> Terms:
+def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor]) -> Terms:
     """Sum of rho(w[depth:]) X over items (w, X), in Horner form on the trie.
 
     Items whose word ends at depth contribute X; the rest are grouped by
@@ -584,7 +563,7 @@ def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, Index],
         else:
             children.setdefault(w >> s & 3, []).append((w, x))
     for g, sub in children.items():
-        _mul_into(out, img[g], _rho_sum(sub, depth + 1, img, plans), plans[g])
+        _mul_into(out, img[g], _rho_sum(sub, depth + 1, img))
     return out
 
 
@@ -598,15 +577,15 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     c = constants or _STANDARD
     img = _IMAGE_CACHE.get(c)
     if img is None:
-        img = _keep(_IMAGE_CACHE, c, {g: _index(x._terms) for g, x in rho_images(c).items()})
-    held = _PLANS.get(c)
-    if held is None or held[0] is not img:
-        held = _keep(_PLANS, c, (img, {g: {} for g in img}))
+        if c != _STANDARD:
+            for key in [key for key in _IMAGE_CACHE if key != _STANDARD]:
+                del _IMAGE_CACHE[key]
+        img = _IMAGE_CACHE[c] = {g: _Factor(x._terms) for g, x in rho_images(c).items()}
     by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
     for (u, v), coeff in e._terms.items():
         by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
-    items = [(u, _adjoint(_rho_sum(vs, 0, img, held[1]))) for u, vs in by_u.items()]
-    return CuntzExpr._of(_rho_sum(items, 0, img, held[1]))
+    items = [(u, _adjoint(_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
+    return CuntzExpr._of(_rho_sum(items, 0, img))
 
 
 def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:

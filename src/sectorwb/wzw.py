@@ -116,7 +116,7 @@ class BranchingRule(NamedTuple):
     J: Tuple[int, ...]
 
 
-_GRAPH_RE = re.compile(r"([ADE])([0-9]+)")
+_GRAPH_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 
 
 def branching_rule(graph: str) -> BranchingRule:
@@ -228,12 +228,14 @@ def _qfacts(M: int, top: int) -> List[float]:
 
     One prefix-product list per M grows on demand: each entry is the one
     before times the next quantum integer, the order of the n-fold product,
-    so every entry is the same float however far the list has grown.  An
-    index at or past the vanishing integer [M], an M beyond float range, or
-    a factorial that overflows a float, raises SixJDomainError.  [x] >= 1
-    for 0 < x < M, so a list never decreases and stops before its first
-    overflow: no list held more than 202 entries for any even M up to 5000,
-    nor at 10^5 or 10^7.
+    so every entry is the same float however far the list has grown, or
+    after it was dropped: a new M arriving when 64 lists are held drops
+    them all, so a sweep over m keeps at most 64.  An index at or past the
+    vanishing integer [M], an M beyond float range, or a factorial that
+    overflows a float, raises SixJDomainError.  [x] >= 1 for 0 < x < M, so
+    a list never decreases and stops before its first overflow: no list
+    held more than 202 entries for any even M up to 5000, nor at 10^5 or
+    10^7.
     """
     if top >= M:
         raise SixJDomainError(
@@ -241,6 +243,8 @@ def _qfacts(M: int, top: int) -> List[float]:
         )
     if M > sys.float_info.max:
         raise SixJDomainError("the root-of-unity order m must fit in a float")
+    if M not in _QFACTS and len(_QFACTS) >= 64:
+        _QFACTS.clear()
     f = _QFACTS.setdefault(M, [1.0])
     while len(f) <= top:
         x = f[-1] * qint(len(f), M)

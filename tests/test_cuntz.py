@@ -244,27 +244,28 @@ def test_constants_key_the_image_cache():
     perturbed = haagerup_constants(a12=c.A[1][2] + 1e-3)
     assert perturbed != c
     assert rho_apply(T0, perturbed) != rho_apply(T0, c)
-    assert cuntz._IMAGE_CACHE[perturbed] != cuntz._IMAGE_CACHE[c]
-    # the standard entry still indexes the standard images: rho of a word is
-    # the product of images built from scratch, and the index holds their terms
+
+    def indexes(key):
+        # a factor's exact and longer hold its image; its plans are meant to grow
+        return {g: (f.exact, f.longer) for g, f in cuntz._IMAGE_CACHE[key].items()}
+
+    assert indexes(perturbed) != indexes(c)
+    # the standard entry still holds the standard images: rho of a word is
+    # the product of images built from scratch, and each factor holds their terms
     fresh = rho_images(c)
     assert rho_apply(T0 * S0.adjoint(), c) == fresh[1] * fresh[0].adjoint()
-    for g, (exact, longer, lengths, empty, longest) in cuntz._IMAGE_CACHE[c].items():
+    for g, (exact, longer) in indexes(c).items():
         assert {(u, v): x for v, rows in exact.items() for u, x in rows} == fresh[g]._terms
-        # the empty v's rows are exact's, and the lengths are those of the other v
-        assert empty == exact.get(1, [])
-        assert lengths == tuple(sorted({(v.bit_length() - 1) >> 1 for v in exact} - {0}))
-        assert longest == max((v.bit_length() - 1) >> 1 for v in exact)
         # and each longer entry rebuilds a v of exact from its prefix
         for prefix, extensions in longer.items():
             for shift, rest, rows in extensions:
                 assert exact[prefix << shift | rest] is rows
-    # and products only read it
-    before = copy.deepcopy(cuntz._IMAGE_CACHE[c])
+    # and products leave those two fields as they were
+    before = copy.deepcopy(indexes(c))
     pairs = itertools.product(itertools.product(range(4), (False, True)), repeat=2)
     for w in itertools.islice(pairs, 50):
         rho_apply(CuntzExpr({w: 1.0}), c)
-    assert cuntz._IMAGE_CACHE[c] == before
+    assert indexes(c) == before
 
 
 def test_relations_all_pass():
@@ -487,7 +488,7 @@ def test_rho_on_long_words_matches_oracle(perm, terms):
     ref = _oracles.cuntz_rho(terms, {g: x.terms for g, x in images.items()})
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(cuntz._IMAGE_CACHE, key,
-                   {g: cuntz._index(x._terms) for g, x in images.items()})
+                   {g: cuntz._Factor(x._terms) for g, x in images.items()})
         assert _max_diff(rho_apply(CuntzExpr(terms), key), ref) <= 1e-12
 
 
@@ -539,16 +540,15 @@ def test_rho_and_rho_squared_of_short_words_are_bit_identical_to_the_pair_oracle
 def test_plans_stop_at_the_cap_and_change_no_bit(monkeypatch):
     # past MAX_PLANS a plan is built and used but not kept
     monkeypatch.setattr(cuntz, "MAX_PLANS", 5)
-    monkeypatch.setattr(cuntz, "_PLANS", {})
+    monkeypatch.setattr(cuntz, "_IMAGE_CACHE", {})
     for w in itertools.chain.from_iterable(itertools.product(_ATOMS, repeat=n) for n in (1, 2)):
         e = CuntzExpr({w: -0.5 + 2j})
         ref = e._terms
         for _ in range(2):
             e, ref = rho_apply(e), _oracles.pairs_rho(ref, _PAIR_IMAGES)
             assert _bits(e._terms) == _bits(ref), w
-    (img, plans), = cuntz._PLANS.values()
-    assert img is cuntz._IMAGE_CACHE[haagerup_constants()]
-    assert sorted(len(p) for p in plans.values()) == [5, 5, 5, 5]
+    img, = cuntz._IMAGE_CACHE.values()
+    assert [len(f.plans) for f in img.values()] == [5, 5, 5, 5]
 
 
 def test_plans_follow_the_images_they_were_built_from():
@@ -557,16 +557,16 @@ def test_plans_follow_the_images_they_were_built_from():
     key = haagerup_constants(a12=0.25j)
     e = CuntzExpr({((1, False), (2, True)): 1.0, ((3, False), (0, False), (3, True)): -0.5j})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._index(x) for g, x in _PAIR_IMAGES.items()})
+        mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._Factor(x) for g, x in _PAIR_IMAGES.items()})
         assert _bits(rho_apply(e, key)._terms) == _bits(_oracles.pairs_rho(e._terms, _PAIR_IMAGES))
         for perm in ((0, 2, 3, 1), (3, 1, 2, 0), (0, 1, 2, 3)):
             images = {g: gen_expr(perm[g])._terms for g in range(4)}
-            mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._index(x) for g, x in images.items()})
+            mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._Factor(x) for g, x in images.items()})
             assert _bits(rho_apply(e, key)._terms) == _bits(_oracles.pairs_rho(e._terms, images))
 
 
 def test_caches_keep_the_standard_and_the_latest_constants():
-    # a sweep over perturbed constants keeps two entries per cache, not one
+    # a sweep over perturbed constants keeps two entries in the cache, not one
     # per set; constants whose entries were dropped give the same bits again,
     # and no two sets give the same bits, so none read another's images
     c = haagerup_constants()
@@ -580,8 +580,7 @@ def test_caches_keep_the_standard_and_the_latest_constants():
         fresh = rho_images(p)
         assert rho_apply(T1 * S0.adjoint(), p) == fresh[2] * fresh[0].adjoint()
         first.append(_bits(e._terms))
-        assert set(cuntz._IMAGE_CACHE) == set(cuntz._PLANS) == {c, p}
-        assert cuntz._PLANS[p][0] is cuntz._IMAGE_CACHE[p]
+        assert set(cuntz._IMAGE_CACHE) == {c, p}
         assert cuntz._IMAGE_CACHE[c] is images
     for p, bits in zip(sweep, first):
         assert _bits(rho_apply(rho_apply(word, p), p)._terms) == bits

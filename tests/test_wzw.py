@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sectorwb import catalog, wzw
+from sectorwb.scalar import qint
 from sectorwb.wzw import (
     QSixJ,
     SixJDomainError,
@@ -94,7 +95,8 @@ def test_branching_rule_table():
     assert branching_rule("D4").k == 4
     assert branching_rule("D4").J == (0, 4)
     assert branching_rule("E8").J == (0, 10, 18, 28)
-    for bad in ("D5", "D2", "F4", "E9", "A1", "e6", "D", "6", "E6\n", "E\u0666"):
+    for bad in ("D5", "D2", "F4", "E9", "A1", "e6", "D", "6", "E6\n", "E\u0666",
+                "D04", "A007", "E06"):
         with pytest.raises(ValueError):
             branching_rule(bad)
 
@@ -193,6 +195,22 @@ def test_q6j_domain_errors():
         QSixJ(1, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         QSixJ(5, Fraction(1, 3), 0, 0, 0, 0, 0)
+
+
+def test_qfacts_keep_at_most_64_orders_and_the_same_floats(monkeypatch):
+    # a sweep over distinct m holds at most 64 lists, one per root-of-unity
+    # order, and a second sweep, which builds the dropped lists again, gives
+    # the same floats, those of a fresh list
+    monkeypatch.setattr(wzw, "_QFACTS", {})
+    ms = range(3, 203)
+    first = [q6j(QSixJ(m, 1, 1, 1, 1, 1, 1)) for m in ms]
+    for m, value in zip(ms, first):
+        assert q6j(QSixJ(m, 1, 1, 1, 1, 1, 1)) == value
+        assert len(wzw._QFACTS) <= 64
+        fresh = [1.0]
+        for x in range(1, len(wzw._QFACTS[2 * m])):
+            fresh.append(fresh[-1] * qint(x, 2 * m))
+        assert wzw._QFACTS[2 * m] == fresh
 
 
 def test_integers_beyond_float_range():
