@@ -150,9 +150,9 @@ def angle_candidates(d_sigma, s,
     """Both candidate cosines allowed by the coupling quadratic.
 
     c± = (sqrt((d-1)^2 s^2 + 4 d) ± (d-1)|s|) / (2 d); the product of the
-    two cosines is exactly 1/d.  Returned with the plus branch first.
-    |s| may exceed 1 by at most ``tol``.  Inputs whose
-    (d-1)^2 s^2 overflows a float raise ValueError.
+    two cosines is exactly 1/d, so c- is taken as 1/(d c+), which cancels
+    nothing.  Returned with the plus branch first.  |s| may exceed 1 by at
+    most ``tol``.  Inputs whose (d-1)^2 s^2 overflows a float raise ValueError.
     """
     d, s = _inner(d_sigma, s, tol)
     try:
@@ -161,9 +161,9 @@ def angle_candidates(d_sigma, s,
         root = math.inf
     if root == math.inf:
         raise ValueError(f"(d_sigma - 1)^2 s^2 overflows a float at d_sigma = {d}, s = {s}")
-    spread = (d - 1.0) * abs(s)
+    plus = (root + (d - 1.0) * abs(s)) / (2.0 * d)
     return tuple(AngleCandidate(c, None if c >= 1.0 - EPS_ABS else math.acos(c))
-                 for c in ((root + spread) / (2.0 * d), (root - spread) / (2.0 * d)))
+                 for c in (plus, 1.0 / (d * plus)))
 
 
 def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
@@ -179,8 +179,9 @@ def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
 
 
 def angle_bound(pn) -> float:
-    """Largest possible angle arccos(:func:`bound_cos`) in the 3-supertransitive case."""
+    """Largest possible angle arccos(:func:`bound_cos`) in the 3-supertransitive case,
+    as 2 asin(sqrt((pn - 2)/(2(pn - 1)))), which cancels nothing near pn = 2."""
     val = float(pn)
     if not 2 < val < math.inf:
         raise ValueError("pn must be finite and exceed 2 for the bound to be a cosine")
-    return math.acos(bound_cos(val))
+    return 2.0 * math.asin(math.sqrt((val - 2.0) / (val - 1.0) / 2.0))

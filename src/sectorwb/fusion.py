@@ -93,9 +93,10 @@ class FusionRing(Frozen):
 
     ``tensor`` maps (i, j) to {k: N(i,j,k)} with only positive entries stored;
     ``dual`` is total after construction (identity entries filled in).
-    ``N`` is the same table as a dense array, and ``right_rows`` as lists
-    indexed by label position; each is built on first use and kept in the
-    instance ``__dict__`` (so the class declares no ``__slots__``).
+    ``N`` is the same table as a dense array for :func:`validate_ring` and
+    :func:`pf_dimensions` only (:meth:`n` reads ``tensor``), and ``right_rows``
+    as lists indexed by label position; each is built on first use and kept
+    in the instance ``__dict__`` (so the class declares no ``__slots__``).
     """
 
     _fields = ("name", "labels", "unit", "dual", "tensor")
@@ -178,7 +179,8 @@ class FusionRing(Frozen):
     # -- access -------------------------------------------------------------
 
     def n(self, i: str, j: str, k: str) -> int:
-        return int(self.N[self._pos[i], self._pos[j], self._pos[k]])
+        self._pos[i], self._pos[j], self._pos[k]  # an unknown label raises KeyError
+        return int(self.tensor.get((i, j), {}).get(k, 0))
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -360,8 +362,6 @@ def _associativity_proved(N: np.ndarray, u: int) -> bool:
     if not np.array_equal(np.matmul(Mx, Xx), np.matmul(Xx, Mx)):
         return False
     p = _KRYLOV_PRIME
-    if n * (p - 1) ** 2 > _INT64_MAX:
-        return False
     Xp = X % p
     K = np.empty((n, n), dtype=np.int64)  # row t = X^t e_u mod p
     v = np.zeros(n, dtype=np.int64)

@@ -1,10 +1,13 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Eleven families:
+Nothing here imports sectorwb.  Twelve families:
 
-  * the float angle formulas as angles.py once wrote them inline, for
+  * the float cocommuting formula as angles.py once wrote it inline, for
     bit-for-bit cross-checking of the functions that now share one
     formula with the exact classification;
+  * the candidate cosines and the bound angle of exact double inputs in
+    stdlib decimal, for checking that the float formulas keep their digits
+    where the textbook forms cancel;
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
     6j symbol in its classical limit;
@@ -38,10 +41,12 @@ Nothing here imports sectorwb.  Eleven families:
 """
 
 import cmath
+import decimal
 import itertools
 import math
 import operator
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -61,9 +66,39 @@ def cocommuting_cosine_inline(pn, mp):
     return math.sqrt((pn - mp) / denominator)
 
 
-def bound_angle_inline(pn):
-    """arccos(1/(pn-1)), as angle_bound computed it inline."""
-    return math.acos(1.0 / (float(pn) - 1.0))
+# ---------------------------------------------------------------------------
+# angle references in stdlib decimal
+
+
+def candidate_cosines_decimal(d, s, prec=60):
+    """Both candidate cosines (sqrt((d-1)^2 s^2 + 4d) +- (d-1)|s|)/(2d) of the
+    exact double inputs, at ``prec`` digits, rounded once to floats.  The
+    subtraction is the written one: at 60 digits it keeps more than 30
+    digits for d up to 1e12."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        d, s = Decimal(d), abs(Decimal(s))
+        root, spread = ((d - 1) ** 2 * s ** 2 + 4 * d).sqrt(), (d - 1) * s
+        return float((root + spread) / (2 * d)), float((root - spread) / (2 * d))
+
+
+def bound_angle_decimal(pn, prec=40):
+    """arccos(1/(pn - 1)) of the exact double pn > 2, at ``prec`` digits,
+    rounded once to a float: 2 asin(y) with y^2 = (pn - 2)/(2(pn - 1)) < 1/2,
+    summed as the Taylor series of asin, whose terms shrink by y^2 or more."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec + 5
+        pn = Decimal(pn)
+        y2 = (pn - 2) / (2 * (pn - 1))
+        term = total = y2.sqrt()  # term_n = c_n y^(2n+1), c_n = (2n)!/(4^n n!^2)
+        n = 0
+        while True:
+            n += 1
+            term *= y2 * (2 * n - 1) / (2 * n)
+            step = term / (2 * n + 1)
+            if total + step == total:
+                return float(2 * total)
+            total += step
 
 
 # ---------------------------------------------------------------------------

@@ -203,18 +203,55 @@ def _index_grid():
 
 
 def test_float_angles_are_bit_identical_to_the_inline_formulas():
-    # the shared formulas run the same IEEE operations in the same order as the
-    # expressions they replaced; == on these finite nonzero floats compares bits
+    # the shared formula runs the same IEEE operations in the same order as the
+    # expression it replaced; == on these finite nonzero floats compares bits.
+    # angle_bound uses its own cancellation-free form, which
+    # test_bound_angle_keeps_its_digits checks on this grid
     for pn, mp in _index_grid():
         if abs(pn - mp) <= 1e-9:
             continue
         assert angle_cocommuting(pn, mp) == AngleSpectrum.from_cosines(
             [_oracles.cocommuting_cosine_inline(pn, mp)]), (pn, mp)
-        if pn > 2:
-            assert angle_bound(pn) == _oracles.bound_angle_inline(pn), pn
     for g, h, hk in [(24, 6, 2), (24, 4, 2), (60, 12, 4), (720, 24, 6), (10 ** 6, 10 ** 3, 8)]:
         want = AngleSpectrum.from_cosines([_oracles.cocommuting_cosine_inline(g // h, h // hk)])
         assert angle_group(g, h, h, hk) == want
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("d, s, plus, minus", [
+    (1e6, 0.9, "0.900000211111", "1.11111085048e-06"),
+    (1e12, 0.99, "0.99", "1.0101010101e-12"),
+])
+def test_candidate_cosines_print_their_true_digits(d, s, plus, minus):
+    got = [c.cosine for c in angle_candidates(d, s)]
+    want = _oracles.candidate_cosines_decimal(d, s)
+    assert [f"{c:.12g}" for c in got] == [f"{c:.12g}" for c in want] == [plus, minus]
+
+
+def test_candidate_cosines_keep_their_digits():
+    # seeded sweep of d from just above 1 to 1e12 and |s| <= 1, with s = 0 and
+    # s = +-1 at every d: both branches within a few ulp of the reference
+    rng = random.Random(16)
+    worst = 0.0
+    for _ in range(400):
+        d = 1 + 10 ** rng.uniform(-6, 12)
+        for s in (rng.uniform(-1, 1), 0.0, 1.0, -1.0):
+            got = [c.cosine for c in angle_candidates(d, s)]
+            want = _oracles.candidate_cosines_decimal(d, s)
+            worst = max(worst, *map(_rel_err, got, want))
+    assert worst <= 1e-15
+
+
+def test_bound_angle_keeps_its_digits():
+    assert f"{angle_bound(2.0000001):.12g}" == "0.0004472135765"
+    assert f"{_oracles.bound_angle_decimal(2.0000001):.12g}" == "0.0004472135765"
+    pns = [pn for pn, _ in _index_grid() if pn > 2]
+    pns += [2 + 10 ** -e for e in range(1, 16)] + [1e300, 1.7e308]
+    assert max(_rel_err(angle_bound(pn), _oracles.bound_angle_decimal(pn))
+               for pn in pns) <= 1e-15
 
 
 def test_generic_formulas_check_nothing():

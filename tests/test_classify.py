@@ -6,6 +6,7 @@ import pytest
 from sectorwb import angles, catalog, cuntz, quad
 from sectorwb.classify import (
     ANGLE_RULES,
+    TAGS,
     PFLink,
     QuadCase,
     case_by_id,
@@ -23,6 +24,9 @@ def test_table_has_seven_cases():
     assert len(cases) == 7
     assert [c.case_id for c in cases] == [
         "a5a3", "d6a4", "a7a7", "d6affa3", "e6affd4", "e7affa5", "e7affe7aff"]
+    for case in cases:
+        assert case.tag in TAGS, case.case_id
+        assert case.angle_rule in ANGLE_RULES, case.case_id
 
 
 def test_all_cases_pass():

@@ -152,6 +152,8 @@ def test_haagerup_verify_perturb(capsys):
      "error: give a catalog ring name or --file, not both\n"),
     (["validate", "d6_even", "--file", "FILE"],
      "error: give a catalog ring name or --file, not both\n"),
+    (["validate"], "error: a catalog ring name or --file is required\n"),
+    (["dims"], "error: a catalog ring name or --file is required\n"),
 ])
 def test_level_must_match_the_ring(argv, message, tmp_path, capsys):
     # FILE is the d6_even ring saved to disk
@@ -166,6 +168,10 @@ def test_level_must_match_the_ring(argv, message, tmp_path, capsys):
 def test_cuntz_normalize(capsys):
     assert main(["cuntz", "normalize", "T0^*T0 + S0^*T1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # a coefficient with both parts prints in parentheses, with the sign of i
+    for text, out in (("T0 + 2i*T0", "(1+2i)*T0"), ("T0 - 2i*T0", "(1-2i)*T0")):
+        assert main(["cuntz", "normalize", text]) == 0
+        assert capsys.readouterr().out == out + "\n"
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -459,12 +465,17 @@ def _d6_file(path, **fields):
      "error: the level k is too large for float S-matrix entries"),
     (["wzw", "6j", "--m", str(10 ** 400), "--spins", "1,1,1,1,1,1"], 2,
      "error: the root-of-unity order m must fit in a float"),
+    (["wzw", "spectrum", "--k", "5", "--J", "1,2"], 2, "error: J must contain 0"),
+    (["wzw", "spectrum", "--k", "5", "--J", "0,9"], 2, "error: J must be a subset of {0..k}"),
+    (["wzw", "6j", "--m", "4", "--spins", "1,1,1,1,1"], 2,
+     "error: exactly six spins are required"),
 ], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "sixj-overflow",
         "asymptotic-cap", "expr-syntax", "lookup",
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
         "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
         "spin-arabic-digit", "group-int-overflow", "spectrum-int-overflow",
-        "spectrum-underflow", "sixj-int-overflow"])
+        "spectrum-underflow", "sixj-int-overflow", "J-without-0", "J-above-k",
+        "five-spins"])
 def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, capsys):
     # the exception classes main() names belong to modules that a fresh
     # process has not loaded when the command fails; the in-process run

@@ -297,6 +297,8 @@ def test_transposed_alpha_breaks_exchange(monkeypatch):
     swapped = verify_haagerup_relations()
     assert not swapped.all_pass
     assert swapped.residual_of("alpha_rho_commutation") > 1e-1
+    with pytest.raises(KeyError, match="nope"):
+        swapped.residual_of("nope")
 
 
 def test_qsystem_solutions():

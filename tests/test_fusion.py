@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -245,6 +250,33 @@ def test_dense_tensor_matches_rows():
         ring.N[0, 0, 0] = 7
 
 
+def test_n_reads_the_sparse_table():
+    # n agrees with the dense array entry for entry, but builds no N
+    rings = ([catalog.builtin("su2", k) for k in range(1, 13)]
+             + [catalog.builtin(e.key) for e in catalog.ENTRIES if not e.parametrized])
+    for ring in rings:
+        fresh = catalog.ring_from_dict(catalog.ring_to_dict(ring))
+        for i, j, k in itertools.product(fresh.labels, repeat=3):
+            assert fresh.n(i, j, k) == int(ring.N[ring.index(i), ring.index(j), ring.index(k)])
+        assert "N" not in vars(fresh), ring.name
+    ring = catalog.builtin("a4_rep")
+    for args in (("nope", "1", "1"), ("1", "nope", "1"), ("1", "1", "nope")):
+        with pytest.raises(KeyError, match="nope"):
+            ring.n(*args)
+    assert "N" not in vars(ring)
+
+
+def test_n_at_a_large_level_imports_no_numpy():
+    probe = """
+import sys
+from sectorwb.catalog import builtin
+assert builtin("su2", 150).n("l1", "l1", "l2") == 1
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
 def _zn(n):
     labels = tuple(f"g{i}" for i in range(n))
     tensor = {(labels[i], labels[j]): {labels[(i + j) % n]: 1}
@@ -397,8 +429,9 @@ def test_certificate_needs_a_cyclic_unit_vector():
 def test_certificate_arithmetic_stays_exact():
     # x*x = A*x is associative; the commutator sums reach about 4*A^2,
     # which takes float64 at A = 2**20, int64 at 2**28 and is out of range
-    # at 2**31, where the n^5 check (on Python ints) has to decide
-    for A, proved in ((2 ** 20, True), (2 ** 28, True), (2 ** 31, False)):
+    # at 2**31, where the n^5 check (on Python ints) has to decide; at 2**62
+    # even X = sum_a c_a M_a, up to 3*A, leaves int64
+    for A, proved in ((2 ** 20, True), (2 ** 28, True), (2 ** 31, False), (2 ** 62, False)):
         ring = _table(("1", "x"), {("x", "x"): {"x": A}})
         assert _proved(ring) is proved
         report = validate_ring(ring)
