@@ -4,6 +4,8 @@ Exit codes: 0 on success, 1 when a verification/check reports failure,
 2 on usage or parse errors.  With --json every invocation emits a single
 document {"command", "inputs", "results", "residuals"}; floats are rounded
 to 12 significant digits so the output is byte-stable and round-trips.
+--json and --out go before or after the subcommand; --degrees and
+--tolerance go after it, and only the commands whose answer they change take them.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ def _angle_bound(args):
 
 def _wzw_spectrum(args):
     from . import wzw
-    labels = _ascii_items(args.J, "[0-9]*", "label {} in J is not a nonnegative integer")
-    J = [int(x) for x in labels if x]
+    labels = _ascii_items(args.J, "[0-9]+", "label {} in J is not a nonnegative integer")
+    J = [int(x) for x in labels]
     return _spectrum(wzw.alpha_induction_spectrum(args.k, args.i0, J), args.degrees)
 
 
@@ -286,19 +288,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(q: argparse.ArgumentParser, suppress: bool = True) -> None:
+def _add_common(q: argparse.ArgumentParser, reads: Tuple[str, ...] = (),
+                suppress: bool = True) -> None:
     # On leaf parsers the defaults are SUPPRESS so a trailing flag is
     # accepted without clobbering a value already parsed at the root.
+    # --degrees and --tolerance go only on the leaves whose handler ``reads`` them.
     s = argparse.SUPPRESS
     q.add_argument("--json", action="store_true",
                    default=s if suppress else False,
                    help="emit a JSON document")
-    q.add_argument("--degrees", action="store_true",
-                   default=s if suppress else False,
-                   help="report angles in degrees")
-    q.add_argument("--tolerance", type=_tolerance,
-                   default=s if suppress else EPS_ABS,
-                   help=f"absolute comparison tolerance (default {EPS_ABS})")
+    if "degrees" in reads:
+        q.add_argument("--degrees", action="store_true", help="report angles in degrees")
+    if "tolerance" in reads:
+        q.add_argument("--tolerance", type=_tolerance, default=EPS_ABS,
+                       help=f"absolute comparison tolerance (default {EPS_ABS})")
     q.add_argument("--out", default=s if suppress else None,
                    help="write output to a file")
 
@@ -313,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     leaves = []
 
-    def leaf(parent, name, handler):
+    def leaf(parent, name, handler, *reads):
         q = parent.add_parser(name)
         q.set_defaults(handler=handler)
-        leaves.append(q)
+        leaves.append((q, reads))
         return q
 
     def group(name):
@@ -335,26 +338,26 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--file", default=None)
 
     ang = group("angle")
-    q = leaf(ang, "cocommuting", _angle_cocommuting)
+    q = leaf(ang, "cocommuting", _angle_cocommuting, "degrees", "tolerance")
     q.add_argument("--pn", type=float, required=True)
     q.add_argument("--mp", type=float, required=True)
-    q = leaf(ang, "group", _angle_group)
+    q = leaf(ang, "group", _angle_group, "degrees")
     for order in ("--g", "--h", "--k", "--hk"):
         q.add_argument(order, type=int, required=True)
-    q = leaf(ang, "candidates", _angle_candidates)
+    q = leaf(ang, "candidates", _angle_candidates, "degrees", "tolerance")
     q.add_argument("--d", type=float, required=True)
     q.add_argument("--s", type=float, required=True)
-    q = leaf(ang, "bound", _angle_bound)
+    q = leaf(ang, "bound", _angle_bound, "degrees")
     q.add_argument("--pn", type=float, required=True)
 
     w = group("wzw")
-    q = leaf(w, "spectrum", _wzw_spectrum)
+    q = leaf(w, "spectrum", _wzw_spectrum, "degrees")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--i0", type=int, default=1)
     q.add_argument("--J", required=True, help="comma-separated labels, e.g. 0,6")
-    q = leaf(w, "ghj", _wzw_ghj)
+    q = leaf(w, "ghj", _wzw_ghj, "degrees")
     q.add_argument("--graph", required=True)
-    q = leaf(w, "asymptotic", _wzw_asymptotic)
+    q = leaf(w, "asymptotic", _wzw_asymptotic, "degrees")
     q.add_argument("--n", type=int, required=True)
     q = leaf(w, "6j", _wzw_6j)
     q.add_argument("--m", type=int, required=True)
@@ -362,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="six half-integers, e.g. 2,1,1,1,1,1 or 3/2,...")
 
     h = group("haagerup")
-    leaf(h, "verify", _haagerup_verify).add_argument(
+    leaf(h, "verify", _haagerup_verify, "tolerance").add_argument(
         "--perturb", type=float, default=None, metavar="EPS",
         help="check the constants with A(1,2) shifted by EPS")
-    leaf(h, "qsystem", _haagerup_qsystem)
+    leaf(h, "qsystem", _haagerup_qsystem, "tolerance")
 
-    leaf(group("cuntz"), "normalize", _cuntz_normalize).add_argument("expr")
+    leaf(group("cuntz"), "normalize", _cuntz_normalize, "tolerance").add_argument("expr")
 
     q = leaf(sub, "classify", _classify)
     g = q.add_mutually_exclusive_group(required=True)
@@ -375,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--case", default=None)
     g.add_argument("--exclusions", action="store_true")
 
-    for q in leaves:
-        _add_common(q)
+    for q, reads in leaves:
+        _add_common(q, reads)
     return p
 
 

@@ -701,20 +701,16 @@ def _qsystem_residuals(a: complex, b: complex, c: HaagerupConstants) -> Dict[str
     }
 
 
-def solve_qsystem(
-    constants: Optional[HaagerupConstants] = None,
-    tol: float = EPS_ABS,
-) -> Tuple[QSystemSolution, QSystemSolution]:
+def solve_qsystem(tol: float = EPS_ABS) -> Tuple[QSystemSolution, QSystemSolution]:
     """Solve the four scalar equations; exactly two solutions, (a,b) and (-a,-b).
 
     b^2 = -(d-1)^2 / ((B+d) sqrt(d)) and a = -(B+1) b / (d-1)^{3/2}; the
     solutions satisfy |a|^2 = 1/d and |b|^2 = (d-1)/d, so |a|^2+|b|^2 = 1.
     Each equation is even in (a, b), so both carry the residuals of (a, b),
     in dicts of their own.  A residual or norm defect of at least ``tol``
-    raises QSystemError: the constants are corrupted, or ``tol`` is below
-    the rounding error.
+    raises QSystemError: ``tol`` is below the rounding error.
     """
-    c = constants or _STANDARD
+    c = _STANDARD
     d = c.d
     b_sq = -((d - 1) ** 2) / ((c.B + d) * c.sqrt_d)
     b = cmath.sqrt(b_sq)

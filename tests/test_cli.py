@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import pytest
 
 import sectorwb
 from sectorwb import catalog, fusion, quad, wzw
-from sectorwb.cli import main
+from sectorwb.cli import build_parser, main
 
 import _oracles
 
@@ -39,11 +41,11 @@ def test_angle_candidates_honours_degrees(capsys):
     degrees = capsys.readouterr().out
     assert "rad" in radians and " rad" not in degrees
     assert degrees.splitlines()[0] == "cosine 0.565055367187: angle 55.5938638063 deg"
-    assert main(["--json", "--degrees"] + argv) == 0
+    assert main(["--json"] + argv + ["--degrees"]) == 0
     for c in json.loads(capsys.readouterr().out)["results"]["candidates"]:
         assert c["angle_degrees"] == pytest.approx(math.degrees(c["angle_radians"]), rel=1e-11)
     # a degenerate branch has no angle in either unit
-    assert main(["--json", "--degrees", "angle", "candidates", "--d", "1.5", "--s", "1"]) == 0
+    assert main(["--json", "angle", "candidates", "--d", "1.5", "--s", "1", "--degrees"]) == 0
     plus = json.loads(capsys.readouterr().out)["results"]["candidates"][0]
     assert plus["degenerate"] and plus["angle_degrees"] is None
 
@@ -116,10 +118,10 @@ def test_haagerup_verify(capsys):
 
 def test_haagerup_verify_honours_tolerance(capsys):
     # residuals of a few 1e-16 fail a tolerance of 1e-30
-    assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
+    assert main(["haagerup", "verify", "--tolerance", "1e-30"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "FAILURES present" in out
-    assert main(["--json", "--tolerance", "1e-30", "haagerup", "verify"]) == 1
+    assert main(["--json", "haagerup", "verify", "--tolerance", "1e-30"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["tolerance"] == 1e-30
     assert not doc["results"]["all_pass"]
@@ -186,17 +188,17 @@ def test_out_writes_file(tmp_path, capsys):
 def test_tolerance_flag_reaches_library(capsys):
     # |s| = 1.2 violates the default bound but passes at tolerance 0.5
     assert main(["angle", "candidates", "--d", "3", "--s", "1.2"]) == 2
-    assert main(["--tolerance", "0.5",
-                 "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
+    assert main(["angle", "candidates", "--d", "3", "--s", "1.2",
+                 "--tolerance", "0.5"]) == 0
 
 
 def test_tolerance_flag_leaves_environment_unchanged(capsys):
     # the tolerance reaches the library as an argument, never through os.environ
     before = dict(os.environ)
-    assert main(["--tolerance", "0.5",
-                 "angle", "candidates", "--d", "3", "--s", "1.2"]) == 0
-    assert main(["--tolerance", "1e-30", "haagerup", "verify"]) == 1
-    assert main(["--tolerance", "1e-3", "cuntz", "normalize", "T0*"]) == 2
+    assert main(["angle", "candidates", "--d", "3", "--s", "1.2",
+                 "--tolerance", "0.5"]) == 0
+    assert main(["haagerup", "verify", "--tolerance", "1e-30"]) == 1
+    assert main(["cuntz", "normalize", "T0*", "--tolerance", "1e-3"]) == 2
     assert dict(os.environ) == before
     src = Path(__file__).parents[1] / "src" / "sectorwb"
     assert [f.name for f in sorted(src.glob("*.py")) if "os.environ" in f.read_text()] == []
@@ -209,7 +211,7 @@ def test_haagerup_qsystem_honours_tolerance(capsys):
     assert doc["results"]["tolerance"] == 1e-9
     # residuals of a few 1e-16 fail a tolerance of 1e-30: an error line, no traceback
     for extra in ([], ["--json"]):
-        assert main(extra + ["--tolerance", "1e-30", "haagerup", "qsystem"]) == 1
+        assert main(extra + ["haagerup", "qsystem", "--tolerance", "1e-30"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "1e-30" in captured.err
@@ -277,7 +279,7 @@ def test_dims_of_a_ring_file_is_the_eigen_solve(tmp_path, capsys):
 def test_spectrum_text_and_degrees(argv, spectrum, text, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[:-1] == text
-    assert main(["--json", "--degrees"] + argv) == 0
+    assert main(["--json"] + argv + ["--degrees"]) == 0
     doc = json.loads(capsys.readouterr().out)["results"]
     assert doc["commuting"] is False
     assert doc["angles_radians"] == [float(f"{a:.12g}") for a in spectrum]
@@ -296,13 +298,14 @@ def test_dims_at_level_139_print_the_closed_form(capsys):
 
 
 def test_classify_takes_no_tolerance(capsys):
-    # every row is exact: --tolerance changes nothing, and the JSON names none
+    # every row is exact: --tolerance is refused, and the JSON names none
     for which in (["--all"], ["--case", "a5a3"], ["--exclusions"]):
-        assert main(["classify"] + which) == 0
-        default = capsys.readouterr().out
-        assert main(["--tolerance", "1e-30", "classify"] + which) == 0
-        assert capsys.readouterr().out == default
-        assert main(["--json", "--tolerance", "1e-30", "classify"] + which) == 0
+        for argv in (["--tolerance", "1e-30", "classify"] + which,
+                     ["classify"] + which + ["--tolerance", "1e-30"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert main(["--json", "classify"] + which) == 0
         doc = json.loads(capsys.readouterr().out)["results"]
         assert "tolerance" not in doc and doc["passed"] == doc["total"]
 
@@ -427,7 +430,7 @@ def _d6_file(path, **fields):
 
 @pytest.mark.parametrize("argv, code, first_line", [
     (["cuntz", "normalize", "T0*"], 2, "error: expected a generator (at position 3)"),
-    (["--tolerance", "1e-30", "haagerup", "qsystem"], 1,
+    (["haagerup", "qsystem", "--tolerance", "1e-30"], 1,
      "error: the coefficient system is not solved within tolerance 1e-30 (residuals {"),
     (["wzw", "6j", "--m", "4", "--spins", "1/0,1,1,1,1,1"], 2,
      "error: spin 1/0 is not a nonnegative half-integer"),
@@ -453,6 +456,13 @@ def _d6_file(path, **fields):
      "error: label \u0666 in J is not a nonnegative integer"),
     (["wzw", "spectrum", "--k", "10", "--J", "0,1_0"], 2,
      "error: label 1_0 in J is not a nonnegative integer"),
+    # an empty label is refused, not dropped
+    (["wzw", "spectrum", "--k", "10", "--J", "0,,6"], 2,
+     "error: label  in J is not a nonnegative integer"),
+    (["wzw", "spectrum", "--k", "10", "--J", "0,6,"], 2,
+     "error: label  in J is not a nonnegative integer"),
+    (["wzw", "spectrum", "--k", "10", "--J", ""], 2,
+     "error: label  in J is not a nonnegative integer"),
     (["wzw", "6j", "--m", "4", "--spins", "\u0663,3/2,3/2,1,3/2,3/2"], 2,
      "error: spin \u0663 is not a nonnegative half-integer"),
     # integers beyond float range
@@ -473,6 +483,7 @@ def _d6_file(path, **fields):
         "asymptotic-cap", "expr-syntax", "lookup",
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
         "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
+        "J-empty-item", "J-trailing-comma", "J-empty",
         "spin-arabic-digit", "group-int-overflow", "spectrum-int-overflow",
         "spectrum-underflow", "sixj-int-overflow", "J-without-0", "J-above-k",
         "five-spins"])
@@ -515,17 +526,22 @@ COMMUTING = "commuting (empty angle spectrum)"
 @pytest.mark.parametrize("tol, argv, default, loose", [
     # pn - mp = 1 is within 1.5 of equal indices, which commute; |0.3| is
     # within 0.5 of zero, so the term is pruned; the group orders give integer
-    # indices 4 and 3, which no tolerance makes equal
+    # indices 4 and 3, which no tolerance makes equal, so it refuses one
     ("1.5", ["angle", "cocommuting", "--pn", "3", "--mp", "2"],
      "angle = 1.0471975512 rad", COMMUTING),
     ("1", ["angle", "group", "--g", "24", "--h", "6", "--k", "6", "--hk", "2"],
-     "angle = 1.23095941734 rad", "angle = 1.23095941734 rad"),
+     "angle = 1.23095941734 rad", None),
     ("0.5", ["cuntz", "normalize", "0.3*T0 + T1"], "0.3*T0 + T1", "T1"),
 ], ids=["cocommuting", "group", "normalize"])
 def test_tolerance_reaches_angle_and_cuntz(tol, argv, default, loose, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[0] == default
-    assert main(["--tolerance", tol] + argv) == 0
+    if loose is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tolerance", tol])
+        assert exc.value.code == 2
+        return
+    assert main(argv + ["--tolerance", tol]) == 0
     assert capsys.readouterr().out.splitlines()[0] == loose
 
 
@@ -549,16 +565,16 @@ def test_lookup_errors_are_printed_unquoted(argv, message, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-30", "x"])
 def test_bad_tolerance_is_a_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--tolerance", value, "haagerup", "verify"])
+        main(["haagerup", "verify", "--tolerance", value])
     assert exc.value.code == 2
     assert "argument --tolerance" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["haagerup", "verify", "--tolerance", value])
+        main(["--tolerance", value, "haagerup", "verify"])
     assert exc.value.code == 2
 
 
 def test_zero_tolerance_is_accepted(capsys):
-    assert main(["--tolerance", "0", "cuntz", "normalize", "1e-20*T0 + T1"]) == 0
+    assert main(["cuntz", "normalize", "1e-20*T0 + T1", "--tolerance", "0"]) == 0
     assert capsys.readouterr().out == "1e-20*T0 + T1\n"
 
 
@@ -607,3 +623,48 @@ def test_bad_spin_is_a_usage_error(spins, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: spin {bad} is not a nonnegative half-integer\n"
+
+
+def _leaves(parser, path=()):
+    # (command words, parser) of every command that build_parser() declares
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, path + (name,))
+    if parser.get_default("handler"):
+        yield path, parser
+
+
+def test_commands_take_only_the_flags_their_handlers_read(tmp_path):
+    # --tolerance and --degrees go after the subcommand, on exactly the
+    # commands whose handler reads them; --json and --out go on every command,
+    # before or after it.  Each command runs as its shortest golden record.
+    parser = build_parser()
+    leaves = dict(_leaves(parser))
+    assert len(leaves) == 17
+    readers = {"tolerance": [], "degrees": []}
+    for path, leaf in leaves.items():
+        record = min((r for r in GOLDEN if tuple(r["argv"][:len(path)]) == path
+                      and "--json" not in r["argv"]), key=lambda r: len(r["argv"]))
+        argv, source = record["argv"], inspect.getsource(leaf.get_default("handler"))
+        for flag, value, given in (("tolerance", ["1e-3"], 1e-3), ("degrees", [], True)):
+            if f"args.{flag}" in source:
+                readers[flag].append(" ".join(path))
+                assert getattr(parser.parse_args(argv + [f"--{flag}"] + value), flag) == given
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv + [f"--{flag}"] + value)
+                assert exc.value.code == 2
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([f"--{flag}"] + value + argv)
+            assert exc.value.code == 2
+        json_doc = next(r["stdout"] for r in GOLDEN if r["argv"] == argv + ["--json"])
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main(["--json", "--out", str(before)] + argv) == record["code"]
+        assert main(argv + ["--json", "--out", str(after)]) == record["code"]
+        assert before.read_text() == after.read_text() == json_doc
+    assert readers == {
+        "tolerance": ["angle cocommuting", "angle candidates", "haagerup verify",
+                      "haagerup qsystem", "cuntz normalize"],
+        "degrees": ["angle cocommuting", "angle group", "angle candidates", "angle bound",
+                    "wzw spectrum", "wzw ghj", "wzw asymptotic"]}

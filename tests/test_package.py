@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
+from sectorwb.scalar import Frozen
 
 
 def test_exports_are_unique_and_resolve():
@@ -56,4 +57,14 @@ def test_record_fields_cannot_be_assigned(record, field):
     before = repr(record)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+    deleted = "cannot delete field" if isinstance(record, Frozen) else "delete"
+    with pytest.raises(AttributeError, match=deleted):
+        delattr(record, field)
     assert repr(record) == before
+
+
+def test_records_of_another_class_are_unequal():
+    # Frozen.__eq__ leaves another class to Python, whose == then compares identity
+    six_j, spectrum = sectorwb.QSixJ(5, 1, 1, 1, 1, 1, 1), sectorwb.AngleSpectrum(())
+    assert six_j.__eq__(spectrum) is NotImplemented
+    assert six_j != spectrum and not spectrum == six_j
