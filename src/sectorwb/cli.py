@@ -62,11 +62,12 @@ def _spectrum(spec: AngleSpectrum, degrees: bool) -> Tuple[int, Dict, List[str]]
 
 def _ascii_items(text: str, pattern: str, message: str) -> List[str]:
     """The stripped comma-separated items of ``text``, each ASCII matching ``pattern``
-    (int() and Fraction() also read other digits and "_"); ``message`` names a bad one."""
+    (int() and Fraction() also read other digits and "_"); ``message`` names a bad one,
+    an empty one as ''."""
     items = [x.strip() for x in text.split(",")]
     for x in items:
         if not re.fullmatch(pattern, x):
-            raise ValueError(message.format(x))
+            raise ValueError(message.format(x or "''"))
     return items
 
 
@@ -141,7 +142,10 @@ def _hom(args):
 
 def _angle_cocommuting(args):
     from . import angles
-    return _spectrum(angles.angle_cocommuting(args.pn, args.mp, args.tolerance), args.degrees)
+    code, doc, text = _spectrum(angles.angle_cocommuting(args.pn, args.mp, args.tolerance),
+                                args.degrees)
+    doc["tolerance"] = args.tolerance
+    return code, doc, text
 
 
 def _angle_group(args):
@@ -151,7 +155,7 @@ def _angle_group(args):
 
 def _angle_candidates(args):
     from . import angles
-    doc = {"candidates": []}
+    doc = {"candidates": [], "tolerance": args.tolerance}
     text = []
     unit = "deg" if args.degrees else "rad"
     for c in angles.angle_candidates(args.d, args.s, args.tolerance):
@@ -258,7 +262,8 @@ def _haagerup_qsystem(args):
 def _cuntz_normalize(args):
     from . import cuntz
     rendered = cuntz.render_expr(cuntz.parse(args.expr), args.tolerance)
-    return 0, {"input": args.expr, "normal_form": rendered}, [rendered]
+    doc = {"input": args.expr, "normal_form": rendered, "tolerance": args.tolerance}
+    return 0, doc, [rendered]
 
 
 def _classify(args):

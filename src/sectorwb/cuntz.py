@@ -25,14 +25,14 @@ that extend it once, into a plan of rows that the factor keeps and that
 every pair with that u only accumulates.  rho uses rho(u v^*) = rho(u)
 rho(v)^*: the v belonging to one u are summed on their prefix trie in
 Horner form, sum_g rho(g) (sum over the subtree below g), and then the u
-likewise, so each generator image multiplies once per trie edge, as a
-factor built once per image and set of constants.  One cache,
-``_IMAGE_CACHE``, holds these factors for the standard constants and the
-most recent other set only, and each factor carries its plans, up to
-MAX_PLANS, across calls.  CuntzExpr holds exactly this dict: its
-constructor checks and reduces atom words into it, every operation stays
-on pairs, and ``terms`` reads it back with atom-word keys, so there is no
-separate normalization step.
+likewise, each leaf adding the adjoint of its sum, so each generator
+image multiplies once per trie edge, as a factor built once per image and
+set of constants.  One cache, ``_IMAGE_CACHE``, holds these factors for
+the standard constants and the most recent other set only, and each
+factor carries its plans, up to MAX_PLANS, across calls.  CuntzExpr holds
+exactly this dict: its constructor checks and reduces atom words into it,
+every operation stays on pairs, and ``terms`` reads it back with
+atom-word keys, so there is no separate normalization step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -95,10 +95,11 @@ class CuntzExpr:
         self._terms = {key: c for key, c in pairs.items() if c != 0}
 
     @classmethod
-    def _of(cls, pairs: Terms) -> "CuntzExpr":
-        """Wrap (and keep) a pair dict in normal form, minus exact zeros."""
+    def _of(cls, pairs: Terms, zeros: bool = True) -> "CuntzExpr":
+        """Wrap (and keep) a pair dict in normal form; drop exact zeros unless zeros=False."""
         e = object.__new__(cls)
-        e._terms = {key: c for key, c in pairs.items() if c != 0} if 0 in pairs.values() else pairs
+        e._terms = ({key: c for key, c in pairs.items() if c != 0}
+                    if zeros and 0 in pairs.values() else pairs)
         return e
 
     @property
@@ -116,18 +117,26 @@ class CuntzExpr:
         if not isinstance(other, CuntzExpr):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0j) + c
-        return CuntzExpr._of(out)
+            if (s := get(key, 0j) + c) != 0:
+                out[key] = s
+            else:
+                del out[key]
+        return CuntzExpr._of(out, zeros=False)
 
     def __sub__(self, other: "CuntzExpr") -> "CuntzExpr":
         """self + (-1) * other in one pass, with the products of scale(-1)."""
         if not isinstance(other, CuntzExpr):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0j) + -1 * c
-        return CuntzExpr._of(out)
+            if (s := get(key, 0j) + -1 * c) != 0:
+                out[key] = s
+            else:
+                del out[key]
+        return CuntzExpr._of(out, zeros=False)
 
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
@@ -148,7 +157,7 @@ class CuntzExpr:
         return CuntzExpr._of({key: c * v for key, v in self._terms.items()})
 
     def adjoint(self) -> "CuntzExpr":
-        return CuntzExpr._of(_adjoint(self._terms))
+        return CuntzExpr._of(_adjoint(self._terms), zeros=False)
 
 
 def zero() -> CuntzExpr:
@@ -547,19 +556,18 @@ _IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, _Factor]] = {}
 
 
 def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor]) -> Terms:
-    """Sum of rho(w[depth:]) X over items (w, X), in Horner form on the trie.
+    """Sum of rho(w[depth:]) X^* over items (w, X), in Horner form on the trie.
 
-    Items whose word ends at depth contribute X; the rest are grouped by
-    their next generator g and contribute rho(g) times the sum one level
-    deeper, so each image multiplies once per trie edge.
+    The words are distinct, so at most one ends at depth: the sum starts as
+    its X^*.  The rest are grouped by their next generator g and add rho(g)
+    times the sum one level deeper, so each image multiplies once per edge.
     """
     out: Terms = {}
     children: Dict[int, List[Tuple[Code, Terms]]] = {}
     for w, x in items:
         s = w.bit_length() - 3 - 2 * depth  # shift of the digit at depth
         if s < 0:
-            for key, c in x.items():
-                out[key] = out.get(key, 0j) + c
+            out = {(b, a): 0j + c.conjugate() for (a, b), c in x.items()}  # summed from 0j
         else:
             children.setdefault(w >> s & 3, []).append((w, x))
     for g, sub in children.items():
@@ -570,9 +578,9 @@ def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor
 def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> CuntzExpr:
     """Apply rho homomorphically (adjoint-compatibly).
 
-    rho(u v^*) = rho(u) rho(v)^*: for each u the sum over v of
-    conj(c_uv) rho(v) is evaluated on the trie of the v, its adjoint Z_u is
-    formed, and then the sum over u of rho(u) Z_u on the trie of the u.
+    rho(u v^*) = rho(u) rho(v)^*: for each u, Y_u = sum_v rho(v) conj(c_uv)
+    is evaluated on the trie of the v, and then sum_u rho(u) Y_u^* on the
+    trie of the u, each adjoint taken at its leaf.
     """
     c = constants or _STANDARD
     img = _IMAGE_CACHE.get(c)
@@ -583,8 +591,8 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
         img = _IMAGE_CACHE[c] = {g: _Factor(x._terms) for g, x in rho_images(c).items()}
     by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
     for (u, v), coeff in e._terms.items():
-        by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
-    items = [(u, _adjoint(_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
+        by_u.setdefault(u, []).append((v, {(1, 1): coeff}))
+    items = [(u, _rho_sum(vs, 0, img)) for u, vs in by_u.items()]
     return CuntzExpr._of(_rho_sum(items, 0, img))
 
 
@@ -598,12 +606,14 @@ def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:
     if type(shift) is not int:
         raise ValueError(f"alpha shift must be an int, got {shift!r}")
     out: Terms = {}
+    get = out.get
+    new = {x: _relabel(x, shift) for x in {x for pair in e._terms for x in pair}}
     for (u, v), c in e._terms.items():
-        u, v = _relabel(u, shift), _relabel(v, shift)
-        if u & v & 3 == 3:
-            _add_pair(out, u, v, c)
+        key = (new[u], new[v])
+        if key[0] & key[1] & 3 == 3:
+            _add_pair(out, *key, c)
         else:
-            out[u, v] = out.get((u, v), 0j) + c
+            out[key] = get(key, 0j) + c
     return CuntzExpr._of(out)
 
 

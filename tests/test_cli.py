@@ -458,11 +458,13 @@ def _d6_file(path, **fields):
      "error: label 1_0 in J is not a nonnegative integer"),
     # an empty label is refused, not dropped
     (["wzw", "spectrum", "--k", "10", "--J", "0,,6"], 2,
-     "error: label  in J is not a nonnegative integer"),
+     "error: label '' in J is not a nonnegative integer"),
     (["wzw", "spectrum", "--k", "10", "--J", "0,6,"], 2,
-     "error: label  in J is not a nonnegative integer"),
+     "error: label '' in J is not a nonnegative integer"),
     (["wzw", "spectrum", "--k", "10", "--J", ""], 2,
-     "error: label  in J is not a nonnegative integer"),
+     "error: label '' in J is not a nonnegative integer"),
+    (["wzw", "6j", "--m", "4", "--spins", "1,,1,1,1,1"], 2,
+     "error: spin '' is not a nonnegative half-integer"),
     (["wzw", "6j", "--m", "4", "--spins", "\u0663,3/2,3/2,1,3/2,3/2"], 2,
      "error: spin \u0663 is not a nonnegative half-integer"),
     # integers beyond float range
@@ -483,7 +485,7 @@ def _d6_file(path, **fields):
         "asymptotic-cap", "expr-syntax", "lookup",
         "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
         "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
-        "J-empty-item", "J-trailing-comma", "J-empty",
+        "J-empty-item", "J-trailing-comma", "J-empty", "spin-empty-item",
         "spin-arabic-digit", "group-int-overflow", "spectrum-int-overflow",
         "spectrum-underflow", "sixj-int-overflow", "J-without-0", "J-above-k",
         "five-spins"])

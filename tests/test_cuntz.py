@@ -610,7 +610,9 @@ def test_difference_is_bit_identical_to_adding_the_negation():
     (s0, _), (t0, _), (t1, _), (t2, _) = _rho3_pairs()
     # x - y subtracting c directly would give the pair T0 a real part of -0.0
     signed = (CuntzExpr._of({(5, 1): complex(-0.0, 1.0)}), CuntzExpr._of({(5, 1): complex(0.0, -1.0)}))
-    for x, y in ((t0, t1), (t1, t0), (t2, s0), (s0, t2), (T0, T0 * T1.adjoint()), signed):
+    # (t0, t0) cancels every pair exactly, and (t0 + t1, t1) every pair of t1
+    for x, y in ((t0, t1), (t1, t0), (t2, s0), (s0, t2), (T0, T0 * T1.adjoint()), signed,
+                 (t0, t0), (t0 + t1, t1)):
         diff = x - y
         assert _bits(diff._terms) == _bits((x + (-1) * y)._terms)
         assert _bits(diff._terms) == _bits(_oracles.pairs_sub(x._terms, y._terms))
