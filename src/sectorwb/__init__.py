@@ -30,9 +30,8 @@ _EXPORTS = {
         ("cuntz", "CuntzExpr CuntzSyntaxError HaagerupConstants QSystemError QSystemSolution "
                   "RelationCheck VerificationReport alpha_apply haagerup_constants parse "
                   "render_expr residual rho_apply solve_qsystem verify_haagerup_relations"),
-        ("classify", "CheckResult CheckRow ClassIVRecord QuadCase case_by_id class_iv_record "
-                     "classification_table render_results run_all "
-                     "run_exclusion_checks verify_case"),
+        ("classify", "CheckResult CheckRow QuadCase case_by_id classification_table "
+                     "render_results run_all run_exclusion_checks verify_case"),
     )
     for name in names.split()
 }

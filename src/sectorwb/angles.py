@@ -7,7 +7,8 @@ those, and the CLI prints a "hypotheses assumed" note with every result.
 Each function checks its own numeric inputs (finite, in range) before it
 evaluates anything.
 
-Angles are radians throughout.
+Angles are radians throughout.  An :class:`AngleSpectrum` keeps the angles
+it is given; only :meth:`AngleSpectrum.from_cosines` drops and merges them.
 """
 
 from __future__ import annotations
@@ -24,39 +25,37 @@ HYPOTHESES_NOTE = (
 
 
 class AngleSpectrum(Frozen):
-    """Set of angles of a quadrilateral, with 0 and pi/2 stripped.
+    """Interior angles of a quadrilateral, strictly increasing in (0, pi/2).
 
-    The endpoints carry no information beyond the projection geometry
-    (0 collapses P = Q, pi/2 is the commuting direction), so only the
-    interior angles are stored and a `commuting` flag records whether
-    the data forces E_P E_Q = E_N.
+    The endpoints carry no information (0 collapses P = Q, pi/2 is the commuting
+    direction); a `commuting` flag records whether the data forces E_P E_Q = E_N.
     """
 
     __slots__ = _fields = ("angles", "commuting")
 
-    def __init__(self, angles: Tuple[float, ...], commuting: bool = False):
-        for a in angles:
-            if not (0.0 < a < math.pi / 2):
-                raise ValueError(f"angle {a} outside the open interval (0, pi/2)")
-        if any(b - a < EPS_ABS for a, b in zip(angles, angles[1:])):
-            raise ValueError("angles must be strictly increasing after dedup")
+    def __init__(self, angles: Iterable[float], commuting: bool = False):
+        angles = tuple(map(float, angles))
+        if not all(0.0 < a < b for a, b in zip(angles, angles[1:] + (math.pi / 2,))):
+            raise ValueError(f"angles {angles} are not strictly increasing inside (0, pi/2)")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "commuting", commuting)
 
     @classmethod
     def from_cosines(cls, cosines: Iterable[float]) -> "AngleSpectrum":
+        """Angles arccos(c), skipping |c| <= EPS_ABS and c >= 1 - EPS_ABS, with angles
+        closer than EPS_ABS merged: the only place where EPS_ABS decides a spectrum."""
         kept = []
         for c in cosines:
             c = float(c)
             if c >= 1.0 - EPS_ABS or abs(c) <= EPS_ABS:
                 continue
-            kept.append(math.acos(min(1.0, max(-1.0, c))))
+            kept.append(math.acos(max(-1.0, c)))
         kept.sort()
         dedup = []
         for a in kept:
             if not dedup or a - dedup[-1] >= EPS_ABS:
                 dedup.append(a)
-        return cls(tuple(dedup))
+        return cls(dedup)
 
 
 def _inner(d_sigma, s, tol: float = EPS_ABS) -> Tuple[float, float]:

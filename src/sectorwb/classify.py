@@ -6,7 +6,9 @@ cannot be rederived from fusion data; each case records those as assumptions
 in its notes.  What *is* checked: exact index identities in the quadratic
 fields, exact identities between each angle's cosine and the indices, and
 exact Perron-Frobenius dimensions on catalog rings, each certifying one of
-the case's own indices pn and mp.  No check compares floats.
+the case's own indices pn and mp.  The exclusion checks replay the arithmetic
+behind the excluded cases; none records the Class IV entry's undecided [M:P].
+No check compares floats.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .catalog import builtin, dimensions
 from .fusion import _mul_label, decompose, hom_dim
 from .scalar import QuadExt, quad
 
-TAGS = ("I", "II", "III", "IV", "group-type", "D6affine")
+TAGS = ("I", "II", "III", "group-type", "D6affine")
 
 # angle rule -> (n, p, f, text): the index relation mp = pn - n and the identity
 # cos^p = f(pn, mp) with f a formula of :mod:`angles`, written as text.  A
@@ -225,7 +227,8 @@ def run_all() -> List[CheckResult]:
 
 def _haagerup_d() -> Tuple[QuadExt, Tuple[CheckRow, CheckRow]]:
     """The catalog's Haagerup dimension d = d(r) = (3 + sqrt(13))/2 with its two
-    exact identities, shared by the Class IV exclusion and :func:`class_iv_record`."""
+    exact identities, rows of the Class IV exclusion.  [M:P] is d or 1 + d, and
+    nothing here decides which."""
     d = dimensions("haagerup_even")["r"]
     return d, (
         CheckRow("dimension_equation", d * d == 3 * d + 1, f"d^2 = 3d + 1 exactly at d = {d}"),
@@ -272,24 +275,6 @@ def run_exclusion_checks() -> List[CheckResult]:
     )))
 
     return results
-
-
-class ClassIVRecord(NamedTuple):
-    """The Class IV entry with its unresolved intermediate-index discrepancy.
-
-    Two published values for [M:P] circulate: d itself in the classification
-    statement and 1 + d from the bound route.  Both pass their own exact
-    checks, so the record keeps both in ``mp_candidates`` instead of
-    silently adopting one.
-    """
-
-    mp_candidates: Tuple[QuadExt, QuadExt]
-    checks: Tuple[CheckRow, ...]
-
-
-def class_iv_record() -> ClassIVRecord:
-    d, identities = _haagerup_d()
-    return ClassIVRecord((d, 1 + d), identities)
 
 
 def render_results(results: List[CheckResult]) -> str:

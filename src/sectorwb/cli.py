@@ -293,6 +293,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+class _MisplacedTolerance(argparse.Action):
+    """A root --tolerance: refused by name, where argparse would name its value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error("--tolerance goes after the subcommand, on the commands that read it")
+
+
 def _add_common(q: argparse.ArgumentParser, reads: Tuple[str, ...] = (),
                 suppress: bool = True) -> None:
     # On leaf parsers the defaults are SUPPRESS so a trailing flag is
@@ -318,6 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
         "modular data and the Haagerup Q-system",
     )
     _add_common(p, suppress=False)
+    # SUPPRESS, so that the leaves keep their EPS_ABS default
+    p.add_argument("--tolerance", nargs="?", default=argparse.SUPPRESS,
+                   action=_MisplacedTolerance, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
     leaves = []
 

@@ -112,12 +112,16 @@ def test_candidates_symmetric_point():
 
 
 def test_spectrum_constructor_guards():
-    with pytest.raises(ValueError):
-        AngleSpectrum((0.0,))
-    with pytest.raises(ValueError):
-        AngleSpectrum((math.pi / 2,))
-    with pytest.raises(ValueError):
-        AngleSpectrum((0.5, 0.5))
+    # any sequence of angles gives the same equal, hashable record
+    spectrum = AngleSpectrum((0.5, 0.7))
+    for same in (AngleSpectrum([0.5, 0.7]), AngleSpectrum(a for a in (0.5, 0.7))):
+        assert same == spectrum and hash(same) == hash(spectrum)
+        assert same.angles == (0.5, 0.7)
+    # the constructor keeps decided angles; only from_cosines merges at EPS_ABS
+    assert AngleSpectrum((0.5, 0.5 + 1e-12)).angles == (0.5, 0.5 + 1e-12)
+    for bad in ((0.5, 0.5), (0.7, 0.5), (0.0,), (math.pi / 2,)):
+        with pytest.raises(ValueError, match="strictly increasing inside"):
+            AngleSpectrum(bad)
     assert AngleSpectrum.from_cosines([1.0, 0.5, 0.0]).angles == (
         pytest.approx(math.pi / 3),)
 

@@ -9,8 +9,8 @@ from sectorwb.classify import (
     TAGS,
     PFLink,
     QuadCase,
+    _haagerup_d,
     case_by_id,
-    class_iv_record,
     classification_table,
     render_results,
     run_all,
@@ -120,20 +120,16 @@ def test_the_angle_rule_fixes_the_index_relation():
     assert not row.passed and row.detail == "pn = 2+sqrt(2) vs mp = 1+sqrt(2) (exact)"
 
 
-def test_class_iv_record_keeps_both_candidates():
-    rec = class_iv_record()
-    assert rec._fields == ("mp_candidates", "checks")
-    low, high = rec.mp_candidates
-    assert high == 1 + low
-    assert [row.name for row in rec.checks] == ["dimension_equation", "index_bound"]
-    assert all(row.passed for row in rec.checks)
-    assert float(low) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
-
-
 def test_haagerup_d_is_the_catalog_value():
     # classify reads d from the catalog; cuntz keeps its own copy, which must agree
     d = catalog.dimensions("haagerup_even")["r"]
-    assert class_iv_record().mp_candidates[0] == d == cuntz._D_EXACT == quad("3/2", "1/2", 13)
+    low, rows = _haagerup_d()
+    assert low == d == cuntz._D_EXACT == quad("3/2", "1/2", 13)
+    assert float(low) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
+    # both candidates for [M:P], d and 1 + d, pass their exact identities
+    assert {row.name: row.passed for row in rows} == {"dimension_equation": True,
+                                                      "index_bound": True}
+    assert 1 + low == quad("5/2", "1/2", 13)
 
 
 def test_render_is_deterministic():

@@ -16,6 +16,9 @@ from sectorwb.cli import build_parser, main
 
 import _oracles
 
+# a --tolerance before the subcommand is refused by name, not by its value
+ROOT_TOLERANCE = "swb: error: --tolerance goes after the subcommand, on the commands that read it\n"
+
 
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
@@ -300,11 +303,13 @@ def test_dims_at_level_139_print_the_closed_form(capsys):
 def test_classify_takes_no_tolerance(capsys):
     # every row is exact: --tolerance is refused, and the JSON names none
     for which in (["--all"], ["--case", "a5a3"], ["--exclusions"]):
-        for argv in (["--tolerance", "1e-30", "classify"] + which,
-                     ["classify"] + which + ["--tolerance", "1e-30"]):
+        for argv, message in ((["--tolerance", "1e-30", "classify"] + which, ROOT_TOLERANCE),
+                              (["classify"] + which + ["--tolerance", "1e-30"],
+                               "swb: error: unrecognized arguments: --tolerance 1e-30\n")):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(message)
         assert main(["--json", "classify"] + which) == 0
         doc = json.loads(capsys.readouterr().out)["results"]
         assert "tolerance" not in doc and doc["passed"] == doc["total"]
@@ -573,6 +578,7 @@ def test_bad_tolerance_is_a_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--tolerance", value, "haagerup", "verify"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(ROOT_TOLERANCE)
 
 
 def test_zero_tolerance_is_accepted(capsys):
