@@ -98,10 +98,14 @@ def bound_cos(pn):
 
 
 def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
-    """Angle of a cocommuting quadrilateral from its two indices, with cos^2
-    from :func:`cocommuting_cos2`; equal indices force the commuting case
-    instead of an angle.  Indices within ``tol`` of each other count as equal.
-    Indices beyond float range raise ValueError.
+    """Angle of a cocommuting quadrilateral from its two indices; equal indices
+    force the commuting case instead of an angle.  Indices within ``tol`` of
+    each other count as equal.  Indices beyond float range raise ValueError.
+
+    The cosine from :func:`cocommuting_cos2` decides, in
+    :meth:`AngleSpectrum.from_cosines`, whether the angle is dropped; a kept
+    angle is atan2(sqrt(pn (mp - 1)), sqrt(pn - mp)), as sin^2 = pn (mp - 1) /
+    (mp (pn - 1)), which keeps its digits near mp = 1 where acos would not.
     """
     try:
         pn, mp = float(pn), float(mp)
@@ -115,7 +119,9 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
         return AngleSpectrum((), commuting=True)
     if mp * (pn - 1.0) == math.inf:
         raise ValueError(f"mp (pn - 1) overflows a float at pn = {pn}, mp = {mp}")
-    return AngleSpectrum.from_cosines([math.sqrt(cocommuting_cos2(pn, mp))])
+    if not AngleSpectrum.from_cosines([math.sqrt(cocommuting_cos2(pn, mp))]).angles:
+        return AngleSpectrum(())
+    return AngleSpectrum([math.atan2(math.sqrt(pn * (mp - 1.0)), math.sqrt(pn - mp))])
 
 
 def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:

@@ -195,7 +195,7 @@ def _wzw_spectrum(args):
 def _wzw_ghj(args):
     from . import wzw
     rule = wzw.branching_rule(args.graph)
-    code, doc, text = _spectrum(wzw.ghj_spectrum(rule.graph), args.degrees)
+    code, doc, text = _spectrum(wzw.alpha_induction_spectrum(rule.k, 1, rule.J), args.degrees)
     doc.update({"graph": rule.graph, "k": rule.k, "J": list(rule.J)})
     return code, doc, [f"graph {rule.graph}: level {rule.k}, J = {list(rule.J)}"] + text
 
@@ -286,6 +286,16 @@ def _classify(args):
 # -- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token such as -1e-3 or -.5 as a value: argparse's
+    own rule reads only forms such as -1 and -1.5 as numbers, and -1e-3 as an option.
+    Subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
@@ -319,7 +329,7 @@ def _add_common(q: argparse.ArgumentParser, reads: Tuple[str, ...] = (),
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="swb",
         description="sector workbench: fusion rings, quadrilateral angles, "
         "modular data and the Haagerup Q-system",

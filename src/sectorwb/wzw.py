@@ -2,8 +2,8 @@
 
 Covers the S-matrix and quantum dimensions, Verlinde fusion numbers,
 monodromy ratios, induced angle spectra for a chosen branching subset J,
-the shipped Goodman-de la Harpe-Jones branching table, asymptotic-inclusion
-spectra, and Kirillov-Reshetikhin quantum 6j-symbols at a root of unity.
+the Goodman-de la Harpe-Jones branching sets derived from the Dynkin graphs,
+asymptotic-inclusion spectra, and Kirillov-Reshetikhin quantum 6j-symbols at a root of unity.
 """
 
 from __future__ import annotations
@@ -118,37 +118,42 @@ class BranchingRule(NamedTuple):
 
 _GRAPH_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 
+# legs at the branch vertex besides the root's; vertex counts, capped as the recursion is O(n^2)
+_SERIES = {"A": ((), range(2, 201)), "D": ((1, 1), range(4, 201, 2)), "E": ((1, 2), range(6, 9))}
+
+
+def dynkin_graph(name: str) -> List[List[int]]:
+    """Neighbour lists of A2..A200, an even D4..D200, E6, E7 or E8, and ValueError for
+    any other name.  Vertices 0, 1, ... run from the root *, the end of the longest leg,
+    to the branch vertex, and the series' other legs follow, each from the branch out."""
+    m = _GRAPH_RE.fullmatch(name)
+    legs, counts = _SERIES[m.group(1)] if m else ((), ())
+    n = int(m.group(2)) if m else 0
+    if n not in counts:
+        raise ValueError(f"unknown graph name {name!r} (expected A2..A200, even D4..D200, E6..E8)")
+    branch = n - 1 - sum(legs)
+    starts = {branch + 1 + sum(legs[:i]) for i in range(len(legs))}
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        u = branch if v in starts else v - 1
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
 
 def branching_rule(graph: str) -> BranchingRule:
-    """Shipped branching data for the A, D_even and E series graphs.
-
-    A_n carries the trivial subset {0}; D_{2n} at level 4n-4 carries
-    {0, k}; E6, E7, E8 carry their standard subsets at levels 10, 16, 28.
-    The E and D entries are standard branching-rule data rather than
-    anything this package derives.
-    """
-    m = _GRAPH_RE.fullmatch(graph)
-    if not m:
-        raise ValueError(f"unknown graph name {graph!r} (expected An, D2n, E6, E7 or E8)")
-    series, num = m.group(1), int(m.group(2))
-    if series == "A":
-        if num < 2:
-            raise ValueError("A-series graphs need at least 2 vertices")
-        k = num - 1
-        J = (0,)
-    elif series == "D":
-        if num % 2 != 0:
-            raise ValueError("D-series branching is only shipped for D_even")
-        if num < 4:
-            raise ValueError("D-series graphs start at D4")
-        k = 2 * num - 4
-        J = (0, k)
-    else:
-        table = {6: (10, (0, 6)), 7: (16, (0, 8, 16)), 8: (28, (0, 10, 18, 28))}
-        if num not in table:
-            raise ValueError(f"unknown graph name {graph!r}")
-        k, J = table[num]
-    return BranchingRule(graph, k, J)
+    """Level k and labels J of the Goodman-de la Harpe-Jones pair (Coxeter Graphs and
+    Towers of Algebras, 1989).  From e_* at the root * of :func:`dynkin_graph`, the integer
+    recursion v_{j+1} = Delta v_j - v_{j-1} gives v_j = U_j(Delta) e_*, which first vanishes
+    at j = h - 1, h the Coxeter number; k = h - 2 and J = {j <= k : (v_j)_* != 0}."""
+    adj = dynkin_graph(graph)
+    prev, v, J, j = [0] * len(adj), [1] + [0] * (len(adj) - 1), [], 0
+    while any(v):
+        if v[0]:
+            J.append(j)
+        prev, v = v, [sum(v[b] for b in nb) - p for nb, p in zip(adj, prev)]
+        j += 1
+    return BranchingRule(graph, j - 1, tuple(J))
 
 
 def ghj_spectrum(graph: str) -> AngleSpectrum:

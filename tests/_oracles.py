@@ -1,13 +1,10 @@
 """Independent oracles the tests check the package against.
 
-Nothing here imports sectorwb.  Twelve families:
+Nothing here imports sectorwb.  Eleven families:
 
-  * the float cocommuting formula as angles.py once wrote it inline, for
-    bit-for-bit cross-checking of the functions that now share one
-    formula with the exact classification;
-  * the candidate cosines and the bound angle of exact double inputs in
-    stdlib decimal, for checking that the float formulas keep their digits
-    where the textbook forms cancel;
+  * the candidate cosines, the bound angle and the cocommuting angle of
+    exact double inputs in stdlib decimal, for checking that the float
+    formulas keep their digits where the textbook forms cancel;
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
     6j symbol in its classical limit;
@@ -55,18 +52,6 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# inline float angle formulas
-
-
-def cocommuting_cosine_inline(pn, mp):
-    """sqrt(cos^2) of a cocommuting quadrilateral, in the operations and order
-    that angle_cocommuting used before it called a shared formula."""
-    pn, mp = float(pn), float(mp)
-    denominator = mp * (pn - 1.0)
-    return math.sqrt((pn - mp) / denominator)
-
-
-# ---------------------------------------------------------------------------
 # angle references in stdlib decimal
 
 
@@ -82,23 +67,40 @@ def candidate_cosines_decimal(d, s, prec=60):
         return float((root + spread) / (2 * d)), float((root - spread) / (2 * d))
 
 
+def _two_asin_decimal(y2):
+    """2 asin(y) for a Decimal y^2 <= 1/2 in the current context, rounded once
+    to a float: the Taylor series of asin, whose terms shrink by y^2 or more."""
+    term = total = y2.sqrt()  # term_n = c_n y^(2n+1), c_n = (2n)!/(4^n n!^2)
+    n = 0
+    while True:
+        n += 1
+        term *= y2 * (2 * n - 1) / (2 * n)
+        step = term / (2 * n + 1)
+        if total + step == total:
+            return float(2 * total)
+        total += step
+
+
 def bound_angle_decimal(pn, prec=40):
     """arccos(1/(pn - 1)) of the exact double pn > 2, at ``prec`` digits,
-    rounded once to a float: 2 asin(y) with y^2 = (pn - 2)/(2(pn - 1)) < 1/2,
-    summed as the Taylor series of asin, whose terms shrink by y^2 or more."""
+    rounded once to a float: 2 asin(y) with y^2 = (pn - 2)/(2(pn - 1)) < 1/2."""
     with decimal.localcontext() as ctx:
         ctx.prec = prec + 5
         pn = Decimal(pn)
-        y2 = (pn - 2) / (2 * (pn - 1))
-        term = total = y2.sqrt()  # term_n = c_n y^(2n+1), c_n = (2n)!/(4^n n!^2)
-        n = 0
-        while True:
-            n += 1
-            term *= y2 * (2 * n - 1) / (2 * n)
-            step = term / (2 * n + 1)
-            if total + step == total:
-                return float(2 * total)
-            total += step
+        return _two_asin_decimal((pn - 2) / (2 * (pn - 1)))
+
+
+def cocommuting_angle_decimal(pn, mp, prec=40):
+    """The cocommuting angle theta of the exact doubles pn > mp > 1, at ``prec``
+    digits, rounded once to a float.  cos^2 theta = (pn - mp)/(mp (pn - 1)) and
+    sin^2 theta = pn (mp - 1)/(mp (pn - 1)), so theta = 2 asin(y) with
+    y^2 = (1 - cos theta)/2 = sin^2 theta/(2 (1 + cos theta)) <= 1/2, a form
+    that subtracts nothing near mp = 1 or mp = pn."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec + 5
+        pn, mp = Decimal(pn), Decimal(mp)
+        cos = ((pn - mp) / (mp * (pn - 1))).sqrt()
+        return _two_asin_decimal(pn * (mp - 1) / (mp * (pn - 1)) / (2 * (1 + cos)))
 
 
 # ---------------------------------------------------------------------------

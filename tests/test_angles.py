@@ -206,19 +206,33 @@ def _index_grid():
     return [(pn, mp) for pn, mp in pairs if 1 < mp < pn]
 
 
-def test_float_angles_are_bit_identical_to_the_inline_formulas():
-    # the shared formula runs the same IEEE operations in the same order as the
-    # expression it replaced; == on these finite nonzero floats compares bits.
-    # angle_bound uses its own cancellation-free form, which
-    # test_bound_angle_keeps_its_digits checks on this grid
-    for pn, mp in _index_grid():
-        if abs(pn - mp) <= 1e-9:
-            continue
-        assert angle_cocommuting(pn, mp) == AngleSpectrum.from_cosines(
-            [_oracles.cocommuting_cosine_inline(pn, mp)]), (pn, mp)
+@pytest.mark.parametrize("pn, mp, want", [
+    (3, 1.0000001, "0.000387298325051"),
+    (12, 1.000000003, "5.72077555497e-05"),
+])
+def test_cocommuting_angle_prints_its_true_digits(pn, mp, want):
+    (got,) = angle_cocommuting(pn, mp).angles
+    assert f"{got:.12g}" == f"{_oracles.cocommuting_angle_decimal(pn, mp):.12g}" == want
+
+
+def test_cocommuting_angles_keep_their_digits():
+    # the index grid, a seeded sweep of mp from 1 + 1e-9 to 1.1 and a few group
+    # orders: every kept angle within a few ulp of the decimal reference; the
+    # cosine decides a drop, which happens only within 5e-5 of 0 or of pi/2
+    rng = random.Random(37)
+    pairs = [(pn, mp) for pn, mp in _index_grid() if abs(pn - mp) > 1e-9]
+    pairs += [(1 + 10 ** rng.uniform(-1, 12), 1 + 10 ** rng.uniform(-9, -1)) for _ in range(2000)]
+    worst, kept = 0.0, 0
+    for pn, mp in pairs:
+        spec, want = angle_cocommuting(pn, mp), _oracles.cocommuting_angle_decimal(pn, mp)
+        if spec.angles:
+            worst, kept = max(worst, _rel_err(spec.angles[0], want)), kept + 1
+        else:
+            assert min(want, math.pi / 2 - want) < 5e-5, (pn, mp)
+    assert kept > 3000 and worst <= 1e-15
     for g, h, hk in [(24, 6, 2), (24, 4, 2), (60, 12, 4), (720, 24, 6), (10 ** 6, 10 ** 3, 8)]:
-        want = AngleSpectrum.from_cosines([_oracles.cocommuting_cosine_inline(g // h, h // hk)])
-        assert angle_group(g, h, h, hk) == want
+        (got,) = angle_group(g, h, h, hk).angles
+        assert _rel_err(got, _oracles.cocommuting_angle_decimal(g // h, h // hk)) <= 1e-15
 
 
 def _rel_err(got, want):

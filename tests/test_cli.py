@@ -103,6 +103,22 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
+def test_a_negative_value_in_exponent_form_is_read_as_a_value(capsys):
+    # argparse alone takes -1e-3 for an option; -0.001 and --s=-1e-3 always worked
+    for argv, code in ((["angle", "candidates", "--d", "4", "--s"], 0),
+                       (["haagerup", "verify", "--perturb"], 1)):
+        assert main(argv + ["-1e-3", "--json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["inputs"][argv[-1][2:]] == -0.001
+        assert main(argv[:-1] + [argv[-1] + "=-1e-3", "--json"]) == code
+        assert json.loads(capsys.readouterr().out) == doc
+        assert main(argv + ["-.5e-2", "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["inputs"][argv[-1][2:]] == -0.005
+    # a Cuntz expression that starts with "-" and a letter still needs "--"
+    assert main(["cuntz", "normalize", "--", "-T0"]) == 0
+    assert capsys.readouterr().out.endswith("-T0\n")
+
+
 def test_classify_all(capsys):
     assert main(["classify", "--all"]) == 0
     out = capsys.readouterr().out

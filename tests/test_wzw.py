@@ -13,6 +13,7 @@ from sectorwb.wzw import (
     alpha_induction_spectrum,
     asymptotic_spectrum,
     branching_rule,
+    dynkin_graph,
     ghj_spectrum,
     monodromy_ratio,
     q6j,
@@ -91,14 +92,26 @@ def test_e7_e8_spectra():
 
 
 def test_branching_rule_table():
-    assert branching_rule("A7") == branching_rule("A7")
-    assert branching_rule("D4").k == 4
-    assert branching_rule("D4").J == (0, 4)
-    assert branching_rule("E8").J == (0, 10, 18, 28)
+    # the rules once shipped as formulas and literals, with the Coxeter number
+    # h = k + 2: A_n (n + 1, {0}), D_n (2n - 2, {0, k}) and the E table
+    old = {f"A{n}": (n + 1, (0,)) for n in range(2, 41)}
+    old.update({f"D{n}": (2 * n - 2, (0, 2 * n - 4)) for n in range(4, 81, 2)})
+    old.update({"E6": (12, (0, 6)), "E7": (18, (0, 8, 16)), "E8": (30, (0, 10, 18, 28))})
+    for graph, (h, J) in old.items():
+        assert branching_rule(graph) == (graph, h - 2, J)
+    assert branching_rule("A200").k == 199
     for bad in ("D5", "D2", "F4", "E9", "A1", "e6", "D", "6", "E6\n", "E\u0666",
-                "D04", "A007", "E06"):
-        with pytest.raises(ValueError):
+                "D04", "A007", "E06", "A201", "D202", "E5"):
+        with pytest.raises(ValueError, match="unknown graph name"):
             branching_rule(bad)
+
+
+def test_dynkin_graphs_run_from_the_end_of_the_longest_leg():
+    assert dynkin_graph("A3") == [[1], [0, 2], [1]]
+    assert dynkin_graph("D4") == [[1], [0, 2, 3], [1], [1]]
+    assert dynkin_graph("D6") == [[1], [0, 2], [1, 3], [2, 4, 5], [3], [3]]
+    assert dynkin_graph("E6") == [[1], [0, 2], [1, 3, 4], [2], [2, 5], [4]]
+    assert dynkin_graph("E8") == [[1], [0, 2], [1, 3], [2, 4], [3, 5, 6], [4], [4, 7], [6]]
 
 
 def test_asymptotic_counts_and_values():
