@@ -25,8 +25,8 @@ _EXPORTS = {
         ("angles", "AngleCandidate AngleSpectrum HYPOTHESES_NOTE angle_bound angle_candidates "
                    "angle_cocommuting angle_group bound_cos cocommuting_cos2 t_inner_roots"),
         ("wzw", "BranchingRule ModularData QSixJ SixJDomainError alpha_induction_spectrum "
-                "asymptotic_spectrum branching_rule dynkin_graph ghj_spectrum monodromy_ratio "
-                "q6j su2k_modular"),
+                "asymptotic_spectrum branching_rule ghj_spectrum monodromy_ratio q6j "
+                "su2k_modular"),
         ("cuntz", "CuntzExpr CuntzSyntaxError HaagerupConstants QSystemError QSystemSolution "
                   "RelationCheck VerificationReport alpha_apply haagerup_constants parse "
                   "render_expr residual rho_apply solve_qsystem verify_haagerup_relations"),

@@ -24,6 +24,11 @@ HYPOTHESES_NOTE = (
 )
 
 
+def _dropped(c: float) -> bool:
+    """Whether a cosine gives no interior angle: |c| <= EPS_ABS or c >= 1 - EPS_ABS."""
+    return c >= 1.0 - EPS_ABS or abs(c) <= EPS_ABS
+
+
 class AngleSpectrum(Frozen):
     """Interior angles of a quadrilateral, strictly increasing in (0, pi/2).
 
@@ -42,12 +47,12 @@ class AngleSpectrum(Frozen):
 
     @classmethod
     def from_cosines(cls, cosines: Iterable[float]) -> "AngleSpectrum":
-        """Angles arccos(c), skipping |c| <= EPS_ABS and c >= 1 - EPS_ABS, with angles
-        closer than EPS_ABS merged: the only place where EPS_ABS decides a spectrum."""
+        """Angles arccos(c), skipping each c that :func:`_dropped` names, with angles closer
+        than EPS_ABS merged: the only two rules where EPS_ABS decides a spectrum."""
         kept = []
         for c in cosines:
             c = float(c)
-            if c >= 1.0 - EPS_ABS or abs(c) <= EPS_ABS:
+            if _dropped(c):
                 continue
             kept.append(math.acos(max(-1.0, c)))
         kept.sort()
@@ -102,7 +107,7 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
     force the commuting case instead of an angle.  Indices within ``tol`` of
     each other count as equal.  Indices beyond float range raise ValueError.
 
-    The cosine from :func:`cocommuting_cos2` decides, in
+    The cosine from :func:`cocommuting_cos2` decides, by the rule of
     :meth:`AngleSpectrum.from_cosines`, whether the angle is dropped; a kept
     angle is atan2(sqrt(pn (mp - 1)), sqrt(pn - mp)), as sin^2 = pn (mp - 1) /
     (mp (pn - 1)), which keeps its digits near mp = 1 where acos would not.
@@ -119,7 +124,7 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
         return AngleSpectrum((), commuting=True)
     if mp * (pn - 1.0) == math.inf:
         raise ValueError(f"mp (pn - 1) overflows a float at pn = {pn}, mp = {mp}")
-    if not AngleSpectrum.from_cosines([math.sqrt(cocommuting_cos2(pn, mp))]).angles:
+    if _dropped(math.sqrt(cocommuting_cos2(pn, mp))):
         return AngleSpectrum(())
     return AngleSpectrum([math.atan2(math.sqrt(pn * (mp - 1.0)), math.sqrt(pn - mp))])
 

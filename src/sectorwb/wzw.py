@@ -12,7 +12,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .angles import AngleSpectrum
 from .scalar import Frozen, qint
@@ -118,47 +118,47 @@ class BranchingRule(NamedTuple):
 
 _GRAPH_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 
-# legs at the branch vertex besides the root's; vertex counts, capped as the recursion is O(n^2)
-_SERIES = {"A": ((), range(2, 201)), "D": ((1, 1), range(4, 201, 2)), "E": ((1, 2), range(6, 9))}
+# legs at the branch vertex besides the root's; first, step and last vertex count
+_SERIES = {"A": ((), 2, 1, math.inf), "D": ((1, 1), 4, 2, math.inf), "E": ((1, 2), 6, 1, 8)}
 
 
-def dynkin_graph(name: str) -> List[List[int]]:
-    """Neighbour lists of A2..A200, an even D4..D200, E6, E7 or E8, and ValueError for
-    any other name.  Vertices 0, 1, ... run from the root *, the end of the longest leg,
-    to the branch vertex, and the series' other legs follow, each from the branch out."""
+def _dynkin_graph(name: str) -> Callable[[int], List[int]]:
+    """The neighbours function of A_n (n >= 2), an even D_n (n >= 4), E6, E7 or E8, stored
+    as no list; vertices 0, 1, ... run from the root *, the end of the longest leg, to the
+    branch vertex, then the other legs follow, each from the branch out."""
     m = _GRAPH_RE.fullmatch(name)
-    legs, counts = _SERIES[m.group(1)] if m else ((), ())
-    n = int(m.group(2)) if m else 0
-    if n not in counts:
-        raise ValueError(f"unknown graph name {name!r} (expected A2..A200, even D4..D200, E6..E8)")
+    legs, low, step, high, n = (*_SERIES[m.group(1)], int(m.group(2))) if m else ((), 1, 1, 0, 0)
+    if not (low <= n <= high and (n - low) % step == 0):
+        raise ValueError(f"unknown graph name {name!r} (expected An, D2n, E6, E7 or E8)")
     branch = n - 1 - sum(legs)
-    starts = {branch + 1 + sum(legs[:i]) for i in range(len(legs))}
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        u = branch if v in starts else v - 1
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+    starts = [branch + 1 + sum(legs[:i]) for i in range(len(legs))]
+
+    def neighbours(v: int) -> List[int]:
+        out = ([branch] if v in starts else [v - 1] if v else []) + (starts if v == branch else [])
+        return out + [v + 1] if v + 1 < n and v + 1 not in starts else out
+    return neighbours
 
 
 def branching_rule(graph: str) -> BranchingRule:
     """Level k and labels J of the Goodman-de la Harpe-Jones pair (Coxeter Graphs and
-    Towers of Algebras, 1989).  From e_* at the root * of :func:`dynkin_graph`, the integer
-    recursion v_{j+1} = Delta v_j - v_{j-1} gives v_j = U_j(Delta) e_*, which first vanishes
-    at j = h - 1, h the Coxeter number; k = h - 2 and J = {j <= k : (v_j)_* != 0}."""
-    adj = dynkin_graph(graph)
-    prev, v, J, j = [0] * len(adj), [1] + [0] * (len(adj) - 1), [], 0
-    while any(v):
-        if v[0]:
+    Towers of Algebras, 1989): from e_* at the root * of the Dynkin graph, v_{j+1} = Delta v_j
+    - v_{j-1} gives v_j = U_j(Delta) e_*, first 0 at j = h - 1 (h the Coxeter number), so
+    k = h - 2 and J = {j <= k : (v_j)_* != 0}.  v keeps only its nonzero entries: O(h) on A, D."""
+    neighbours = _dynkin_graph(graph)
+    prev, v, J, j = {}, {0: 1}, [], 0
+    while v:
+        if 0 in v:
             J.append(j)
-        prev, v = v, [sum(v[b] for b in nb) - p for nb, p in zip(adj, prev)]
-        j += 1
+        nxt = {u: -x for u, x in prev.items()}
+        for u, x in v.items():
+            for w in neighbours(u):
+                nxt[w] = nxt.get(w, 0) + x
+        prev, v, j = v, {u: x for u, x in nxt.items() if x}, j + 1
     return BranchingRule(graph, j - 1, tuple(J))
 
 
-def ghj_spectrum(graph: str) -> AngleSpectrum:
-    """Angle spectrum of the Goodman-de la Harpe-Jones pair for a graph."""
-    rule = branching_rule(graph)
+def ghj_spectrum(rule: BranchingRule) -> AngleSpectrum:
+    """Angle spectrum of the Goodman-de la Harpe-Jones pair for a :func:`branching_rule`."""
     return alpha_induction_spectrum(rule.k, 1, rule.J)
 
 

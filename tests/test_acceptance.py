@@ -26,7 +26,8 @@ from sectorwb.cuntz import (
     verify_haagerup_relations,
 )
 from sectorwb.fusion import decompose, hom_dim, pf_dimensions, validate_ring
-from sectorwb.wzw import QSixJ, alpha_induction_spectrum, asymptotic_spectrum, ghj_spectrum, q6j, su2k_modular
+from sectorwb.wzw import (QSixJ, alpha_induction_spectrum, asymptotic_spectrum, branching_rule,
+                          ghj_spectrum, q6j, su2k_modular)
 
 import _oracles
 from _report import record
@@ -92,7 +93,7 @@ def test_criterion_02_prime_power_family():
 
 
 def test_criterion_03_e6_spectrum():
-    spec = ghj_spectrum("E6")
+    spec = ghj_spectrum(branching_rule("E6"))
     alt = alpha_induction_spectrum(10, 1, (0, 6))
     ok = (len(spec.angles) == 1
           and abs(spec.angles[0] - math.acos(2 - math.sqrt(3))) <= 1e-12

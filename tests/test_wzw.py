@@ -13,7 +13,6 @@ from sectorwb.wzw import (
     alpha_induction_spectrum,
     asymptotic_spectrum,
     branching_rule,
-    dynkin_graph,
     ghj_spectrum,
     monodromy_ratio,
     q6j,
@@ -68,7 +67,7 @@ def test_monodromy_ratio_matches_s_matrix():
 
 
 def test_e6_spectrum():
-    spec = ghj_spectrum("E6")
+    spec = ghj_spectrum(branching_rule("E6"))
     assert len(spec.angles) == 1
     assert spec.angles[0] == pytest.approx(math.acos(2 - math.sqrt(3)), abs=1e-12)
     assert spec.angles == alpha_induction_spectrum(10, 1, (0, 6)).angles
@@ -76,17 +75,17 @@ def test_e6_spectrum():
 
 def test_a_and_d_spectra_trivial():
     # a single-block branching set gives no interior angles at all
-    assert ghj_spectrum("A5").angles == ()
-    assert ghj_spectrum("A11").angles == ()
+    assert ghj_spectrum(branching_rule("A5")).angles == ()
+    assert ghj_spectrum(branching_rule("A11")).angles == ()
     # D-even at i0=1: the extremal label pairs to ratio ~ 1
-    assert ghj_spectrum("D6").angles == ()
+    assert ghj_spectrum(branching_rule("D6")).angles == ()
 
 
 def test_e7_e8_spectra():
     # E7: the middle label 8 sits at ratio 0 (a right angle), so nothing
     # interior survives; E8: labels 10 and 18 alias to one interior angle
-    assert ghj_spectrum("E7").angles == ()
-    e8 = ghj_spectrum("E8")
+    assert ghj_spectrum(branching_rule("E7")).angles == ()
+    e8 = ghj_spectrum(branching_rule("E8"))
     want = math.acos(math.cos(11 * math.pi / 30) / math.cos(math.pi / 30))
     assert e8.angles == pytest.approx((want,), abs=1e-12)
 
@@ -99,19 +98,24 @@ def test_branching_rule_table():
     old.update({"E6": (12, (0, 6)), "E7": (18, (0, 8, 16)), "E8": (30, (0, 10, 18, 28))})
     for graph, (h, J) in old.items():
         assert branching_rule(graph) == (graph, h - 2, J)
-    assert branching_rule("A200").k == 199
+    # A and D take any size, as the old formulas did
+    assert branching_rule("A500") == ("A500", 499, (0,))
+    assert branching_rule("D1000") == ("D1000", 1996, (0, 1996))
     for bad in ("D5", "D2", "F4", "E9", "A1", "e6", "D", "6", "E6\n", "E\u0666",
-                "D04", "A007", "E06", "A201", "D202", "E5"):
+                "D04", "A007", "E06", "D1001", "E5", "E10"):
         with pytest.raises(ValueError, match="unknown graph name"):
             branching_rule(bad)
 
 
 def test_dynkin_graphs_run_from_the_end_of_the_longest_leg():
-    assert dynkin_graph("A3") == [[1], [0, 2], [1]]
-    assert dynkin_graph("D4") == [[1], [0, 2, 3], [1], [1]]
-    assert dynkin_graph("D6") == [[1], [0, 2], [1, 3], [2, 4, 5], [3], [3]]
-    assert dynkin_graph("E6") == [[1], [0, 2], [1, 3, 4], [2], [2, 5], [4]]
-    assert dynkin_graph("E8") == [[1], [0, 2], [1, 3], [2, 4], [3, 5, 6], [4], [4, 7], [6]]
+    want = {"A3": [[1], [0, 2], [1]],
+            "D4": [[1], [0, 2, 3], [1], [1]],
+            "D6": [[1], [0, 2], [1, 3], [2, 4, 5], [3], [3]],
+            "E6": [[1], [0, 2], [1, 3, 4], [2], [2, 5], [4]],
+            "E8": [[1], [0, 2], [1, 3], [2, 4], [3, 5, 6], [4], [4, 7], [6]]}
+    for graph, adj in want.items():
+        neighbours = wzw._dynkin_graph(graph)
+        assert [neighbours(v) for v in range(len(adj))] == adj, graph
 
 
 def test_asymptotic_counts_and_values():
@@ -182,7 +186,7 @@ def test_alpha_induction_refuses_a_label_set_that_is_not_ints():
     for J in ([0, 1.5], [0, True], [False, 1], [0, "1"]):
         with pytest.raises(ValueError, match="labels i0 and J must be integers"):
             alpha_induction_spectrum(10, 1, J)
-    assert alpha_induction_spectrum(10, 1, iter([0, 6])).angles == ghj_spectrum("E6").angles
+    assert alpha_induction_spectrum(10, 1, iter([0, 6])).angles == ghj_spectrum(branching_rule("E6")).angles
 
 
 def test_su2_float_dimensions_are_the_quantum_integers():
