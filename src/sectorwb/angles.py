@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional, Tuple
 
-from .scalar import EPS_ABS, Frozen
+from ._base import EPS_ABS, Frozen
 
 HYPOTHESES_NOTE = (
     "hypotheses assumed: irreducible quadrilateral with the supertransitivity "

@@ -7,17 +7,22 @@ conventions are fixed so CLI expressions stay stable.  The ``s4_rep`` and
 matrices in tests/_oracles.py.
 
 The shipped tables are validated by tests/test_catalog.py, not by :func:`builtin`
-on every call; rings read from files are validated as they load.
+on every call; rings read from files are validated as they load.  Only the
+functions that build, read or validate a ring import :mod:`sectorwb.fusion`, so
+neither :data:`ENTRIES` nor the su2 dimensions of :func:`float_dimensions` load it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .fusion import FusionRing, parse_sector_expr, validate_ring
-from .scalar import QuadExt, qint, quad
+from ._base import qint
+from .scalar import QuadExt, quad
+
+if TYPE_CHECKING:
+    from .fusion import FusionRing
 
 
 class RingFormatError(ValueError):
@@ -54,6 +59,7 @@ TWO_COS = {4: quad(0), 5: quad("-1/2", "1/2", 5), 6: quad(1), 8: quad(0, 1, 2),
 
 
 def _su2(k: int) -> FusionRing:
+    from .fusion import FusionRing
     labels = tuple(f"l{i}" for i in range(k + 1))
     tensor = {(labels[i], labels[j]):
               dict.fromkeys(labels[abs(i - j):min(i + j, 2 * k - i - j) + 1:2], 1)
@@ -66,6 +72,7 @@ def _ring(name: str, labels: str, rules: str,
     """A ring from space-separated labels, unit first, and one fusion rule
     per line, ``a*b = b*a = c + 2*d``: every product on the left of a line
     gets the sector expression on its right.  The unit rows are implied."""
+    from .fusion import FusionRing, parse_sector_expr
     labs = tuple(labels.split())
     unit = labs[0]
     tensor = {}
@@ -226,6 +233,7 @@ def ring_to_dict(ring: FusionRing) -> dict:
 
 
 def ring_from_dict(doc: dict) -> FusionRing:
+    from .fusion import FusionRing
     if not isinstance(doc, dict):
         raise RingFormatError("top-level JSON value must be an object")
     unknown = set(doc) - _ALLOWED_FIELDS
@@ -259,6 +267,8 @@ def ring_from_dict(doc: dict) -> FusionRing:
 def load(path: str) -> FusionRing:
     """Load and fully validate a fusion-ring JSON file."""
     import json
+
+    from .fusion import validate_ring
 
     with open(path, "r", encoding="utf-8") as fh:
         try:

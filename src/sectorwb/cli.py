@@ -6,19 +6,22 @@ document {"command", "inputs", "results", "residuals"}; floats are rounded
 to 12 significant digits so the output is byte-stable and round-trips.
 --json and --out go before or after the subcommand; --degrees and
 --tolerance go after it, and only the commands whose answer they change take them.
+A command compiles and builds only what it runs: its handler imports the modules it
+uses, and a parser in _COMMANDS gets its arguments when argparse dispatches to it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
-from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import sectorwb
-from .scalar import EPS_ABS
+from ._base import EPS_ABS
 
 if TYPE_CHECKING:
     from .angles import AngleSpectrum
@@ -206,6 +209,8 @@ def _wzw_asymptotic(args):
 
 
 def _wzw_6j(args):
+    from fractions import Fraction
+
     from . import wzw
     spins = [Fraction(s) for s in _ascii_items(args.spins, "[0-9]+(/0*[1-9][0-9]*)?",
                                                "spin {} is not a nonnegative half-integer")]
@@ -295,11 +300,22 @@ class _Parser(argparse.ArgumentParser):
     private _negative_number_matcher, the pattern of those two forms, and _parse_optional
     reads it to tell a negative number from an option.  Should a release rename it, the
     override does nothing and test_a_negative_value_in_exponent_form_is_read_as_a_value
-    fails; --opt=-1e-3 works either way."""
+    fails; --opt=-1e-3 works either way.
 
-    def __init__(self, *args, **kwargs):
+    ``fill(parser)``, if given, runs once at the top of parse_known_args, which argparse
+    (3.10 to 3.13) calls on the subparser it dispatches to: a command fills only the
+    parsers on its own path."""
+
+    def __init__(self, *args, fill=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?[0-9]")
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
 
 def _tolerance(text: str) -> float:
@@ -316,8 +332,7 @@ class _MisplacedTolerance(argparse.Action):
         parser.error("--tolerance goes after the subcommand, on the commands that read it")
 
 
-def _add_common(q: argparse.ArgumentParser, reads: Tuple[str, ...] = (),
-                suppress: bool = True) -> None:
+def _add_common(q: argparse.ArgumentParser, reads: str = "", suppress: bool = True) -> None:
     # On leaf parsers the defaults are SUPPRESS so a trailing flag is
     # accepted without clobbering a value already parsed at the root.
     # --degrees and --tolerance go only on the leaves whose handler ``reads`` them.
@@ -334,6 +349,61 @@ def _add_common(q: argparse.ArgumentParser, reads: Tuple[str, ...] = (),
                    help="write output to a file")
 
 
+_FLOAT, _INT = {"type": float, "required": True}, {"type": int, "required": True}
+_RING = (("ring", {"nargs": "?", "default": None}),)
+_LEVEL = (("--k", {"type": int, "default": None}), ("--file", {"default": None}))
+
+# command words -> (handler, the flags of _add_common it reads, its own arguments),
+# in the order of the usage lines
+_COMMANDS = {
+    ("catalog", "list"): (_catalog_list, "", ()),
+    ("validate",): (_validate, "", _RING + _LEVEL),
+    ("dims",): (_dims, "", _RING + _LEVEL),
+    ("decompose",): (_decompose, "", _RING + (("expr", {}),) + _LEVEL),
+    ("hom",): (_hom, "", _RING + (("expr1", {}), ("expr2", {})) + _LEVEL),
+    ("angle", "cocommuting"): (_angle_cocommuting, "degrees tolerance",
+                               (("--pn", _FLOAT), ("--mp", _FLOAT))),
+    ("angle", "group"): (_angle_group, "degrees",
+                         tuple((order, _INT) for order in ("--g", "--h", "--k", "--hk"))),
+    ("angle", "candidates"): (_angle_candidates, "degrees tolerance",
+                              (("--d", _FLOAT), ("--s", _FLOAT))),
+    ("angle", "bound"): (_angle_bound, "degrees", (("--pn", _FLOAT),)),
+    ("wzw", "spectrum"): (_wzw_spectrum, "degrees", (
+        ("--k", _INT), ("--i0", {"type": int, "default": 1}),
+        ("--J", {"required": True, "help": "comma-separated labels, e.g. 0,6"}))),
+    ("wzw", "ghj"): (_wzw_ghj, "degrees", (("--graph", {"required": True}),)),
+    ("wzw", "asymptotic"): (_wzw_asymptotic, "degrees", (("--n", _INT),)),
+    ("wzw", "6j"): (_wzw_6j, "", (("--m", _INT), ("--spins", {
+        "required": True, "help": "six half-integers, e.g. 2,1,1,1,1,1 or 3/2,..."}))),
+    ("haagerup", "verify"): (_haagerup_verify, "tolerance", (("--perturb", {
+        "type": float, "default": None, "metavar": "EPS",
+        "help": "check the constants with A(1,2) shifted by EPS"}),)),
+    ("haagerup", "qsystem"): (_haagerup_qsystem, "tolerance", ()),
+    ("cuntz", "normalize"): (_cuntz_normalize, "tolerance", (("expr", {}),)),
+    ("classify",): (_classify, "", (("--all", {"action": "store_true"}), ("--case", {}),
+                                    ("--exclusions", {"action": "store_true"}))),
+}
+
+
+def _fill(path: Tuple[str, ...], q: argparse.ArgumentParser) -> None:
+    """Give ``q``, the parser of ``path``, its arguments, or a group's empty leaves."""
+    if path not in _COMMANDS:
+        sub = q.add_subparsers(dest="action", required=True)
+        for words in _COMMANDS:
+            if words[:-1] == path:
+                sub.add_parser(words[-1], fill=partial(_fill, words))
+        return
+    handler, reads, arguments = _COMMANDS[path]
+    q.set_defaults(handler=handler)
+    if handler is _cuntz_normalize:  # an expression such as -T0 is a value too
+        q._negative_number_matcher = re.compile(r"-(\.?[0-9]|[ST])")
+    # classify takes exactly one of its modes
+    target = q.add_mutually_exclusive_group(required=True) if handler is _classify else q
+    for name, kwargs in arguments:
+        target.add_argument(name, **kwargs)
+    _add_common(q, reads)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="swb",
@@ -345,72 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", nargs="?", default=argparse.SUPPRESS,
                    action=_MisplacedTolerance, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
-    leaves = []
-
-    def leaf(parent, name, handler, *reads):
-        q = parent.add_parser(name)
-        q.set_defaults(handler=handler)
-        leaves.append((q, reads))
-        return q
-
-    def group(name):
-        return sub.add_parser(name).add_subparsers(dest="action", required=True)
-
-    leaf(group("catalog"), "list", _catalog_list)
-
-    for name, handler, exprs in (("validate", _validate, ()), ("dims", _dims, ()),
-                                 ("decompose", _decompose, ("expr",)),
-                                 ("hom", _hom, ("expr1", "expr2"))):
-        q = leaf(sub, name, handler)
-        q.add_argument("ring", nargs="?", default=None)
-        for expr in exprs:
-            q.add_argument(expr)
-        q.add_argument("--k", type=int, default=None)
-        q.add_argument("--file", default=None)
-
-    ang = group("angle")
-    q = leaf(ang, "cocommuting", _angle_cocommuting, "degrees", "tolerance")
-    q.add_argument("--pn", type=float, required=True)
-    q.add_argument("--mp", type=float, required=True)
-    q = leaf(ang, "group", _angle_group, "degrees")
-    for order in ("--g", "--h", "--k", "--hk"):
-        q.add_argument(order, type=int, required=True)
-    q = leaf(ang, "candidates", _angle_candidates, "degrees", "tolerance")
-    q.add_argument("--d", type=float, required=True)
-    q.add_argument("--s", type=float, required=True)
-    q = leaf(ang, "bound", _angle_bound, "degrees")
-    q.add_argument("--pn", type=float, required=True)
-
-    w = group("wzw")
-    q = leaf(w, "spectrum", _wzw_spectrum, "degrees")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--i0", type=int, default=1)
-    q.add_argument("--J", required=True, help="comma-separated labels, e.g. 0,6")
-    q = leaf(w, "ghj", _wzw_ghj, "degrees")
-    q.add_argument("--graph", required=True)
-    q = leaf(w, "asymptotic", _wzw_asymptotic, "degrees")
-    q.add_argument("--n", type=int, required=True)
-    q = leaf(w, "6j", _wzw_6j)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--spins", required=True,
-                   help="six half-integers, e.g. 2,1,1,1,1,1 or 3/2,...")
-
-    h = group("haagerup")
-    leaf(h, "verify", _haagerup_verify, "tolerance").add_argument(
-        "--perturb", type=float, default=None, metavar="EPS",
-        help="check the constants with A(1,2) shifted by EPS")
-    leaf(h, "qsystem", _haagerup_qsystem, "tolerance")
-
-    leaf(group("cuntz"), "normalize", _cuntz_normalize, "tolerance").add_argument("expr")
-
-    q = leaf(sub, "classify", _classify)
-    g = q.add_mutually_exclusive_group(required=True)
-    g.add_argument("--all", action="store_true")
-    g.add_argument("--case", default=None)
-    g.add_argument("--exclusions", action="store_true")
-
-    for q, reads in leaves:
-        _add_common(q, reads)
+    for name in dict.fromkeys(words[0] for words in _COMMANDS):
+        sub.add_parser(name, fill=partial(_fill, (name,)))
     return p
 
 
@@ -436,7 +442,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered + "\n")
         else:
-            print(rendered)
+            try:
+                print(rendered, flush=True)
+            except BrokenPipeError:
+                # the reader closed the pipe: the rest goes to devnull, so the flush
+                # at exit writes nothing either (the recipe of Python's signal docs)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # An except clause is evaluated only when an exception reaches it, so
     # naming a class through the package imports its module only then.
     except (sectorwb.RingValidationError, sectorwb.QSystemError) as exc:

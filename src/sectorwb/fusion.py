@@ -50,7 +50,7 @@ import re
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .scalar import EPS_ABS, Frozen
+from ._base import EPS_ABS, Frozen
 
 if TYPE_CHECKING:
     import numpy as np

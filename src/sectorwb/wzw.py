@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Tuple
 
+from ._base import Frozen, qint
 from .angles import AngleSpectrum
-from .scalar import Frozen, qint
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -194,13 +195,6 @@ class SixJDomainError(ValueError):
     beyond float range, or a q-factorial or the symbol overflows a float."""
 
 
-def _half_int(x) -> Fraction:
-    f = x if type(x) is Fraction else Fraction(x)
-    if f.numerator < 0 or f.denominator > 2:
-        raise ValueError(f"spin {x} is not a nonnegative half-integer")
-    return f
-
-
 class QSixJ(Frozen):
     """A quantum 6j-symbol {j1 j2 j12; j3 j j23} at q = e^{i pi / m}."""
 
@@ -209,12 +203,16 @@ class QSixJ(Frozen):
 
     def __init__(self, m: int, j1: Fraction, j2: Fraction, j12: Fraction,
                  j3: Fraction, j: Fraction, j23: Fraction):
+        from fractions import Fraction  # loaded by the 6j symbols alone
+
         if not isinstance(m, int) or m < 2:
             raise ValueError("root-of-unity order m must be an integer >= 2")
         object.__setattr__(self, "m", m)
         twice = []
         for name, spin in zip(self._fields[1:], (j1, j2, j12, j3, j, j23)):
-            f = _half_int(spin)
+            f = spin if type(spin) is Fraction else Fraction(spin)
+            if f.numerator < 0 or f.denominator > 2:
+                raise ValueError(f"spin {spin} is not a nonnegative half-integer")
             object.__setattr__(self, name, f)
             twice.append(f.numerator * (2 // f.denominator))
         object.__setattr__(self, "_twice", tuple(twice))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb import catalog, fusion, quad, wzw
+from sectorwb import catalog, cli, fusion, quad, wzw
 from sectorwb.cli import build_parser, main
 
 import _oracles
@@ -114,9 +114,18 @@ def test_a_negative_value_in_exponent_form_is_read_as_a_value(capsys):
         assert json.loads(capsys.readouterr().out) == doc
         assert main(argv + ["-.5e-2", "--json"]) == code
         assert json.loads(capsys.readouterr().out)["inputs"][argv[-1][2:]] == -0.005
-    # a Cuntz expression that starts with "-" and a letter still needs "--"
-    assert main(["cuntz", "normalize", "--", "-T0"]) == 0
-    assert capsys.readouterr().out.endswith("-T0\n")
+
+
+@pytest.mark.parametrize("expr", ["-T0", "-S0*T1^", "-T2*T1 + 2*T0^*T1"])
+def test_a_cuntz_expression_may_start_with_minus_and_a_generator(expr, capsys):
+    # `cuntz normalize` reads -T0 as its expression, as it reads it after "--"
+    for flags in ([], ["--json"], ["--tolerance", "1e-3"]):
+        assert main(["cuntz", "normalize"] + flags + ["--", expr]) == 0
+        after_dashes = capsys.readouterr()
+        assert main(["cuntz", "normalize", expr] + flags) == 0
+        assert capsys.readouterr() == after_dashes
+    assert main(["cuntz", "normalize", "-T0"]) == 0
+    assert capsys.readouterr().out == "-T0\n"
 
 
 def test_classify_all(capsys):
@@ -352,6 +361,23 @@ def test_golden_output(record, capsys):
     assert capsys.readouterr().out == record["stdout"]
 
 
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", HELP_GOLDEN, ids=lambda r: " ".join(r["argv"]))
+def test_help_and_usage_errors_match_golden_records(record, monkeypatch, capsys):
+    # the root's, every group's and every command's --help and a few usage
+    # errors, recorded as `COLUMNS=80 swb ARGV` before the parser filled its
+    # commands on dispatch
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(record["argv"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == \
+        (record["code"], record["stdout"], record["stderr"])
+
+
 LIGHT_COMMANDS = [
     ["catalog", "list"],
     ["angle", "cocommuting", "--pn", "3", "--mp", "2"],
@@ -369,12 +395,14 @@ LIGHT_COMMANDS = [
 
 # commands on shipped rings read exact dimensions and sparse rows, build no
 # fusion-ring array and so import no numpy; only validate and --file rings do
-RING_COMMANDS = [["dims", "e6_even"], ["dims", "su2", "--k", "30"],
-                 ["decompose", "d6_even", "r*r1"], ["hom", "haagerup_even", "r*r", "1 + t"],
+RING_COMMANDS = [["dims", "e6_even"], ["decompose", "d6_even", "r*r1"],
+                 ["hom", "haagerup_even", "r*r", "1 + t"],
                  ["hom", "su2", "l1*l1", "l0 + l2", "--k", "4"]]
+# su2 dimensions are the closed form, which builds no ring
+SU2_DIMS_COMMANDS = [["dims", "su2", "--k", "30"]]
 CLASSIFY_COMMANDS = [["classify", "--case", "a5a3"], ["classify", "--all"],
                      ["classify", "--exclusions"]]
-NO_NUMPY_COMMANDS = LIGHT_COMMANDS + RING_COMMANDS + CLASSIFY_COMMANDS
+NO_NUMPY_COMMANDS = LIGHT_COMMANDS + RING_COMMANDS + SU2_DIMS_COMMANDS + CLASSIFY_COMMANDS
 
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
@@ -419,21 +447,25 @@ print(" ".join(sorted(sys.modules)))
 
 @pytest.mark.parametrize("family, modules", [
     (None, []),
-    ("catalog", ["catalog", "cli", "fusion", "scalar"]),
-    ("angle", ["angles", "cli", "scalar"]),
-    ("wzw", ["angles", "cli", "scalar", "wzw"]),
-    ("haagerup", ["cli", "cuntz", "scalar"]),
-    ("cuntz", ["cli", "cuntz", "scalar"]),
-    ("ring", ["catalog", "cli", "fusion", "scalar"]),
-    ("classify", ["angles", "catalog", "classify", "cli", "fusion", "scalar"]),
-], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "ring", "classify"])
+    ("catalog", ["_base", "catalog", "cli", "scalar"]),
+    ("angle", ["_base", "angles", "cli"]),
+    ("wzw", ["_base", "angles", "cli", "wzw"]),
+    ("haagerup", ["_base", "cli", "cuntz", "scalar"]),
+    ("cuntz", ["_base", "cli", "cuntz", "scalar"]),
+    ("dims su2", ["_base", "catalog", "cli", "scalar"]),
+    ("ring", ["_base", "catalog", "cli", "fusion", "scalar"]),
+    ("classify", ["_base", "angles", "catalog", "classify", "cli", "fusion", "scalar"]),
+], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "dims-su2", "ring",
+        "classify"])
 def test_command_families_load_only_their_modules(family, modules):
     # each family runs in a fresh interpreter; `import sectorwb` alone loads
     # no submodule.  No command loads dataclasses, and the text output of
     # every family, ring commands on shipped rings and classify among them,
     # loads none of inspect, json and numpy (which imports inspect itself);
-    # validate is the one ring command that loads numpy
-    commands = {"ring": RING_COMMANDS, "classify": CLASSIFY_COMMANDS}.get(
+    # validate is the one ring command that loads numpy.  fractions loads
+    # only with scalar's QuadExt or for a 6j symbol (wzw 6j)
+    commands = {"ring": RING_COMMANDS, "dims su2": SU2_DIMS_COMMANDS,
+                "classify": CLASSIFY_COMMANDS}.get(
         family, [argv for argv in LIGHT_COMMANDS if argv[0] == family])
     extra = [repr(commands)] if family else []
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE] + extra,
@@ -442,6 +474,7 @@ def test_command_families_load_only_their_modules(family, modules):
     assert [m for m in loaded if m.startswith("sectorwb.")] == [f"sectorwb.{m}" for m in modules]
     assert "dataclasses" not in loaded
     assert not {"inspect", "json", "numpy"} & set(loaded)
+    assert ("fractions" in loaded) == ("scalar" in modules or family == "wzw")
 
 
 def _d6_file(path, **fields):
@@ -466,6 +499,7 @@ def _d6_file(path, **fields):
     (["validate", "--file", "CORRUPT"], 1, None),
     (["dims", "--file", "CORRUPT"], 1, "error: fusion-ring axioms violated:"),
     (["validate", "--file", "NAMED"], 2, "error: name must be a string"),
+    (["dims", "--file", "MISSING"], 2, "error: [Errno 2] No such file or directory: "),
     (["angle", "candidates", "--d", "1e200", "--s", "0.5"], 2,
      "error: (d_sigma - 1)^2 s^2 overflows a float at d_sigma = 1e+200, s = 0.5"),
     (["dims", "su2", "--k", str(catalog.MAX_LEVEL + 1)], 2,
@@ -504,7 +538,8 @@ def _d6_file(path, **fields):
      "error: exactly six spins are required"),
 ], ids=["cuntz-syntax", "qsystem", "spin", "sixj-domain", "sixj-overflow",
         "asymptotic-cap", "expr-syntax", "lookup",
-        "validate-corrupt", "dims-corrupt", "name-not-string", "candidates-overflow",
+        "validate-corrupt", "dims-corrupt", "name-not-string", "file-missing",
+        "candidates-overflow",
         "su2-level-cap", "cocommuting-overflow", "J-arabic-digit", "J-underscore",
         "J-empty-item", "J-trailing-comma", "J-empty", "spin-empty-item",
         "spin-arabic-digit", "group-int-overflow", "spectrum-int-overflow",
@@ -517,7 +552,8 @@ def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, ca
     tensor = catalog.ring_to_dict(catalog.builtin("d6_even"))["tensor"]
     tensor["r,r"]["r1"] = 5
     files = {"CORRUPT": _d6_file(tmp_path / "corrupt.json", tensor=tensor),
-             "NAMED": _d6_file(tmp_path / "named.json", name=["x"])}
+             "NAMED": _d6_file(tmp_path / "named.json", name=["x"]),
+             "MISSING": str(tmp_path / "missing.json")}
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run(_SWB + argv, env=_ENV, capture_output=True, text=True)
     assert proc.returncode == code
@@ -531,6 +567,21 @@ def test_error_exits_in_a_fresh_interpreter(argv, code, first_line, tmp_path, ca
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # the reader closes the pipe after the first line while swb still writes:
+    # the 60 kB expression appears three times in the JSON, more than a pipe
+    # holds.  swb prints nothing to stderr, not even at exit, and keeps the
+    # command's own exit code
+    expr = "*".join(["T0", "T1", "S0", "T2"] * 5000)
+    proc = subprocess.Popen(_SWB + ["cuntz", "normalize", expr, "--json"], env=_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    with proc.stderr:
+        assert proc.stdout.read(2) == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_every_package_error_is_caught_by_main():
@@ -650,7 +701,7 @@ def test_bad_spin_is_a_usage_error(spins, capsys):
 
 
 def _leaves(parser, path=()):
-    # (command words, parser) of every command that build_parser() declares
+    # (command words, parser) of every command whose parser has been filled
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
@@ -662,15 +713,19 @@ def _leaves(parser, path=()):
 def test_commands_take_only_the_flags_their_handlers_read(tmp_path):
     # --tolerance and --degrees go after the subcommand, on exactly the
     # commands whose handler reads them; --json and --out go on every command,
-    # before or after it.  Each command runs as its shortest golden record.
+    # before or after it.  Each command of the table runs as its shortest
+    # golden record, and parsing it fills its own parser and no other.
     parser = build_parser()
-    leaves = dict(_leaves(parser))
-    assert len(leaves) == 17
+    assert len(cli._COMMANDS) == 17
     readers = {"tolerance": [], "degrees": []}
-    for path, leaf in leaves.items():
+    for path, (handler, _, _) in cli._COMMANDS.items():
         record = min((r for r in GOLDEN if tuple(r["argv"][:len(path)]) == path
                       and "--json" not in r["argv"]), key=lambda r: len(r["argv"]))
-        argv, source = record["argv"], inspect.getsource(leaf.get_default("handler"))
+        argv, source = record["argv"], inspect.getsource(handler)
+        fresh = build_parser()
+        assert list(_leaves(fresh)) == []
+        assert fresh.parse_args(argv).handler is handler
+        assert [words for words, _ in _leaves(fresh)] == [path]
         for flag, value, given in (("tolerance", ["1e-3"], 1e-3), ("degrees", [], True)):
             if f"args.{flag}" in source:
                 readers[flag].append(" ".join(path))
