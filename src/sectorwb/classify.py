@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import angles
 from .catalog import builtin, dimensions
-from .fusion import _mul_label, decompose, hom_dim
+from .fusion import decompose, hom_dim
 from .scalar import QuadExt, quad
 
 TAGS = ("I", "II", "III", "group-type", "D6affine")
@@ -57,7 +57,8 @@ def _fpdim_failure(ring_key: str, k: Optional[int], expr: str, expected: QuadExt
     for b, db in d.items():
         if not db > 0:
             return f"d({b}) = {db} is not positive"
-        if sum(n * d[c] for c, n in _mul_label(ring, x, b).items()) != dx * db:
+        if sum(n * m * d[c] for a, n in x.items()
+               for c, m in decompose(ring, f"{a}*{b}").items()) != dx * db:
             return f"d(({expr})*{b}) = d({expr}) d({b}) fails"
     return None if dx == expected else f"d({expr}) = {dx}, not {expected}"
 

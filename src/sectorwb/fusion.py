@@ -28,9 +28,10 @@ in it (Horn & Johnson, Matrix Analysis, 2nd ed., section 3.2.4), so the M_a
 commute pairwise, and then (ab)c = c(ab) = a(cb) = a(bc).  The certificate
 needs none of the other axioms.  When it does not apply (noncommutative
 rings such as the Haagerup even part, non-associative tables, an X without
-the unit as cyclic vector, or multiplicities too large for int64), the
-n^5 check runs instead: a batch of small matrix products per label, which is
-also the only code that writes associativity reports.
+the unit as cyclic vector, or multiplicities whose products could reach
+2^53), the n^5 check runs instead: one batch of matrix products per label
+and side, in float64 when its sums stay below 2^53 and in Python ints
+beyond, which is also the only code that writes associativity reports.
 
 :func:`pf_dimensions` takes the Perron vector of sum_i M_i from one symmetric
 eigen-solve, which presumes a ring that passes :func:`validate_ring`.
@@ -60,12 +61,6 @@ LABEL_RE = re.compile(r"[A-Za-z0-9_']+")
 # matrix products of multiplicities are exact in float64 below this bound
 _FLOAT_EXACT = 2 ** 53
 _INT64_MAX = 2 ** 63 - 1
-# Associativity products run in blocks of j of about this many entries
-# (128 KB in float64): whole-label temporaries raised the peak memory of a
-# stream of 41-label rings by megabytes for no measurable speed.  Blocks
-# keep at least 8 rows of j, so large rings still get matrix products.
-_BLOCK_ENTRIES = 1 << 14
-_MIN_BLOCK_ROWS = 8
 # The associativity certificate takes Krylov ranks modulo this prime
 # (2**23 - 15); n * (p - 1)**2 fits int64 for every n below 2**17.
 _KRYLOV_PRIME = 8_388_593
@@ -256,7 +251,7 @@ def validate_ring(ring: FusionRing) -> List[str]:
     messages, one per violation.
 
     Unit, duality and Frobenius violations are found as one array mask each
-    over ``ring.N``, associativity ones per block of labels, and all are
+    over ``ring.N``, associativity ones per label, and all are
     reported in label order, unit before duality before Frobenius before
     associativity, with at most one associativity report per pair (i, j).
     Associativity is skipped only when the exact certificate of the module
@@ -313,25 +308,20 @@ def _violations(ring: FusionRing) -> Iterator[str]:
 
     if _associativity_proved(N, u):
         return
-    # Sums of n products of multiplicities: float64 takes the BLAS path and
-    # is exact below 2**53, int64 up to its own range, Python ints beyond.
-    bound = n * int(N.max()) ** 2
-    A = N.astype(np.float64 if bound < _FLOAT_EXACT
-                 else np.int64 if bound <= _INT64_MAX else object)
+    # sums of n products of multiplicities, exact in float64 below 2**53
+    A = N.astype(np.float64 if n * int(N.max()) ** 2 < _FLOAT_EXACT else object)
     by_k = A.transpose(1, 0, 2)  # [k, m, l] = N(m, k, l)
-    step = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // (n * n))
     for ix in range(n):
-        for j0 in range(0, n, step):
-            # [j, k, l] for a block of j: sum_m N(i,j,m) N(m,k,l) against
-            # sum_x N(j,k,x) N(i,x,l), each a batch of small matrix products
-            lhs = np.matmul(A[ix, j0:j0 + step], by_k).transpose(1, 0, 2)
-            rhs = np.matmul(A[j0:j0 + step], A[ix])
-            bad = lhs != rhs
-            for jx in np.flatnonzero(bad.any(axis=(1, 2))):
-                l_ix, k_ix = np.argwhere(bad[jx].T)[0]
-                i, j, k, l = labels[ix], labels[j0 + jx], labels[k_ix], labels[l_ix]
-                yield (f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={int(lhs[jx, k_ix, l_ix])}"
-                       f" != sum_m N({j},{k},m)N({i},m,{l})={int(rhs[jx, k_ix, l_ix])}")
+        # [j, k, l]: sum_m N(i,j,m) N(m,k,l) against sum_x N(j,k,x) N(i,x,l),
+        # each a batch of n matrix products
+        lhs = np.matmul(A[ix], by_k).transpose(1, 0, 2)
+        rhs = np.matmul(A, A[ix])
+        bad = lhs != rhs
+        for jx in np.flatnonzero(bad.any(axis=(1, 2))):
+            l_ix, k_ix = np.argwhere(bad[jx].T)[0]
+            i, j, k, l = labels[ix], labels[jx], labels[k_ix], labels[l_ix]
+            yield (f"associativity: sum_m N({i},{j},m)N(m,{k},{l})={int(lhs[jx, k_ix, l_ix])}"
+                   f" != sum_m N({j},{k},m)N({i},m,{l})={int(rhs[jx, k_ix, l_ix])}")
 
 
 def _associativity_proved(N: np.ndarray, u: int) -> bool:
@@ -345,17 +335,14 @@ def _associativity_proved(N: np.ndarray, u: int) -> bool:
         return False
     M = N.transpose(0, 2, 1)  # M[a] = M_a, M_a[k, j] = N(a, j, k)
     c = np.arange(n, dtype=np.int64) ** 2 + 1
+    # X = sum_a c_a M_a has entries at most top * sum(c), and the entries of
+    # M_a X and X M_a are sums of n products, each at most top * max(X): one
+    # bound makes them exact in float64 and keeps X in int64 for the Krylov step
     top = int(N.max())
-    if int(c.sum()) * top > _INT64_MAX:
+    if n * top ** 2 * int(c.sum()) >= _FLOAT_EXACT:
         return False
-    # X = sum_a c_a M_a, exact: entries at most sum(c) * top
     X = (c @ N.reshape(n, n * n)).reshape(n, n).T
-    # entries of M_a X and X M_a are sums of n products, each at most top * max(X)
-    bound = n * top * int(X.max())
-    if bound > _INT64_MAX:
-        return False
-    exact = np.float64 if bound < _FLOAT_EXACT else np.int64
-    Mx, Xx = np.ascontiguousarray(M, dtype=exact), X.astype(exact)
+    Mx, Xx = np.ascontiguousarray(M, dtype=np.float64), X.astype(np.float64)
     # n products of n x n matrices on each side, not one (n*n, n) product:
     # without CPU pinning on a two-CPU host the large product woke OpenBLAS
     # threads and took about 8 ms at 41 labels, against 0.1 ms pinned
@@ -408,12 +395,6 @@ def _times(vec: Dict[int, int], rows: Sequence[Tuple[Tuple[int, int], ...]]) -> 
         for k, n in rows[i]:
             out[k] = out.get(k, 0) + mult * n
     return out
-
-
-def _mul_label(ring: FusionRing, vec: Mapping[str, int], lab: str) -> Dict[str, int]:
-    """A decomposition times one label, in label order."""
-    out = _times({ring.index(i): n for i, n in vec.items()}, ring.right_rows[lab])
-    return {ring.labels[k]: out[k] for k in sorted(out)}
 
 
 def decompose(ring: FusionRing, text: str) -> Dict[str, int]:

@@ -300,9 +300,10 @@ def _tambara_yamagami(n):
 def _corrupted_rings(draw):
     """su2, Z/n, TY and catalog rings with up to three corruptions: a
     multiplicity raised or lowered by one, raised past 2**27 (so that exact
-    matrix products need int64), N(i,j,k) and N(j,i,k) raised together (the
-    ring stays commutative, so the associativity certificate has to reject
-    it), or the duals of two labels swapped."""
+    matrix products leave float64 and run on Python ints), N(i,j,k) and
+    N(j,i,k) raised together (the ring stays commutative, so the
+    associativity certificate has to reject it), or the duals of two labels
+    swapped."""
     family = draw(st.sampled_from(("su2", "zn", "ty", "catalog")))
     if family == "su2":
         ring = catalog.builtin("su2", draw(st.integers(1, 6)))
@@ -356,6 +357,32 @@ def _table(labels, products):
 
 def _proved(ring):
     return _associativity_proved(ring.N, ring.index(ring.unit))
+
+
+def _dihedral(n):
+    """The group ring of the dihedral group of order 2n; g{i}_{e} is r^i s^e."""
+    labels = tuple(f"g{i}_{e}" for e in (0, 1) for i in range(n))
+    tensor = {(f"g{i}_{a}", f"g{j}_{b}"): {f"g{(i + (-1) ** a * j) % n}_{(a + b) % 2}": 1}
+              for a in (0, 1) for b in (0, 1) for i in range(n) for j in range(n)}
+    dual = {f"g{i}_0": f"g{-i % n}_0" for i in range(n)}
+    return FusionRing(f"d{n}", labels, "g0_0", dual, tensor)
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_noncommutative_fallback_at_26_and_30_labels(n):
+    # noncommutative, so the n^5 check runs on 26 and 30 labels; raising
+    # N(g12_1,g1_0,g0_1) puts the first associativity report at j = g11_1,
+    # position 24 of D13 and 26 of D15
+    ring = _dihedral(n)
+    assert len(ring.labels) == 2 * n and not _proved(ring)
+    assert validate_ring(ring) == []
+    tensor = {key: dict(row) for key, row in ring.tensor.items()}
+    tensor[("g12_1", "g1_0")]["g0_1"] = 1
+    broken = FusionRing(ring.name, ring.labels, ring.unit, ring.dual, tensor)
+    report = validate_ring(broken)
+    assert report == _oracles.validate_ring_loops(broken, MAX_REPORTS)
+    first = next(line for line in report if line.startswith("associativity:"))
+    assert first.startswith("associativity: sum_m N(g1_0,g11_1,m)")
 
 
 def test_validate_reports_int64_overflowing_sums_exactly():
@@ -427,11 +454,11 @@ def test_certificate_needs_a_cyclic_unit_vector():
 
 
 def test_certificate_arithmetic_stays_exact():
-    # x*x = A*x is associative; the commutator sums reach about 4*A^2,
-    # which takes float64 at A = 2**20, int64 at 2**28 and is out of range
-    # at 2**31, where the n^5 check (on Python ints) has to decide; at 2**62
-    # even X = sum_a c_a M_a, up to 3*A, leaves int64
-    for A, proved in ((2 ** 20, True), (2 ** 28, True), (2 ** 31, False), (2 ** 62, False)):
+    # x*x = A*x is associative; the certificate's bound n * top^2 * sum(c)
+    # is 6*A^2, below 2**53 at A = 2**20, so float64 products decide; at
+    # 2**28, 2**31 and 2**62 it is not, and the n^5 check decides on Python
+    # ints (at 2**62 even X = sum_a c_a M_a, up to 3*A, would leave int64)
+    for A, proved in ((2 ** 20, True), (2 ** 28, False), (2 ** 31, False), (2 ** 62, False)):
         ring = _table(("1", "x"), {("x", "x"): {"x": A}})
         assert _proved(ring) is proved
         report = validate_ring(ring)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -44,6 +45,19 @@ assert "sectorwb.nope" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is public; `from ._base import EPS_ABS` is
+    # fine, `from .fusion import _times` is not
+    crossing = []
+    for path in sorted(Path(sectorwb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing += [f"{path.stem}: from {'.' * node.level}{node.module or ''} "
+                             f"import {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert crossing == []
 
 
 @pytest.mark.parametrize("record, field", [
