@@ -1,6 +1,6 @@
-"""The float tolerance, the quantum integer and the immutable record base: the
-float modules take them from here, not from :mod:`sectorwb.scalar` (which re-exports
-them), so that a command with no exact arithmetic loads neither QuadExt nor fractions.
+"""The float tolerance, the quantum integer and the immutable record base, kept
+apart from :mod:`sectorwb.scalar` so that a command with no exact arithmetic loads
+neither QuadExt nor fractions.
 """
 
 import math

@@ -105,7 +105,8 @@ def bound_cos(pn):
 def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
     """Angle of a cocommuting quadrilateral from its two indices; equal indices
     force the commuting case instead of an angle.  Indices within ``tol`` of
-    each other count as equal.  Indices beyond float range raise ValueError.
+    each other count as equal.  Unequal indices beyond float range raise
+    ValueError; equal ones are compared exactly and commute.
 
     The cosine from :func:`cocommuting_cos2` decides, by the rule of
     :meth:`AngleSpectrum.from_cosines`, whether the angle is dropped; a kept
@@ -115,7 +116,9 @@ def angle_cocommuting(pn, mp, tol: float = EPS_ABS) -> AngleSpectrum:
     try:
         pn, mp = float(pn), float(mp)
     except OverflowError:
-        raise ValueError("indices must both fit in a float") from None
+        if not pn == mp > 1:
+            raise ValueError("indices must both fit in a float") from None
+        return AngleSpectrum((), commuting=True)
     if not (1 < pn < math.inf and 1 < mp < math.inf):
         raise ValueError("indices must both be finite and exceed 1")
     if pn < mp - tol:
@@ -133,11 +136,11 @@ def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
     """Angle of a group-subgroup quadrilateral from the four group orders.
 
     Uses pn = [G:H] and mp = [H:H image in the intersection], which requires
-    |H| = |K| and the usual divisibility of orders; equal integer indices
-    commute.  The orders alone do not fix the group, so unequal indices
-    assume the cocommuting formula: (8, 2, 2, 1) gives 54.7356103172
-    degrees, yet the only group of order 8 that two subgroups of order 2
-    generate is D8, whose angle is 45 degrees.
+    |H| = |K| and the usual divisibility of orders; equal indices commute,
+    by the rule of :func:`angle_cocommuting`.  The orders alone do not fix
+    the group, so unequal indices assume the cocommuting formula: (8, 2, 2,
+    1) gives 54.7356103172 degrees, yet the only group of order 8 that two
+    subgroups of order 2 generate is D8, whose angle is 45 degrees.
     """
     for name, val in (("g", g), ("h", h), ("k", k), ("hk", hk)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
@@ -150,8 +153,6 @@ def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
     mp = h // hk
     if pn <= 1 or mp <= 1:
         raise ValueError("degenerate inclusion: both indices must exceed 1")
-    if pn == mp:
-        return AngleSpectrum((), commuting=True)
     return angle_cocommuting(pn, mp)
 
 

@@ -1,28 +1,28 @@
 """Built-in fusion rings and file I/O for user-defined ones.
 
-The fixed rings in :data:`ENTRIES` are written as fusion rules, the unit
-first, next to the exact dimensions of their non-invertible labels.  Label
-conventions are fixed so CLI expressions stay stable.  The ``s4_rep`` and
-``a4_rep`` tables match the character products of explicit permutation
-matrices in tests/_oracles.py.
+Each fixed ring in :data:`ENTRIES` is plain data: its labels, the unit first,
+its fusion rules as text, its dual map and the exact dimensions of its
+non-invertible labels, written as the arguments of :func:`sectorwb.scalar.quad`
+(an int when rational).  Label conventions are fixed so CLI expressions stay
+stable.  The ``s4_rep`` and ``a4_rep`` tables match the character products of
+explicit permutation matrices in tests/_oracles.py.
 
 The shipped tables are validated by tests/test_catalog.py, not by :func:`builtin`
-on every call; rings read from files are validated as they load.  Only the
-functions that build, read or validate a ring import :mod:`sectorwb.fusion`, so
-neither :data:`ENTRIES` nor the su2 dimensions of :func:`float_dimensions` load it.
+on every call; rings read from files are validated as they load.  Importing this
+module loads neither :mod:`sectorwb.fusion`, which only the functions that build,
+read or validate a ring import, nor :mod:`sectorwb.scalar`, which only :func:`dimensions` does.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ._base import qint
-from .scalar import QuadExt, quad
 
 if TYPE_CHECKING:
     from .fusion import FusionRing
+    from .scalar import QuadExt
 
 
 class RingFormatError(ValueError):
@@ -38,13 +38,21 @@ class RingValidationError(ValueError):
 
 
 class CatalogEntry(NamedTuple):
-    """A built-in ring: ``build()``, or ``build(k)`` when parametrized."""
+    """A built-in ring.  A fixed ring has space-separated ``labels``, the unit
+    first, and one fusion rule per line of ``rules``, ``a*b = b*a = c + 2*d``:
+    every product on the left of a line gets the sector expression on its right,
+    and the unit rows are implied.  ``su2`` has no labels and takes a level."""
 
     key: str
     note: str
-    build: Callable[..., FusionRing]
-    parametrized: bool = False
-    dims: Mapping[str, QuadExt | int] = {}  # of the non-invertible labels
+    labels: str = ""
+    rules: str = ""
+    dual: Mapping[str, str] = {}
+    dims: Mapping[str, tuple | int] = {}  # of the non-invertible labels, quad's arguments
+
+    @property
+    def parametrized(self) -> bool:
+        return not self.labels
 
 
 # su2 at level k has (k+1)^2 products and a dense tensor of (k+1)^3 entries,
@@ -53,9 +61,8 @@ class CatalogEntry(NamedTuple):
 MAX_LEVEL = 150
 _SU2_NAME = "su2_{}"
 
-# n -> 2cos(2pi/n), rational or quadratic, for the n a classification link uses
-TWO_COS = {4: quad(0), 5: quad("-1/2", "1/2", 5), 6: quad(1), 8: quad(0, 1, 2),
-           10: quad("1/2", "1/2", 5)}
+# n -> the arguments of quad for 2cos(2pi/n), for the n a classification link uses
+TWO_COS = {4: (0,), 5: ("-1/2", "1/2", 5), 6: (1,), 8: (0, 1, 2), 10: ("1/2", "1/2", 5)}
 
 
 def _su2(k: int) -> FusionRing:
@@ -67,47 +74,39 @@ def _su2(k: int) -> FusionRing:
     return FusionRing(_SU2_NAME.format(k), labels, "l0", {}, tensor)
 
 
-def _ring(name: str, labels: str, rules: str,
-          dual: Optional[Dict[str, str]] = None) -> FusionRing:
-    """A ring from space-separated labels, unit first, and one fusion rule
-    per line, ``a*b = b*a = c + 2*d``: every product on the left of a line
-    gets the sector expression on its right.  The unit rows are implied."""
+def _ring(entry: CatalogEntry) -> FusionRing:
     from .fusion import FusionRing, parse_sector_expr
-    labs = tuple(labels.split())
+    labs = tuple(entry.labels.split())
     unit = labs[0]
     tensor = {}
     for x in labs:
         tensor[(unit, x)] = tensor[(x, unit)] = {x: 1}
-    for line in rules.strip().splitlines():
+    for line in entry.rules.strip().splitlines():
         *products, rhs = line.split("=")
         row = {lab: n for n, (lab,) in parse_sector_expr(rhs, labs)}
         for product in products:
             i, j = (t.strip() for t in product.split("*"))
             tensor[(i, j)] = row
-    return FusionRing(name, labs, unit, dual or {}, tensor)
+    return FusionRing(entry.key, labs, unit, entry.dual, tensor)
 
 
 ENTRIES: Tuple[CatalogEntry, ...] = (
-    CatalogEntry("su2", "SU(2) level-k Verlinde ring, labels l0..lk (pass k)", _su2, True),
-    CatalogEntry("d6_even", "even sectors of the D6 subfactor", partial(
-        _ring, "d6_even", "1 r r1 r2", """
+    CatalogEntry("su2", "SU(2) level-k Verlinde ring, labels l0..lk (pass k)"),
+    CatalogEntry("d6_even", "even sectors of the D6 subfactor", "1 r r1 r2", """
         r*r = 1 + r + r1 + r2
         r*r1 = r1*r = r + r2
         r*r2 = r2*r = r + r1
         r1*r1 = 1 + r1
         r2*r2 = 1 + r2
         r1*r2 = r2*r1 = r
-        """), dims={"r": quad("3/2", "1/2", 5), "r1": quad("1/2", "1/2", 5),
-                    "r2": quad("1/2", "1/2", 5)}),
-    CatalogEntry("e6_even", "even sectors of the E6 subfactor", partial(
-        _ring, "e6_even", "1 a e", """
+        """, dims={"r": ("3/2", "1/2", 5), "r1": ("1/2", "1/2", 5), "r2": ("1/2", "1/2", 5)}),
+    CatalogEntry("e6_even", "even sectors of the E6 subfactor", "1 a e", """
         a*a = 1
         a*e = e*a = e
         e*e = 1 + a + 2*e
-        """), dims={"e": quad(1, 1, 3)}),
+        """, dims={"e": (1, 1, 3)}),
     # 1, sign, the 2-dim, the standard 3-dim and its product with the sign
-    CatalogEntry("s4_rep", "unitary dual of the symmetric group S4", partial(
-        _ring, "s4_rep", "1 a e2 e ae", """
+    CatalogEntry("s4_rep", "unitary dual of the symmetric group S4", "1 a e2 e ae", """
         a*a = 1
         a*e2 = e2*a = e2
         a*e = e*a = ae
@@ -116,29 +115,26 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         e2*e = e*e2 = e2*ae = ae*e2 = e + ae
         e*e = ae*ae = 1 + e2 + e + ae
         e*ae = ae*e = a + e2 + e + ae
-        """), dims={"e2": 2, "e": 3, "ae": 3}),
+        """, dims={"e2": 2, "e": 3, "ae": 3}),
     # the cubic characters w, w2 and the 3-dim v
-    CatalogEntry("a4_rep", "unitary dual of the alternating group A4", partial(
-        _ring, "a4_rep", "1 w w2 v", """
+    CatalogEntry("a4_rep", "unitary dual of the alternating group A4", "1 w w2 v", """
         w*w = w2
         w*w2 = w2*w = 1
         w2*w2 = w
         w*v = v*w = w2*v = v*w2 = v
         v*v = 1 + w + w2 + 2*v
-        """, {"w": "w2", "w2": "w"}), dims={"v": 3}),
+        """, dual={"w": "w2", "w2": "w"}, dims={"v": 3}),
     # the Klein four-group 1, t, tq, tp of automorphisms and x
-    CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor", partial(
-        _ring, "d6aff_even", "1 t tq tp x", """
+    CatalogEntry("d6aff_even", "even sectors of the affine-D6 subfactor", "1 t tq tp x", """
         t*t = tq*tq = tp*tp = 1
         t*tq = tq*t = tp
         t*tp = tp*t = tq
         tq*tp = tp*tq = t
         t*x = x*t = tq*x = x*tq = tp*x = x*tp = x
         x*x = 1 + t + tq + tp
-        """), dims={"x": 2}),
+        """, dims={"x": 2}),
     # Z/3 = {1, t, t2} and the self-dual t^i r, with r*t = t2*r
-    CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor", partial(
-        _ring, "haagerup_even", "1 t t2 r tr t2r", """
+    CatalogEntry("haagerup_even", "even sectors of the Haagerup subfactor", "1 t t2 r tr t2r", """
         t*t = t2
         t*t2 = t2*t = 1
         t2*t2 = t
@@ -148,8 +144,8 @@ ENTRIES: Tuple[CatalogEntry, ...] = (
         r*r = tr*tr = t2r*t2r = 1 + r + tr + t2r
         tr*r = t2r*tr = r*t2r = t + r + tr + t2r
         t2r*r = r*tr = tr*t2r = t2 + r + tr + t2r
-        """, {"t": "t2", "t2": "t"}),
-        dims=dict.fromkeys(("r", "tr", "t2r"), quad("3/2", "1/2", 13))),
+        """, dual={"t": "t2", "t2": "t"},
+        dims=dict.fromkeys(("r", "tr", "t2r"), ("3/2", "1/2", 13))),
 )
 
 
@@ -176,22 +172,25 @@ def builtin(key: str, k: Optional[int] = None) -> FusionRing:
     requires a level 1 <= k <= MAX_LEVEL, checked before anything is built."""
     entry = _entry(key)
     _check_level(entry, k)
-    return entry.build(k) if entry.parametrized else entry.build()
+    return _su2(k) if entry.parametrized else _ring(entry)
 
 
 def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
-    """Exact dimensions of a built-in ring: every label of a fixed ring (1 where
-    its entry lists none), and the even labels of ``su2`` when x = TWO_COS[k + 2]
-    exists: d(l0) = 1, d(l2) = 1 + x, d(l2) d(l_2j) = d(l_2j-2) + d(l_2j) + d(l_2j+2).
+    """Exact dimensions of a built-in ring, building none: every label of a fixed
+    ring (1 where its entry lists none), and the even labels of ``su2`` when
+    x = quad(*TWO_COS[k + 2]) exists: d(l0) = 1, d(l2) = 1 + x,
+    d(l2) d(l_2j) = d(l_2j-2) + d(l_2j) + d(l_2j+2).
     A level that is given passes the checks of :func:`builtin`."""
     entry = _entry(key)
     if k is not None or not entry.parametrized:
         _check_level(entry, k)
+    from .scalar import quad
     if not entry.parametrized:
-        return {lab: entry.dims.get(lab, 1) for lab in entry.build().labels}
+        dims = {lab: entry.dims.get(lab, 1) for lab in entry.labels.split()}
+        return {lab: quad(*d) if isinstance(d, tuple) else d for lab, d in dims.items()}
     if k is None or k + 2 not in TWO_COS:
         raise ValueError(f"{key} has no exact dimensions at level {k}")
-    d = [1, 1 + TWO_COS[k + 2]]
+    d = [1, 1 + quad(*TWO_COS[k + 2])]
     while len(d) <= k // 2:
         d.append(d[1] * d[-1] - d[-1] - d[-2])
     return {f"l{2 * j}": v for j, v in enumerate(d)}
@@ -199,7 +198,7 @@ def dimensions(key: str, k: Optional[int] = None) -> Dict[str, QuadExt | int]:
 
 def float_dimensions(key: str, k: Optional[int] = None) -> Tuple[str, Dict[str, float]]:
     """The name of ``builtin(key, k)`` and float dimensions of all its labels, after
-    the checks of :func:`builtin` but building no su2 ring: the exact :func:`dimensions`
+    the checks of :func:`builtin` but building no ring: the exact :func:`dimensions`
     of a fixed ring, the quantum integer [j+1] = sin((j+1) pi/n) / sin(pi/n) with
     n = k + 2 for l_j of su2."""
     entry = _entry(key)

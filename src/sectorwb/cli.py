@@ -145,10 +145,7 @@ def _hom(args):
 
 def _angle_cocommuting(args):
     from . import angles
-    code, doc, text = _spectrum(angles.angle_cocommuting(args.pn, args.mp, args.tolerance),
-                                args.degrees)
-    doc["tolerance"] = args.tolerance
-    return code, doc, text
+    return _spectrum(angles.angle_cocommuting(args.pn, args.mp, args.tolerance), args.degrees)
 
 
 def _angle_group(args):
@@ -158,7 +155,7 @@ def _angle_group(args):
 
 def _angle_candidates(args):
     from . import angles
-    doc = {"candidates": [], "tolerance": args.tolerance}
+    doc = {"candidates": []}
     text = []
     unit = "deg" if args.degrees else "rad"
     for c in angles.angle_candidates(args.d, args.s, args.tolerance):
@@ -233,7 +230,6 @@ def _haagerup_verify(args):
             {"name": c.name, "residual": _jfloat(c.residual),
              "passed": c.passed} for c in rep.checks],
         "all_pass": rep.all_pass,
-        "tolerance": rep.tolerance,
         "_residuals": {c.name: _jfloat(c.residual) for c in rep.checks},
     }
     text = [f"{c.name:30s} residual = {_fmt(c.residual):14s} "
@@ -245,7 +241,7 @@ def _haagerup_verify(args):
 def _haagerup_qsystem(args):
     from . import cuntz
     sols = cuntz.solve_qsystem(tol=args.tolerance)
-    doc = {"solutions": [], "tolerance": args.tolerance}
+    doc = {"solutions": []}
     text = []
     for i, s in enumerate(sols, 1):
         doc["solutions"].append({
@@ -267,7 +263,7 @@ def _haagerup_qsystem(args):
 def _cuntz_normalize(args):
     from . import cuntz
     rendered = cuntz.render_expr(cuntz.parse(args.expr), args.tolerance)
-    doc = {"input": args.expr, "normal_form": rendered, "tolerance": args.tolerance}
+    doc = {"input": args.expr, "normal_form": rendered}
     return 0, doc, [rendered]
 
 
@@ -424,6 +420,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, text = args.handler(args)
+        if "tolerance" in vars(args):  # set by the commands that read it, refused at the root
+            doc["tolerance"] = args.tolerance
         residuals = doc.pop("_residuals", {})
         rendered = "\n".join(text)
         if args.json:

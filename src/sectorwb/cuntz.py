@@ -48,7 +48,8 @@ import re
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .scalar import EPS_ABS, QuadExt
+from ._base import EPS_ABS
+from .scalar import QuadExt
 
 GEN_NAMES = ("S0", "T0", "T1", "T2")
 

@@ -24,8 +24,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Tuple
 
-# re-exported: the float modules import these from _base
-from ._base import EPS_ABS, Frozen, qint
+from ._base import Frozen
 
 
 def _is_square_free(m: int) -> bool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Tuple
 
 from ._base import Frozen, qint
 from .angles import AngleSpectrum
@@ -222,40 +223,24 @@ class QSixJ(Frozen):
         return (self.j1, self.j2, self.j12, self.j3, self.j, self.j23)
 
 
-_QFACTS: Dict[int, List[float]] = {}
+@lru_cache(maxsize=64)
+def _qfacts(M: int) -> List[float]:
+    """The q-factorials [0]!, [1]!, ... for [x] taken at the root of unity of
+    order M: up to [M-1]!, the last before the vanishing integer [M], or up to
+    the last that fits a float.
 
-
-def _qfacts(M: int, top: int) -> List[float]:
-    """The q-factorials [0]!, [1]!, ... at least up to [top]!, for [x] taken
-    at the root of unity of order M.
-
-    One prefix-product list per M grows on demand: each entry is the one
-    before times the next quantum integer, the order of the n-fold product,
-    so every entry is the same float however far the list has grown, or
-    after it was dropped: a new M arriving when 64 lists are held drops
-    them all, so a sweep over m keeps at most 64.  An index at or past the
-    vanishing integer [M], an M beyond float range, or a factorial that
-    overflows a float, raises SixJDomainError.  [x] >= 1 for 0 < x < M, so
-    a list never decreases and stops before its first overflow: no list
-    held more than 202 entries for any even M up to 5000, nor at 10^5 or
-    10^7.
+    Each entry is the one before times the next quantum integer, the order of
+    the n-fold product, so a list rebuilt after the cache dropped it holds the
+    same floats; a sweep over m keeps the 64 latest.  [x] >= 1 for 0 < x < M,
+    so a list never decreases: no list holds more than 202 entries for any
+    even M up to 5000, nor at 10^5 or 10^7.
     """
-    if top >= M:
-        raise SixJDomainError(
-            f"q-factorial index {top} reaches the vanishing quantum integer [{M}]"
-        )
-    if M > sys.float_info.max:
-        raise SixJDomainError("the root-of-unity order m must fit in a float")
-    if M not in _QFACTS and len(_QFACTS) >= 64:
-        _QFACTS.clear()
-    f = _QFACTS.setdefault(M, [1.0])
-    while len(f) <= top:
-        x = f[-1] * qint(len(f), M)
-        if math.isinf(x):
-            raise SixJDomainError(
-                f"q-factorial index {len(f)} overflows a float at m = {M // 2}"
-            )
-        f.append(x)
+    f = [1.0]
+    for x in range(1, M):
+        y = f[-1] * qint(x, M)
+        if math.isinf(y):
+            break
+        f.append(y)
     return f
 
 
@@ -285,7 +270,16 @@ def q6j(sym: QSixJ) -> float:
     # admissible triads make every index below nonnegative and give
     # max(T) <= min(Q); the largest index is t + 1 at the last term or
     # Qi - t at the first
-    f = _qfacts(M, max(min(Q) + 1, max(Q) - max(T)))
+    top = max(min(Q) + 1, max(Q) - max(T))
+    if top >= M:
+        raise SixJDomainError(
+            f"q-factorial index {top} reaches the vanishing quantum integer [{M}]"
+        )
+    if M > sys.float_info.max:
+        raise SixJDomainError("the root-of-unity order m must fit in a float")
+    f = _qfacts(M)
+    if top >= len(f):
+        raise SixJDomainError(f"q-factorial index {len(f)} overflows a float at m = {sym.m}")
     pre = 1.0
     for x, y, z in triads:
         num = f[(-x + y + z) // 2] * f[(x - y + z) // 2] * f[(x + y - z) // 2]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from sectorwb.catalog import (
 )
 from sectorwb.cli import main
 from sectorwb.fusion import FusionRing, RingStructureError, pf_dimensions, validate_ring
+from sectorwb.scalar import quad
 
 import _oracles
 
@@ -42,16 +46,10 @@ def test_every_builtin_validates():
 
 
 def test_a_bad_shipped_table_fails_validation(monkeypatch, capsys):
-    def bad_e6():
-        ring = good()
-        tensor = {**ring.tensor, ("a", "e"): {"e": 2}}  # N(a,e,e) = 1 + 1
-        return FusionRing(ring.name, ring.labels, ring.unit, ring.dual, tensor)
-
-    index = next(x for x, e in enumerate(catalog.ENTRIES) if e.key == "e6_even")
-    good = catalog.ENTRIES[index].build
-    entries = list(catalog.ENTRIES)
-    entries[index] = entries[index]._replace(build=bad_e6)
-    monkeypatch.setattr(catalog, "ENTRIES", tuple(entries))
+    # a last rule overrides a product: N(a,e,e) = 1 + 1
+    entries = tuple(e._replace(rules=e.rules + "a*e = 2*e\n") if e.key == "e6_even" else e
+                    for e in catalog.ENTRIES)
+    monkeypatch.setattr(catalog, "ENTRIES", entries)
     reports = _shipped_reports([(key, k) for key, k in SHIPPED if key != "su2"])
     assert list(reports) == ["e6_even"]
     assert "frobenius: N(a,e,e)=2 != N(e,e,a)=1" in reports["e6_even"]
@@ -82,8 +80,7 @@ def test_su2_level_cap_is_checked_before_building(monkeypatch):
     def build(k):
         raise AssertionError(f"su2_{k} was built")
 
-    su2 = catalog.ENTRIES[0]._replace(build=build)
-    monkeypatch.setattr(catalog, "ENTRIES", (su2,) + catalog.ENTRIES[1:])
+    monkeypatch.setattr(catalog, "_su2", build)
     with pytest.raises(ValueError, match=f"above the cap k <= {catalog.MAX_LEVEL}"):
         builtin("su2", catalog.MAX_LEVEL + 1)
 
@@ -118,9 +115,32 @@ def test_fixed_ring_dimensions_are_exact(key):
     assert all(float(d[a]) == pytest.approx(pf[a], abs=1e-12) for a in ring.labels)
 
 
+def test_dimensions_build_no_ring(monkeypatch):
+    # a fixed ring's labels and exact dimensions are its entry's data
+    def init(self, *args):
+        raise AssertionError(f"{args[0]} was built")
+
+    monkeypatch.setattr(FusionRing, "__init__", init)
+    for e in catalog.ENTRIES:
+        if not e.parametrized:
+            assert list(catalog.dimensions(e.key)) == e.labels.split()
+            assert catalog.float_dimensions(e.key)[0] == e.key
+
+
+def test_importing_the_catalog_loads_neither_fusion_nor_exact_arithmetic():
+    probe = "import sys, sectorwb.catalog; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "sectorwb.catalog" in loaded
+    assert not {"sectorwb.fusion", "sectorwb.scalar", "fractions", "decimal"} & loaded
+
+
 def test_two_cos_is_twice_the_cosine():
     # the exact su2 dimensions are built from x = 2cos(2pi/n)
-    for n, x in catalog.TWO_COS.items():
+    for n, args in catalog.TWO_COS.items():
+        x = quad(*args)
         assert float(x) == pytest.approx(2 * math.cos(2 * math.pi / n), abs=1e-15)
 
 

@@ -240,10 +240,10 @@ def test_angle_row_needs_a_cosine_in_the_open_unit_interval():
 
 @pytest.mark.parametrize("cid, fields, failed", [
     # a wrong table value: d is no eigenvector of l1*l1 on su2 at level 6
-    pytest.param("a7a7", {"x": quad(1, 1, 2)}, "d((l1*l1)*l6) = d(l1*l1) d(l6) fails",
+    pytest.param("a7a7", {"x": (1, 1, 2)}, "d((l1*l1)*l6) = d(l1*l1) d(l6) fails",
                  id="a7a7-wrong-x"),
     # the negative root of x^2 = x + 1, with pn = 2 + x to match
-    pytest.param("d6a4", {"x": quad("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)},
+    pytest.param("d6a4", {"x": ("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)},
                  "d(l4) = 1-sqrt(5) is not positive", id="d6a4-negative-root-and-pn"),
     # the right x, but pn is not 2 + x
     pytest.param("a7a7", {"pn": quad(3, 1, 2)}, "d(l1*l1) = 2+sqrt(2), not 3+sqrt(2)",
@@ -265,7 +265,7 @@ def test_a_wrong_two_cos_fails_the_pf_row(cid, fields, failed, monkeypatch):
 
 @pytest.mark.parametrize("cid, fields", [
     # the negative root of x^2 = x + 1 with the case's pn
-    pytest.param("d6a4", {"x": quad("1/2", "-1/2", 5)}, id="d6a4-fields4"),
+    pytest.param("d6a4", {"x": ("1/2", "-1/2", 5)}, id="d6a4-fields4"),
 ])
 def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
     # x = 2cos(2pi/n) is a root of its minimal polynomial; a wrong root in the
@@ -282,12 +282,12 @@ def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
 def test_a_failing_polynomial_row_names_each_failed_identity(monkeypatch):
     # x = (1 - sqrt(5))/2 still solves x^2 = x + 1: the D6 link names the
     # dimension that is not positive, and the A4 link still holds
-    monkeypatch.setitem(catalog.TWO_COS, 10, quad("1/2", "-1/2", 5))
+    monkeypatch.setitem(catalog.TWO_COS, 10, ("1/2", "-1/2", 5))
     assert _rows(case_by_id("d6a4"))["pf_dimension_links"].detail == (
         "D6 graph norm squared (equals the A9 value): d(l4) = 1-sqrt(5) is not positive; "
         "A4 graph norm squared: d(l1*l1) = 3/2+1/2*sqrt(5) = mp exactly")
     # x = sqrt(3) at n = 8 with the case's pn: d is no eigenvector of l1*l1
-    monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
+    monkeypatch.setitem(catalog.TWO_COS, 8, (0, 1, 3))
     assert _rows(case_by_id("a7a7"))["pf_dimension_links"].detail == (
         "A7 graph norm squared, both elementary subfactors: "
         "d((l1*l1)*l6) = d(l1*l1) d(l6) fails")
@@ -296,7 +296,7 @@ def test_a_failing_polynomial_row_names_each_failed_identity(monkeypatch):
 def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):
     # x = sqrt(3) in the table and pn = 2 + sqrt(3) agree, and cos = 1/(pn - 1)
     # keeps the bound, but d is no eigenvector of l1*l1 on su2 at level 6
-    monkeypatch.setitem(catalog.TWO_COS, 8, quad(0, 1, 3))
+    monkeypatch.setitem(catalog.TWO_COS, 8, (0, 1, 3))
     case = case_by_id("a7a7")._replace(pn=quad(2, 1, 3), mp=quad(2, 1, 3),
                                          cos_exact=quad("-1/2", "1/2", 3))
     rows = _rows(case)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb import catalog, cli, fusion, quad, wzw
+from sectorwb import catalog, cli, fusion, wzw
 from sectorwb.cli import build_parser, main
 
 import _oracles
@@ -342,7 +342,7 @@ def test_classify_takes_no_tolerance(capsys):
 
 def test_a_wrong_catalog_dimension_fails_classify(monkeypatch, capsys):
     # d(r) = 1 + sqrt(13) in haagerup_even fails the exclusions' PF agreement
-    entries = tuple(e._replace(dims={**e.dims, "r": quad(1, 1, 13)})
+    entries = tuple(e._replace(dims={**e.dims, "r": (1, 1, 13)})
                     if e.key == "haagerup_even" else e for e in catalog.ENTRIES)
     monkeypatch.setattr(catalog, "ENTRIES", entries)
     assert main(["classify", "--exclusions"]) == 1
@@ -395,14 +395,16 @@ LIGHT_COMMANDS = [
 
 # commands on shipped rings read exact dimensions and sparse rows, build no
 # fusion-ring array and so import no numpy; only validate and --file rings do
-RING_COMMANDS = [["dims", "e6_even"], ["decompose", "d6_even", "r*r1"],
-                 ["hom", "haagerup_even", "r*r", "1 + t"],
+RING_COMMANDS = [["decompose", "d6_even", "r*r1"], ["hom", "haagerup_even", "r*r", "1 + t"],
                  ["hom", "su2", "l1*l1", "l0 + l2", "--k", "4"]]
-# su2 dimensions are the closed form, which builds no ring
+# shipped dimensions build no ring: a fixed ring's are its entry's exact values,
+# su2's the closed form
+FIXED_DIMS_COMMANDS = [["dims", "e6_even"]]
 SU2_DIMS_COMMANDS = [["dims", "su2", "--k", "30"]]
 CLASSIFY_COMMANDS = [["classify", "--case", "a5a3"], ["classify", "--all"],
                      ["classify", "--exclusions"]]
-NO_NUMPY_COMMANDS = LIGHT_COMMANDS + RING_COMMANDS + SU2_DIMS_COMMANDS + CLASSIFY_COMMANDS
+NO_NUMPY_COMMANDS = (LIGHT_COMMANDS + RING_COMMANDS + FIXED_DIMS_COMMANDS + SU2_DIMS_COMMANDS
+                     + CLASSIFY_COMMANDS)
 
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
@@ -447,16 +449,17 @@ print(" ".join(sorted(sys.modules)))
 
 @pytest.mark.parametrize("family, modules", [
     (None, []),
-    ("catalog", ["_base", "catalog", "cli", "scalar"]),
+    ("catalog", ["_base", "catalog", "cli"]),
     ("angle", ["_base", "angles", "cli"]),
     ("wzw", ["_base", "angles", "cli", "wzw"]),
     ("haagerup", ["_base", "cli", "cuntz", "scalar"]),
     ("cuntz", ["_base", "cli", "cuntz", "scalar"]),
-    ("dims su2", ["_base", "catalog", "cli", "scalar"]),
-    ("ring", ["_base", "catalog", "cli", "fusion", "scalar"]),
+    ("dims su2", ["_base", "catalog", "cli"]),
+    ("dims e6_even", ["_base", "catalog", "cli", "scalar"]),
+    ("ring", ["_base", "catalog", "cli", "fusion"]),
     ("classify", ["_base", "angles", "catalog", "classify", "cli", "fusion", "scalar"]),
-], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "dims-su2", "ring",
-        "classify"])
+], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "dims-su2", "dims-e6_even",
+        "ring", "classify"])
 def test_command_families_load_only_their_modules(family, modules):
     # each family runs in a fresh interpreter; `import sectorwb` alone loads
     # no submodule.  No command loads dataclasses, and the text output of
@@ -465,7 +468,7 @@ def test_command_families_load_only_their_modules(family, modules):
     # validate is the one ring command that loads numpy.  fractions loads
     # only with scalar's QuadExt or for a 6j symbol (wzw 6j)
     commands = {"ring": RING_COMMANDS, "dims su2": SU2_DIMS_COMMANDS,
-                "classify": CLASSIFY_COMMANDS}.get(
+                "dims e6_even": FIXED_DIMS_COMMANDS, "classify": CLASSIFY_COMMANDS}.get(
         family, [argv for argv in LIGHT_COMMANDS if argv[0] == family])
     extra = [repr(commands)] if family else []
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE] + extra,

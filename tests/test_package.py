@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb.scalar import Frozen
+from sectorwb._base import Frozen
 
 
 def test_exports_are_unique_and_resolve():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sectorwb import catalog, wzw
-from sectorwb.scalar import qint
+from sectorwb._base import qint
 from sectorwb.wzw import (
     QSixJ,
     SixJDomainError,
@@ -214,20 +214,24 @@ def test_q6j_domain_errors():
         QSixJ(5, Fraction(1, 3), 0, 0, 0, 0, 0)
 
 
-def test_qfacts_keep_at_most_64_orders_and_the_same_floats(monkeypatch):
+def test_qfacts_keep_at_most_64_orders_and_the_same_floats():
     # a sweep over distinct m holds at most 64 lists, one per root-of-unity
     # order, and a second sweep, which builds the dropped lists again, gives
-    # the same floats, those of a fresh list
-    monkeypatch.setattr(wzw, "_QFACTS", {})
+    # the same floats, those of a fresh list up to [2m - 1]! or the last finite one
+    wzw._qfacts.cache_clear()
     ms = range(3, 203)
     first = [q6j(QSixJ(m, 1, 1, 1, 1, 1, 1)) for m in ms]
+    assert wzw._qfacts.cache_info().currsize == 64
     for m, value in zip(ms, first):
+        misses = wzw._qfacts.cache_info().misses
         assert q6j(QSixJ(m, 1, 1, 1, 1, 1, 1)) == value
-        assert len(wzw._QFACTS) <= 64
-        fresh = [1.0]
-        for x in range(1, len(wzw._QFACTS[2 * m])):
+        assert wzw._qfacts.cache_info().misses == misses + 1
+        assert wzw._qfacts.cache_info().currsize <= 64
+        f, fresh = wzw._qfacts(2 * m), [1.0]
+        for x in range(1, len(f)):
             fresh.append(fresh[-1] * qint(x, 2 * m))
-        assert wzw._QFACTS[2 * m] == fresh
+        assert f == fresh
+        assert len(f) == 2 * m or math.isinf(f[-1] * qint(len(f), 2 * m))
 
 
 def test_integers_beyond_float_range():
