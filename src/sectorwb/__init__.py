@@ -19,7 +19,8 @@ _EXPORTS = {
     for module, names in (
         ("scalar", "QuadExt quad"),
         ("fusion", "ExprSyntaxError FusionRing RingStructureError check_multiplicity_bound "
-                   "decompose hom_dim parse_sector_expr pf_dimensions validate_ring"),
+                   "decompose dimension_failure hom_dim parse_sector_expr pf_dimensions "
+                   "validate_ring"),
         ("catalog", "CatalogEntry ENTRIES RingFormatError RingValidationError builtin "
                     "builtin_keys load ring_from_dict ring_to_dict save"),
         ("angles", "AngleCandidate AngleSpectrum HYPOTHESES_NOTE angle_bound angle_candidates "

@@ -5,10 +5,11 @@ supertransitivity, cohomology vanishing, Galois-group identification) that
 cannot be rederived from fusion data; each case records those as assumptions
 in its notes.  What *is* checked: exact index identities in the quadratic
 fields, exact identities between each angle's cosine and the indices, and
-exact Perron-Frobenius dimensions on catalog rings, each certifying one of
-the case's own indices pn and mp.  The exclusion checks replay the arithmetic
-behind the excluded cases; none records the Class IV entry's undecided [M:P].
-No check compares floats.
+Perron-Frobenius links: a catalog ring's exact dimensions, certified as its
+PF dimensions by :func:`fusion.dimension_failure`, summed over a sector
+expression to give one of the case's own indices pn and mp.  The exclusion
+checks replay the arithmetic behind the excluded cases; none records the
+Class IV entry's undecided [M:P].  No check compares floats.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import angles
 from .catalog import builtin, dimensions
-from .fusion import decompose, hom_dim
+from .fusion import decompose, dimension_failure, hom_dim
 from .scalar import QuadExt, quad
 
 TAGS = ("I", "II", "III", "group-type", "D6affine")
@@ -47,19 +48,13 @@ class PFLink(NamedTuple):
 
 
 def _fpdim_failure(ring_key: str, k: Optional[int], expr: str, expected: QuadExt) -> Optional[str]:
-    """None when FPdim(expr) is ``expected``, else the failed identity.  On the
-    labels S that the catalog's exact dimensions d cover (closed under x*), d > 0
-    and d(x*b) = d(x) d(b) for b in S make d a positive eigenvector of b -> x*b,
-    so d(x) is its spectral radius, FPdim(x) (EGNO, Tensor Categories, 3.3)."""
+    """None when FPdim(expr) is ``expected``, else the failed identity: the
+    catalog's exact dimensions d pass :func:`fusion.dimension_failure`, which makes
+    them FPdim, and d(expr) is the sum of d over the decomposition of expr."""
     ring, d = builtin(ring_key, k), dimensions(ring_key, k)
-    x = decompose(ring, expr)
-    dx = sum(n * d[a] for a, n in x.items())
-    for b, db in d.items():
-        if not db > 0:
-            return f"d({b}) = {db} is not positive"
-        if sum(n * m * d[c] for a, n in x.items()
-               for c, m in decompose(ring, f"{a}*{b}").items()) != dx * db:
-            return f"d(({expr})*{b}) = d({expr}) d({b}) fails"
+    if failed := dimension_failure(ring, d):
+        return failed
+    dx = sum(n * d[a] for a, n in decompose(ring, expr).items())
     return None if dx == expected else f"d({expr}) = {dx}, not {expected}"
 
 

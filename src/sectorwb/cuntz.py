@@ -45,11 +45,9 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ._base import EPS_ABS
-from .scalar import QuadExt
 
 GEN_NAMES = ("S0", "T0", "T1", "T2")
 
@@ -484,8 +482,6 @@ def parse(text: str) -> CuntzExpr:
 # ---------------------------------------------------------------------------
 # Haagerup data
 
-_D_EXACT = QuadExt(Fraction(3, 2), Fraction(1, 2), 13)
-
 
 class HaagerupConstants(NamedTuple):
     """Numeric constants entering the generator images.
@@ -509,7 +505,7 @@ def haagerup_constants(a12: Optional[complex] = None) -> HaagerupConstants:
     A(1,2) raises ValueError, a string TypeError.  The standard one is
     (1 + sqrt(1-4d)) / (2(d-1)), which is B/(d-1).
     """
-    d = float(_D_EXACT)
+    d = (3 + math.sqrt(13)) / 2
     if a12 is None:
         a12 = (1 + cmath.sqrt(1 - 4 * d)) / (2 * (d - 1))
     elif not cmath.isfinite(a12):

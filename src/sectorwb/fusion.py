@@ -34,7 +34,8 @@ and side, in float64 when its sums stay below 2^53 and in Python ints
 beyond, which is also the only code that writes associativity reports.
 
 :func:`pf_dimensions` takes the Perron vector of sum_i M_i from one symmetric
-eigen-solve, which presumes a ring that passes :func:`validate_ring`.
+eigen-solve, which presumes a ring that passes :func:`validate_ring`;
+:func:`dimension_failure` certifies given exact dimensions instead.
 
 Sector expressions ("t2*r*r + 2*r") are formal nonnegative-integer
 combinations of words of labels, passed around as text;
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._base import EPS_ABS, Frozen
 
@@ -385,6 +386,20 @@ def pf_dimensions(ring: FusionRing) -> Dict[str, float]:
     _, vecs = np.linalg.eigh(ring.N.sum(axis=0).astype(float))
     perron = vecs[:, -1]
     return dict(zip(ring.labels, (perron / perron[ring.index(ring.unit)]).tolist()))
+
+
+def dimension_failure(ring: FusionRing, d: Mapping[str, object]) -> Optional[str]:
+    """None when the exact values d are positive and d(a) d(b) = sum_c N(a,b,c) d(c)
+    for all labels a, b they cover, which must be closed under products (su2's even
+    labels are), else the first identity that fails.  Such a d is a positive
+    eigenvector of every multiplication, so it is FPdim (EGNO, Tensor Categories, 3.3)."""
+    for a, da in d.items():
+        if not da > 0:
+            return f"d({a}) = {da} is not positive"
+    for a, b in itertools.product(d, repeat=2):
+        if d[a] * d[b] != sum(n * d[c] for c, n in ring.tensor.get((a, b), {}).items()):
+            return f"d({a}*{b}) = d({a}) d({b}) fails"
+    return None
 
 
 def _times(vec: Dict[int, int], rows: Sequence[Tuple[Tuple[int, int], ...]]) -> Dict[int, int]:

@@ -20,7 +20,13 @@ from sectorwb.catalog import (
     save,
 )
 from sectorwb.cli import main
-from sectorwb.fusion import FusionRing, RingStructureError, pf_dimensions, validate_ring
+from sectorwb.fusion import (
+    FusionRing,
+    RingStructureError,
+    dimension_failure,
+    pf_dimensions,
+    validate_ring,
+)
 from sectorwb.scalar import quad
 
 import _oracles
@@ -99,20 +105,22 @@ def test_haagerup_even_dimensions():
     assert dims["tr"] == pytest.approx(d, abs=1e-9)
 
 
-@pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES if not e.parametrized])
-def test_fixed_ring_dimensions_are_exact(key):
-    # the listed dimensions, and 1 for every other label, are positive and a
-    # ring homomorphism exactly, which makes them the Perron-Frobenius dimensions
-    ring, d = builtin(key), catalog.dimensions(key)
-    assert list(d) == list(ring.labels)
-    assert set(next(e for e in catalog.ENTRIES if e.key == key).dims) <= set(ring.labels)
-    for a in ring.labels:
-        assert d[a] > 0
-        for b in ring.labels:
-            row = ring.tensor.get((a, b), {})
-            assert d[a] * d[b] == sum(n * d[c] for c, n in row.items()), (a, b)
+@pytest.mark.parametrize("key, k", [pytest.param(e.key, None, id=e.key)
+                                    for e in catalog.ENTRIES if not e.parametrized] + [
+    pytest.param("su2", n - 2, id=f"su2-{n - 2}") for n in catalog.TWO_COS])
+def test_fixed_ring_dimensions_are_exact(key, k):
+    # the exact dimensions (every label of a fixed ring, 1 where its entry lists
+    # none; the even labels of su2) pass the Perron-Frobenius certificate, and
+    # the float eigen-solve agrees
+    ring, d = builtin(key, k), catalog.dimensions(key, k)
+    assert dimension_failure(ring, d) is None
+    if k is None:
+        assert list(d) == list(ring.labels)
+        assert set(next(e for e in catalog.ENTRIES if e.key == key).dims) <= set(ring.labels)
+    else:
+        assert list(d) == list(ring.labels[::2])
     pf = pf_dimensions(ring)
-    assert all(float(d[a]) == pytest.approx(pf[a], abs=1e-12) for a in ring.labels)
+    assert all(float(d[a]) == pytest.approx(pf[a], abs=1e-12) for a in d)
 
 
 def test_dimensions_build_no_ring(monkeypatch):

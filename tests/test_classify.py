@@ -80,7 +80,18 @@ def test_a_wrong_s4_rep_dimension_fails_its_links(monkeypatch):
     assert failed == ["e7affa5", "e7affe7aff"]
     for res in run_all()[5:]:
         assert [row.name for row in res.rows if not row.passed] == ["pf_dimension_links"]
-        assert "d((1 + e)*a) = d(1 + e) d(a) fails" in res.rows[-1].detail
+        assert "d(a*e) = d(a) d(e) fails" in res.rows[-1].detail
+
+
+def test_a_wrong_a4_rep_dimension_fails_both_e6affd4_links(monkeypatch):
+    # d(v) = 2 leaves d(1 + w + w2) = 3 = mp, but d is not multiplicative
+    # on the ring, so the mp link fails as well as the pn link
+    _patch_dims(monkeypatch, "a4_rep", v=2)
+    assert [r.case_id for r in run_all() if not r.passed] == ["e6affd4"]
+    assert _rows(case_by_id("e6affd4"))["pf_dimension_links"].detail == (
+        "canonical endomorphism 1 + v of the A4 fixed point: d(v*v) = d(v) d(v) fails; "
+        "canonical endomorphism 1 + w + w2 of the cubic fixed point: "
+        "d(v*v) = d(v) d(v) fails")
 
 
 def test_pf_link_identities_name_what_fails(monkeypatch):
@@ -121,10 +132,12 @@ def test_the_angle_rule_fixes_the_index_relation():
 
 
 def test_haagerup_d_is_the_catalog_value():
-    # classify reads d from the catalog; cuntz keeps its own copy, which must agree
+    # classify reads d from the catalog; cuntz keeps its own float, which must
+    # be the catalog value's, bit for bit
     d = catalog.dimensions("haagerup_even")["r"]
     low, rows = _haagerup_d()
-    assert low == d == cuntz._D_EXACT == quad("3/2", "1/2", 13)
+    assert low == d == quad("3/2", "1/2", 13)
+    assert cuntz.haagerup_constants().d.hex() == float(d).hex()
     assert float(low) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
     # both candidates for [M:P], d and 1 + d, pass their exact identities
     assert {row.name: row.passed for row in rows} == {"dimension_equation": True,
@@ -239,8 +252,8 @@ def test_angle_row_needs_a_cosine_in_the_open_unit_interval():
 
 
 @pytest.mark.parametrize("cid, fields, failed", [
-    # a wrong table value: d is no eigenvector of l1*l1 on su2 at level 6
-    pytest.param("a7a7", {"x": (1, 1, 2)}, "d((l1*l1)*l6) = d(l1*l1) d(l6) fails",
+    # a wrong table value: d is not multiplicative on su2 at level 6
+    pytest.param("a7a7", {"x": (1, 1, 2)}, "d(l2*l6) = d(l2) d(l6) fails",
                  id="a7a7-wrong-x"),
     # the negative root of x^2 = x + 1, with pn = 2 + x to match
     pytest.param("d6a4", {"x": ("1/2", "-1/2", 5), "pn": quad("5/2", "-1/2", 5)},
@@ -286,16 +299,16 @@ def test_a_failing_polynomial_row_names_each_failed_identity(monkeypatch):
     assert _rows(case_by_id("d6a4"))["pf_dimension_links"].detail == (
         "D6 graph norm squared (equals the A9 value): d(l4) = 1-sqrt(5) is not positive; "
         "A4 graph norm squared: d(l1*l1) = 3/2+1/2*sqrt(5) = mp exactly")
-    # x = sqrt(3) at n = 8 with the case's pn: d is no eigenvector of l1*l1
+    # x = sqrt(3) at n = 8 with the case's pn: d is not multiplicative
     monkeypatch.setitem(catalog.TWO_COS, 8, (0, 1, 3))
     assert _rows(case_by_id("a7a7"))["pf_dimension_links"].detail == (
         "A7 graph norm squared, both elementary subfactors: "
-        "d((l1*l1)*l6) = d(l1*l1) d(l6) fails")
+        "d(l2*l6) = d(l2) d(l6) fails")
 
 
 def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):
     # x = sqrt(3) in the table and pn = 2 + sqrt(3) agree, and cos = 1/(pn - 1)
-    # keeps the bound, but d is no eigenvector of l1*l1 on su2 at level 6
+    # keeps the bound, but d is not multiplicative on su2 at level 6
     monkeypatch.setitem(catalog.TWO_COS, 8, (0, 1, 3))
     case = case_by_id("a7a7")._replace(pn=quad(2, 1, 3), mp=quad(2, 1, 3),
                                          cos_exact=quad("-1/2", "1/2", 3))
@@ -304,4 +317,4 @@ def test_pn_equal_to_two_plus_x_is_not_enough(monkeypatch):
     assert not rows["pf_dimension_links"].passed
     assert rows["pf_dimension_links"].detail == (
         "A7 graph norm squared, both elementary subfactors: "
-        "d((l1*l1)*l6) = d(l1*l1) d(l6) fails")
+        "d(l2*l6) = d(l2) d(l6) fails")

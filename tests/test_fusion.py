@@ -19,11 +19,13 @@ from sectorwb.fusion import (
     _associativity_proved,
     check_multiplicity_bound,
     decompose,
+    dimension_failure,
     hom_dim,
     parse_sector_expr,
     pf_dimensions,
     validate_ring,
 )
+from sectorwb.scalar import quad
 
 import _oracles
 
@@ -82,6 +84,19 @@ def test_pf_dimensions_ising():
     assert dims["1"] == pytest.approx(1.0, abs=1e-12)
     assert dims["e"] == pytest.approx(1.0, abs=1e-12)
     assert dims["s"] == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_dimension_failure_ising():
+    ring, sqrt2 = _ising(), quad(0, 1, 2)
+    assert dimension_failure(ring, {"1": 1, "e": 1, "s": sqrt2}) is None
+    assert dimension_failure(ring, {"1": 1, "e": -1, "s": sqrt2}) == "d(e) = -1 is not positive"
+    # every value positive, but d(s)^2 = 4 is not d(1) + d(e) = 2
+    assert dimension_failure(ring, {"1": 1, "e": 1, "s": 2}) == "d(s*s) = d(s) d(s) fails"
+    # the conjugate sqrt(2) -> -sqrt(2) keeps every product identity, such as
+    # d(s)^2 = d(1) + d(e), and fails on positivity alone
+    assert (-sqrt2) * (-sqrt2) == 1 + 1
+    assert dimension_failure(ring, {"1": 1, "e": 1, "s": -sqrt2}) == (
+        "d(s) = -sqrt(2) is not positive")
 
 
 def test_pf_dimensions_su2_formula():
