@@ -27,12 +27,19 @@ rho(v)^*: the v belonging to one u are summed on their prefix trie in
 Horner form, sum_g rho(g) (sum over the subtree below g), and then the u
 likewise, each leaf adding the adjoint of its sum, so each generator
 image multiplies once per trie edge, as a factor built once per image and
-set of constants.  One cache, ``_IMAGE_CACHE``, holds these factors for
-the standard constants and the most recent other set only, and each
-factor carries its plans, up to MAX_PLANS, across calls.  CuntzExpr holds
-exactly this dict: its constructor checks and reduces atom words into it,
-every operation stays on pairs, and ``terms`` reads it back with
-atom-word keys, so there is no separate normalization step.
+set of constants.  Since rho(S0) = S0/d + sum_i T_i T_i / sqrt(d), every
+element built from rho(S0) or its adjoint holds one subtree three times,
+below T0 T0, T1 T1 and T2 T2 (the triple).  Where the three are equal the
+walk sums the subtree once and multiplies it by the triple factor
+sum_i rho(T_i) rho(T_i) = sqrt(d) rho^2(S0) - rho(S0) / sqrt(d), whose
+three terms' 97 pairs cancel to 24, instead of by rho(T_i) twice in each
+branch.  One cache, ``_IMAGE_CACHE``, holds these factors for the standard
+constants and the most recent other set only (the triple factor rides on
+rho(T0)'s), and each factor carries its plans, up to MAX_PLANS, across
+calls.  CuntzExpr holds exactly this dict: its constructor checks and
+reduces atom words into it, every operation stays on pairs, and ``terms``
+reads it back with atom-word keys, so there is no separate normalization
+step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -263,10 +270,11 @@ class _Factor:
     exact maps each v to its rows (u, c), longer maps each proper prefix p
     of a v to the triples (shift, rest, rows of v) of the v that extend it,
     where v = p << shift | rest, and plans holds the plans built so far by
-    their right-hand u, at most MAX_PLANS of them.
+    their right-hand u, at most MAX_PLANS of them.  On rho(T0)'s factor,
+    triple holds the factor of sum_i rho(T_i) rho(T_i) once _triple built it.
     """
 
-    __slots__ = ("exact", "longer", "plans")
+    __slots__ = ("exact", "longer", "plans", "triple")
 
     def __init__(self, a: Terms):
         exact: Dict[Code, Rows] = {}
@@ -276,7 +284,7 @@ class _Factor:
         for v1, rows in exact.items():
             for shift in range(v1.bit_length() - 1, 0, -2):
                 longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
-        self.exact, self.longer, self.plans = exact, longer, {}
+        self.exact, self.longer, self.plans, self.triple = exact, longer, {}, None
 
     def plan(self, u2: Code) -> Plan:
         """The rows that meet a right-hand u2, in the order _mul_into takes
@@ -558,6 +566,12 @@ def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor
     The words are distinct, so at most one ends at depth: the sum starts as
     its X^*.  The rest are grouped by their next generator g and add rho(g)
     times the sum one level deeper, so each image multiplies once per edge.
+    The triple comes before them: when the subtrees below T0 T0, T1 T1 and
+    T2 T2 hold the same suffix words with equal X, that subtree is summed
+    once and multiplied by the triple factor sum_i rho(T_i) rho(T_i) (see
+    _triple), and the T_i branches keep only their other words.  This is
+    associativity, exact for any images; only nodes with all three T_i
+    branches are looked at, so other sums keep their order and their bits.
     """
     out: Terms = {}
     children: Dict[int, List[Tuple[Code, Terms]]] = {}
@@ -567,9 +581,49 @@ def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor
             out = {(b, a): 0j + c.conjugate() for (a, b), c in x.items()}  # summed from 0j
         else:
             children.setdefault(w >> s & 3, []).append((w, x))
+    if 3 in children and 1 in children and 2 in children:
+        below = _twin_subtree(children, depth)
+        if below is not None:
+            _mul_into(out, _triple(img), _rho_sum(below, 0, img))
     for g, sub in children.items():
         _mul_into(out, img[g], _rho_sum(sub, depth + 1, img))
     return out
+
+
+def _twin_subtree(children: Dict[int, List[Tuple[Code, Terms]]], depth: int
+                  ) -> Optional[List[Tuple[Code, Terms]]]:
+    """The subtree below T_i T_i as items (suffix, X) when it is the same
+    for i = 0, 1, 2, and those items taken out of children[T_i] (a branch
+    left empty goes); else None, with children unchanged.  Suffix words are
+    compared first and then their X, exactly."""
+    base = 5 + 2 * depth  # a word of this bit length ends at depth + 1
+    twin: Optional[Dict[Code, Terms]] = None
+    for g in (3, 1, 2):  # T2 T2 first: completeness most often leaves it out
+        below = {w - ((w >> s) - 1 << s): x for w, x in children[g]  # the suffix as a word
+                 if (s := w.bit_length() - base) >= 0 and w >> s & 3 == g}
+        if not below or twin is not None and (below.keys() != twin.keys() or below != twin):
+            return None
+        twin = below
+    for g in (1, 2, 3):
+        rest = [(w, x) for w, x in children[g]
+                if (s := w.bit_length() - base) < 0 or w >> s & 3 != g]
+        if rest:
+            children[g] = rest
+        else:
+            del children[g]
+    return list(twin.items())
+
+
+def _triple(img: Dict[int, _Factor]) -> _Factor:
+    """The factor of sum_i rho(T_i) rho(T_i) for the images img, built on
+    first need and kept on img's rho(T0) factor; exact zeros are dropped."""
+    t0 = img[1]
+    if t0.triple is None:
+        out: Terms = {}
+        for g in (1, 2, 3):
+            _mul_into(out, img[g], {(u, v): c for v, rows in img[g].exact.items() for u, c in rows})
+        t0.triple = _Factor({key: c for key, c in out.items() if c != 0})
+    return t0.triple
 
 
 def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> CuntzExpr:
@@ -577,7 +631,9 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
 
     rho(u v^*) = rho(u) rho(v)^*: for each u, Y_u = sum_v rho(v) conj(c_uv)
     is evaluated on the trie of the v, and then sum_u rho(u) Y_u^* on the
-    trie of the u, each adjoint taken at its leaf.
+    trie of the u, each adjoint taken at its leaf.  On either trie, equal
+    subtrees below T0 T0, T1 T1 and T2 T2, as rho(S0) and its adjoint leave
+    them, are multiplied once by sum_i rho(T_i) rho(T_i) (see _rho_sum).
     """
     c = constants or _STANDARD
     img = _IMAGE_CACHE.get(c)

@@ -603,7 +603,14 @@ def _pairs_adjoint(a):
     return {(v, u): c.conjugate() for (u, v), c in a.items()}
 
 
-def _pairs_rho_sum(items, depth, img):
+def _pairs_twin_rest(w, g, depth):
+    """The bit count of w after its digits depth and depth + 1 when both are
+    g (the block T_g T_g), else None."""
+    rest = 2 * ((w.bit_length() - 1) // 2 - depth - 2)
+    return rest if rest >= 0 and w >> rest & 15 == 5 * g else None
+
+
+def _pairs_rho_sum(items, depth, img, triple):
     out = {}
     children = {}
     for w, x in items:
@@ -613,8 +620,24 @@ def _pairs_rho_sum(items, depth, img):
                 out[key] = out.get(key, 0j) + c
         else:
             children.setdefault(w >> s & 3, []).append((w, x))
+    # equal subtrees below T0 T0, T1 T1 and T2 T2 are summed once, in the
+    # order the T1 T1 branch lists them, and multiplied by
+    # sum_g rho(T_g) rho(T_g), before the other branches
+    if all(g in children for g in (1, 2, 3)):
+        twins = {g: {} for g in (1, 2, 3)}  # the word after T_g T_g -> X
+        for g in twins:
+            for w, x in children[g]:
+                rest = _pairs_twin_rest(w, g, depth)
+                if rest is not None:
+                    twins[g][1 << rest | w & (1 << rest) - 1] = x
+        if twins[1] and twins[1] == twins[2] == twins[3]:
+            pairs_mul_into(out, triple, _pairs_rho_sum(list(twins[2].items()), 0, img, triple))
+            for g in twins:
+                children[g] = [(w, x) for w, x in children[g]
+                               if _pairs_twin_rest(w, g, depth) is None]
     for g, sub in children.items():
-        pairs_mul_into(out, img[g], _pairs_rho_sum(sub, depth + 1, img))
+        if sub:
+            pairs_mul_into(out, img[g], _pairs_rho_sum(sub, depth + 1, img, triple))
     return out
 
 
@@ -622,11 +645,16 @@ def pairs_rho(terms, images):
     """rho(u v^*) = rho(u) rho(v)^* on the prefix tries of the v and then the
     u, given the generator images as pair dicts."""
     img = {g: pairs_index(x) for g, x in images.items()}
+    # sum_g rho(T_g) rho(T_g), each right factor's pairs grouped by their v
+    triple = {}
+    for g in (1, 2, 3):
+        pairs_mul_into(triple, img[g], {(u, v): c for v, rows in img[g][0].items() for u, c in rows})
+    triple = pairs_index(_nonzero(triple))
     by_u = {}
     for (u, v), coeff in terms.items():
         by_u.setdefault(u, []).append((v, {(1, 1): coeff.conjugate()}))
-    items = [(u, _pairs_adjoint(_pairs_rho_sum(vs, 0, img))) for u, vs in by_u.items()]
-    return _nonzero(_pairs_rho_sum(items, 0, img))
+    items = [(u, _pairs_adjoint(_pairs_rho_sum(vs, 0, img, triple))) for u, vs in by_u.items()]
+    return _nonzero(_pairs_rho_sum(items, 0, img, triple))
 
 
 def relabel_digits(x, perm):

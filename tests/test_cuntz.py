@@ -521,7 +521,7 @@ def _rho3_pairs():
 
 def test_rho_cubed_is_bit_identical_to_the_pair_oracle():
     rho3 = _rho3_pairs()
-    assert [len(e) for e, _ in rho3] == [378, 1300, 1303, 1305]
+    assert [len(e) for e, _ in rho3] == [372, 1300, 1303, 1305]
     for e, ref in rho3:
         assert _bits(e._terms) == _bits(ref)
         s0 = cuntz.gen_expr(0)
@@ -588,6 +588,63 @@ def test_caches_keep_the_standard_and_the_latest_constants():
         assert _bits(rho_apply(rho_apply(word, p), p)._terms) == bits
     assert _bits(rho_apply(rho_apply(word, c), c)._terms) == standard
     assert len(set(map(str, first))) == len(sweep)
+
+
+def test_the_triple_factor_is_rho_squared_of_s0_rescaled():
+    # rho(S0) = S0/d + sum_i T_i T_i / sqrt(d), so applying rho once more gives
+    # sum_i rho(T_i) rho(T_i) = sqrt(d) rho^2(S0) - rho(S0) / sqrt(d): the
+    # three terms' pairs mostly cancel in the factor rho takes them as
+    c = haagerup_constants()
+    rho_s0 = rho_apply(S0, c)
+    triple = cuntz._triple(cuntz._IMAGE_CACHE[c])
+    factor = CuntzExpr._of({(u, v): x for v, rows in triple.exact.items() for u, x in rows})
+    assert residual(factor - (c.sqrt_d * rho_apply(rho_s0, c) - (1 / c.sqrt_d) * rho_s0)) <= 1e-15
+    assert [len(rho_apply(t, c) * rho_apply(t, c)) for t in (T0, T1, T2)] == [31, 35, 31]
+    assert len(factor) <= 25
+
+
+_SHORT_WORDS = [w for n in (1, 2) for w in itertools.product(_ATOMS, repeat=n)]
+
+
+@pytest.mark.parametrize("perm", [(0, 2, 3, 1), (3, 1, 2, 0), (0, 1, 3, 2)])
+def test_rho_squared_under_relabelling_images_matches_oracle(perm):
+    # a word of one or two atoms holds no triple under relabelling images,
+    # so each also runs as sum_i T_i T_i w, whose triple factor is three
+    # pairs and cancels nothing
+    images = {g: gen_expr(perm[g]) for g in range(4)}
+    ref_images = {g: x.terms for g, x in images.items()}
+    key = haagerup_constants(a12=0.125j)
+    triple = T0 * T0 + T1 * T1 + T2 * T2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._Factor(x._terms) for g, x in images.items()})
+        for w in _SHORT_WORDS:
+            for e in (CuntzExpr({w: 1.0}), triple * CuntzExpr({w: -0.5 + 2j})):
+                ref = _oracles.cuntz_rho(_oracles.cuntz_rho(e.terms, ref_images), ref_images)
+                assert _max_diff(rho_apply(rho_apply(e, key), key), ref) <= 1e-12, w
+        # the triple factor was built from these images: sum_i T_i T_i
+        # relabelled, three pairs that all have v = 1
+        assert len(cuntz._IMAGE_CACHE[key][1].triple.exact) == 1
+
+
+def test_rho_squared_under_perturbed_constants_matches_oracle_and_the_plain_walk(monkeypatch):
+    # a perturbed A(1,2) leaves rho no endomorphism, and its triple factor
+    # cancels far less; rho is still defined on normal forms, so the oracle
+    # applies it to the word's normal form.  The oracle takes over a
+    # minute for all 72 words here, so it checks the one-atom words and the words in S0
+    # alone, and every word is checked against the trie walk without the
+    # regrouping
+    p = haagerup_constants(a12=0.25 + 0.5j)
+    images = {g: x.terms for g, x in rho_images(p).items()}
+    got = {w: rho_apply(rho_apply(CuntzExpr({w: 1.0}), p), p) for w in _SHORT_WORDS}
+    triple = cuntz._IMAGE_CACHE[p][1].triple
+    assert sum(map(len, triple.exact.values())) > 25
+    for w, e in got.items():
+        if len(w) == 1 or all(g == 0 for g, _ in w):
+            ref = _oracles.cuntz_rho(_oracles.cuntz_rho(CuntzExpr({w: 1.0}).terms, images), images)
+            assert _max_diff(e, ref) <= 1e-12, w
+    monkeypatch.setattr(cuntz, "_twin_subtree", lambda children, depth: None)
+    for w, e in got.items():
+        assert residual(e - rho_apply(rho_apply(CuntzExpr({w: 1.0}), p), p)) <= 1e-12, w
 
 
 def test_alpha_is_bit_identical_to_the_pair_oracle():
