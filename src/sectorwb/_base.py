@@ -1,11 +1,25 @@
-"""The float tolerance, the quantum integer and the immutable record base, kept
-apart from :mod:`sectorwb.scalar` so that a command with no exact arithmetic loads
-neither QuadExt nor fractions.
+"""The float tolerance, the 12-digit float formatter ``fmt``, the quantum integer,
+the immutable record base and the positioned syntax-error base, kept apart from
+:mod:`sectorwb.scalar` so that a command with no exact arithmetic loads neither
+QuadExt nor fractions.
 """
 
 import math
 
 EPS_ABS = 1e-9
+
+
+def fmt(x) -> str:
+    """A float (or complex) at 12 significant digits: the one format of printed numbers."""
+    return f"{x:.12g}"
+
+
+class PositionedSyntaxError(ValueError):
+    """Text that does not parse; ``position`` is the offset the message names."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
 
 
 def qint(x: int, n: int) -> float:

@@ -18,6 +18,7 @@ import math
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import angles
+from ._base import fmt
 from .catalog import builtin, dimensions
 from .fusion import decompose, dimension_failure, hom_dim
 from .scalar import QuadExt, quad
@@ -171,10 +172,6 @@ def case_by_id(case_id: str) -> QuadCase:
         raise KeyError(f"unknown case id {case_id!r}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def verify_case(case: QuadCase) -> CheckResult:
     """Recheck one case: exact index relation, angle and PF links, which are
     the case's only certificate of pn and mp.  A passing row states the
@@ -208,7 +205,7 @@ def _rule_rows(case: QuadCase) -> Tuple[CheckRow, CheckRow]:
     in_range = 0 < c < 1
     if not in_range:
         ok, text = False, f"cos = {c} is not in (0, 1)"
-    text += f"; angle {_fmt(math.acos(float(c))) if in_range else 'nan'}"
+    text += f"; angle {fmt(math.acos(float(c))) if in_range else 'nan'}"
     return relation, CheckRow("angle_recomputation", ok, f"rule {case.angle_rule}: {text}")
 
 
@@ -245,7 +242,7 @@ def run_exclusion_checks() -> List[CheckResult]:
                  f"r*r decomposes as {dec}"),
         *identities,
         CheckRow("pf_agreement", not (failed := _fpdim_failure("haagerup_even", None, "r", d)),
-                 failed or f"PF dimension of r = {_fmt(float(d))}"),
+                 failed or f"PF dimension of r = {fmt(float(d))}"),
     )))
 
     val = hom_dim(ring, "t2*r*r", "t2 + r")
@@ -259,7 +256,7 @@ def run_exclusion_checks() -> List[CheckResult]:
         CheckRow("irrational_index_gap", not x.is_integer,
                  f"pn - 1 = {x} is not an integer, no group case exists"),
         CheckRow("pf_agreement", not (failed := _fpdim_failure("e6_even", None, "e", x)),
-                 failed or f"PF dimension of e = {_fmt(float(x))} matches 1 + sqrt(3)"),
+                 failed or f"PF dimension of e = {fmt(float(x))} matches 1 + sqrt(3)"),
     )))
 
     y = quad(1, 1, 2)  # 1 + sqrt(2)

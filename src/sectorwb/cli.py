@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification/check reports failure,
 2 on usage or parse errors.  With --json every invocation emits a single
-document {"command", "inputs", "results", "residuals"}; floats are rounded
-to 12 significant digits so the output is byte-stable and round-trips.
+document {"command", "inputs", "results", "residuals"}.  Handlers hand main raw floats;
+main rounds every one in results and residuals to 12 significant digits (_base.fmt) in
+one pass, so the output is byte-stable and round-trips, and then adds results.tolerance.
 --json and --out go before or after the subcommand; --degrees and
 --tolerance go after it, and only the commands whose answer they change take them.
 A command compiles and builds only what it runs: its handler imports the modules it
@@ -21,35 +22,37 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import sectorwb
-from ._base import EPS_ABS
+from ._base import EPS_ABS, fmt
 
 if TYPE_CHECKING:
     from .angles import AngleSpectrum
     from .fusion import FusionRing
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _jfloat(x: float) -> float:
-    return float(_fmt(x))
-
-
-def _jcomplex(z: complex) -> Dict[str, float]:
-    return {"re": _jfloat(z.real), "im": _jfloat(z.imag)}
+def _rounded(x):
+    """The JSON form of a handler's value: floats at 12 significant digits, a complex
+    value as {"re", "im"}."""
+    if isinstance(x, float):
+        return float(fmt(x))
+    if isinstance(x, complex):
+        return {"re": float(fmt(x.real)), "im": float(fmt(x.imag))}
+    if isinstance(x, dict):
+        return {k: _rounded(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_rounded(v) for v in x]
+    return x
 
 
 def _spectrum(spec: AngleSpectrum, degrees: bool) -> Tuple[int, Dict, List[str]]:
     from . import angles
     doc: Dict = {
         "commuting": spec.commuting,
-        "angles_radians": [_jfloat(a) for a in spec.angles],
+        "angles_radians": list(spec.angles),
     }
     if degrees:
-        doc["angles_degrees"] = [_jfloat(math.degrees(a)) for a in spec.angles]
+        doc["angles_degrees"] = [math.degrees(a) for a in spec.angles]
     if len(spec.angles) == 1:
-        doc["angle_radians"] = _jfloat(spec.angles[0])
+        doc["angle_radians"] = spec.angles[0]
     doc["note"] = angles.HYPOTHESES_NOTE
     if spec.commuting:
         text = ["commuting (empty angle spectrum)"]
@@ -58,7 +61,7 @@ def _spectrum(spec: AngleSpectrum, degrees: bool) -> Tuple[int, Dict, List[str]]
     else:
         unit = "deg" if degrees else "rad"
         vals = [math.degrees(a) if degrees else a for a in spec.angles]
-        text = [f"angle = {_fmt(v)} {unit}" for v in vals]
+        text = [f"angle = {fmt(v)} {unit}" for v in vals]
     text.append(f"({angles.HYPOTHESES_NOTE})")
     return 0, doc, text
 
@@ -123,9 +126,8 @@ def _dims(args):
         name, dims = ring.name, fusion.pf_dimensions(ring)
     else:  # a shipped ring: exact or closed-form values, no array
         name, dims = catalog.float_dimensions(args.ring, args.k)
-    doc = {"ring": name,
-           "dimensions": {l: _jfloat(v) for l, v in dims.items()}}
-    return 0, doc, [f"{l}: {_fmt(v)}" for l, v in dims.items()]
+    doc = {"ring": name, "dimensions": dims}
+    return 0, doc, [f"{l}: {fmt(v)}" for l, v in dims.items()]
 
 
 def _decompose(args):
@@ -160,15 +162,14 @@ def _angle_candidates(args):
     unit = "deg" if args.degrees else "rad"
     for c in angles.angle_candidates(args.d, args.s, args.tolerance):
         shown = math.degrees(c.angle) if args.degrees and not c.degenerate else c.angle
-        entry = {"cosine": _jfloat(c.cosine), "degenerate": c.degenerate,
-                 "angle_radians": None if c.angle is None else _jfloat(c.angle)}
+        entry = {"cosine": c.cosine, "degenerate": c.degenerate, "angle_radians": c.angle}
         if args.degrees:
-            entry["angle_degrees"] = None if shown is None else _jfloat(shown)
+            entry["angle_degrees"] = shown
         doc["candidates"].append(entry)
         if c.degenerate:
-            text.append(f"cosine {_fmt(c.cosine)}: degenerate (P = Q), no angle")
+            text.append(f"cosine {fmt(c.cosine)}: degenerate (P = Q), no angle")
         else:
-            text.append(f"cosine {_fmt(c.cosine)}: angle {_fmt(shown)} {unit}")
+            text.append(f"cosine {fmt(c.cosine)}: angle {fmt(shown)} {unit}")
     doc["note"] = angles.HYPOTHESES_NOTE
     text.append(f"({angles.HYPOTHESES_NOTE})")
     return 0, doc, text
@@ -177,11 +178,11 @@ def _angle_candidates(args):
 def _angle_bound(args):
     from . import angles
     angle = angles.angle_bound(args.pn)
-    doc = {"angle_radians": _jfloat(angle), "note": angles.HYPOTHESES_NOTE}
-    shown = f"{_fmt(angle)} rad"
+    doc = {"angle_radians": angle, "note": angles.HYPOTHESES_NOTE}
+    shown = f"{fmt(angle)} rad"
     if args.degrees:
-        doc["angle_degrees"] = _jfloat(math.degrees(angle))
-        shown = f"{_fmt(math.degrees(angle))} deg"
+        doc["angle_degrees"] = math.degrees(angle)
+        shown = f"{fmt(math.degrees(angle))} deg"
     return 0, doc, [f"angle = {shown}", f"({angles.HYPOTHESES_NOTE})"]
 
 
@@ -214,8 +215,8 @@ def _wzw_6j(args):
     if len(spins) != 6:
         raise ValueError("exactly six spins are required")
     val = wzw.q6j(wzw.QSixJ(args.m, *spins))
-    doc = {"m": args.m, "spins": [str(s) for s in spins], "value": _jcomplex(val)}
-    return 0, doc, [f"value = {_fmt(val)}"]
+    doc = {"m": args.m, "spins": [str(s) for s in spins], "value": complex(val)}
+    return 0, doc, [f"value = {fmt(val)}"]
 
 
 def _haagerup_verify(args):
@@ -226,13 +227,12 @@ def _haagerup_verify(args):
         constants = cuntz.haagerup_constants(a12=a12)
     rep = cuntz.verify_haagerup_relations(constants, tol=args.tolerance)
     doc = {
-        "relations": [
-            {"name": c.name, "residual": _jfloat(c.residual),
-             "passed": c.passed} for c in rep.checks],
+        "relations": [{"name": c.name, "residual": c.residual, "passed": c.passed}
+                      for c in rep.checks],
         "all_pass": rep.all_pass,
-        "_residuals": {c.name: _jfloat(c.residual) for c in rep.checks},
+        "_residuals": {c.name: c.residual for c in rep.checks},
     }
-    text = [f"{c.name:30s} residual = {_fmt(c.residual):14s} "
+    text = [f"{c.name:30s} residual = {fmt(c.residual):14s} "
             f"{'ok' if c.passed else 'FAIL'}" for c in rep.checks]
     text.append("all relations hold" if rep.all_pass else "FAILURES present")
     return (0 if rep.all_pass else 1), doc, text
@@ -245,18 +245,16 @@ def _haagerup_qsystem(args):
     text = []
     for i, s in enumerate(sols, 1):
         doc["solutions"].append({
-            "a": _jcomplex(s.a), "b": _jcomplex(s.b),
-            "abs_a_sq": _jfloat(abs(s.a) ** 2),
-            "abs_b_sq": _jfloat(abs(s.b) ** 2),
-            "residuals": {k: _jfloat(v) for k, v in s.residuals.items()},
+            "a": s.a, "b": s.b, "abs_a_sq": abs(s.a) ** 2, "abs_b_sq": abs(s.b) ** 2,
+            "residuals": s.residuals,
         })
-        text.append(f"solution {i}: a = {_fmt(s.a.real)}{s.a.imag:+.12g}i, "
-                    f"b = {_fmt(s.b.real)}{s.b.imag:+.12g}i")
-        text.append(f"  |a|^2 = {_fmt(abs(s.a)**2)}, |b|^2 = {_fmt(abs(s.b)**2)}")
+        a, b = (f"{fmt(z.real)}{'' if (im := fmt(z.imag)).startswith('-') else '+'}{im}i"
+                for z in (s.a, s.b))  # the imaginary part always signed
+        text.append(f"solution {i}: a = {a}, b = {b}")
+        text.append(f"  |a|^2 = {fmt(abs(s.a)**2)}, |b|^2 = {fmt(abs(s.b)**2)}")
         for k, v in s.residuals.items():
-            text.append(f"  {k}: {_fmt(v)}")
-    doc["_residuals"] = {k: _jfloat(max(s.residuals[k] for s in sols))
-                         for k in sols[0].residuals}
+            text.append(f"  {k}: {fmt(v)}")
+    doc["_residuals"] = {k: max(s.residuals[k] for s in sols) for k in sols[0].residuals}
     return 0, doc, text
 
 
@@ -420,20 +418,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, text = args.handler(args)
-        if "tolerance" in vars(args):  # set by the commands that read it, refused at the root
-            doc["tolerance"] = args.tolerance
-        residuals = doc.pop("_residuals", {})
         rendered = "\n".join(text)
         if args.json:
             import json
 
+            residuals = _rounded(doc.pop("_residuals", {}))
+            results = _rounded(doc)
+            if "tolerance" in vars(args):  # set by the commands that read it, refused at the root
+                results["tolerance"] = args.tolerance
             inputs = {k: v for k, v in vars(args).items() if v is not None and k not in
                       ("json", "degrees", "tolerance", "out", "command", "action", "handler")}
             rendered = json.dumps({
                 "command": args.command + (f" {args.action}" if getattr(args, "action", None) else ""),
                 "inputs": {k: (v if isinstance(v, (int, float, bool)) else str(v))
                            for k, v in inputs.items()},
-                "results": doc,
+                "results": results,
                 "residuals": residuals,
             }, indent=2, sort_keys=True)
         if args.out:

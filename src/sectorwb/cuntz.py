@@ -54,7 +54,7 @@ import math
 import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ._base import EPS_ABS
+from ._base import EPS_ABS, PositionedSyntaxError, fmt
 
 GEN_NAMES = ("S0", "T0", "T1", "T2")
 
@@ -70,12 +70,8 @@ class QSystemError(ArithmeticError):
     """The Q-system coefficients miss their equations by at least the tolerance."""
 
 
-class CuntzSyntaxError(ValueError):
+class CuntzSyntaxError(PositionedSyntaxError):
     """Raised for malformed expression text; carries the offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 class CuntzExpr:
@@ -119,30 +115,25 @@ class CuntzExpr:
     def __eq__(self, other) -> bool:
         return isinstance(other, CuntzExpr) and self._terms == other._terms
 
-    def __add__(self, other: "CuntzExpr") -> "CuntzExpr":
+    def _sum(self, other, negate: bool) -> "CuntzExpr":
+        """self + other, or self + (-1) * other with the products of scale(-1), in one
+        pass that drops an exactly cancelled pair."""
         if not isinstance(other, CuntzExpr):
             return NotImplemented
         out = dict(self._terms)
         get = out.get
         for key, c in other._terms.items():
-            if (s := get(key, 0j) + c) != 0:
+            if (s := get(key, 0j) + (-1 * c if negate else c)) != 0:
                 out[key] = s
             else:
                 del out[key]
         return CuntzExpr._of(out, zeros=False)
 
+    def __add__(self, other: "CuntzExpr") -> "CuntzExpr":
+        return self._sum(other, False)
+
     def __sub__(self, other: "CuntzExpr") -> "CuntzExpr":
-        """self + (-1) * other in one pass, with the products of scale(-1)."""
-        if not isinstance(other, CuntzExpr):
-            return NotImplemented
-        out = dict(self._terms)
-        get = out.get
-        for key, c in other._terms.items():
-            if (s := get(key, 0j) + -1 * c) != 0:
-                out[key] = s
-            else:
-                del out[key]
-        return CuntzExpr._of(out, zeros=False)
+        return self._sum(other, True)
 
     def __mul__(self, other):
         if isinstance(other, CuntzExpr):
@@ -346,12 +337,12 @@ def _word_text(u: Code, v: Code) -> str:
 
 
 def _format_coeff(c: complex) -> str:
-    if abs(c.imag) <= 1e-14 * max(1.0, abs(c.real)):
-        return f"{c.real:.12g}"
-    if abs(c.real) <= 1e-14 * max(1.0, abs(c.imag)):
-        return f"{c.imag:.12g}i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({c.real:.12g}{sign}{abs(c.imag):.12g}i)"
+    """A coefficient as text, without a part that is 0 or at most 1e-14 times the other."""
+    if not c.imag or abs(c.imag) <= 1e-14 * abs(c.real):
+        return fmt(c.real)
+    if not c.real or abs(c.real) <= 1e-14 * abs(c.imag):
+        return fmt(c.imag) + "i"
+    return f"({fmt(c.real)}{'+' if c.imag >= 0 else '-'}{fmt(abs(c.imag))}i)"
 
 
 def _check_finite(e: CuntzExpr) -> None:

@@ -52,7 +52,7 @@ import re
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ._base import EPS_ABS, Frozen
+from ._base import EPS_ABS, Frozen, PositionedSyntaxError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,12 +73,8 @@ class RingStructureError(ValueError):
     """Malformed ring data (unknown labels, bad multiplicities, ...)."""
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(PositionedSyntaxError):
     """Sector-expression text that does not parse; carries a position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 class FusionRing(Frozen):

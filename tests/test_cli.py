@@ -750,3 +750,64 @@ def test_commands_take_only_the_flags_their_handlers_read(tmp_path):
                       "haagerup qsystem", "cuntz normalize"],
         "degrees": ["angle cocommuting", "angle group", "angle candidates", "angle bound",
                     "wzw spectrum", "wzw ghj", "wzw asymptotic"]}
+
+
+TOLERANCE = "1.23456789012345e-10"  # 15 digits: a rounded copy would differ
+ROUNDING_INPUTS = [
+    ["catalog", "list"],
+    ["validate", "su2", "--k", "4"],
+    ["dims", "su2", "--k", "97"],
+    ["decompose", "su2", "l1*l2*l3", "--k", "9"],
+    ["hom", "su2", "l1*l1", "l0+l2", "--k", "3"],
+    ["angle", "cocommuting", "--pn", "3.14159265358979", "--mp", "2.718281828459045",
+     "--degrees", "--tolerance", TOLERANCE],
+    ["angle", "group", "--g", "8", "--h", "2", "--k", "2", "--hk", "1", "--degrees"],
+    ["angle", "candidates", "--d", "3.3027756377", "--s", "0.4", "--degrees",
+     "--tolerance", TOLERANCE],
+    ["angle", "bound", "--pn", "5.3", "--degrees"],
+    ["wzw", "spectrum", "--k", "97", "--i0", "3", "--J", "0,1,2,5,17,40", "--degrees"],
+    ["wzw", "ghj", "--graph", "E8", "--degrees"],
+    ["wzw", "asymptotic", "--n", "17", "--degrees"],
+    ["wzw", "6j", "--m", "13", "--spins", "5/2,3,7/2,2,3/2,4"],
+    ["haagerup", "verify", "--perturb", "1e-3", "--tolerance", TOLERANCE],
+    ["haagerup", "qsystem", "--tolerance", TOLERANCE],
+    ["cuntz", "normalize", "T0 + 2i*T0", "--tolerance", TOLERANCE],
+    ["classify", "--case", "a7a7"],
+]
+
+
+def _floats(x):
+    if isinstance(x, complex):
+        yield from (x.real, x.imag)
+    elif isinstance(x, float):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _floats(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _floats(v)
+
+
+def _has_12_digits(x: float) -> bool:
+    return float(f"{x:.12g}") == x
+
+
+@pytest.mark.parametrize("argv", ROUNDING_INPUTS, ids=" ".join)
+def test_json_floats_are_rounded_once_for_every_command(argv, capsys):
+    # the handler hands main raw floats, some with more than 12 digits; main
+    # rounds every float under results and residuals, then adds the exact tolerance
+    args = build_parser().parse_args(argv)
+    raw = list(_floats(args.handler(args)[1]))
+    assert not raw or not all(map(_has_12_digits, raw))
+    main(argv + ["--json"])
+    doc = json.loads(capsys.readouterr().out)
+    tolerance = doc["results"].pop("tolerance", None)
+    assert tolerance == (float(TOLERANCE) if TOLERANCE in argv else None)
+    rounded = list(_floats([doc["results"], doc["residuals"]]))
+    assert len(rounded) == len(raw) and all(map(_has_12_digits, rounded))
+
+
+def test_the_rounding_inputs_cover_every_command():
+    assert {build_parser().parse_args(argv).handler for argv in ROUNDING_INPUTS} \
+        == {handler for handler, _, _ in cli._COMMANDS.values()}

@@ -105,6 +105,19 @@ def test_render_and_parse_round_trip():
     assert render_expr(zero()) == "0"
     assert render_expr(-one()) == "-1"
     assert render_expr(T0 - T1) == "T0 - T1"
+    tiny = parse("1e-15i*T0")
+    assert parse(render_expr(tiny, 0)) == tiny
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("1e-15i*T0", "1e-15i*T0"),
+    ("1e-20*T0 + 1e-20i*T0", "(1e-20+1e-20i)*T0"),
+    ("0.5*T0 + 1e-16i*T0", "0.5*T0"),
+])
+def test_a_kept_coefficient_prints_every_part_that_is_not_negligible(text, shown):
+    # a part is dropped only when it is at most 1e-14 times the other part's
+    # magnitude, never for being small in itself
+    assert render_expr(parse(text), 0) == shown
 
 
 def test_parse_error_positions():

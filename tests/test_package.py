@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sectorwb
-from sectorwb._base import Frozen
+from sectorwb._base import Frozen, PositionedSyntaxError
 
 
 def test_exports_are_unique_and_resolve():
@@ -58,6 +58,26 @@ def test_no_module_imports_a_private_name_of_another():
                              f"import {alias.name}" for alias in node.names
                              if alias.name.startswith("_")]
     assert crossing == []
+
+
+def test_floats_are_printed_by_one_formatter():
+    # the 12-significant-digit spec is written once, in _base.fmt
+    specs = {path.stem: path.read_text().count(".12g")
+             for path in Path(sectorwb.__file__).parent.glob("*.py")}
+    assert {stem: n for stem, n in specs.items() if n} == {"_base": 1}
+
+
+def test_both_syntax_errors_share_one_positioned_base():
+    for cls, parse, position in (
+            (sectorwb.ExprSyntaxError, lambda: sectorwb.parse_sector_expr("a**a", ["a"]), 2),
+            (sectorwb.CuntzSyntaxError, lambda: sectorwb.parse("T0*"), 3)):
+        assert issubclass(cls, PositionedSyntaxError) and issubclass(cls, ValueError)
+        assert "__init__" not in vars(cls)
+        with pytest.raises(cls, match=rf"\(at position {position}\)$") as exc:
+            parse()
+        assert exc.value.position == position
+    assert not issubclass(sectorwb.ExprSyntaxError, sectorwb.CuntzSyntaxError)
+    assert not issubclass(sectorwb.CuntzSyntaxError, sectorwb.ExprSyntaxError)
 
 
 @pytest.mark.parametrize("record, field", [
