@@ -33,13 +33,12 @@ below T0 T0, T1 T1 and T2 T2 (the triple).  Where the three are equal the
 walk sums the subtree once and multiplies it by the triple factor
 sum_i rho(T_i) rho(T_i) = sqrt(d) rho^2(S0) - rho(S0) / sqrt(d), whose
 three terms' 97 pairs cancel to 24, instead of by rho(T_i) twice in each
-branch.  One cache, ``_IMAGE_CACHE``, holds these factors for the standard
-constants and the most recent other set only (the triple factor rides on
-rho(T0)'s), and each factor carries its plans, up to MAX_PLANS, across
-calls.  CuntzExpr holds exactly this dict: its constructor checks and
-reduces atom words into it, every operation stays on pairs, and ``terms``
-reads it back with atom-word keys, so there is no separate normalization
-step.
+branch.  The four image factors and the triple factor are one record,
+``_images(c)``, an lru_cache of the two sets of constants used last, and
+each factor carries its plans, up to MAX_PLANS, across calls.  CuntzExpr
+holds exactly this dict: its constructor checks and reduces atom words
+into it, every operation stays on pairs, and ``terms`` reads it back with
+atom-word keys, so there is no separate normalization step.
 
 On top of the rewriting engine the module defines the endomorphism rho and
 the order-3 automorphism alpha that generate the even part of the Haagerup
@@ -52,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ._base import EPS_ABS, PositionedSyntaxError, fmt
@@ -261,11 +261,10 @@ class _Factor:
     exact maps each v to its rows (u, c), longer maps each proper prefix p
     of a v to the triples (shift, rest, rows of v) of the v that extend it,
     where v = p << shift | rest, and plans holds the plans built so far by
-    their right-hand u, at most MAX_PLANS of them.  On rho(T0)'s factor,
-    triple holds the factor of sum_i rho(T_i) rho(T_i) once _triple built it.
+    their right-hand u, at most MAX_PLANS of them.
     """
 
-    __slots__ = ("exact", "longer", "plans", "triple")
+    __slots__ = ("exact", "longer", "plans")
 
     def __init__(self, a: Terms):
         exact: Dict[Code, Rows] = {}
@@ -275,7 +274,7 @@ class _Factor:
         for v1, rows in exact.items():
             for shift in range(v1.bit_length() - 1, 0, -2):
                 longer.setdefault(v1 >> shift, []).append((shift, v1 & (1 << shift) - 1, rows))
-        self.exact, self.longer, self.plans, self.triple = exact, longer, {}, None
+        self.exact, self.longer, self.plans = exact, longer, {}
 
     def plan(self, u2: Code) -> Plan:
         """The rows that meet a right-hand u2, in the order _mul_into takes
@@ -395,9 +394,11 @@ def render_expr(e: CuntzExpr, tol: float = EPS_ABS) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
+_NUM = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TOKEN_RE = re.compile(
     r"(?:(?P<gen>S0|T0|T1|T2)(?P<adj>\^)?"
-    r"|(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<imag>i)?"
+    rf"|(?P<num>{_NUM})(?P<imag>i)?"
+    rf"|\((?P<re>-?{_NUM})(?P<im>[+-]{_NUM})i\)"
     r"|(?P<op>[+*-]))\s*"
 )
 
@@ -407,7 +408,8 @@ def _tokens(text: str) -> List[Tuple[object, int]]:
 
     A value is an atom (generator index, adjoint flag), a complex
     coefficient or one of the operators '+', '-', '*'; its offset is that
-    of its first character, so an error names the token it rejects.
+    of its first character, so an error names the token it rejects.  A
+    coefficient with both parts is one token, (re+imi) or (re-imi).
     """
     out: List[Tuple[object, int]] = []
     pos = len(text) - len(text.lstrip())
@@ -417,13 +419,13 @@ def _tokens(text: str) -> List[Tuple[object, int]]:
             raise CuntzSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m["gen"]:
             val = (GEN_NAMES.index(m["gen"]), m["adj"] is not None)
-        elif m["num"]:
-            num = float(m["num"])
-            if not math.isfinite(num):
-                raise CuntzSyntaxError(f"coefficient {m['num']} is not finite", pos)
-            val = num * 1j if m["imag"] else complex(num)
-        else:
+        elif m["op"]:
             val = m["op"]
+        else:
+            val = (complex(float(m["re"]), float(m["im"])) if m["re"]
+                   else float(m["num"]) * 1j if m["imag"] else complex(float(m["num"])))
+            if not cmath.isfinite(val):
+                raise CuntzSyntaxError(f"coefficient {m['num'] or m[0].rstrip()} is not finite", pos)
         out.append((val, pos))
         pos = m.end()
     out.append((None, len(text)))
@@ -435,7 +437,8 @@ def parse(text: str) -> CuntzExpr:
 
     Grammar: EXPR := TERM (('+'|'-') TERM)*; TERM := [COEFF '*']? WORD;
     WORD := ATOM ('*' ATOM)*; ATOM := generator name with optional '^' for
-    the adjoint; COEFF := decimal literal, with an 'i' suffix for imaginary.
+    the adjoint; COEFF := decimal literal, with an 'i' suffix for imaginary,
+    or (RE+IMi) or (RE-IMi) with RE a decimal literal, '-' allowed.
     Two leniencies beyond that: a leading '-' negates the first term, and a
     bare COEFF is accepted as a multiple of the empty word (so output like
     "1" round-trips).  The whole text is tokenized first, so a lexical error
@@ -547,22 +550,35 @@ def rho_images(constants: Optional[HaagerupConstants] = None) -> Dict[int, Cuntz
     return img
 
 
-# rho's generator images as factors, for the standard constants and the latest other set
-_IMAGE_CACHE: Dict[HaagerupConstants, Dict[int, _Factor]] = {}
+def _factors(images: Dict[int, CuntzExpr]) -> Tuple[_Factor, ...]:
+    """rho's generator images as factors at 0-3 and, at 4, the triple factor
+    sum_i rho(T_i) rho(T_i), built from their pair dicts without exact zeros."""
+    factors = [_Factor(images[g]._terms) for g in range(4)]
+    triple: Terms = {}
+    for g in (1, 2, 3):
+        _mul_into(triple, factors[g], images[g]._terms)
+    return (*factors, _Factor({key: c for key, c in triple.items() if c != 0}))
 
 
-def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor]) -> Terms:
+@lru_cache(maxsize=2)
+def _images(c: HaagerupConstants) -> Tuple[_Factor, ...]:
+    """_factors of rho's images under c, kept for the two most recently used c."""
+    return _factors(rho_images(c))
+
+
+def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Tuple[_Factor, ...]) -> Terms:
     """Sum of rho(w[depth:]) X^* over items (w, X), in Horner form on the trie.
 
     The words are distinct, so at most one ends at depth: the sum starts as
-    its X^*.  The rest are grouped by their next generator g and add rho(g)
-    times the sum one level deeper, so each image multiplies once per edge.
-    The triple comes before them: when the subtrees below T0 T0, T1 T1 and
-    T2 T2 hold the same suffix words with equal X, that subtree is summed
-    once and multiplied by the triple factor sum_i rho(T_i) rho(T_i) (see
-    _triple), and the T_i branches keep only their other words.  This is
-    associativity, exact for any images; only nodes with all three T_i
-    branches are looked at, so other sums keep their order and their bits.
+    its X^*.  The rest are grouped by their next generator g and add rho(g),
+    the factor img[g], times the sum one level deeper, so each image
+    multiplies once per edge.  The triple comes before them: when the
+    subtrees below T0 T0, T1 T1 and T2 T2 hold the same suffix words with
+    equal X, that subtree is summed once and multiplied by the triple factor
+    img[4], sum_i rho(T_i) rho(T_i), and the T_i branches keep only their
+    other words.  This is associativity, exact for any images; only nodes
+    with all three T_i branches are looked at, so other sums keep their
+    order and their bits.
     """
     out: Terms = {}
     children: Dict[int, List[Tuple[Code, Terms]]] = {}
@@ -575,7 +591,7 @@ def _rho_sum(items: List[Tuple[Code, Terms]], depth: int, img: Dict[int, _Factor
     if 3 in children and 1 in children and 2 in children:
         below = _twin_subtree(children, depth)
         if below is not None:
-            _mul_into(out, _triple(img), _rho_sum(below, 0, img))
+            _mul_into(out, img[4], _rho_sum(below, 0, img))
     for g, sub in children.items():
         _mul_into(out, img[g], _rho_sum(sub, depth + 1, img))
     return out
@@ -605,18 +621,6 @@ def _twin_subtree(children: Dict[int, List[Tuple[Code, Terms]]], depth: int
     return list(twin.items())
 
 
-def _triple(img: Dict[int, _Factor]) -> _Factor:
-    """The factor of sum_i rho(T_i) rho(T_i) for the images img, built on
-    first need and kept on img's rho(T0) factor; exact zeros are dropped."""
-    t0 = img[1]
-    if t0.triple is None:
-        out: Terms = {}
-        for g in (1, 2, 3):
-            _mul_into(out, img[g], {(u, v): c for v, rows in img[g].exact.items() for u, c in rows})
-        t0.triple = _Factor({key: c for key, c in out.items() if c != 0})
-    return t0.triple
-
-
 def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> CuntzExpr:
     """Apply rho homomorphically (adjoint-compatibly).
 
@@ -625,14 +629,9 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
     trie of the u, each adjoint taken at its leaf.  On either trie, equal
     subtrees below T0 T0, T1 T1 and T2 T2, as rho(S0) and its adjoint leave
     them, are multiplied once by sum_i rho(T_i) rho(T_i) (see _rho_sum).
+    The factors are the record ``_images`` keeps for the constants.
     """
-    c = constants or _STANDARD
-    img = _IMAGE_CACHE.get(c)
-    if img is None:
-        if c != _STANDARD:
-            for key in [key for key in _IMAGE_CACHE if key != _STANDARD]:
-                del _IMAGE_CACHE[key]
-        img = _IMAGE_CACHE[c] = {g: _Factor(x._terms) for g, x in rho_images(c).items()}
+    img = _images(constants or _STANDARD)
     by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
     for (u, v), coeff in e._terms.items():
         by_u.setdefault(u, []).append((v, {(1, 1): coeff}))

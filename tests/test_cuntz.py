@@ -1,5 +1,8 @@
+import contextlib
 import copy
+import io
 import itertools
+import json
 import math
 import operator
 import re
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import _oracles
-from sectorwb import cuntz
+from sectorwb import cli, cuntz
 from sectorwb.cuntz import (
     CuntzExpr,
     CuntzSyntaxError,
@@ -107,6 +110,13 @@ def test_render_and_parse_round_trip():
     assert render_expr(T0 - T1) == "T0 - T1"
     tiny = parse("1e-15i*T0")
     assert parse(render_expr(tiny, 0)) == tiny
+    # a coefficient with both parts prints as (re+imi), which parse reads back
+    for text, shown in (("T0 + 2i*T0", "(1+2i)*T0"), ("T0 - 2i*T0", "(1-2i)*T0"),
+                        ("-0.5*T1 + 3i*T1 - T0^", "-T0^ + (-0.5+3i)*T1"),
+                        ("1e-20*T0 + 1e-20i*T0", "(1e-20+1e-20i)*T0"), ("1 + 2i", "(1+2i)")):
+        e = parse(text)
+        assert render_expr(e, 0) == shown
+        assert parse(shown) == e
 
 
 @pytest.mark.parametrize("text, shown", [
@@ -131,6 +141,12 @@ def test_parse_error_positions():
         parse("   ")
     with pytest.raises(CuntzSyntaxError):
         parse("T0 T1")
+    # (re+imi) and (re-imi) are the only coefficients in parentheses
+    for text in ("(1+2i", "(1+2)", "(1+2i)*T0 + (1 + 2i)*T1", "T0 - (+1+2i)*T1", "()",
+                 "T1 + (1+2j)*T0", "(2i)*T0"):
+        with pytest.raises(CuntzSyntaxError, match="unexpected character '\\('") as exc:
+            parse(text)
+        assert exc.value.position == text.rindex("(")
 
 
 @pytest.mark.parametrize("text, message, position", [
@@ -177,6 +193,10 @@ def test_non_finite_coefficient_is_a_syntax_error():
     with pytest.raises(CuntzSyntaxError) as exc:
         parse("2e999i")
     assert exc.value.position == 0
+    message = re.escape("coefficient (1-1e999i) is not finite")
+    with pytest.raises(CuntzSyntaxError, match=message) as exc:
+        parse("T0 + (1-1e999i)*T1")
+    assert exc.value.position == 5
     assert parse("1e-400*T0") == parse("0*T0")
 
 
@@ -260,7 +280,7 @@ def test_constants_key_the_image_cache():
 
     def indexes(key):
         # a factor's exact and longer hold its image; its plans are meant to grow
-        return {g: (f.exact, f.longer) for g, f in cuntz._IMAGE_CACHE[key].items()}
+        return {g: (f.exact, f.longer) for g, f in enumerate(cuntz._images(key)[:4])}
 
     assert indexes(perturbed) != indexes(c)
     # the standard entry still holds the standard images: rho of a word is
@@ -339,6 +359,29 @@ coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
 # raw atom-word dicts: the constructor reduces them, so tests of the
 # reduction must start here rather than from an expression's normal terms
 raw = st.dictionaries(words, coeffs, min_size=0, max_size=4)
+
+
+_MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+_SIGNED = st.builds(operator.mul, st.sampled_from((1.0, -1.0)), _MAGNITUDES)
+_PRINTED = st.one_of(_SIGNED.map(complex), _SIGNED.map(lambda x: x * 1j),
+                     st.builds(complex, _SIGNED, _SIGNED))
+
+
+def _cli_normal_form(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--json", "cuntz", "normalize", text]) == 0
+    return json.loads(out.getvalue())["results"]["normal_form"]
+
+
+@given(st.dictionaries(words, _PRINTED, min_size=1, max_size=4))
+def test_printing_is_a_fixed_point_of_reading(terms):
+    # real, imaginary and mixed coefficients of either sign, 1e-300 to 1e300:
+    # what render_expr and `cuntz normalize` print reads back to itself
+    shown = render_expr(CuntzExpr(terms), 0)
+    assert render_expr(parse(shown), 0) == shown
+    once = _cli_normal_form(shown)
+    assert _cli_normal_form(once) == once
 
 
 @given(raw)
@@ -501,9 +544,9 @@ def test_rho_on_long_words_matches_oracle(perm, terms):
     images = {g: gen_expr(perm[g]) for g in range(4)}
     key = haagerup_constants(a12=0.125j)
     ref = _oracles.cuntz_rho(terms, {g: x.terms for g, x in images.items()})
+    record = cuntz._factors(images)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(cuntz._IMAGE_CACHE, key,
-                   {g: cuntz._Factor(x._terms) for g, x in images.items()})
+        mp.setattr(cuntz, "_images", lambda c: record)
         assert _max_diff(rho_apply(CuntzExpr(terms), key), ref) <= 1e-12
 
 
@@ -555,15 +598,15 @@ def test_rho_and_rho_squared_of_short_words_are_bit_identical_to_the_pair_oracle
 def test_plans_stop_at_the_cap_and_change_no_bit(monkeypatch):
     # past MAX_PLANS a plan is built and used but not kept
     monkeypatch.setattr(cuntz, "MAX_PLANS", 5)
-    monkeypatch.setattr(cuntz, "_IMAGE_CACHE", {})
+    record = cuntz._factors(rho_images())
+    monkeypatch.setattr(cuntz, "_images", lambda c: record)
     for w in itertools.chain.from_iterable(itertools.product(_ATOMS, repeat=n) for n in (1, 2)):
         e = CuntzExpr({w: -0.5 + 2j})
         ref = e._terms
         for _ in range(2):
             e, ref = rho_apply(e), _oracles.pairs_rho(ref, _PAIR_IMAGES)
             assert _bits(e._terms) == _bits(ref), w
-    img, = cuntz._IMAGE_CACHE.values()
-    assert [len(f.plans) for f in img.values()] == [5, 5, 5, 5]
+    assert [len(f.plans) for f in record[:4]] == [5, 5, 5, 5]
 
 
 def test_plans_follow_the_images_they_were_built_from():
@@ -572,22 +615,23 @@ def test_plans_follow_the_images_they_were_built_from():
     key = haagerup_constants(a12=0.25j)
     e = CuntzExpr({((1, False), (2, True)): 1.0, ((3, False), (0, False), (3, True)): -0.5j})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._Factor(x) for g, x in _PAIR_IMAGES.items()})
+        record = cuntz._factors(rho_images())
+        mp.setattr(cuntz, "_images", lambda c: record)
         assert _bits(rho_apply(e, key)._terms) == _bits(_oracles.pairs_rho(e._terms, _PAIR_IMAGES))
         for perm in ((0, 2, 3, 1), (3, 1, 2, 0), (0, 1, 2, 3)):
             images = {g: gen_expr(perm[g])._terms for g in range(4)}
-            mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._Factor(x) for g, x in images.items()})
+            record = cuntz._factors({g: CuntzExpr._of(x) for g, x in images.items()})
+            mp.setattr(cuntz, "_images", lambda c: record)
             assert _bits(rho_apply(e, key)._terms) == _bits(_oracles.pairs_rho(e._terms, images))
 
 
-def test_caches_keep_the_standard_and_the_latest_constants():
-    # a sweep over perturbed constants keeps two entries in the cache, not one
-    # per set; constants whose entries were dropped give the same bits again,
-    # and no two sets give the same bits, so none read another's images
+def test_the_image_cache_keeps_at_most_two_sets_of_constants():
+    # a sweep over perturbed constants keeps at most two entries in the cache,
+    # not one per set; constants whose entries were dropped give the same bits
+    # again, and no two sets give the same bits, so none read another's images
     c = haagerup_constants()
     word = T1 * S0.adjoint() + 0.5 * T2 * T0
     standard = _bits(rho_apply(rho_apply(word, c), c)._terms)
-    images = cuntz._IMAGE_CACHE[c]
     sweep = [haagerup_constants(a12=c.A[1][2] + k * 1e-3) for k in range(1, 13)]
     first = []
     for p in sweep:
@@ -595,8 +639,7 @@ def test_caches_keep_the_standard_and_the_latest_constants():
         fresh = rho_images(p)
         assert rho_apply(T1 * S0.adjoint(), p) == fresh[2] * fresh[0].adjoint()
         first.append(_bits(e._terms))
-        assert set(cuntz._IMAGE_CACHE) == {c, p}
-        assert cuntz._IMAGE_CACHE[c] is images
+        assert cuntz._images.cache_info().currsize <= 2
     for p, bits in zip(sweep, first):
         assert _bits(rho_apply(rho_apply(word, p), p)._terms) == bits
     assert _bits(rho_apply(rho_apply(word, c), c)._terms) == standard
@@ -609,7 +652,7 @@ def test_the_triple_factor_is_rho_squared_of_s0_rescaled():
     # three terms' pairs mostly cancel in the factor rho takes them as
     c = haagerup_constants()
     rho_s0 = rho_apply(S0, c)
-    triple = cuntz._triple(cuntz._IMAGE_CACHE[c])
+    triple = cuntz._images(c)[4]
     factor = CuntzExpr._of({(u, v): x for v, rows in triple.exact.items() for u, x in rows})
     assert residual(factor - (c.sqrt_d * rho_apply(rho_s0, c) - (1 / c.sqrt_d) * rho_s0)) <= 1e-15
     assert [len(rho_apply(t, c) * rho_apply(t, c)) for t in (T0, T1, T2)] == [31, 35, 31]
@@ -628,15 +671,16 @@ def test_rho_squared_under_relabelling_images_matches_oracle(perm):
     ref_images = {g: x.terms for g, x in images.items()}
     key = haagerup_constants(a12=0.125j)
     triple = T0 * T0 + T1 * T1 + T2 * T2
+    record = cuntz._factors(images)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(cuntz._IMAGE_CACHE, key, {g: cuntz._Factor(x._terms) for g, x in images.items()})
+        mp.setattr(cuntz, "_images", lambda c: record)
         for w in _SHORT_WORDS:
             for e in (CuntzExpr({w: 1.0}), triple * CuntzExpr({w: -0.5 + 2j})):
                 ref = _oracles.cuntz_rho(_oracles.cuntz_rho(e.terms, ref_images), ref_images)
                 assert _max_diff(rho_apply(rho_apply(e, key), key), ref) <= 1e-12, w
         # the triple factor was built from these images: sum_i T_i T_i
         # relabelled, three pairs that all have v = 1
-        assert len(cuntz._IMAGE_CACHE[key][1].triple.exact) == 1
+        assert len(record[4].exact) == 1
 
 
 def test_rho_squared_under_perturbed_constants_matches_oracle_and_the_plain_walk(monkeypatch):
@@ -649,7 +693,7 @@ def test_rho_squared_under_perturbed_constants_matches_oracle_and_the_plain_walk
     p = haagerup_constants(a12=0.25 + 0.5j)
     images = {g: x.terms for g, x in rho_images(p).items()}
     got = {w: rho_apply(rho_apply(CuntzExpr({w: 1.0}), p), p) for w in _SHORT_WORDS}
-    triple = cuntz._IMAGE_CACHE[p][1].triple
+    triple = cuntz._images(p)[4]
     assert sum(map(len, triple.exact.values())) > 25
     for w, e in got.items():
         if len(w) == 1 or all(g == 0 for g, _ in w):
