@@ -63,20 +63,6 @@ class AngleSpectrum(Frozen):
         return cls(dedup)
 
 
-def _inner(d_sigma, s, tol: float = EPS_ABS) -> Tuple[float, float]:
-    """The dimension d(sigma) and the inner product s = <s_P, s_Q> of the
-    coupling isometries as floats, once 1 < d(sigma) < inf, s is finite and
-    |s| <= 1 + ``tol``."""
-    d, s = float(d_sigma), float(s)
-    if not 1 < d < math.inf:
-        raise ValueError("d_sigma must be finite and exceed 1")
-    if not math.isfinite(s):
-        raise ValueError("s must be finite")
-    if abs(s) > 1 + tol:
-        raise ValueError("|s| must not exceed 1")
-    return d, s
-
-
 class AngleCandidate(NamedTuple):
     """One branch of the quadratic angle formula.
 
@@ -158,14 +144,21 @@ def angle_group(g: int, h: int, k: int, hk: int) -> AngleSpectrum:
 
 def angle_candidates(d_sigma, s,
                      tol: float = EPS_ABS) -> Tuple[AngleCandidate, AngleCandidate]:
-    """Both candidate cosines allowed by the coupling quadratic.
+    """Both candidate cosines allowed by the coupling quadratic, from the dimension
+    d = d(sigma) and the inner product s = <s_P, s_Q> of the coupling isometries.
 
     c± = (sqrt((d-1)^2 s^2 + 4 d) ± (d-1)|s|) / (2 d); the product of the
     two cosines is exactly 1/d, so c- is taken as 1/(d c+), which cancels
-    nothing.  Returned with the plus branch first.  |s| may exceed 1 by at
-    most ``tol``.  Inputs whose (d-1)^2 s^2 overflows a float raise ValueError.
+    nothing.  Returned with the plus branch first.  ValueError unless
+    1 < d < inf, s is finite, |s| <= 1 + ``tol`` and (d-1)^2 s^2 fits a float.
     """
-    d, s = _inner(d_sigma, s, tol)
+    d, s = float(d_sigma), float(s)
+    if not 1 < d < math.inf:
+        raise ValueError("d_sigma must be finite and exceed 1")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
+    if abs(s) > 1 + tol:
+        raise ValueError("|s| must not exceed 1")
     try:
         root = math.sqrt((d - 1.0) ** 2 * s ** 2 + 4.0 * d)
     except OverflowError:  # from the float powers; a product overflows to inf
@@ -178,15 +171,11 @@ def angle_candidates(d_sigma, s,
 
 
 def t_inner_roots(d_sigma, s) -> Tuple[float, float]:
-    """Roots of x^2 - ((d-1)/d) s x - 1/d = 0, larger root first.
-
-    Vieta: sum = (d-1) s / d, product = -1/d; the absolute values of the
-    roots coincide with the two candidate cosines.
-    """
-    d, s = _inner(d_sigma, s)
-    b = (d - 1.0) * s / d
-    disc = math.sqrt(b * b + 4.0 / d)
-    return ((b + disc) / 2.0, (b - disc) / 2.0)
+    """Roots of x^2 - ((d-1)/d) s x - 1/d = 0, larger first: the cosines c+ >= c- of
+    :func:`angle_candidates` signed as (c+, -c-) for s >= 0 and (c-, -c+) for s < 0
+    (Vieta: sum (d-1) s / d, product -1/d); an input it refuses raises its ValueError."""
+    plus, minus = (c.cosine for c in angle_candidates(d_sigma, s))
+    return (plus, -minus) if float(s) >= 0 else (minus, -plus)
 
 
 def angle_bound(pn) -> float:

@@ -336,10 +336,10 @@ def _word_text(u: Code, v: Code) -> str:
 
 
 def _format_coeff(c: complex) -> str:
-    """A coefficient as text, without a part that is 0 or at most 1e-14 times the other."""
-    if not c.imag or abs(c.imag) <= 1e-14 * abs(c.real):
+    """A coefficient as text, without a part that is 0 or at most 1e-14 times a finite other."""
+    if not c.imag or abs(c.imag) <= 1e-14 * abs(c.real) < math.inf:
         return fmt(c.real)
-    if not c.real or abs(c.real) <= 1e-14 * abs(c.imag):
+    if not c.real or abs(c.real) <= 1e-14 * abs(c.imag) < math.inf:
         return fmt(c.imag) + "i"
     return f"({fmt(c.real)}{'+' if c.imag >= 0 else '-'}{fmt(abs(c.imag))}i)"
 
@@ -366,11 +366,15 @@ def residual(e: CuntzExpr) -> float:
 def render_expr(e: CuntzExpr, tol: float = EPS_ABS) -> str:
     """Deterministic text form of an expression's normal form.
 
-    A coefficient that overflowed to inf or nan while terms were summed
-    raises ValueError rather than being printed or pruned away.
+    The prune at ``tol``, the dropping of a negligible part and the 1 and -1
+    shortcuts read each coefficient rounded to the 12 digits ``fmt`` prints,
+    so the text parses back to itself.  A coefficient that overflowed to inf
+    or nan while terms were summed raises ValueError rather than being
+    printed or pruned away.
     """
     _check_finite(e)
-    kept = {key: c for key, c in e._terms.items() if abs(c) > tol}
+    shown = {key: complex(float(fmt(c.real)), float(fmt(c.imag))) for key, c in e._terms.items()}
+    kept = {key: c for key, c in shown.items() if abs(c) > tol}
     if not kept:
         return "0"
     parts = []

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,7 +190,7 @@ def test_t_inner_vieta(d, s):
 def test_roots_and_candidates_agree_in_magnitude(d, s):
     plus, minus = angle_candidates(d, s)
     roots = sorted(abs(r) for r in t_inner_roots(d, s))
-    assert sorted([plus.cosine, minus.cosine]) == pytest.approx(roots, abs=1e-12)
+    assert sorted([plus.cosine, minus.cosine]) == roots
 
 
 def _index_grid():
@@ -259,8 +260,21 @@ def test_candidate_cosines_keep_their_digits():
         for s in (rng.uniform(-1, 1), 0.0, 1.0, -1.0):
             got = [c.cosine for c in angle_candidates(d, s)]
             want = _oracles.candidate_cosines_decimal(d, s)
-            worst = max(worst, *map(_rel_err, got, want))
+            # the roots are the same cosines, signed (c+, -c-) for s >= 0
+            # and (c-, -c+) for s < 0
+            r1, r2 = t_inner_roots(d, s)
+            assert r1 > 0 > r2
+            got += [r1, -r2] if s >= 0 else [-r2, r1]
+            worst = max(worst, *map(_rel_err, got, want * 2))
     assert worst <= 1e-15
+
+
+def test_roots_refuse_what_candidates_refuse():
+    # past float range neither function returns a root: (d-1)^2 s^2 overflows
+    message = re.escape("(d_sigma - 1)^2 s^2 overflows a float at d_sigma = 1e+200, s = 0.5")
+    for inner in (angle_candidates, t_inner_roots):
+        with pytest.raises(ValueError, match=message):
+            inner(1e200, 0.5)
 
 
 def test_bound_angle_keeps_its_digits():

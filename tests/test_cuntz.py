@@ -117,6 +117,16 @@ def test_render_and_parse_round_trip():
         e = parse(text)
         assert render_expr(e, 0) == shown
         assert parse(shown) == e
+    # every print decision reads the 12-digit coefficient that is printed: 1e-09
+    # is pruned at the default tolerance, and a part of 1e-14 next to 1 is dropped
+    for e, tol, shown in ((parse("1.0000000000001e-9*T0 + T1"), cuntz.EPS_ABS, "T1"),
+                          (T0.scale(complex(1, 1.000000000001e-14)), 0, "T0"),
+                          (T0.scale(complex(1.000000000001e-14, 1)), 0, "1i*T0")):
+        assert render_expr(e, tol) == shown
+        assert render_expr(parse(shown), tol) == shown
+    for options in ((), ("--json",)):
+        once = _cli_normal_form("1.0000000000001e-9*T0 + T1", *options)
+        assert once == "T1" and _cli_normal_form(once, *options) == once
 
 
 @pytest.mark.parametrize("text, shown", [
@@ -203,12 +213,17 @@ def test_non_finite_coefficient_is_a_syntax_error():
 def test_overflowed_coefficient_is_not_rendered():
     # inf would be printed, and nan (inf - inf) pruned away as if it were 0;
     # max() would pass over the nan and give a residual of 1
+    # a part is negligible only next to a finite part, so the message shows both
     for text, shown in (("1e308*T0 + 1e308*T0", "inf"),
                         ("T1 + 1e308*T0 + 1e308*T0 - 1e308*T0*T0^*T0 - 1e308*T0*T0^*T0",
-                         "nan")):
-        with pytest.raises(ValueError, match=f"coefficient of T0 overflows to {shown}$"):
+                         "nan"),
+                        ("3*T0 + 1e308i*T0 + 1e308i*T0", "(3+infi)"),
+                        ("1e308*T0 + 1e308*T0 + 3i*T0", "(inf+3i)"),
+                        ("(1e308+1e308i)*T0 + (1e308+1e308i)*T0", "(inf+infi)")):
+        message = re.escape(f"coefficient of T0 overflows to {shown}") + "$"
+        with pytest.raises(ValueError, match=message):
             render_expr(parse(text), 0.5)
-        with pytest.raises(ValueError, match=f"coefficient of T0 overflows to {shown}$"):
+        with pytest.raises(ValueError, match=message):
             residual(parse(text))
 
 
@@ -367,11 +382,15 @@ _PRINTED = st.one_of(_SIGNED.map(complex), _SIGNED.map(lambda x: x * 1j),
                      st.builds(complex, _SIGNED, _SIGNED))
 
 
-def _cli_normal_form(text):
+def _cli_normal_form(text, *options):
+    """What `cuntz normalize` prints for text: its JSON normal form with
+    ``--json`` among the options, its output line otherwise."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["--json", "cuntz", "normalize", text]) == 0
-    return json.loads(out.getvalue())["results"]["normal_form"]
+        assert cli.main([*options, "cuntz", "normalize", text]) == 0
+    if "--json" in options:
+        return json.loads(out.getvalue())["results"]["normal_form"]
+    return out.getvalue().rstrip("\n")
 
 
 @given(st.dictionaries(words, _PRINTED, min_size=1, max_size=4))
@@ -380,8 +399,8 @@ def test_printing_is_a_fixed_point_of_reading(terms):
     # what render_expr and `cuntz normalize` print reads back to itself
     shown = render_expr(CuntzExpr(terms), 0)
     assert render_expr(parse(shown), 0) == shown
-    once = _cli_normal_form(shown)
-    assert _cli_normal_form(once) == once
+    once = _cli_normal_form(shown, "--json")
+    assert _cli_normal_form(once, "--json") == once
 
 
 @given(raw)
