@@ -9,6 +9,8 @@ evaluates anything.
 
 Angles are radians throughout.  An :class:`AngleSpectrum` keeps the angles
 it is given; only :meth:`AngleSpectrum.from_cosines` drops and merges them.
+Of the spectra, EPS_ABS decides only the SU(2)_k ones with i0 != 1, there,
+and the cocommuting drop; the i0 = 1 spectra are decided by congruences in wzw.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class AngleSpectrum(Frozen):
     @classmethod
     def from_cosines(cls, cosines: Iterable[float]) -> "AngleSpectrum":
         """Angles arccos(c), skipping each c that :func:`_dropped` names, with angles closer
-        than EPS_ABS merged: the only two rules where EPS_ABS decides a spectrum."""
+        than EPS_ABS merged: the only two rules where EPS_ABS decides a spectrum.  The i0 != 1
+        SU(2)_k spectra come through here, and angle_cocommuting reads the drop alone."""
         kept = []
         for c in cosines:
             c = float(c)

@@ -3,8 +3,9 @@
 Nothing here imports sectorwb.  Eleven families:
 
   * the candidate cosines, the bound angle and the cocommuting angle of
-    exact double inputs in stdlib decimal, for checking that the float
-    formulas keep their digits where the textbook forms cancel;
+    exact double inputs, and the i0 = 1 SU(2)_k angle of a level and a
+    label, in stdlib decimal, for checking that the float formulas keep
+    their digits where the textbook forms cancel;
   * angular-momentum recoupling brackets from explicit Clebsch-Gordan
     matrices built with ladder operators, for cross-checking the q-deformed
     6j symbol in its classical limit;
@@ -101,6 +102,48 @@ def cocommuting_angle_decimal(pn, mp, prec=40):
         pn, mp = Decimal(pn), Decimal(mp)
         cos = ((pn - mp) / (mp * (pn - 1))).sqrt()
         return _two_asin_decimal(pn * (mp - 1) / (mp * (pn - 1)) / (2 * (1 + cos)))
+
+
+def _pi_decimal():
+    """pi in the current context: the recipe of the decimal module's documentation."""
+    decimal.getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _cos_decimal(x):
+    """cos(x) of a Decimal x in the current context: the documentation's Taylor recipe."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def i0_one_angle_decimal(k, j):
+    """The i0 = 1 angle arccos(r) of the level-k label j, r = |cos(q pi/n)| / cos(pi/n)
+    with q = j + 1 and n = k + 2, rounded once to a float.  r is the written ratio,
+    not a product form: 1 - r loses about 2 log10(n) digits to cancellation, so the
+    context carries 40 more than that; then theta = 2 asin(sqrt((1 - r)/2))."""
+    n, q = k + 2, j + 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + 2 * len(str(n))
+        pi = _pi_decimal()
+        r = abs(_cos_decimal(q * pi / n)) / _cos_decimal(pi / n)
+        return _two_asin_decimal((1 - r) / 2)
 
 
 # ---------------------------------------------------------------------------

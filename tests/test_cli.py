@@ -3,9 +3,11 @@ import inspect
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -303,7 +305,12 @@ def test_dims_of_a_ring_file_is_the_eigen_solve(tmp_path, capsys):
     # J = 0, 8, 16 gives the ratios 1, 0 and 1: no angle, yet not commuting
     (["wzw", "ghj", "--graph", "E7"], (),
      ["graph E7: level 16, J = [0, 8, 16]", "empty angle spectrum"]),
-], ids=["asymptotic", "ghj-E7"])
+    # the float ratio printed no angle here, and 10^150 was refused
+    (["wzw", "spectrum", "--k", "200000", "--J", "0,1"],
+     (_oracles.i0_one_angle_decimal(200000, 1),), ["angle = 2.72067183974e-05 rad"]),
+    (["wzw", "spectrum", "--k", str(10 ** 150), "--J", "0,1"],
+     (_oracles.i0_one_angle_decimal(10 ** 150, 1),), ["angle = 5.4413980927e-150 rad"]),
+], ids=["asymptotic", "ghj-E7", "k200000", "k1e150"])
 def test_spectrum_text_and_degrees(argv, spectrum, text, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[:-1] == text
@@ -312,6 +319,25 @@ def test_spectrum_text_and_degrees(argv, spectrum, text, capsys):
     assert doc["commuting"] is False
     assert doc["angles_radians"] == [float(f"{a:.12g}") for a in spectrum]
     assert doc["angles_degrees"] == [float(f"{math.degrees(a):.12g}") for a in spectrum]
+
+
+def test_the_ci_smoke_block_replays_under_bash(tmp_path):
+    # the workflow file is the only copy of the lines: they run as CI runs
+    # them, under bash -e, with an swb on PATH that runs this checkout; the
+    # ERR trap names the line where bash stops
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    block = re.search(r"- name: Console script smoke test\n +run: \|\n((?: {10}.*\n)+)", workflow)
+    lines = textwrap.dedent(block.group(1)).splitlines()
+    shim = tmp_path / "swb"
+    shim.write_text(f"#!/bin/sh\nPYTHONPATH={shlex.quote(_ENV['PYTHONPATH'])} "
+                    f'exec {shlex.quote(sys.executable)} -m sectorwb.cli "$@"\n')
+    shim.chmod(0o755)
+    script = "trap 'echo \"smoke line $LINENO failed\" >&2' ERR\n" + "\n".join(lines)
+    proc = subprocess.run(["bash", "-e", "-c", script], cwd=Path(__file__).parents[1],
+                          env=dict(_ENV, PATH=f"{tmp_path}{os.pathsep}{os.environ['PATH']}"),
+                          capture_output=True, text=True)
+    failed = [lines[int(n) - 2] for n in re.findall(r"smoke line (\d+) failed", proc.stderr)]
+    assert proc.returncode == 0, f"failing smoke lines {failed}\n{proc.stderr[-2000:]}"
 
 
 def test_dims_at_level_139_print_the_closed_form(capsys):
@@ -530,9 +556,9 @@ def _d6_file(path, **fields):
      "error: indices must both fit in a float"),
     (["wzw", "spectrum", "--k", str(10 ** 400), "--J", "0,1"], 2,
      "error: the level k and its labels must fit in a float"),
-    # fits a float, but the S entries of the denominator underflow to 0
-    (["wzw", "spectrum", "--k", str(10 ** 150), "--J", "0,1"], 2,
-     "error: the level k is too large for float S-matrix entries"),
+    # fits a float, but sin(3 pi/2n) sin(pi/2n) of the i0 = 1 angle underflows
+    (["wzw", "spectrum", "--k", str(10 ** 200), "--J", "0,1"], 2,
+     "error: the level k = 1e+200 is too large: its angles underflow"),
     (["wzw", "6j", "--m", str(10 ** 400), "--spins", "1,1,1,1,1,1"], 2,
      "error: the root-of-unity order m must fit in a float"),
     (["wzw", "spectrum", "--k", "5", "--J", "1,2"], 2, "error: J must contain 0"),

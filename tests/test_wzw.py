@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import _oracles
 from sectorwb import catalog, wzw
+from sectorwb.angles import AngleSpectrum
 from sectorwb._base import qint
 from sectorwb.wzw import (
     QSixJ,
@@ -245,9 +248,62 @@ def test_integers_beyond_float_range():
     # the level fits a float, but s(0, i0) s(0, j) underflows to 0
     with pytest.raises(ValueError, match="too large for float S-matrix entries"):
         monodromy_ratio(10 ** 150, 1, 1)
-    with pytest.raises(ValueError, match="too large for float S-matrix entries"):
-        alpha_induction_spectrum(10 ** 150, 1, [0, 1])
     assert monodromy_ratio(10 ** 100, 1, 1) == 1.0
+    # i0 = 1 reads no S entry: its angle at 10^150 is a normal float, and only
+    # the product sin(3 pi/2n) sin(pi/2n) underflowing (k near 1.8e154) is refused
+    (got,) = alpha_induction_spectrum(10 ** 150, 1, [0, 1]).angles
+    assert _rel_err(got, _oracles.i0_one_angle_decimal(10 ** 150, 1)) <= 6e-16
+    assert f"{got:.12g}" == "5.4413980927e-150"
+    with pytest.raises(ValueError, match=r"^the level k = 1e\+200 is too large: its angles"):
+        alpha_induction_spectrum(10 ** 200, 1, [0, 1])
+
+
+def _rel_err(got, want):
+    return abs(got - want) / want
+
+
+def test_i0_one_angles_keep_their_digits():
+    # the product form against the written ratio |cos(q pi/n)| / cos(pi/n) in
+    # decimal: every label at k <= 40, labels sampled at levels up to 10^6,
+    # and the three levels where the float ratio lost digits or the angle.
+    # The form rounds about five times and asin amplifies by up to 1.27, so
+    # a few labels in a thousand sit between 4e-16 and 5e-16
+    rng = random.Random(46)
+    cases = [(k, j) for k in range(1, 41) for j in range(1, k)]
+    for _ in range(2000):
+        k = int(10 ** rng.uniform(1, 6))
+        cases.append((k, rng.randint(1, k - 1)))
+    cases += [(200000, 1), (100000, 1), (9999, 1)]
+    worst = 0.0
+    for k, j in cases:
+        n, q = k + 2, min(j + 1, k + 1 - j)
+        (got,) = alpha_induction_spectrum(k, 1, [0, j]).angles or (None,)
+        assert (got is None) == (q == 1 or 2 * q == n), (k, j)
+        if got is not None:
+            worst = max(worst, _rel_err(got, _oracles.i0_one_angle_decimal(k, j)))
+    assert worst <= 6e-16
+    assert [f"{alpha_induction_spectrum(k, 1, [0, 1]).angles[0]:.12g}"
+            for k in (200000, 100000)] == ["2.72067183974e-05", "5.44128926781e-05"]
+    assert f"{asymptotic_spectrum(10000).angles[0]:.12g}" == "0.000544085409678"
+
+
+def test_asymptotic_is_the_i0_one_spectrum_one_level_down():
+    for N in range(3, 2001):
+        want = alpha_induction_spectrum(N - 1, 1, range((N - 2) // 2 + 1)).angles
+        assert asymptotic_spectrum(N).angles == want, N
+
+
+def test_i0_one_classes_match_the_float_path_in_count():
+    # the congruences keep and merge exactly the labels that EPS_ABS kept
+    # and merged at every small level: no case differs
+    for k in range(1, 31):
+        for j in range(k + 1):
+            for j2 in range(j, k + 1):
+                J = {0, j, j2}
+                old = AngleSpectrum.from_cosines(monodromy_ratio(k, 1, i) for i in J).angles
+                new = alpha_induction_spectrum(k, 1, J).angles
+                assert len(new) == len(old), (k, J)
+                assert new == pytest.approx(old, rel=1e-13, abs=0), (k, J)
 
 
 def test_qsixj_spin_validation():
