@@ -16,6 +16,7 @@ read or validate a ring import, nor :mod:`sectorwb.scalar`, which only :func:`di
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ._base import qint
@@ -200,13 +201,22 @@ def float_dimensions(key: str, k: Optional[int] = None) -> Tuple[str, Dict[str, 
     """The name of ``builtin(key, k)`` and float dimensions of all its labels, after
     the checks of :func:`builtin` but building no ring: the exact :func:`dimensions`
     of a fixed ring, the quantum integer [j+1] = sin((j+1) pi/n) / sin(pi/n) with
-    n = k + 2 for l_j of su2."""
+    n = k + 2 for l_j of su2.  A fixed ring's floats are read from quad's arguments
+    a, b, m as a + b sqrt(m) with int true division, which rounds correctly, so
+    they are the bits of ``float(quad(a, b, m))`` without a QuadExt."""
     entry = _entry(key)
     _check_level(entry, k)
     if not entry.parametrized:
-        return key, {lab: float(d) for lab, d in dimensions(key).items()}
+        return key, {lab: _float_dim(entry.dims.get(lab, 1)) for lab in entry.labels.split()}
     n = k + 2
     return _SU2_NAME.format(k), {f"l{j}": qint(j + 1, n) for j in range(k + 1)}
+
+
+def _float_dim(d: tuple | int) -> float:
+    if isinstance(d, int):
+        return float(d)
+    (a_num, _, a_den), (b_num, _, b_den) = (str(x).partition("/") for x in d[:2])
+    return int(a_num) / int(a_den or 1) + int(b_num) / int(b_den or 1) * math.sqrt(d[2])
 
 
 def builtin_keys() -> List[str]:

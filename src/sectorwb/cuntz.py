@@ -27,7 +27,9 @@ rho(v)^*: the v belonging to one u are summed on their prefix trie in
 Horner form, sum_g rho(g) (sum over the subtree below g), and then the u
 likewise, each leaf adding the adjoint of its sum, so each generator
 image multiplies once per trie edge, as a factor built once per image and
-set of constants.  Since rho(S0) = S0/d + sum_i T_i T_i / sqrt(d), every
+set of constants.  The outer trie, whose edges multiply whole inner sums,
+takes the longer words, and u with equal inner rows share one inner sum
+(see rho_apply).  Since rho(S0) = S0/d + sum_i T_i T_i / sqrt(d), every
 element built from rho(S0) or its adjoint holds one subtree three times,
 below T0 T0, T1 T1 and T2 T2 (the triple).  Where the three are equal the
 walk sums the subtree once and multiplies it by the triple factor
@@ -630,17 +632,33 @@ def rho_apply(e: CuntzExpr, constants: Optional[HaagerupConstants] = None) -> Cu
 
     rho(u v^*) = rho(u) rho(v)^*: for each u, Y_u = sum_v rho(v) conj(c_uv)
     is evaluated on the trie of the v, and then sum_u rho(u) Y_u^* on the
-    trie of the u, each adjoint taken at its leaf.  On either trie, equal
-    subtrees below T0 T0, T1 T1 and T2 T2, as rho(S0) and its adjoint leave
-    them, are multiplied once by sum_i rho(T_i) rho(T_i) (see _rho_sum).
-    The factors are the record ``_images`` keeps for the constants.
+    trie of the u, each adjoint taken at its leaf.  The outer edges multiply
+    whole inner sums, so when e has two or more pairs and their v hold more
+    generators in total than their u, this runs on e^* and returns the
+    adjoint, which is exact: rho(u v^*) = rho(u) rho(v)^* keeps adjoints.  A
+    tie keeps the u outside, and so does a single pair, one chain either way
+    round (turned, single pairs made more products, not fewer).  u with
+    equal inner rows (the same (v, c) in the same order) share one Y_u.  On
+    either trie, equal subtrees below T0 T0, T1 T1 and T2 T2, as rho(S0)
+    and its adjoint leave them, are multiplied once by sum_i rho(T_i)
+    rho(T_i) (see _rho_sum).  The factors are the record ``_images`` keeps
+    for the constants.
     """
     img = _images(constants or _STANDARD)
-    by_u: Dict[Code, List[Tuple[Code, Terms]]] = {}
-    for (u, v), coeff in e._terms.items():
-        by_u.setdefault(u, []).append((v, {(1, 1): coeff}))
-    items = [(u, _rho_sum(vs, 0, img)) for u, vs in by_u.items()]
-    return CuntzExpr._of(_rho_sum(items, 0, img))
+    terms = e._terms
+    flip = len(terms) > 1 and sum(v.bit_length() - u.bit_length() for u, v in terms) > 0
+    rows: Dict[Code, List[Tuple[Code, complex]]] = {}
+    for (u, v), coeff in (_adjoint(terms) if flip else terms).items():
+        rows.setdefault(u, []).append((v, coeff))
+    inner: Dict[Tuple[Tuple[Code, complex], ...], Terms] = {}
+    items = []
+    for u, row in rows.items():
+        y = inner.get(key := tuple(row))
+        if y is None:
+            y = inner[key] = _rho_sum([(v, {(1, 1): c}) for v, c in row], 0, img)
+        items.append((u, y))
+    out = _rho_sum(items, 0, img)
+    return CuntzExpr._of(_adjoint(out) if flip else out)
 
 
 def alpha_apply(e: CuntzExpr, shift: int = 2) -> CuntzExpr:

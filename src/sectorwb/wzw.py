@@ -9,6 +9,7 @@ asymptotic-inclusion spectra, and Kirillov-Reshetikhin quantum 6j-symbols at a r
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from functools import lru_cache
@@ -115,16 +116,28 @@ def alpha_induction_spectrum(k: int, i0: int, J: Iterable[int]) -> AngleSpectrum
 def _i0_one_angles(n: int, qs: Iterable[int]) -> List[float]:
     """Increasing i0 = 1 angles of the labels q = j + 1 at n = k + 2.  |cos(q pi/n)| / cos(pi/n)
     folds q to min(q, n - q) and drops q = 1 (angle 0) and 2q = n (pi/2); theta = 2 asin(
-    sqrt(sin((q+1) pi/2n) sin((q-1) pi/2n) / cos(pi/n))) cancels nothing, if nothing underflows."""
+    sqrt(sin((q+1) pi/2n) sin((q-1) pi/2n) / cos(pi/n))) cancels nothing, if nothing underflows.
+    Two labels whose angles a float cannot tell apart, or one whose angle it cannot tell
+    from pi/2, raise ValueError naming k and those labels j = q - 1 as given."""
     try:
         h, c = math.pi / (2 * n), math.cos(math.pi / n)
     except OverflowError:
         raise ValueError("the level k and its labels must fit in a float") from None
-    ps = [math.sin((q + 1) * h) * math.sin((q - 1) * h)
-          for q in sorted({min(q, n - q) for q in qs} - {1}) if 2 * q != n]
+    given = {min(q, n - q): q for q in qs}
+    folded = sorted(given.keys() - {1})
+    if folded and 2 * folded[-1] == n:  # the largest fold; its angle is pi/2
+        folded.pop()
+    ps = [math.sin((q + 1) * h) * math.sin((q - 1) * h) for q in folded]
     if min(ps, default=1.0) < sys.float_info.min:
         raise ValueError(f"the level k = {fmt(n - 2)} is too large: its angles underflow")
-    return [2.0 * math.asin(math.sqrt(p / c)) for p in ps]
+    angles = [2.0 * math.asin(math.sqrt(p / c)) for p in ps]
+    ends = angles[1:] + [math.pi / 2]
+    if not all(map(operator.lt, angles, ends)):
+        i = next(i for i, (a, b) in enumerate(zip(angles, ends)) if a >= b)
+        j = [given[q] - 1 for q in folded[i:i + 2]]
+        what = f"labels j = {j[0]} and {j[1]}" if len(j) == 2 else f"label j = {j[0]} and pi/2"
+        raise ValueError(f"at level k = {n - 2}, a float cannot tell apart the angles of {what}")
+    return angles
 
 
 class BranchingRule(NamedTuple):

@@ -686,7 +686,11 @@ def _pairs_rho_sum(items, depth, img, triple):
 
 def pairs_rho(terms, images):
     """rho(u v^*) = rho(u) rho(v)^* on the prefix tries of the v and then the
-    u, given the generator images as pair dicts."""
+    u, given the generator images as pair dicts; for two or more pairs whose
+    v hold more generators in total than their u, as rho(X^*)^*."""
+    if len(terms) > 1 and (sum((v.bit_length() - 1) // 2 for _, v in terms)
+                           > sum((u.bit_length() - 1) // 2 for u, _ in terms)):
+        return _pairs_adjoint(pairs_rho(_pairs_adjoint(terms), images))
     img = {g: pairs_index(x) for g, x in images.items()}
     # sum_g rho(T_g) rho(T_g), each right factor's pairs grouped by their v
     triple = {}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from sectorwb import catalog
+from sectorwb import catalog, scalar
 from sectorwb.catalog import (
     RingFormatError,
     RingValidationError,
@@ -133,6 +133,16 @@ def test_dimensions_build_no_ring(monkeypatch):
         if not e.parametrized:
             assert list(catalog.dimensions(e.key)) == e.labels.split()
             assert catalog.float_dimensions(e.key)[0] == e.key
+
+
+def test_fixed_float_dimensions_are_the_bits_of_the_exact_ones(monkeypatch):
+    # read from quad's arguments with int divisions, building no QuadExt
+    want = {e.key: {lab: float(d).hex() for lab, d in catalog.dimensions(e.key).items()}
+            for e in catalog.ENTRIES if not e.parametrized}
+    monkeypatch.setattr(scalar.QuadExt, "__init__", lambda *args: pytest.fail("a QuadExt was built"))
+    for key, dims in want.items():
+        name, got = catalog.float_dimensions(key)
+        assert name == key and {lab: d.hex() for lab, d in got.items()} == dims
 
 
 def test_importing_the_catalog_loads_neither_fusion_nor_exact_arithmetic():

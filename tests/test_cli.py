@@ -340,6 +340,32 @@ def test_the_ci_smoke_block_replays_under_bash(tmp_path):
     assert proc.returncode == 0, f"failing smoke lines {failed}\n{proc.stderr[-2000:]}"
 
 
+def test_the_ci_cuntz_rho_step_replays_under_bash(tmp_path):
+    # one second of the cuntz-rho workload, every word shape with both
+    # identities, read from the workflow and run as CI runs it, with the
+    # python3 on PATH the interpreter running these tests
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    step = re.search(r"- name: Cuntz identities on every word shape\n(?: +#.*\n)* +run: \|\n"
+                     r"((?: {10}.*\n)+)", workflow)
+    python3 = tmp_path / "python3"
+    python3.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} "$@"\n')
+    python3.chmod(0o755)
+    proc = subprocess.run(["bash", "-e", "-c", textwrap.dedent(step.group(1))],
+                          cwd=Path(__file__).parents[1], capture_output=True, text=True,
+                          env=dict(os.environ, PATH=f"{tmp_path}{os.pathsep}{os.environ['PATH']}"))
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert '"failed": 0' in proc.stdout
+
+
+def test_indistinguishable_i0_one_angles_exit_2_naming_the_level_and_labels():
+    k, j = 10 ** 17, 10 ** 17 // 2
+    proc = subprocess.run(_SWB + ["wzw", "spectrum", "--k", str(k), "--J", f"0,{j - 1},{j - 2}"],
+                          env=_ENV, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: at level k = {k}, a float cannot tell apart the angles "
+                           f"of labels j = {j - 2} and {j - 1}\n")
+
+
 def test_dims_at_level_139_print_the_closed_form(capsys):
     # here the eigen-solve is off by about 4e-14 and rounds l24 and l115 to
     # 23.729074751; the closed form is within 7e-15 of the 40-digit value
@@ -481,7 +507,7 @@ print(" ".join(sorted(sys.modules)))
     ("haagerup", ["_base", "cli", "cuntz"]),
     ("cuntz", ["_base", "cli", "cuntz"]),
     ("dims su2", ["_base", "catalog", "cli"]),
-    ("dims e6_even", ["_base", "catalog", "cli", "scalar"]),
+    ("dims e6_even", ["_base", "catalog", "cli"]),
     ("ring", ["_base", "catalog", "cli", "fusion"]),
     ("classify", ["_base", "angles", "catalog", "classify", "cli", "fusion", "scalar"]),
 ], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "dims-su2", "dims-e6_even",
@@ -504,6 +530,7 @@ def test_command_families_load_only_their_modules(family, modules):
     assert "dataclasses" not in loaded
     assert not {"inspect", "json", "numpy"} & set(loaded)
     assert ("fractions" in loaded) == ("scalar" in modules or family == "wzw")
+    assert ("decimal" in loaded) == ("fractions" in loaded)
 
 
 def _d6_file(path, **fields):

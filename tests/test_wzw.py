@@ -258,6 +258,25 @@ def test_integers_beyond_float_range():
         alpha_induction_spectrum(10 ** 200, 1, [0, 1])
 
 
+def test_angles_a_float_cannot_tell_apart_name_the_level_and_labels():
+    # past k near 1e16 two labels can round to one float angle, or one label's
+    # angle to pi/2; the constructor's "not strictly increasing" named neither
+    k, j = 10 ** 17, 10 ** 17 // 2
+    with pytest.raises(ValueError, match=rf"^at level k = {k}, a float cannot tell apart the "
+                                         rf"angles of labels j = {j - 2} and {j - 1}$"):
+        alpha_induction_spectrum(k, 1, [0, j - 1, j - 2])
+    # a label is named as given, not as its fold k - j
+    with pytest.raises(ValueError, match=rf"labels j = {k - j + 2} and {j - 1}$"):
+        alpha_induction_spectrum(k, 1, [0, j - 1, k - j + 2])
+    k = 3 * 10 ** 18 + 7
+    with pytest.raises(ValueError, match=rf"^at level k = {k}, a float cannot tell apart the "
+                                         rf"angles of label j = {k // 2 + 1} and pi/2$"):
+        alpha_induction_spectrum(k, 1, [0, k // 2 + 1])
+    # either label alone keeps its angle, a float below pi/2
+    (got,) = alpha_induction_spectrum(10 ** 17, 1, [0, j - 1]).angles
+    assert got < math.pi / 2
+
+
 def _rel_err(got, want):
     return abs(got - want) / want
 
