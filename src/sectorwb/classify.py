@@ -7,7 +7,9 @@ in its notes.  What *is* checked: exact index identities in the quadratic
 fields, exact identities between each angle's cosine and the indices, and
 Perron-Frobenius links: a catalog ring's exact dimensions, certified as its
 PF dimensions by :func:`fusion.dimension_failure`, summed over a sector
-expression to give one of the case's own indices pn and mp.  The exclusion
+expression to give one of the case's own indices pn and mp.  Each index is
+certified by the case's catalog link, or else by d(l1*l1) on su2 at the level
+:func:`wzw.branching_rule` reads from its principal graph.  The exclusion
 checks replay the arithmetic behind the excluded cases; none records the
 Class IV entry's undecided [M:P].  No check compares floats.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from . import angles
+from . import angles, wzw
 from ._base import fmt
 from .catalog import builtin, dimensions
 from .fusion import decompose, dimension_failure, hom_dim
@@ -39,7 +41,7 @@ class PFLink(NamedTuple):
     """One Perron-Frobenius consistency link between a case and a catalog ring:
     the dimension of a sector expression, such as d(l1)^2 = d(l1*l1) on
     su2(k) or a canonical endomorphism 1 + t + x, against the case's index
-    named by ``of``, "pn" or "mp"."""
+    named by ``of``, "pn" or "mp"; a case lists only its catalog links."""
 
     ring_key: str
     k: Optional[int]
@@ -101,28 +103,20 @@ _ASSUMED = ("assumes irreducibility, the stated supertransitivity pattern and "
 
 def classification_table() -> List[QuadCase]:
     """The seven cases, in a fixed order, with exact indices."""
-    sqrt2m1 = quad(-1, 1, 2)           # sqrt(2) - 1
-    half3m5 = quad("3/2", "-1/2", 5)   # (3 - sqrt(5))/2
     return [
         QuadCase(
             "a5a3", "A5", "A3", quad(3), quad(2),
-            "group-type", quad("1/2"), "cocommuting", "S3",
-            (PFLink("su2", 4, "l1*l1", "pn", "A5 graph norm squared"),
-             PFLink("su2", 2, "l1*l1", "mp", "A3 graph norm squared")),
+            "group-type", quad("1/2"), "cocommuting", "S3", (),
             "fixed points of an outer S3 action; " + _ASSUMED,
         ),
         QuadCase(
             "d6a4", "D6", "A4", quad("5/2", "1/2", 5), quad("3/2", "1/2", 5),
-            "II", half3m5, "cocommuting", None,
-            (PFLink("su2", 8, "l1*l1", "pn", "D6 graph norm squared (equals the A9 value)"),
-             PFLink("su2", 3, "l1*l1", "mp", "A4 graph norm squared")),
+            "II", quad("3/2", "-1/2", 5), "cocommuting", None, (),
             "golden-ratio indices (5+sqrt(5))/2 and (3+sqrt(5))/2; " + _ASSUMED,
         ),
         QuadCase(
             "a7a7", "A7", "A7", quad(2, 1, 2), quad(2, 1, 2),
-            "I", sqrt2m1, "bound", None,
-            (PFLink("su2", 6, "l1*l1", "pn",
-                    "A7 graph norm squared, both elementary subfactors"),),
+            "I", quad(-1, 1, 2), "bound", None, (),
             "noncocommuting, equal indices 2+sqrt(2); " + _ASSUMED,
         ),
         QuadCase(
@@ -130,8 +124,7 @@ def classification_table() -> List[QuadCase]:
             "D6affine", quad(0, "1/2", 2), "stored",
             "D8 (dihedral of order 8)",
             (PFLink("d6aff_even", None, "1 + t + x", "pn",
-                    "canonical endomorphism 1 + t + x of the affine-D6 side"),
-             PFLink("su2", 2, "l1*l1", "mp", "A3 graph norm squared")),
+                    "canonical endomorphism 1 + t + x of the affine-D6 side"),),
             "index-4 special case with angle pi/4, outside the cocommuting "
             "formula's reach; " + _ASSUMED,
         ),
@@ -149,8 +142,7 @@ def classification_table() -> List[QuadCase]:
             "III", quad("1/3"), "cocommuting",
             "Z/2 realized inside an S4 symmetry",
             (PFLink("s4_rep", None, "1 + e", "pn",
-                    "canonical endomorphism 1 + e of the S4 fixed point"),
-             PFLink("su2", 4, "l1*l1", "mp", "A5 graph norm squared")),
+                    "canonical endomorphism 1 + e of the S4 fixed point"),),
             "cocommuting but not of group type; " + _ASSUMED,
         ),
         QuadCase(
@@ -172,16 +164,37 @@ def case_by_id(case_id: str) -> QuadCase:
         raise KeyError(f"unknown case id {case_id!r}") from None
 
 
+def _links(case: QuadCase) -> List[Tuple[PFLink, Optional[str]]]:
+    """Each link certifying pn or mp with the identity it failed, None if it holds: the
+    catalog links, then for an index without one d(l1*l1) = 4cos^2(pi/h), its graph's norm
+    squared, on su2 at the level h - 2 of :func:`wzw.branching_rule`.  An mp with pn's graph
+    and value shares pn's link."""
+    links = [(link, _fpdim_failure(*link[:3], getattr(case, link.of))) for link in case.pf_links]
+    both = not case.pf_links and (case.graph_pm, case.mp) == (case.graph_np, case.pn)
+    for of, graph in (("pn", case.graph_np), ("mp", case.graph_pm))[:2 - both]:
+        if all(link.of != of for link in case.pf_links):
+            note, k = f"{graph} graph norm squared", None
+            try:
+                k = wzw.branching_rule(graph).k
+                note += f" (equals the A{k + 1} value)" * (graph != f"A{k + 1}")
+                failed = _fpdim_failure("su2", k, "l1*l1", getattr(case, of))
+            except ValueError as exc:  # a graph it refuses, a level without exact dimensions
+                failed = str(exc)
+            note += ", both elementary subfactors" * both
+            links.append((PFLink("su2", k, "l1*l1", of, note), failed))
+    return links
+
+
 def verify_case(case: QuadCase) -> CheckResult:
     """Recheck one case: exact index relation, angle and PF links, which are
     the case's only certificate of pn and mp.  A passing row states the
     identity it decided, a failing one both sides."""
-    failures = [_fpdim_failure(*link[:3], getattr(case, link.of)) for link in case.pf_links]
+    links = _links(case)
     return CheckResult(case.case_id, (*_rule_rows(case), CheckRow(
-        "pf_dimension_links", not any(failures), "; ".join(
+        "pf_dimension_links", not any(failed for _, failed in links), "; ".join(
             f"{link.note}: " + (failed or f"d({link.expr}) = {getattr(case, link.of)} = "
                                           f"{link.of} exactly")
-            for link, failed in zip(case.pf_links, failures)))))
+            for link, failed in links))))
 
 
 def _rule_rows(case: QuadCase) -> Tuple[CheckRow, CheckRow]:
@@ -218,37 +231,25 @@ def run_all() -> List[CheckResult]:
 # exclusion arithmetic
 
 
-def _haagerup_d() -> Tuple[QuadExt, Tuple[CheckRow, CheckRow]]:
-    """The catalog's Haagerup dimension d = d(r) = (3 + sqrt(13))/2 with its two
-    exact identities, rows of the Class IV exclusion.  [M:P] is d or 1 + d, and
-    nothing here decides which."""
-    d = dimensions("haagerup_even")["r"]
-    return d, (
-        CheckRow("dimension_equation", d * d == 3 * d + 1, f"d^2 = 3d + 1 exactly at d = {d}"),
-        CheckRow("index_bound", 1 + d == quad("5/2", "1/2", 13), f"1 + d = {1 + d} exactly"),
-    )
-
-
 def run_exclusion_checks() -> List[CheckResult]:
     """The four arithmetic exclusion facts, replayed on catalog data."""
     results = []
 
-    ring = builtin("haagerup_even")
-    d, identities = _haagerup_d()
-    dec = decompose(ring, "r*r")
+    # Class IV: the catalog's d = d(r) = (3 + sqrt(13))/2, certified as the PF
+    # dimension; [M:P] is d or 1 + d, and nothing here decides which
+    ring, dims = builtin("haagerup_even"), dimensions("haagerup_even")
+    d, failed, dec = dims["r"], dimension_failure(ring, dims), decompose(ring, "r*r")
     contains = all(dec.get(l, 0) >= 1 for l in ("1", "r", "tr", "t2r"))
     results.append(CheckResult("class4_dimension_bound", (
-        CheckRow("square_contains_three_reflections", contains,
-                 f"r*r decomposes as {dec}"),
-        *identities,
-        CheckRow("pf_agreement", not (failed := _fpdim_failure("haagerup_even", None, "r", d)),
-                 failed or f"PF dimension of r = {fmt(float(d))}"),
+        CheckRow("square_contains_three_reflections", contains, f"r*r decomposes as {dec}"),
+        CheckRow("dimension_equation", d * d == 3 * d + 1, f"d^2 = 3d + 1 exactly at d = {d}"),
+        CheckRow("index_bound", 1 + d == quad("5/2", "1/2", 13), f"1 + d = {1 + d} exactly"),
+        CheckRow("pf_agreement", not failed, failed or f"PF dimension of r = {fmt(float(d))}"),
     )))
 
     val = hom_dim(ring, "t2*r*r", "t2 + r")
     results.append(CheckResult("not_3supertransitive", (
-        CheckRow("hom_dimension", val == 2,
-                 f"dim hom(t2*r*r, t2 + r) = {val}, needs 2"),
+        CheckRow("hom_dimension", val == 2, f"dim hom(t2*r*r, t2 + r) = {val}, needs 2"),
     )))
 
     x = quad(1, 1, 3)  # 1 + sqrt(3)
@@ -261,10 +262,8 @@ def run_exclusion_checks() -> List[CheckResult]:
 
     y = quad(1, 1, 2)  # 1 + sqrt(2)
     results.append(CheckResult("a7_dimension_equation", (
-        CheckRow("quadratic", y * y == 2 * y + 1,
-                 f"x = {y} satisfies x^2 - 2x - 1 = 0 exactly"),
-        CheckRow("index_value", 1 + y == quad(2, 1, 2),
-                 f"pn = 1 + x = {1 + y} exactly"),
+        CheckRow("quadratic", y * y == 2 * y + 1, f"x = {y} satisfies x^2 - 2x - 1 = 0 exactly"),
+        CheckRow("index_value", 1 + y == quad(2, 1, 2), f"pn = 1 + x = {1 + y} exactly"),
     )))
 
     return results

@@ -254,7 +254,7 @@ def _haagerup_qsystem(args):
         text.append(f"  |a|^2 = {fmt(abs(s.a)**2)}, |b|^2 = {fmt(abs(s.b)**2)}")
         for k, v in s.residuals.items():
             text.append(f"  {k}: {fmt(v)}")
-    doc["_residuals"] = {k: max(s.residuals[k] for s in sols) for k in sols[0].residuals}
+    doc["_residuals"] = sols[0].residuals  # both solutions carry the residuals of (a, b)
     return 0, doc, text
 
 

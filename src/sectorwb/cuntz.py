@@ -254,6 +254,7 @@ def _atoms(u: Code, v: Code) -> Word:
 
 Rows = List[Tuple[Code, complex]]
 Plan = Tuple[Rows, Rows, List[Tuple[int, int, Rows]]]
+# a memory guard: 30 cuntz-rho rounds (seed 11) fill the image factors to 105, 105, 105, 105, 57
 MAX_PLANS = 4096  # plans kept per left factor; past it a plan is built, used and dropped
 
 

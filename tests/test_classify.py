@@ -3,13 +3,13 @@ import math
 
 import pytest
 
-from sectorwb import angles, catalog, cuntz, quad
+from sectorwb import angles, catalog, classify, cuntz, quad
 from sectorwb.classify import (
     ANGLE_RULES,
     TAGS,
     PFLink,
     QuadCase,
-    _haagerup_d,
+    _links,
     case_by_id,
     classification_table,
     render_results,
@@ -95,13 +95,15 @@ def test_a_wrong_a4_rep_dimension_fails_both_e6affd4_links(monkeypatch):
 
 
 def test_pf_link_identities_name_what_fails(monkeypatch):
-    # a wrong pn, certified by the first link alone, with the catalog's dimensions intact
+    # a wrong pn, certified by the catalog link alone, with the catalog's dimensions
+    # intact; mp keeps the su2 link of its A3 graph
     case = case_by_id("d6affa3")
-    wrong = case._replace(pn=quad(5), pf_links=case.pf_links[:1])
-    row = _rows(wrong)["pf_dimension_links"]
+    assert len(case.pf_links) == 1
+    row = _rows(case._replace(pn=quad(5)))["pf_dimension_links"]
     assert not row.passed
     assert row.detail == ("canonical endomorphism 1 + t + x of the affine-D6 side: "
-                          "d(1 + t + x) = 4, not 5")
+                          "d(1 + t + x) = 4, not 5; "
+                          "A3 graph norm squared: d(l1*l1) = 2 = mp exactly")
     # a dimension that is not positive
     _patch_dims(monkeypatch, "d6aff_even", x=-2)
     row = _rows(case)["pf_dimension_links"]
@@ -121,6 +123,58 @@ def test_a_wrong_index_fails_its_own_pf_link():
     assert not row.passed and "A3 graph norm squared: d(l1*l1) = 2, not 3" in row.detail
 
 
+def test_the_table_states_each_graph_once():
+    # the table keeps only catalog links; the su2 links are read from the graph
+    # names and equal the ones the table used to spell out
+    table = classification_table()
+    assert [link.ring_key for c in table for link in c.pf_links] == [
+        "d6aff_even", "a4_rep", "a4_rep", "s4_rep", "s4_rep", "s4_rep"]
+    derived = {c.case_id: [tuple(link) for link, _ in _links(c)[len(c.pf_links):]]
+               for c in table}
+    assert derived == {
+        "a5a3": [("su2", 4, "l1*l1", "pn", "A5 graph norm squared"),
+                 ("su2", 2, "l1*l1", "mp", "A3 graph norm squared")],
+        "d6a4": [("su2", 8, "l1*l1", "pn", "D6 graph norm squared (equals the A9 value)"),
+                 ("su2", 3, "l1*l1", "mp", "A4 graph norm squared")],
+        "a7a7": [("su2", 6, "l1*l1", "pn", "A7 graph norm squared, both elementary subfactors")],
+        "d6affa3": [("su2", 2, "l1*l1", "mp", "A3 graph norm squared")],
+        "e6affd4": [],
+        "e7affa5": [("su2", 4, "l1*l1", "mp", "A5 graph norm squared")],
+        "e7affe7aff": [],
+    }
+    assert all(failed is None for c in table for _, failed in _links(c))
+
+
+@pytest.mark.parametrize("cid, graphs, detail", [
+    # A4 has level 3, whose norm squared is the golden-ratio index, not 3
+    pytest.param("a5a3", {"graph_np": "A4"},
+                 "A4 graph norm squared: d(l1*l1) = 3/2+1/2*sqrt(5), not 3", id="a5a3-A4"),
+    # su2 at level 5 has no exact dimensions: the link fails, nothing raises
+    pytest.param("a5a3", {"graph_np": "A6"},
+                 "A6 graph norm squared: su2 has no exact dimensions at level 5", id="a5a3-A6"),
+    # a name branching_rule refuses (an odd D) fails the same way
+    pytest.param("a5a3", {"graph_np": "D5"},
+                 "D5 graph norm squared: unknown graph name 'D5' "
+                 "(expected An, D2n, E6, E7 or E8)", id="a5a3-D5"),
+    # the mp graph of a7a7 no longer matches pn's, so mp gets a link of its own
+    pytest.param("a7a7", {"graph_pm": "A6"},
+                 "A7 graph norm squared: d(l1*l1) = 2+sqrt(2) = pn exactly; "
+                 "A6 graph norm squared: su2 has no exact dimensions at level 5", id="a7a7-A6"),
+])
+def test_a_misnamed_graph_fails_its_row(cid, graphs, detail):
+    row = _rows(case_by_id(cid)._replace(**graphs))["pf_dimension_links"]
+    assert not row.passed
+    assert row.detail.startswith(detail)
+
+
+def test_a_graph_with_the_same_norm_passes():
+    # D6 and A9 share the Coxeter number 10, so both have norm 2cos(pi/10) and
+    # the same su2 level 8: the graph name decides the level, not the series
+    row = _rows(case_by_id("d6a4")._replace(graph_np="A9"))["pf_dimension_links"]
+    assert row.passed
+    assert row.detail.startswith("A9 graph norm squared: d(l1*l1) = 5/2+1/2*sqrt(5) = pn exactly")
+
+
 def test_the_angle_rule_fixes_the_index_relation():
     assert "relation" not in QuadCase._fields
     # a cocommuting case needs mp = pn - 1, so mp = pn fails
@@ -132,17 +186,42 @@ def test_the_angle_rule_fixes_the_index_relation():
 
 
 def test_haagerup_d_is_the_catalog_value():
-    # classify reads d from the catalog; cuntz keeps its own float, which must
-    # be the catalog value's, bit for bit
+    # the Class IV rows read d from the catalog; cuntz keeps its own float, which
+    # must be the catalog value's, bit for bit
     d = catalog.dimensions("haagerup_even")["r"]
-    low, rows = _haagerup_d()
-    assert low == d == quad("3/2", "1/2", 13)
+    class4 = run_exclusion_checks()[0]
+    assert class4.case_id == "class4_dimension_bound"
+    rows = {row.name: row for row in class4.rows}
+    assert d == quad("3/2", "1/2", 13)
+    assert rows["dimension_equation"].detail == f"d^2 = 3d + 1 exactly at d = {d}"
     assert cuntz.haagerup_constants().d.hex() == float(d).hex()
-    assert float(low) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
+    assert float(d) == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
     # both candidates for [M:P], d and 1 + d, pass their exact identities
-    assert {row.name: row.passed for row in rows} == {"dimension_equation": True,
-                                                      "index_bound": True}
-    assert 1 + low == quad("5/2", "1/2", 13)
+    assert {name: rows[name].passed for name in ("dimension_equation", "index_bound")} == {
+        "dimension_equation": True, "index_bound": True}
+    assert rows["index_bound"].detail == f"1 + d = {quad('5/2', '1/2', 13)} exactly"
+    assert 1 + d == quad("5/2", "1/2", 13)
+    assert rows["pf_agreement"].detail == f"PF dimension of r = {float(d):.12g}"
+
+
+def test_each_exclusion_reads_its_ring_once(monkeypatch):
+    # Class IV builds haagerup_even once, reads its exact dimensions once and
+    # certifies them once; so does the e6 exclusion's PF link on e6_even
+    calls = []
+
+    def counted(name, f):
+        def wrapper(key, *args):
+            calls.append((name, getattr(key, "name", key)))
+            return f(key, *args)
+        return wrapper
+
+    for name in ("builtin", "dimensions", "dimension_failure"):
+        monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+    assert all(r.passed for r in run_exclusion_checks())
+    haagerup, e6 = (catalog.builtin(key).name for key in ("haagerup_even", "e6_even"))
+    assert calls == [("builtin", "haagerup_even"), ("dimensions", "haagerup_even"),
+                     ("dimension_failure", haagerup), ("builtin", "e6_even"),
+                     ("dimensions", "e6_even"), ("dimension_failure", e6)]
 
 
 def test_render_is_deterministic():
@@ -267,10 +346,13 @@ def test_a_wrong_two_cos_fails_the_pf_row(cid, fields, failed, monkeypatch):
     # the case's pn link, the rest the case's fields: the su2 link is the only
     # certificate of pn = 2 + x = 4cos^2(pi/n), and it names the identity that fails
     case = case_by_id(cid)
-    link = case.pf_links[0]
+    assert not case.pf_links  # pn's su2 link is read from its graph
     if "x" in fields:
-        monkeypatch.setitem(catalog.TWO_COS, link.k + 2, fields["x"])
+        monkeypatch.setitem(catalog.TWO_COS, _links(case)[0][0].k + 2, fields["x"])
     case = case._replace(**{f: v for f, v in fields.items() if f != "x"})
+    # read after the fields change: a7a7's pn apart from mp gets a link of its own
+    link = _links(case)[0][0]
+    assert (link.ring_key, link.of) == ("su2", "pn")
     row = _rows(case)["pf_dimension_links"]
     assert not row.passed
     assert row.detail.split("; ")[0] == f"{link.note}: {failed}"
@@ -285,7 +367,7 @@ def test_a_wrong_two_cos_fails_the_polynomial_row(cid, fields, monkeypatch):
     # catalog's table leaves pn, mp and the cosine right, so the index and angle
     # rows pass and only the su2 link of the PF row fails
     case = case_by_id(cid)
-    monkeypatch.setitem(catalog.TWO_COS, case.pf_links[0].k + 2, fields["x"])
+    monkeypatch.setitem(catalog.TWO_COS, _links(case)[0][0].k + 2, fields["x"])
     rows = _rows(case._replace(**{f: v for f, v in fields.items() if f != "x"}))
     assert rows["index_relation"].passed and rows["angle_recomputation"].passed
     assert not rows["pf_dimension_links"].passed

@@ -415,6 +415,12 @@ def test_golden_output(record, capsys):
 
 HELP_GOLDEN = json.loads(
     (Path(__file__).parent / "golden_help.json").read_text(encoding="utf-8"))
+if sys.version_info >= (3, 13):
+    # argparse 3.13 keeps the root usage's "..." on the line of its choices: the
+    # records it prints differently replace those of the base file
+    _OVERLAY = {tuple(r["argv"]): r for r in json.loads(
+        (Path(__file__).parent / "golden_help_3.13.json").read_text(encoding="utf-8"))}
+    HELP_GOLDEN = [_OVERLAY.get(tuple(r["argv"]), r) for r in HELP_GOLDEN]
 
 
 @pytest.mark.parametrize("record", HELP_GOLDEN, ids=lambda r: " ".join(r["argv"]))
@@ -509,7 +515,7 @@ print(" ".join(sorted(sys.modules)))
     ("dims su2", ["_base", "catalog", "cli"]),
     ("dims e6_even", ["_base", "catalog", "cli"]),
     ("ring", ["_base", "catalog", "cli", "fusion"]),
-    ("classify", ["_base", "angles", "catalog", "classify", "cli", "fusion", "scalar"]),
+    ("classify", ["_base", "angles", "catalog", "classify", "cli", "fusion", "scalar", "wzw"]),
 ], ids=["import", "catalog", "angle", "wzw", "haagerup", "cuntz", "dims-su2", "dims-e6_even",
         "ring", "classify"])
 def test_command_families_load_only_their_modules(family, modules):
